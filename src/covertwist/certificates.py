@@ -166,24 +166,34 @@ def verify_main(p: CoveringMap, cd: CosetData, rho: Representation,
 
 @dataclass(frozen=True)
 class DivisibilityCertificate:
+    """An exact quotient.  integral says whether its coefficients are
+    rational integers; integrality_claimed whether they must be, which
+    the paper asserts only for integer or indeterminate weights."""
+
     dividend: MultiPoly
     divisor: MultiPoly
     quotient: MultiPoly
     integral: bool
+    integrality_claimed: bool
+
+    @property
+    def integrality_ok(self) -> bool:
+        return self.integral or not self.integrality_claimed
 
     def check_product(self) -> bool:
         return self.divisor * self.quotient == self.dividend
 
 
-def _exact_divide(dividend: MultiPoly, divisor: MultiPoly,
-                  what: str) -> DivisibilityCertificate:
+def _exact_divide(dividend: MultiPoly, divisor: MultiPoly, what: str,
+                  x: EdgeWeights) -> DivisibilityCertificate:
     q = dividend.exact_div(divisor)
     if q is None:
         raise DivisionFailedError(
             f"{what}: division left a remainder\n"
             f"  dividend = {dividend.to_text()}\n"
             f"  divisor  = {divisor.to_text()}")
-    return DivisibilityCertificate(dividend, divisor, q, q.is_integral())
+    return DivisibilityCertificate(dividend, divisor, q, q.is_integral(),
+                                   x.is_integral())
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,7 @@ class Cor1Result:
 
     @property
     def ok(self) -> bool:
-        return (self.certificate.integral and self.quotient_monic
+        return (self.certificate.integrality_ok and self.quotient_monic
                 and self.complement_matches)
 
 
@@ -213,7 +223,7 @@ def cor1_certificate(p: CoveringMap, x: EdgeWeights,
                                trivial_connection(QQ, p.base.num_edges))
     cp_cover = charpoly(a_cover)
     cp_base = charpoly(a_base)
-    cert = _exact_divide(cp_cover, cp_base, "cover/base charpoly")
+    cert = _exact_divide(cp_cover, cp_base, "cover/base charpoly", x)
     q = cert.quotient
     d = p.degree
     n = p.base.num_vertices
@@ -340,19 +350,13 @@ class TreesResult:
 
     @property
     def ok(self) -> bool:
-        return (self.st.integral and self.rsf.integral
+        return (self.st.integrality_ok and self.rsf.integrality_ok
                 and all(flag for _, flag in self.coefficient_checks))
 
 
 def spanning_tree_polynomial(P: MultiPoly, n: int) -> MultiPoly:
-    """Z_ST from the Laplacian charpoly: (−1)^{n−1}·c₁/n, divided in
-    ℚ[x] and required to land back in ℤ[x]."""
-    c1 = P.coefficient_of("lambda", 1)
-    scaled = c1 * Fraction((-1) ** (n - 1), n)
-    if not scaled.is_integral():
-        raise DivisionFailedError(
-            f"c1/n left non-integer coefficients: {scaled.to_text()}")
-    return scaled
+    """Z_ST from the Laplacian charpoly: (−1)^{n−1}·c₁/n, divided in ℚ[x]."""
+    return P.coefficient_of("lambda", 1) * Fraction((-1) ** (n - 1), n)
 
 
 def rooted_forest_polynomial(P: MultiPoly, n: int) -> MultiPoly:
@@ -399,12 +403,18 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights) -> TreesResult:
     P_cover = _laplacian_charpoly(p.cover, xl)
     nb = p.base.num_vertices
     nc = p.cover.num_vertices
-    st = _exact_divide(spanning_tree_polynomial(P_cover, nc),
-                       spanning_tree_polynomial(P_base, nb),
-                       "spanning-tree polynomial")
+    st_cover = spanning_tree_polynomial(P_cover, nc)
+    st_base = spanning_tree_polynomial(P_base, nb)
+    if x.is_integral():
+        # Kirchhoff: integer or indeterminate weights give a sum in ℤ[x]
+        for z in (st_cover, st_base):
+            if not z.is_integral():
+                raise DivisionFailedError(
+                    f"c1/n left non-integer coefficients: {z.to_text()}")
+    st = _exact_divide(st_cover, st_base, "spanning-tree polynomial", x)
     rsf = _exact_divide(rooted_forest_polynomial(P_cover, nc),
                         rooted_forest_polynomial(P_base, nb),
-                        "rooted-forest polynomial")
+                        "rooted-forest polynomial", x)
     checks = (_coefficient_checks("base", p.base, x, P_base)
               + _coefficient_checks("cover", p.cover, xl, P_cover))
     return TreesResult(st, rsf, P_base, P_cover, tuple(checks))
@@ -442,7 +452,7 @@ class DimerResult:
 
     @property
     def ok(self) -> bool:
-        return (self.det_identity and self.matching_cert.integral
+        return (self.det_identity and self.matching_cert.integrality_ok
                 and self.pf_base_squared_ok and self.pf_cover_squared_ok)
 
 
@@ -502,7 +512,7 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     z_cover = pd.coerce(matching_sum(p.cover, dom,
                                      unoriented_values(p.cover,
                                                        lift_weights(p, x))))
-    cert = _exact_divide(z_cover, z_base, "dimer partition function")
+    cert = _exact_divide(z_cover, z_base, "dimer partition function", x)
 
     pf_b = pd.coerce(pfaffian(a_base))
     pf_c = pd.coerce(pfaffian(a_cover))

@@ -133,6 +133,15 @@ def _series_weights(x: EdgeWeights, var: str = "u") -> EdgeWeights:
     return EdgeWeights(pd, tuple(pd.mul(u, pd.coerce(v)) for v in x.values))
 
 
+def _integrality_check(r: Report, name: str, cert) -> None:
+    """The integrality check where the weights make it a claim, else a
+    note saying why it is left out."""
+    if cert.integrality_claimed:
+        r.check(name, cert.integral)
+    else:
+        r.notes.append(f"{name}: not claimed for non-integer weights")
+
+
 def _datum_value(v) -> str:
     if isinstance(v, MultiPoly):
         return v.to_text()
@@ -234,7 +243,7 @@ def _cmd_cor1(args, doc: InputDocument | None) -> Report:
     r.datum("base charpoly", cert.divisor)
     r.datum("quotient", cert.quotient)
     r.check("charpoly divisible", cert.check_product())
-    r.check("quotient integer coefficients", cert.integral)
+    _integrality_check(r, "quotient integer coefficients", cert)
     r.check("quotient monic", res.quotient_monic)
     r.check("quotient matches complement twist", res.complement_matches)
     return r
@@ -280,9 +289,9 @@ def _cmd_trees(args, doc: InputDocument | None) -> Report:
     r.datum("tree quotient", res.st.quotient)
     r.datum("forest quotient", res.rsf.quotient)
     r.check("tree sum divisible", res.st.check_product())
-    r.check("tree quotient integer coefficients", res.st.integral)
+    _integrality_check(r, "tree quotient integer coefficients", res.st)
     r.check("forest sum divisible", res.rsf.check_product())
-    r.check("forest quotient integer coefficients", res.rsf.integral)
+    _integrality_check(r, "forest quotient integer coefficients", res.rsf)
     for tag, flag in res.coefficient_checks:
         r.check(tag, flag)
     return r
@@ -308,8 +317,8 @@ def _cmd_dimer(args, doc: InputDocument) -> Report:
     r.datum("matching quotient", res.matching_cert.quotient)
     r.check("determinant factorizes", res.det_identity)
     r.check("matching sum divisible", res.matching_cert.check_product())
-    r.check("matching quotient integer coefficients",
-            res.matching_cert.integral)
+    _integrality_check(r, "matching quotient integer coefficients",
+                       res.matching_cert)
     r.check("base pfaffian squared", res.pf_base_squared_ok)
     r.check("cover pfaffian squared", res.pf_cover_squared_ok)
     return r

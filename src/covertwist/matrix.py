@@ -1,17 +1,32 @@
 """Dense matrices over a scalar domain, with exact determinant machinery.
 
-Exact domains go through fraction-free (Bareiss) elimination, whose
-divisions are exact in any integral domain; the floating complex domain
-uses partially pivoted LU.  Characteristic polynomials of exact
-matrices are determinants over the ring with an extra variable
-adjoined, so they come out as honest polynomials with no rounding.
+Which algorithm runs depends on the domain of the entries:
+
+* Determinants over an exact domain (QQ, QQ(i), polynomial rings) use
+  fraction-free (Bareiss) elimination, whose divisions are exact in any
+  integral domain; the floating complex domain uses partially pivoted LU.
+* Characteristic polynomials of QQ and QQ(i) matrices are computed
+  multi-modularly: denominators are cleared, the integer (or Gaussian
+  integer) matrix is reduced to Hessenberg form modulo 61-bit primes, the
+  Hessenberg recurrence gives the charpoly modulo each prime, and the
+  residues are combined by the Chinese remainder theorem.  A Hadamard
+  bound on every coefficient fixes the number of primes in advance, so
+  the result is proved exact, not guessed: no coefficient of absolute
+  value at most B can be confused with another once the product of the
+  primes exceeds 2B + 1.
+* Characteristic polynomials of matrices with polynomial entries are
+  determinants over the ring with the variable adjoined, by Bareiss.
+  Floating matrices have no exact charpoly (see charpoly_coeffs_numeric).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import isqrt, lcm
 
-from .domains import CC, ComplexDomain, GaussianRational, QQ
+from .domains import (ComplexDomain, GaussianRational, GaussianRationalDomain,
+                      RationalDomain, _norm_rat)
 from .errors import (
     DomainMismatchError,
     NotSkewSymmetricError,
@@ -263,31 +278,210 @@ def det(m: Matrix):
     return _det_lu(m)
 
 
-def _char_domain(domain, var: str) -> PolyDomain:
-    if isinstance(domain, PolyDomain):
-        return PolyDomain(domain.reg.with_var(var), domain.coeff)
-    if domain.exact:
-        return PolyDomain(VarRegistry((var,)), domain)
-    raise DomainMismatchError(
-        "exact characteristic polynomials need an exact domain; "
-        "use charpoly_coeffs_numeric for floating matrices")
+# ---------------------------------------------------------------------------
+# multi-modular characteristic polynomials over QQ and QQ(i)
+
+# Witnesses that make Miller-Rabin deterministic below 3.3e24 > 2^61.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.3e24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    r = 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _split_prime(k: int) -> tuple[int, int]:
+    """(p, s): the k-th prime p = 1 (mod 4) below 2^61, descending, and
+    s with s^2 = -1 (mod p).  Found on first use rather than at import.
+
+    Such primes split in ZZ[i], so the same list serves QQ (s is
+    ignored) and QQ(i) (i maps to s and to -s)."""
+    p = _split_prime(k - 1)[0] - 4 if k else (1 << 61) - 3
+    while not _is_prime(p):
+        p -= 4
+    a = 2
+    while pow(a, (p - 1) // 2, p) != p - 1:   # a quadratic non-residue
+        a += 1
+    return p, pow(a, (p - 1) // 4, p)
+
+
+def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
+    """Coefficients, ascending, of det(x*I - h) modulo the prime p.
+
+    h holds residues in [0, p) and is overwritten.  It is first brought
+    to upper Hessenberg form by similarity transforms (a column with no
+    nonzero entry below the subdiagonal is already reduced and is
+    skipped), then the recurrence of Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9, expands the determinant."""
+    n = len(h)
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(h[j + 1][j], -1, p)
+        prow = h[j + 1][j:]
+        elim = []
+        for r in range(j + 2, n):
+            row = h[r]
+            if row[j]:
+                u = row[j] * inv % p
+                row[j:] = [(x - u * y) % p for x, y in zip(row[j:], prow)]
+                elim.append((r, u))
+        if elim:
+            for row in h:
+                row[j + 1] = (row[j + 1]
+                              + sum(u * row[r] for r, u in elim)) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        d = h[m - 1][m - 1]
+        new = [0] + prev
+        for k, c in enumerate(prev):
+            new[k] -= d * c
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * h[i][i - 1] % p
+            if not t:
+                break
+            f = h[i - 1][m - 1] * t % p
+            if f:
+                for k, c in enumerate(polys[i - 1]):
+                    new[k] -= f * c
+        polys.append([c % p for c in new])
+    return polys[n]
+
+
+def _split_parts(x):
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return x, 0
+
+
+def _charpoly_multimodular(m: Matrix, var: str) -> MultiPoly:
+    """det(var*I - m) for a matrix over QQ or QQ(i), exactly.
+
+    With D the lcm of the entry denominators, the coefficient c_k of
+    var^(n-k) in the charpoly of the (Gaussian) integer matrix D*m is a
+    signed sum of k x k principal minors, so Hadamard's inequality gives
+    |c_k| <= e_k(|r_1|, ..., |r_n|) <= prod(1 + ceil|r_i|) = B over the
+    row norms |r_i|.  Primes are taken until their product M exceeds
+    2B + 1; the symmetric residue modulo M is then c_k itself (for
+    QQ(i), its real and imaginary parts, each at most |c_k|), and the
+    charpoly of m has coefficients c_k / D^k."""
+    n = m.nrows
+    parts = [[_split_parts(x) for x in row] for row in m.data]
+    d = lcm(1, *(q.denominator for row in parts for pair in row for q in pair))
+    re = [[int(a * d) for a, _ in row] for row in parts]
+    im = [[int(b * d) for _, b in row] for row in parts]
+    gaussian = any(any(row) for row in im)
+    bound = 1
+    for r_re, r_im in zip(re, im):
+        sq = sum(a * a for a in r_re) + sum(b * b for b in r_im)
+        root = isqrt(sq)
+        bound *= 1 + root + (root * root < sq)
+
+    def image(root, p):
+        """D*m modulo p with i mapped to root."""
+        return [[(a + root * b) % p for a, b in zip(ra, rb)]
+                for ra, rb in zip(re, im)]
+
+    acc_re = [0] * (n + 1)
+    acc_im = [0] * (n + 1)
+    modulus = 1
+    k = 0
+    while modulus <= 2 * bound + 1:
+        p, s = _split_prime(k)
+        k += 1
+        plus = _hessenberg_charpoly(image(s, p), p)
+        inv = pow(modulus, -1, p)
+
+        def garner(acc, res):   # the value mod modulus*p matching both
+            return [x + modulus * ((r - x) * inv % p)
+                    for x, r in zip(acc, res)]
+
+        if gaussian:
+            minus = _hessenberg_charpoly(image(-s, p), p)
+            half = pow(2, -1, p)
+            half_s = pow(2 * s, -1, p)
+            acc_re = garner(acc_re, [(x + y) * half % p
+                                     for x, y in zip(plus, minus)])
+            acc_im = garner(acc_im, [(x - y) * half_s % p
+                                     for x, y in zip(plus, minus)])
+        else:
+            acc_re = garner(acc_re, plus)
+        modulus *= p
+    half_m = modulus // 2
+    reg = VarRegistry((var,))
+    terms = {}
+    scale = 1
+    for power in range(n, -1, -1):
+        x, y = acc_re[power], acc_im[power]
+        x = x - modulus if x > half_m else x
+        y = y - modulus if y > half_m else y
+        if x or y:
+            c = _norm_rat(Fraction(x, scale))
+            if y:
+                c = GaussianRational(c, Fraction(y, scale))
+            terms[reg.pack((power,))] = c
+        scale *= d
+    return MultiPoly(reg, terms)
 
 
 def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
-    """det(var*I - m) as an exact polynomial, monic of degree n."""
+    """det(var*I - m) as an exact polynomial, monic of degree n.
+
+    QQ and QQ(i) matrices take the multi-modular Hessenberg route above,
+    whose prime count comes from a proved coefficient bound.  Matrices
+    with polynomial entries take Bareiss elimination over the ring with
+    var adjoined.  Floating matrices are rejected: use
+    charpoly_coeffs_numeric.  Either way the result must come out monic.
+    """
     if not m.is_square():
         raise NotSquareError("characteristic polynomial of a non-square matrix")
-    pd = _char_domain(m.domain, var)
     n = m.nrows
-    lam = MultiPoly.variable(pd.reg, var)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = pd.coerce(m.data[i][j])
-            row.append(lam - e if i == j else -e)
-        rows.append(row)
-    p = _det_bareiss(Matrix(pd, rows))
+    dom = m.domain
+    if isinstance(dom, (RationalDomain, GaussianRationalDomain)):
+        p = _charpoly_multimodular(m, var)
+    elif isinstance(dom, PolyDomain):
+        pd = PolyDomain(dom.reg.with_var(var), dom.coeff)
+        lam = MultiPoly.variable(pd.reg, var)
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                e = pd.coerce(m.data[i][j])
+                row.append(lam - e if i == j else -e)
+            rows.append(row)
+        p = _det_bareiss(Matrix(pd, rows))
+    else:
+        raise DomainMismatchError(
+            "exact characteristic polynomials need an exact domain; "
+            "use charpoly_coeffs_numeric for floating matrices")
     top = p.by_var(var).get(n)
     if top is None or not (top.is_constant() and top.constant_value() == 1):
         raise ArithmeticError("characteristic polynomial came out non-monic")

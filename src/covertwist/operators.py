@@ -3,9 +3,8 @@
 Twisted adjacency matrices pair edge weights with connection matrices;
 the Laplacian is assembled directly (the self-paired loop the classical
 construction would add is not a legal edge here, so the matrix route is
-the honest one) with an augmented digraph available for functoriality
-checks; the directed line graph supports the cycle-counting operators;
-and the Kasteleyn helpers produce clockwise-odd orientations and the
+the honest one); the directed line graph supports the cycle-counting
+operators; and the Kasteleyn helpers produce clockwise-odd orientations and the
 skew weightings they induce on planar embeddings.
 """
 
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .domains import QQ, unify_scalar_domains
+from .domains import QQ, coeff_is_integer, unify_scalar_domains
 from .errors import (
     MissingConnectionEntryError,
     MissingWeightError,
@@ -55,6 +54,12 @@ class EdgeWeights:
         return all(self.domain.eq(self.values[e],
                                   self.domain.neg(self.values[g.inv[e]]))
                    for e in range(g.num_edges))
+
+    def is_integral(self) -> bool:
+        """True when every weight is a rational integer or a polynomial
+        (in indeterminate weights) with rational integer coefficients."""
+        return all(v.is_integral() if isinstance(v, MultiPoly)
+                   else coeff_is_integer(v) for v in self.values)
 
 
 def symbolic_weights(g: Graph, coeff=QQ,
@@ -171,43 +176,6 @@ def laplacian(g: Graph, x: EdgeWeights,
                 row[w * m + j] = dom.sub(row[w * m + j],
                                          dom.mul(xe, dom.coerce(entry)))
     return Matrix(dom, data, block_size=m)
-
-
-@dataclass(frozen=True)
-class LoopExtension:
-    """Digraph realization of the Laplacian: original arcs negated plus
-    one weighted loop per vertex; arc_origin maps loops to None so a
-    connection on the underlying graph extends by the identity there."""
-
-    digraph: DirectedGraph
-    weights: EdgeWeights
-    arc_origin: tuple[int | None, ...]
-
-
-def loop_extension(g: Graph, x: EdgeWeights) -> LoopExtension:
-    if not x.is_symmetric(g):
-        raise WeightsNotSymmetricError("loop extension needs symmetric weights")
-    dom = x.domain
-    src = list(g.src)
-    tgt = list(g.tgt)
-    vals = [dom.neg(v) for v in x.values]
-    origin: list[int | None] = list(range(g.num_edges))
-    for v in range(g.num_vertices):
-        total = dom.zero
-        for e in g.out_edges[v]:
-            total = dom.add(total, x.values[e])
-        src.append(v)
-        tgt.append(v)
-        vals.append(total)
-        origin.append(None)
-    dg = DirectedGraph(g.num_vertices, tuple(src), tuple(tgt))
-    return LoopExtension(dg, EdgeWeights(dom, tuple(vals)), tuple(origin))
-
-
-def extend_connection(ext: LoopExtension, c: Connection) -> Connection:
-    ident = Matrix.identity(c.domain, c.degree)
-    mats = tuple(ident if o is None else c.mats[o] for o in ext.arc_origin)
-    return Connection(c.domain, c.degree, mats)
 
 
 # ---------------------------------------------------------------------------

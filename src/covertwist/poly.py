@@ -256,6 +256,14 @@ class MultiPoly:
             return NotImplemented
         _same_registry(self, other)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return MultiPoly(self.reg, {})
+        # keys add fieldwise with no carry check, which is sound while
+        # the total degree (the top field of the leading key) fits a field
+        shift = self.reg._deg_shift
+        if (max(a) >> shift) + (max(b) >> shift) > MAX_EXP:
+            raise OverflowError(
+                f"product degree exceeds the exponent limit {MAX_EXP}")
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
@@ -285,8 +293,9 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:   # a square past the last bit could overflow needlessly
+                base = base * base
         return out
 
     # ---- division ----
@@ -451,15 +460,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
-def poly_exact_div(a: MultiPoly, b: MultiPoly):
-    """Exact division a / b, or None when b does not divide a."""
-    return a.exact_div(b)
 
 
 class PolyDomain:

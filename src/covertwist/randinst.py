@@ -23,7 +23,7 @@ from .domains import QQ
 from .graphs import Graph, build_graph
 from .homotopy import Pi1Presentation, fundamental_presentation, spanning_tree
 from .matrix import Matrix
-from .operators import EdgeWeights, symbolic_weights, weights_from_unoriented
+from .operators import EdgeWeights, symbolic_weights
 from .representation import Representation, representation
 
 
@@ -91,14 +91,6 @@ def random_representation(rng: random.Random, rank: int,
                           degree: int) -> Representation:
     mats = [random_invertible_matrix(rng, degree) for _ in range(rank)]
     return representation(QQ, mats)
-
-
-def random_rational_weights(rng: random.Random, g: Graph,
-                            bound: int = 5) -> EdgeWeights:
-    vals = [Fraction(rng.choice((-1, 1)) * rng.randint(1, bound),
-                     rng.randint(1, 3))
-            for _ in range(g.num_unoriented)]
-    return weights_from_unoriented(g, QQ, vals)
 
 
 @dataclass(frozen=True)

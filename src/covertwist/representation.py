@@ -29,7 +29,7 @@ from .errors import (
     InternalCosetError,
     NotAbelianError,
 )
-from .graphs import Graph, Path, check_loop
+from .graphs import Path, check_loop
 from .homotopy import FreeWord, Pi1Presentation, concat_words, invert_word
 from .matrix import Matrix, inverse
 
@@ -103,15 +103,6 @@ class Connection:
     mats: tuple[Matrix, ...]
 
 
-def validate_connection(g: Graph, c: Connection) -> list[str]:
-    problems = []
-    ident = Matrix.identity(c.domain, c.degree)
-    for e in range(g.num_edges):
-        if not (c.mats[e] * c.mats[g.inv[e]]).eq(ident):
-            problems.append(f"edge {e}: reversal is not the inverse")
-    return problems
-
-
 def trivial_connection(domain, num_edges: int, degree: int = 1) -> Connection:
     ident = Matrix.identity(domain, degree)
     return Connection(domain, degree, (ident,) * num_edges)
@@ -137,16 +128,6 @@ def monodromy(g, c: Connection, loop: Path) -> Matrix:
     for e in loop.edges:
         out = out * c.mats[e]
     return out
-
-
-def apply_gauge(g: Graph, c: Connection,
-                vertex_mats: list[Matrix]) -> Connection:
-    """Conjugate a connection by invertible vertexwise changes of frame:
-    each edge matrix becomes M_src · φ_e · M_tgt⁻¹."""
-    invs = [inverse(m) for m in vertex_mats]
-    mats = tuple(vertex_mats[g.src[e]] * c.mats[e] * invs[g.tgt[e]]
-                 for e in range(g.num_edges))
-    return Connection(c.domain, c.degree, mats)
 
 
 # ---------------------------------------------------------------------------

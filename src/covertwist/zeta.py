@@ -135,7 +135,7 @@ def l_series_inverse(g: Graph, x: EdgeWeights, rho: Representation,
 def untwisted_l_series_inverse(g: Graph, x: EdgeWeights):
     ld = line_digraph(g, x)
     M = twisted_adjacency(ld.digraph, ld.weights,
-                          trivial_connection(QQ_of(x), g.num_edges))
+                          trivial_connection(QQ_of(x), ld.digraph.num_edges))
     ident = Matrix.identity(M.domain, M.nrows, M.block_size)
     return det(ident - M)
 

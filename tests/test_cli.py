@@ -142,3 +142,51 @@ def test_timing_flag_adds_elapsed(capsys):
                        "--timing")
     assert code == 0
     assert "elapsed" in out
+
+
+CHORD_TRIANGLE = """graph:
+  vertices = 3
+  edge 0 1
+  edge 1 2
+  edge 2 0
+  edge 0 2
+weights:
+  kind = rational
+{values}voltage:
+  degree = 2
+  generator 0 = (0 1)
+  generator 1 = ()
+"""
+
+
+@pytest.mark.parametrize("weights", [("1/2", "3", "2", "1"),
+                                     ("1/2",) * 4])
+@pytest.mark.parametrize("command", ["cor1", "trees"])
+def test_non_integer_weights_claim_no_integrality(tmp_path, capsys,
+                                                  weights, command):
+    values = "".join(f"  value {i} = {w}\n" for i, w in enumerate(weights))
+    path = tmp_path / "chord_triangle.txt"
+    path.write_text(CHORD_TRIANGLE.format(values=values))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, err) == (0, "")
+    assert "FAIL" not in out
+    assert "integer coefficients: not claimed for non-integer weights" in out
+    if command == "cor1" and weights[1] == "3":
+        assert "quotient = lambda^3 - 73/4*lambda + 9" in out
+
+
+def test_zeta_lseries_untwisted_off_a_cycle(tmp_path, capsys):
+    # a 4-cycle with chord 0 2: the line digraph has 10 vertices, 16 arcs
+    doc = ("graph:\n  vertices = 4\n  edge 0 1\n  edge 1 2\n  edge 2 3\n"
+           "  edge 3 0\n  edge 0 2\nweights:\n  kind = unit\n")
+    plain = tmp_path / "theta.txt"
+    plain.write_text(doc)
+    trivial = tmp_path / "theta_trivial.txt"
+    trivial.write_text(doc + "representation rho:\n  generator 0 = 1\n"
+                             "  generator 1 = 1\n")
+    code, out, err = run(capsys, "zeta-lseries", "--input", str(plain))
+    assert (code, err) == (0, "")
+    code_t, out_t, _ = run(capsys, "zeta-lseries", "--input", str(trivial))
+    assert code_t == 0
+    assert out == out_t
+    assert "reciprocal series = -4*u^10 + u^8 + 4*u^7" in out

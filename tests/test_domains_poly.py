@@ -161,6 +161,15 @@ def test_poly_exact_div():
     assert (2 * x).exact_div(2) == x
 
 
+def test_poly_exponent_overflow_raises():
+    reg, x, y = xy()
+    assert (x ** 65535).degree_in("x") == 65535
+    with pytest.raises(OverflowError):
+        x ** 65536
+    with pytest.raises(OverflowError):
+        (x ** 40000) * (y ** 30000)
+
+
 def test_poly_is_integral():
     reg, x, y = xy()
     assert (2 * x + 3).is_integral()
