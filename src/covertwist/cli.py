@@ -51,7 +51,6 @@ from .errors import (
 )
 from .graphs import default_rotation, is_connected
 from .homotopy import fundamental_presentation, spanning_tree
-from .operators import EdgeWeights
 from .oracles import (
     enum_forests,
     enum_perfect_matchings,
@@ -61,7 +60,7 @@ from .oracles import (
     rooted_forest_sum_by_components,
     tree_sum,
 )
-from .poly import MultiPoly, PolyDomain, VarRegistry
+from .poly import MultiPoly
 from .randinst import random_cover_instance
 from .representation import Representation, trivial_representation
 from .zeta import (
@@ -118,19 +117,6 @@ def _pick_rep(doc: InputDocument, rank: int, what: str) -> Representation | None
             f"representation {name!r} has {rho.rank} generators, "
             f"{what} needs {rank}")
     return rho
-
-
-def _series_weights(x: EdgeWeights, var: str = "u") -> EdgeWeights:
-    wdom = x.domain
-    if isinstance(wdom, PolyDomain):
-        if var in wdom.reg.names:
-            raise SemanticError(f"series variable {var!r} collides with "
-                                "a weight variable")
-        pd = PolyDomain(wdom.reg.with_var(var), wdom.coeff)
-    else:
-        pd = PolyDomain(VarRegistry((var,)), wdom)
-    u = MultiPoly.variable(pd.reg, var)
-    return EdgeWeights(pd, tuple(pd.mul(u, pd.coerce(v)) for v in x.values))
 
 
 def _integrality_check(r: Report, name: str, cert) -> None:
@@ -345,7 +331,7 @@ def _cmd_zeta_lseries(args, doc: InputDocument) -> Report:
         raise SemanticError("the graph is not connected")
     pres = fundamental_presentation(g, 0)
     rho = _pick_rep(doc, pres.rank, "the base loop group")
-    x = _series_weights(document_weights(doc))
+    x = document_weights(doc)
     if rho is None:
         out = untwisted_l_series_inverse(g, x)
     else:

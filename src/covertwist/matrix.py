@@ -17,6 +17,10 @@ Which algorithm runs depends on the domain of the entries:
 * Characteristic polynomials of matrices with polynomial entries are
   determinants over the ring with the variable adjoined, by Bareiss.
   Floating matrices have no exact charpoly (see charpoly_coeffs_numeric).
+* Series determinants det(I - u*B) of the zeta layer are not computed
+  here as determinants over QQ[u]: zeta reverses charpoly(B, "u"), since
+  det(I - u*B) = u^n * charpoly(B)(1/u), so they take the charpoly route
+  of B's own domain.
 """
 
 from __future__ import annotations

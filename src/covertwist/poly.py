@@ -437,11 +437,13 @@ class MultiPoly:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             mono = "*".join(factors)
-            if isinstance(c, GaussianRational) and c.im != 0:
-                cs = format_gaussian(c)
-                body = f"{cs}*{mono}" if mono else cs
-                parts.append(("+", body))
-                continue
+            if isinstance(c, GaussianRational):
+                if c.im != 0:
+                    cs = format_gaussian(c)
+                    body = f"{cs}*{mono}" if mono else cs
+                    parts.append(("+", body))
+                    continue
+                c = c.re
             neg = c < 0
             mag = -c if neg else c
             ms = str(_norm_rat(mag))

@@ -5,6 +5,15 @@ additivity, inflation, induction) checked on abelian deck groups.
 Cycles run on directed edges with the non-backtracking rule enforced
 cyclically.  Primes are primitive cycles up to rotation only; a cycle
 and its reversal count separately unless they coincide.
+
+The series functions take plain edge weights and a series variable u.
+The operator B is built over the weights' domain (unified with the
+representation's), and the series determinant is the reversed
+characteristic polynomial det(I - u*B) = u^n * chi_B(1/u): scalar
+weights with a QQ or QQ(i) representation take the multi-modular
+charpoly, polynomial weights take Bareiss elimination inside charpoly.
+The log-derivative check likewise takes traces of powers of B over the
+weights' domain and attaches u^k only when it sums the two sides.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .errors import (
 )
 from .graphs import Graph, Path
 from .homotopy import Pi1Presentation, fundamental_presentation
-from .matrix import Matrix, charpoly, det
+from .matrix import Matrix, charpoly
 from .operators import (
     EdgeWeights,
     lift_weights,
@@ -121,23 +130,58 @@ def cycle_weight(x: EdgeWeights, cyc: PrimeCycle):
 # L-series through the edge operator
 
 
+def _series_domain(dom, series_var: str) -> PolyDomain:
+    """dom with the series variable adjoined, refused when the variable
+    already names a weight."""
+    if isinstance(dom, PolyDomain):
+        if series_var in dom.reg.names:
+            raise RegistryMismatchError(
+                f"series variable {series_var!r} collides with a weight")
+        return PolyDomain(dom.reg.with_var(series_var), dom.coeff)
+    return PolyDomain(VarRegistry((series_var,)), dom)
+
+
+def _det_one_minus(b: Matrix, series_var: str) -> MultiPoly:
+    """det(I - u*b) as the reversed characteristic polynomial
+    u^n * det(I/u - b), so it takes charpoly's route for b's domain."""
+    reg = _series_domain(b.domain, series_var).reg
+    cp = charpoly(b, series_var)
+    at = reg.index(series_var)
+    n = b.nrows
+    terms = {}
+    for key, c in cp.terms.items():
+        exps = list(reg.unpack(key))
+        exps[at] = n - exps[at]
+        terms[reg.pack(exps)] = c
+    return MultiPoly(reg, terms)
+
+
 def l_series_inverse(g: Graph, x: EdgeWeights, rho: Representation,
-                     pres: Pi1Presentation):
-    """det(I - M) for the twisted non-backtracking edge operator; the
-    reciprocal of the weighted L-series."""
+                     pres: Pi1Presentation, series_var: str = "u"):
+    """det(I - u*B) for the twisted non-backtracking edge operator B with
+    weights x; the reciprocal of the weighted L-series, as a polynomial
+    in the series variable u over the weights' ring.
+
+    det(I - u*B) = u^n * chi_B(1/u) for the characteristic polynomial
+    chi_B of the n x n operator, so the series determinant is chi_B with
+    every exponent e of u flipped to n - e.  QQ and QQ(i) operators (scalar
+    weights with a rational or Gaussian representation) thereby take the
+    multi-modular charpoly; polynomial weights take Bareiss elimination
+    over the weight ring with u adjoined, inside charpoly."""
     conn = connection_from_rep(pres, rho)
     ld = line_digraph(g, x)
-    M = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
-    ident = Matrix.identity(M.domain, M.nrows, M.block_size)
-    return det(ident - M)
+    b = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
+    return _det_one_minus(b, series_var)
 
 
-def untwisted_l_series_inverse(g: Graph, x: EdgeWeights):
+def untwisted_l_series_inverse(g: Graph, x: EdgeWeights,
+                               series_var: str = "u"):
+    """det(I - u*B) for the plain non-backtracking edge operator B; see
+    l_series_inverse."""
     ld = line_digraph(g, x)
-    M = twisted_adjacency(ld.digraph, ld.weights,
+    b = twisted_adjacency(ld.digraph, ld.weights,
                           trivial_connection(QQ_of(x), ld.digraph.num_edges))
-    ident = Matrix.identity(M.domain, M.nrows, M.block_size)
-    return det(ident - M)
+    return _det_one_minus(b, series_var)
 
 
 # ---------------------------------------------------------------------------
@@ -160,48 +204,46 @@ class AmitsurResult:
 def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
                   pres: Pi1Presentation, max_length: int = 8,
                   series_var: str = "u") -> AmitsurResult:
-    """Σ_k tr(M^k)/k against Σ over primes γ and powers j of
-    w(γ)^j·tr(ρ(γ)^j)/j, as exact polynomials in the series variable.
+    """Σ_k tr(B^k)·u^k/k against Σ over primes γ and powers j of
+    w(γ)^j·tr(ρ(γ)^j)·u^(j·|γ|)/j, as exact polynomials in the series
+    variable u.
 
-    Weights are multiplied by the series variable internally, making
-    every operator entry homogeneous of degree one in it, so degrees up
-    to max_length are complete without truncation bookkeeping."""
+    Traces and cycle weights are taken over the weights' own domain; each
+    term is multiplied by its power of u only when the two sides are
+    summed, so degrees up to max_length are complete without truncation
+    bookkeeping."""
     if max_length > AMITSUR_LENGTH_BUDGET:
         raise BudgetExceededError(
             f"series length {max_length} exceeds {AMITSUR_LENGTH_BUDGET}")
     if max_length < 1:
         raise ValueError("series length must be positive")
-    wdom = x.domain
-    if isinstance(wdom, PolyDomain):
-        if series_var in wdom.reg.names:
-            raise RegistryMismatchError(
-                f"series variable {series_var!r} collides with a weight")
-        pd = PolyDomain(wdom.reg.with_var(series_var), wdom.coeff)
-    else:
-        pd = PolyDomain(VarRegistry((series_var,)), wdom)
-    u = MultiPoly.variable(pd.reg, series_var)
-    sx = EdgeWeights(pd, tuple(pd.mul(u, pd.coerce(v)) for v in x.values))
-
     conn = connection_from_rep(pres, rho)
-    ld = line_digraph(g, sx)
-    M = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
-    dom = M.domain
-    lhs = dom.zero
-    power = Matrix.identity(dom, M.nrows, M.block_size)
+    ld = line_digraph(g, x)
+    b = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
+    pd = _series_domain(b.domain, series_var)
+    u = MultiPoly.variable(pd.reg, series_var)
+
+    def term(c, k: int) -> MultiPoly:
+        return pd.coerce(c) * u ** k
+
+    lhs = pd.zero
+    power = b
     for k in range(1, max_length + 1):
-        power = power * M
-        lhs = lhs + power.trace() * Fraction(1, k)
+        if k > 1:
+            power = power * b
+        lhs = lhs + term(power.trace() * Fraction(1, k), k)
 
     primes = prime_cycles(g, max_length)
-    rhs = dom.zero
+    rhs = pd.zero
     for pc in primes:
         mono = monodromy(g, conn, Path(src_of_cycle(g, pc), pc.edges))
-        w = cycle_weight(sx, pc)
+        w = cycle_weight(x, pc)
         acc_m = mono
         acc_w = w
         j = 1
         while j * pc.length <= max_length:
-            rhs = rhs + acc_w * acc_m.trace() * Fraction(1, j)
+            rhs = rhs + term(acc_w * acc_m.trace() * Fraction(1, j),
+                             j * pc.length)
             j += 1
             acc_m = acc_m * mono
             acc_w = acc_w * w

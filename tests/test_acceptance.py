@@ -35,7 +35,6 @@ from covertwist.operators import (
     symbolic_weights,
     trivial_connection,
     twisted_adjacency,
-    uniform_series_weights,
     unit_weights,
     weights_from_unoriented,
 )
@@ -220,7 +219,7 @@ def test_criterion_6_torus_product_identity():
 
 def test_criterion_7_series_identities():
     g3 = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    out = untwisted_l_series_inverse(g3, uniform_series_weights(g3))
+    out = untwisted_l_series_inverse(g3, unit_weights(g3))
     ok = out.to_text() == "u^6 - 2*u^3 + 1"
 
     rng = random.Random(20240807)

@@ -190,3 +190,16 @@ def test_zeta_lseries_untwisted_off_a_cycle(tmp_path, capsys):
     assert code_t == 0
     assert out == out_t
     assert "reciprocal series = -4*u^10 + u^8 + 4*u^7" in out
+
+
+@pytest.mark.parametrize("kind", ["symbolic", "unit"])
+def test_zeta_amitsur_gaussian_generator(tmp_path, capsys, kind):
+    # the trace side has QQ(i) coefficients with imaginary part 0
+    path = tmp_path / "triangle_i.txt"
+    path.write_text("graph:\n  vertices = 3\n  edge 0 1\n  edge 1 2\n"
+                    f"  edge 2 0\nweights:\n  kind = {kind}\n"
+                    "representation rho:\n  generator 0 = i\n")
+    code, out, err = run(capsys, "zeta-amitsur", "--input", str(path),
+                         "--max-length", "6")
+    assert (code, err) == (0, "")
+    assert "result: pass" in out

@@ -12,7 +12,7 @@ from covertwist.operators import (
     lift_weights,
     symbolic_weights,
     twisted_adjacency,
-    uniform_series_weights,
+    unit_weights,
 )
 from covertwist.randinst import random_cover_instance
 from covertwist.representation import (
@@ -105,7 +105,7 @@ def test_l_series_induction_identity():
         if mats is None:
             mats = [Matrix(QQ, [[2]]) for _ in range(cd.cover_pres.rank)]
         rho = representation(QQ, mats)
-        x = uniform_series_weights(g)
+        x = unit_weights(g)
         lhs = l_series_inverse(p.cover, lift_weights(p, x), rho,
                                cd.cover_pres)
         rhs = l_series_inverse(p.base, x, induce(cd, rho).rep, cd.base_pres)

@@ -17,7 +17,7 @@ from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix
 from covertwist.operators import (
     symbolic_weights,
-    uniform_series_weights,
+    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.representation import representation, trivial_representation
@@ -74,7 +74,7 @@ def test_cycle_is_closed_and_nonbacktracking():
 
 def test_c3_untwisted_line_determinant():
     g = c3()
-    x = uniform_series_weights(g)
+    x = unit_weights(g)
     out = untwisted_l_series_inverse(g, x)
     assert out.to_text() == "u^6 - 2*u^3 + 1"
 
@@ -82,7 +82,7 @@ def test_c3_untwisted_line_determinant():
 def test_twisted_determinant_sign_character():
     g = c3()
     pres = fundamental_presentation(g, 0)
-    x = uniform_series_weights(g)
+    x = unit_weights(g)
     rho = representation(QQ, [Matrix(QQ, [[-1]])])
     out = l_series_inverse(g, x, rho, pres)
     # the sign twist flips the odd coefficient: (1 + u^3)^2
@@ -92,7 +92,7 @@ def test_twisted_determinant_sign_character():
 def test_twisted_times_trivial_covers_untwisted():
     g = c3()
     pres = fundamental_presentation(g, 0)
-    x = uniform_series_weights(g)
+    x = unit_weights(g)
     triv = trivial_representation(QQ, pres.rank)
     assert l_series_inverse(g, x, triv, pres) == untwisted_l_series_inverse(g, x)
 
