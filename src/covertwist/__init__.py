@@ -72,7 +72,6 @@ from .operators import (
     line_digraph,
     symbolic_weights,
     twisted_adjacency,
-    uniform_series_weights,
     unit_weights,
     weights_from_unoriented,
 )

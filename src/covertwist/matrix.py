@@ -14,8 +14,10 @@ Which algorithm runs depends on the domain of the entries:
   the result is proved exact, not guessed: no coefficient of absolute
   value at most B can be confused with another once the product of the
   primes exceeds 2B + 1.
-* Characteristic polynomials of matrices with polynomial entries are
-  determinants over the ring with the variable adjoined, by Bareiss.
+* Characteristic polynomials of matrices with polynomial entries take
+  the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x]
+  or QQ(i)[x]): inner products and convolutions only, no division, and
+  the charpoly variable is adjoined only to the finished coefficients.
   Floating matrices have no exact charpoly (see charpoly_coeffs_numeric).
 * Series determinants det(I - u*B) of the zeta layer are not computed
   here as determinants over QQ[u]: zeta reverses charpoly(B, "u"), since
@@ -38,7 +40,7 @@ from .errors import (
     OddDimensionError,
     TooLargeForExactExpansionError,
 )
-from .poly import MultiPoly, PolyDomain, VarRegistry
+from .poly import MultiPoly, PolyDomain, VarRegistry, sum_of_products
 
 PFAFFIAN_EXACT_CAP = 16
 
@@ -456,13 +458,49 @@ def _charpoly_multimodular(m: Matrix, var: str) -> MultiPoly:
     return MultiPoly(reg, terms)
 
 
+def _charpoly_berkowitz(m: Matrix, var: str) -> MultiPoly:
+    """det(var*I - m) for polynomial entries, with no division at all.
+
+    Samuelson-Berkowitz recurrence (Berkowitz 1984; Rote 2001, "Division-
+    free algorithms for the determinant and the Pfaffian"): write the
+    leading r x r block as [[A, C], [R, a]], A of order r - 1.  Its
+    charpoly coefficients, highest power first, are the first r + 1
+    terms of the convolution of the Toeplitz column
+    [1, -a, -R*C, -R*A*C, ..., -R*A^(r-2)*C] with those of A.  Every
+    value stays in the entries' own ring; var is adjoined only to the
+    finished coefficients, and every inner product and convolution term
+    is summed by sum_of_products in one term dict."""
+    dom = m.domain
+    reg = dom.reg
+    n = m.nrows
+    a = [[dom.coerce(x) for x in row] for row in m.data]
+    nonzero = [[(j, x) for j, x in enumerate(row) if x.terms] for row in a]
+    coeffs = [dom.one]
+    for r in range(n):   # the block of order r + 1: C is column r, R row r
+        block = [[(j, x) for j, x in nonzero[i] if j < r] for i in range(r)]
+        row = [(j, x) for j, x in nonzero[r] if j < r]
+        v = [a[i][r] for i in range(r)]
+        t = [dom.one, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum_of_products(reg, [(x, v[j]) for j, x in brow])
+                     for brow in block]
+            t.append(-sum_of_products(reg, [(x, v[j]) for j, x in row]))
+        coeffs = [sum_of_products(reg, [(t[k - j], coeffs[j])
+                                        for j in range(max(0, k - r - 1),
+                                                       min(k, r) + 1)])
+                  for k in range(r + 2)]
+    return MultiPoly.from_coefficients(reg, var, coeffs[::-1])
+
+
 def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
     """det(var*I - m) as an exact polynomial, monic of degree n.
 
     QQ and QQ(i) matrices take the multi-modular Hessenberg route above,
     whose prime count comes from a proved coefficient bound.  Matrices
-    with polynomial entries take Bareiss elimination over the ring with
-    var adjoined.  Floating matrices are rejected: use
+    with polynomial entries take the division-free Berkowitz recurrence
+    over their own ring; var is adjoined to its n + 1 coefficients at
+    the end.  Floating matrices are rejected: use
     charpoly_coeffs_numeric.  Either way the result must come out monic.
     """
     if not m.is_square():
@@ -472,16 +510,7 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
     if isinstance(dom, (RationalDomain, GaussianRationalDomain)):
         p = _charpoly_multimodular(m, var)
     elif isinstance(dom, PolyDomain):
-        pd = PolyDomain(dom.reg.with_var(var), dom.coeff)
-        lam = MultiPoly.variable(pd.reg, var)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                e = pd.coerce(m.data[i][j])
-                row.append(lam - e if i == j else -e)
-            rows.append(row)
-        p = _det_bareiss(Matrix(pd, rows))
+        p = _charpoly_berkowitz(m, var)
     else:
         raise DomainMismatchError(
             "exact characteristic polynomials need an exact domain; "

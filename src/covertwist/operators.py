@@ -87,21 +87,6 @@ def weights_from_unoriented(g: Graph, domain, per_unoriented) -> EdgeWeights:
     return EdgeWeights(domain, vals)
 
 
-def uniform_series_weights(g: Graph, var: str = "u",
-                           scale=None) -> EdgeWeights:
-    """Every directed edge weighted by the same series variable, times
-    an optional rational scale per unoriented edge."""
-    reg = VarRegistry((var,))
-    dom = PolyDomain(reg, QQ)
-    u = MultiPoly.variable(reg, var)
-    if scale is None:
-        vals = tuple(u for _ in range(g.num_edges))
-    else:
-        vals = tuple(u * scale[g.unoriented_of[e]]
-                     for e in range(g.num_edges))
-    return EdgeWeights(dom, vals)
-
-
 def lift_weights(p, base_weights: EdgeWeights) -> EdgeWeights:
     """Cover edges inherit the weight of the edge they project to."""
     vals = tuple(base_weights.values[e] for e in p.p_edge)

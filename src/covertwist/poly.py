@@ -14,6 +14,7 @@ equality is plain dict comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .domains import GaussianRational, coeff_is_integer, format_gaussian, _norm_rat
@@ -105,6 +106,9 @@ def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
 
 def _coeff_div(a, b):
     """Exact coefficient division in QQ or QQ(i)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
         ga = a if isinstance(a, GaussianRational) else GaussianRational(a)
         out = ga / b
@@ -112,6 +116,51 @@ def _coeff_div(a, b):
             return _norm_rat(out.re)
         return out
     return _norm_rat(Fraction(a) / b)
+
+
+def _add_product(out: dict, a: dict, b: dict, shift: int) -> None:
+    """Add the product of the term dicts a and b into out, in place.
+
+    This is the one product loop of the module.  Keys add fieldwise
+    with no carry check, which is sound while the total degree (the top
+    field of the leading key, at bit shift) fits a field."""
+    if not a or not b:
+        return
+    if (max(a) >> shift) + (max(b) >> shift) > MAX_EXP:
+        raise OverflowError(
+            f"product degree exceeds the exponent limit {MAX_EXP}")
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            c = c1 * c2
+            acc = get(k)
+            if acc is None:
+                out[k] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+
+
+def sum_of_products(reg: VarRegistry, pairs) -> "MultiPoly":
+    """Sum of a * b over the (a, b) pairs of polynomials over reg.
+
+    Every product is added straight into one term dict, so no product
+    or partial sum is built as a polynomial of its own."""
+    out: dict = {}
+    shift = reg._deg_shift
+    names = reg.names
+    for a, b in pairs:
+        if a.reg.names != names or b.reg.names != names:
+            raise RegistryMismatchError(
+                f"registries differ: {a.reg.names}, {b.reg.names} vs {names}")
+        _add_product(out, a.terms, b.terms, shift)
+    return MultiPoly(reg, out)
 
 
 class MultiPoly:
@@ -164,6 +213,28 @@ class MultiPoly:
                 else:
                     del terms[k]
         return cls(reg, terms)
+
+    @classmethod
+    def from_coefficients(cls, reg: VarRegistry, var: str,
+                          coeffs: Sequence["MultiPoly"]) -> "MultiPoly":
+        """The sum of coeffs[e] * var^e, over reg with var adjoined as
+        its last variable; every coefficient is a polynomial over reg."""
+        new_reg = reg.with_var(var)
+        deg_shift = reg._deg_shift
+        low = (1 << deg_shift) - 1
+        out = {}
+        for e, c in enumerate(coeffs):
+            if c.reg.names != reg.names:
+                raise RegistryMismatchError(
+                    f"registries differ: {c.reg.names} vs {reg.names}")
+            for k, v in c.terms.items():
+                total = (k >> deg_shift) + e
+                if total > MAX_EXP:
+                    raise OverflowError(
+                        f"degree {total} exceeds the exponent limit {MAX_EXP}")
+                out[(k & low) << VAR_BITS | e
+                    | total << new_reg._deg_shift] = v
+        return cls(new_reg, out)
 
     # ---- predicates ----
 
@@ -255,32 +326,8 @@ class MultiPoly:
                                  {k: c * other for k, c in self.terms.items()})
             return NotImplemented
         _same_registry(self, other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPoly(self.reg, {})
-        # keys add fieldwise with no carry check, which is sound while
-        # the total degree (the top field of the leading key) fits a field
-        shift = self.reg._deg_shift
-        if (max(a) >> shift) + (max(b) >> shift) > MAX_EXP:
-            raise OverflowError(
-                f"product degree exceeds the exponent limit {MAX_EXP}")
-        if len(a) > len(b):
-            a, b = b, a
         out: dict = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                c = c1 * c2
-                acc = get(k)
-                if acc is None:
-                    out[k] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[k] = acc
-                    else:
-                        del out[k]
+        _add_product(out, self.terms, other.terms, self.reg._deg_shift)
         return MultiPoly(self.reg, out)
 
     __rmul__ = __mul__
@@ -319,23 +366,33 @@ class MultiPoly:
                     return None
                 out[k - kb] = _coeff_div(c, cb)
             return MultiPoly(self.reg, out)
+        # The remainder's keys wait in a max-heap of negated keys.  A
+        # key whose term cancels stays in the heap and is skipped when
+        # popped; subtracting cq*other only makes keys below the one
+        # just divided, so the top of the heap is the leading key.
         rem = dict(self.terms)
+        heap = [-k for k in rem]
+        heapify(heap)
         q: dict = {}
-        bitems = list(other.terms.items())
+        tail = [(k, c) for k, c in other.terms.items() if k != kb]
         divides = self.reg.key_divides
-        while rem:
-            kr = max(rem)
+        while heap:
+            kr = -heappop(heap)
+            cr = rem.pop(kr, None)
+            if cr is None:
+                continue
             if not divides(kb, kr):
                 return None
-            cq = _coeff_div(rem[kr], cb)
+            cq = _coeff_div(cr, cb)
             kq = kr - kb
             q[kq] = cq
-            for k2, c2 in bitems:
+            for k2, c2 in tail:
                 k = kq + k2
                 c = cq * c2
                 acc = rem.get(k)
                 if acc is None:
                     rem[k] = -c
+                    heappush(heap, -k)
                 else:
                     acc = acc - c
                     if acc:

@@ -11,7 +11,8 @@ The operator B is built over the weights' domain (unified with the
 representation's), and the series determinant is the reversed
 characteristic polynomial det(I - u*B) = u^n * chi_B(1/u): scalar
 weights with a QQ or QQ(i) representation take the multi-modular
-charpoly, polynomial weights take Bareiss elimination inside charpoly.
+charpoly, polynomial weights the division-free Berkowitz charpoly over
+their own ring.
 The log-derivative check likewise takes traces of powers of B over the
 weights' domain and attaches u^k only when it sums the two sides.
 """
@@ -166,8 +167,8 @@ def l_series_inverse(g: Graph, x: EdgeWeights, rho: Representation,
     chi_B of the n x n operator, so the series determinant is chi_B with
     every exponent e of u flipped to n - e.  QQ and QQ(i) operators (scalar
     weights with a rational or Gaussian representation) thereby take the
-    multi-modular charpoly; polynomial weights take Bareiss elimination
-    over the weight ring with u adjoined, inside charpoly."""
+    multi-modular charpoly; polynomial weights take the division-free
+    Berkowitz charpoly over the weight ring, with u adjoined at the end."""
     conn = connection_from_rep(pres, rho)
     ld = line_digraph(g, x)
     b = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))

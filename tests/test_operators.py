@@ -28,7 +28,6 @@ from covertwist.operators import (
     outer_face_index,
     symbolic_weights,
     twisted_adjacency,
-    uniform_series_weights,
     unit_weights,
     weights_from_unoriented,
 )
@@ -139,14 +138,6 @@ def test_line_digraph_single_edge_empty():
     g = build_graph(2, [(0, 1)])
     ld = line_digraph(g, unit_weights(g))
     assert ld.digraph.num_edges == 0
-
-
-def test_uniform_series_weights():
-    g = triangle()
-    x = uniform_series_weights(g)
-    assert x.domain.reg.names == ("u",)
-    u = MultiPoly.variable(x.domain.reg, "u")
-    assert all(v == u for v in x.values)
 
 
 def test_lift_weights():
