@@ -13,6 +13,7 @@ enumeration the identities predict.
 from .certificates import (
     ConjugacyCertificate,
     Cor1Result,
+    CoverSplit,
     Cor2Result,
     DimerResult,
     DivisibilityCertificate,
@@ -26,6 +27,7 @@ from .certificates import (
     kos_certificate,
     rooted_forest_polynomial,
     spanning_tree_polynomial,
+    split_cover_charpoly,
     tree_certificates,
     verify_main,
 )
@@ -82,6 +84,7 @@ from .representation import (
     Representation,
     abelian_character_table,
     abelian_characters,
+    complement_basis,
     connection_from_rep,
     direct_sum,
     induce,

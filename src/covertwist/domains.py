@@ -22,6 +22,15 @@ def _norm_rat(x):
     return x
 
 
+def _rat_div(a, b):
+    """Exact a / b in QQ for b ≠ 0.  When b divides a in the integers
+    the quotient comes back an int, with no Fraction built."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _norm_rat(Fraction(a) / b)
+
+
 class GaussianRational:
     """Exact complex number re + im*i with rational parts.
 
@@ -195,7 +204,7 @@ class RationalDomain:
     def exact_div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by 0 in QQ")
-        return _norm_rat(Fraction(a) / b)
+        return _rat_div(a, b)
 
     def size(self, a):
         # pivot-selection hint; smaller is preferred
@@ -256,7 +265,7 @@ class GaussianRationalDomain:
             return self._norm(ga / b)
         if not b:
             raise ZeroDivisionError("division by 0 in QQ(i)")
-        return _norm_rat(Fraction(a) / b)
+        return _rat_div(a, b)
 
     def size(self, a):
         if isinstance(a, GaussianRational):

@@ -131,18 +131,21 @@ class Matrix:
         is_zero = dom.is_zero
         add = dom.add
         mul = dom.mul
-        bT = list(zip(*other.data))
+        zero = dom.zero
+        ncols = other.ncols
+        # row k of other as its nonzero (column, entry) pairs: the work is
+        # one product per pair of nonzeros that meet, and each entry of
+        # the result still sums its terms in ascending k
+        b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)]
+                  for row in other.data]
         out = []
         for row in self.data:
-            nz = [(k, x) for k, x in enumerate(row) if not is_zero(x)]
-            orow = []
-            for col in bT:
-                acc = dom.zero
-                for k, x in nz:
-                    y = col[k]
-                    if not is_zero(y):
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
+            orow = [zero] * ncols
+            for k, x in enumerate(row):
+                if is_zero(x):
+                    continue
+                for j, y in b_rows[k]:
+                    orow[j] = add(orow[j], mul(x, y))
             out.append(orow)
         return Matrix(dom, out, self.block_size)
 
@@ -515,8 +518,8 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
         raise DomainMismatchError(
             "exact characteristic polynomials need an exact domain; "
             "use charpoly_coeffs_numeric for floating matrices")
-    top = p.by_var(var).get(n)
-    if top is None or not (top.is_constant() and top.constant_value() == 1):
+    top = p.coefficient_of(var, n)
+    if not (top.is_constant() and top.constant_value() == 1):
         raise ArithmeticError("characteristic polynomial came out non-monic")
     return p
 

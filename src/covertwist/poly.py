@@ -17,7 +17,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .domains import GaussianRational, coeff_is_integer, format_gaussian, _norm_rat
+from .domains import (GaussianRational, coeff_is_integer, format_gaussian,
+                      _norm_rat, _rat_div)
 from .errors import (DivisionByZeroPolyError, DomainMismatchError,
                      RegistryMismatchError)
 
@@ -83,6 +84,23 @@ class VarRegistry:
     def total_degree(self, key: int) -> int:
         return key >> self._deg_shift
 
+    def without_var(self, name: str):
+        """(registry without name, cut) where cut(key, e) re-encodes a
+        key whose exponent of name is e over that registry: the fields
+        above name's, total degree included, shift down one field and e
+        comes off the total degree."""
+        i = self.index(name)
+        reduced = VarRegistry(self.names[:i] + self.names[i + 1:])
+        sh = self._shifts[i]
+        high = sh + VAR_BITS
+        low = (1 << sh) - 1
+        deg_shift = reduced._deg_shift
+
+        def cut(key: int, e: int) -> int:
+            return ((key >> high) << sh | (key & low)) - (e << deg_shift)
+
+        return reduced, cut
+
     def with_var(self, name: str) -> "VarRegistry":
         if name in self._pos:
             raise RegistryMismatchError(f"variable {name!r} already present")
@@ -106,16 +124,13 @@ def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
 
 def _coeff_div(a, b):
     """Exact coefficient division in QQ or QQ(i)."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
     if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
         ga = a if isinstance(a, GaussianRational) else GaussianRational(a)
         out = ga / b
         if out.im == 0:
             return _norm_rat(out.re)
         return out
-    return _norm_rat(Fraction(a) / b)
+    return _rat_div(a, b)
 
 
 def _add_product(out: dict, a: dict, b: dict, shift: int) -> None:
@@ -419,17 +434,15 @@ class MultiPoly:
 
     def eliminate(self, name: str, value) -> "MultiPoly":
         """Substitute a scalar for one variable; result drops that variable."""
-        i = self.reg.index(name)
-        new_reg = VarRegistry(self.reg.names[:i] + self.reg.names[i + 1:])
-        sh = self.reg._shifts[i]
+        new_reg, cut = self.reg.without_var(name)
+        sh = self.reg._shifts[self.reg.index(name)]
         out: dict = {}
         for k, c in self.terms.items():
-            exps = self.reg.unpack(k)
-            e = exps[i]
+            e = (k >> sh) & VAR_MASK
             c2 = c * value ** e if e else c
             if not c2:
                 continue
-            k2 = new_reg.pack(exps[:i] + exps[i + 1:])
+            k2 = cut(k, e)
             acc = out.get(k2)
             if acc is None:
                 out[k2] = c2
@@ -457,9 +470,15 @@ class MultiPoly:
         return {e: MultiPoly(new_reg, t) for e, t in sorted(buckets.items())}
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
-        return self.by_var(name).get(
-            power, MultiPoly.zero(VarRegistry(tuple(
-                n for n in self.reg.names if n != name))))
+        """The coefficient of name^power, over the registry without name.
+
+        One pass over the terms, building no other coefficient: only the
+        keys whose exponent of name is power are re-encoded."""
+        new_reg, cut = self.reg.without_var(name)
+        sh = self.reg._shifts[self.reg.index(name)]
+        return MultiPoly(new_reg, {cut(k, power): c
+                                   for k, c in self.terms.items()
+                                   if (k >> sh) & VAR_MASK == power})
 
     def lift(self, new_reg: VarRegistry) -> "MultiPoly":
         """Re-encode over a registry containing all current variables."""

@@ -199,7 +199,8 @@ def permutation_complement(rep: Representation,
     """Restriction of a permutation representation to the zero-sum
     complement of the all-ones vector, in the basis e_j − e_fixed over
     the non-fixed indices.  Input generator images must be 0/1
-    permutation matrices."""
+    permutation matrices.  The complement of a degree-1 representation
+    has degree 0, whatever the number of generators."""
     d = rep.degree
     dom = rep.domain
     others = [j for j in range(d) if j != fixed]
@@ -227,8 +228,20 @@ def permutation_complement(rep: Representation,
                     data[col_of[img[fixed]]][c], dom.one)
         return Matrix(dom, data)
 
-    mats = tuple(restrict(m) for m in rep.gen_mats)
-    return representation(dom, list(mats))
+    return Representation(dom, d - 1,
+                          tuple(restrict(m) for m in rep.gen_mats),
+                          tuple(restrict(m) for m in rep.gen_invs))
+
+
+def complement_basis(d: int, fixed: int = 0) -> Matrix:
+    """Q = [1 | e_j − e_fixed for j ≠ fixed, ascending], over QQ: the
+    all-ones vector, then the basis permutation_complement restricts
+    to, so that P·Q = Q·(1 ⊕ restricted P) for a permutation matrix P."""
+    data = [[1] + [0] * (d - 1) for _ in range(d)]
+    for c, j in enumerate(j for j in range(d) if j != fixed):
+        data[j][c + 1] = 1
+        data[fixed][c + 1] = -1
+    return Matrix(QQ, data)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,8 @@ def test_criterion_2_charpoly_divisibility_suite():
         inst = random_cover_instance(rng, max_vertices=4, max_edges=6,
                                      cover_vertex_cap=16)
         res = cor1_certificate(inst.covering, inst.weights, cd=inst.coset)
-        ok = (ok and res.certificate.integral and res.quotient_monic
+        ok = (ok and res.ok and res.divisible
+              and res.certificate.integral and res.quotient_monic
               and res.complement_matches and res.certificate.check_product())
     verdict(2, "characteristic polynomial divisibility", ok)
 

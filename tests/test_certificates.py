@@ -23,13 +23,15 @@ from covertwist.domains import QQ
 from covertwist.errors import EvenDegreeError, NotPlanarQuotientError
 from covertwist.graphs import build_graph, default_rotation
 from covertwist.homotopy import fundamental_presentation, spanning_tree
-from covertwist.matrix import Matrix
+from covertwist.matrix import Matrix, charpoly
 from covertwist.operators import (
+    lift_weights,
     symbolic_weights,
+    twisted_adjacency,
     unit_weights,
     weights_from_unoriented,
 )
-from covertwist.representation import representation
+from covertwist.representation import representation, trivial_connection
 
 
 def c3():
@@ -101,6 +103,10 @@ def test_cor1_hexagon_quotient():
     assert q.to_text() == ("-x_0^2*lambda + 2*x_0*x_1*x_2 - x_1^2*lambda "
                            "- x_2^2*lambda + lambda^3")
     assert res.certificate.check_product()
+    # the dividend is the hexagon's own charpoly, not only base·quotient
+    conn = trivial_connection(QQ, p.cover.num_edges)
+    direct = charpoly(twisted_adjacency(p.cover, lift_weights(p, x), conn))
+    assert res.certificate.dividend == direct
 
 
 def test_cor1_identity_cover_quotient_is_one():

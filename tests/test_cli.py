@@ -1,7 +1,13 @@
 """Exit codes and report stability for the command line driver."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import covertwist
+from covertwist import cli
 from covertwist.cli import main
 
 SAMPLES = "sample_inputs"
@@ -203,3 +209,36 @@ def test_zeta_amitsur_gaussian_generator(tmp_path, capsys, kind):
                          "--max-length", "6")
     assert (code, err) == (0, "")
     assert "result: pass" in out
+
+
+# usage errors (exit 2 from argparse) sit between ordinary commands
+ONE_PROCESS = [
+    ("validate", "--input", f"{SAMPLES}/c3.txt"),
+    ("cor1", "--input", f"{SAMPLES}/c3.txt"),
+    ("cor1", "--no-such-flag"),
+    ("trees", "--input", f"{SAMPLES}/c3.txt"),
+    ("no-such-command",),
+    ("verify-main", "--seed", "3", "--count", "2"),
+    ("cover", "--input", f"{SAMPLES}/c3.txt"),
+]
+
+
+def test_parser_built_once_per_process(capsys):
+    in_process = []
+    for argv in ONE_PROCESS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    assert cli._build_parser() is cli._build_parser()
+    src = os.path.dirname(os.path.dirname(covertwist.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, got in zip(ONE_PROCESS, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "covertwist.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert got == (fresh.returncode, fresh.stdout), argv
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 0]

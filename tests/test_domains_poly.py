@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertwist.domains import (
     CC,
@@ -197,6 +198,52 @@ def test_poly_by_var():
     assert slices[0] == yy
     assert slices[2] == yy
     assert p.coefficient_of("x", 1) == MultiPoly.const(yy.reg, 2)
+
+
+NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def polys_and_power(draw):
+    """A polynomial over 1-4 variables, with exponents wide enough to
+    fill several bits of each packed field, one of its variables and a
+    power of it (often, but not always, one that occurs)."""
+    reg = VarRegistry(NAMES[:draw(st.integers(1, 4))])
+    exps = st.tuples(*[st.integers(0, 40)] * reg.nvars)
+    coeffs = st.one_of(st.integers(-9, 9),
+                       st.builds(Fraction, st.integers(-9, 9),
+                                 st.integers(1, 5)))
+    p = MultiPoly.from_exponents(reg, draw(st.lists(st.tuples(exps, coeffs),
+                                                    max_size=8)))
+    name = draw(st.sampled_from(reg.names))
+    used = sorted({reg.unpack(k)[reg.index(name)] for k in p.terms})
+    power = draw(st.sampled_from(used) if used and draw(st.booleans())
+                 else st.integers(0, 41))
+    return p, name, power
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polys_and_power())
+def test_coefficient_of_against_by_var(case):
+    p, name, power = case
+    got = p.coefficient_of(name, power)
+    want = p.by_var(name).get(power)
+    assert got.reg.names == tuple(n for n in p.reg.names if n != name)
+    if want is None:
+        assert got.is_zero
+    else:
+        assert got == want
+        assert got.total_degree() == want.total_degree()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(polys_and_power(), st.integers(-3, 3))
+def test_eliminate_against_by_var(case, value):
+    p, name, _ = case
+    want = MultiPoly.zero(p.eliminate(name, value).reg)
+    for e, c in p.by_var(name).items():
+        want = want + c * value ** e
+    assert p.eliminate(name, value) == want
 
 
 def test_poly_to_text():

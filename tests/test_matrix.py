@@ -20,8 +20,9 @@ from covertwist.matrix import (
     inverse,
     pfaffian,
 )
+import covertwist.matrix as matrix_module
 from covertwist.oracles import det_leibniz
-from covertwist.poly import MultiPoly, VarRegistry
+from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 from covertwist.randinst import random_int_matrix, random_skew_matrix
 
 
@@ -86,6 +87,23 @@ def test_charpoly_monic_and_trace():
         assert cp.coefficient_of("lambda", n).constant_value() == 1
         tr = cp.coefficient_of("lambda", n - 1).constant_value()
         assert tr == -m.trace()
+
+
+@pytest.mark.parametrize("kernel, domain", [
+    ("_charpoly_multimodular", QQ),
+    ("_charpoly_berkowitz", PolyDomain(VarRegistry(("x",)), QQ)),
+])
+def test_charpoly_non_monic_kernel_result_raises(monkeypatch, kernel, domain):
+    # a kernel answer of 2*lambda^n + ... must not pass the monic check
+    def doubled(m, var):
+        reg = VarRegistry((*getattr(m.domain, "reg", VarRegistry(())).names,
+                           var))
+        lam = MultiPoly.variable(reg, var)
+        return 2 * lam ** m.nrows + lam
+    monkeypatch.setattr(matrix_module, kernel, doubled)
+    m = Matrix.from_rows(domain, [[1, 2], [3, 4]])
+    with pytest.raises(ArithmeticError, match="came out non-monic"):
+        charpoly(m)
 
 
 def test_charpoly_coeffs_numeric():
