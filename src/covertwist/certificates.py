@@ -447,9 +447,9 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
 
 @dataclass(frozen=True)
 class TreesResult:
-    """Tree and forest quotients; the cover Laplacian charpoly they are
-    read from is certified by split, so each divisibility claim is its
-    product check and the whole witness."""
+    """Tree and forest quotients, read off the complement charpoly of
+    split; each is a quotient only when the whole witness holds, so each
+    divisibility claim is split.ok."""
 
     st: DivisibilityCertificate
     rsf: DivisibilityCertificate
@@ -460,11 +460,11 @@ class TreesResult:
 
     @property
     def tree_divisible(self) -> bool:
-        return self.st.check_product() and self.split.ok
+        return self.split.ok
 
     @property
     def forest_divisible(self) -> bool:
-        return self.rsf.check_product() and self.split.ok
+        return self.split.ok
 
     @property
     def ok(self) -> bool:
@@ -513,10 +513,11 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights,
 
     The cover charpoly is split_cover_charpoly's product
     charpoly(L_base)·charpoly(L_base^{ρ_c}); Z_ST, Z_RSF and the
-    coefficient checks are read off it.  Report lines "tree sum
+    coefficient checks are read off it, and both quotients off the
+    complement charpoly, so nothing is divided.  Report lines "tree sum
     divisible" and "forest sum divisible" each carry the whole witness
-    (ψ-conjugacy, ψ invertible, the Q check, the trace tie) with their
-    product check."""
+    (ψ-conjugacy, ψ invertible, the Q check, the trace tie), and so do
+    the integrality flags of both quotients, as in cor1."""
     if not is_connected(p.cover):
         raise CoverNotConnectedError("tree counts need a connected cover")
     if not is_connected(p.base):
@@ -539,10 +540,20 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights,
             if not z.is_integral():
                 raise DivisionFailedError(
                     f"c1/n left non-integer coefficients: {z.to_text()}")
-    st = _exact_divide(st_cover, st_base, "spanning-tree polynomial", x)
-    rsf = _exact_divide(rooted_forest_polynomial(P_cover, nc),
-                        rooted_forest_polynomial(P_base, nb),
-                        "rooted-forest polynomial", x)
+    # P_cover = P_base·P_comp and c_0(P_base) = 0, so with
+    # s = (−1)^{(d−1)n} the quotients are s·c_0(P_comp)/d and s·P_comp(−1)
+    P_comp = split.complement
+    d = p.degree
+    s = -1 if (d - 1) * nb % 2 else 1
+    st_q = P_comp.coefficient_of("lambda", 0) * Fraction(s, d)
+    rsf_q = P_comp.eliminate("lambda", -1) * s
+    st = DivisibilityCertificate(st_cover, st_base, st_q,
+                                 split.ok and st_q.is_integral(),
+                                 x.is_integral())
+    rsf = DivisibilityCertificate(rooted_forest_polynomial(P_cover, nc),
+                                  rooted_forest_polynomial(P_base, nb), rsf_q,
+                                  split.ok and rsf_q.is_integral(),
+                                  x.is_integral())
     checks = (_coefficient_checks("base", p.base, x, P_base)
               + _coefficient_checks("cover", p.cover, xl, P_cover))
     return TreesResult(st, rsf, P_base, P_cover, tuple(checks), split)

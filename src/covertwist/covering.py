@@ -298,14 +298,6 @@ class GaloisGroup:
     def position(self) -> dict[int, int]:
         return {vt: i for i, vt in enumerate(self.fiber)}
 
-    def word_permutation(self, w: FreeWord) -> Perm:
-        d = len(self.fiber)
-        out = perm_identity(d)
-        for (k, s) in w:
-            p = self.gen_perms[k] if s == 1 else perm_inverse(self.gen_perms[k])
-            out = perm_compose(out, p)
-        return out
-
     def is_abelian(self) -> bool:
         for i, a in enumerate(self.gen_perms):
             for b in self.gen_perms[i + 1:]:

@@ -114,9 +114,6 @@ class GaussianRational:
             k >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -201,16 +198,6 @@ class RationalDomain:
             raise ZeroDivisionError("inverse of 0 in QQ")
         return _norm_rat(Fraction(1) / a)
 
-    def exact_div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by 0 in QQ")
-        return _rat_div(a, b)
-
-    def size(self, a):
-        # pivot-selection hint; smaller is preferred
-        n = a.numerator if isinstance(a, Fraction) else a
-        return abs(n).bit_length()
-
     def __repr__(self):
         return "QQ"
 
@@ -259,20 +246,6 @@ class GaussianRationalDomain:
             raise ZeroDivisionError("inverse of 0 in QQ(i)")
         return _norm_rat(Fraction(1) / a)
 
-    def exact_div(self, a, b):
-        if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-            ga = a if isinstance(a, GaussianRational) else GaussianRational(a)
-            return self._norm(ga / b)
-        if not b:
-            raise ZeroDivisionError("division by 0 in QQ(i)")
-        return _rat_div(a, b)
-
-    def size(self, a):
-        if isinstance(a, GaussianRational):
-            return (abs(a.re.numerator) + abs(a.im.numerator)).bit_length()
-        n = a.numerator if isinstance(a, Fraction) else a
-        return abs(n).bit_length()
-
     def __repr__(self):
         return "QQ(i)"
 
@@ -319,12 +292,6 @@ class ComplexDomain:
 
     def invert(self, a):
         return 1 / a
-
-    def exact_div(self, a, b):
-        return a / b
-
-    def size(self, a):
-        return 1
 
     def __repr__(self):
         return f"CC(rtol={self.rtol}, atol={self.atol})"

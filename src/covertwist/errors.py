@@ -88,10 +88,6 @@ class DivisionByZeroPolyError(CovertwistError):
     """Division by the zero polynomial."""
 
 
-class ExactDivisionError(CovertwistError):
-    """A division that had to be exact left a remainder (internal bug)."""
-
-
 class DivisionFailedError(CovertwistError):
     """An exact divisibility claim failed."""
 

@@ -133,12 +133,6 @@ class Pi1Presentation:
             out[self.graph.inv[e]] = (k, -1)
         return out
 
-    def edge_word(self, e: int) -> FreeWord:
-        """Word of the loop root->s(e), e, t(e)->root: empty for tree
-        edges, a single letter otherwise."""
-        let = self.gen_of_edge.get(e)
-        return EMPTY_WORD if let is None else (let,)
-
     def loop_to_word(self, loop: Path) -> FreeWord:
         """Reduced word of a loop at the root: drop tree edges, map the
         rest through gen_of_edge, then cancel."""

@@ -1,10 +1,8 @@
 """Dense matrices over a scalar domain, with exact determinant machinery.
 
-Which algorithm runs depends on the domain of the entries:
+One exact kernel serves each kind of domain, for determinants and
+characteristic polynomials alike:
 
-* Determinants over an exact domain (QQ, QQ(i), polynomial rings) use
-  fraction-free (Bareiss) elimination, whose divisions are exact in any
-  integral domain; the floating complex domain uses partially pivoted LU.
 * Characteristic polynomials of QQ and QQ(i) matrices are computed
   multi-modularly: denominators are cleared, the integer (or Gaussian
   integer) matrix is reduced to Hessenberg form modulo 61-bit primes, the
@@ -19,6 +17,10 @@ Which algorithm runs depends on the domain of the entries:
   or QQ(i)[x]): inner products and convolutions only, no division, and
   the charpoly variable is adjoined only to the finished coefficients.
   Floating matrices have no exact charpoly (see charpoly_coeffs_numeric).
+* Exact determinants are read off those kernels: det(m) = (-1)^n * c_0
+  for the constant coefficient c_0 of det(x*I - m), so they carry the
+  same proved bound, and the polynomial kernel adjoins no variable.  The
+  floating complex domain uses partially pivoted LU.
 * Series determinants det(I - u*B) of the zeta layer are not computed
   here as determinants over QQ[u]: zeta reverses charpoly(B, "u"), since
   det(I - u*B) = u^n * charpoly(B)(1/u), so they take the charpoly route
@@ -27,6 +29,7 @@ Which algorithm runs depends on the domain of the entries:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -205,56 +208,6 @@ def direct_sum_matrices(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.domain, out)
 
 
-def _det_bareiss(m: Matrix):
-    """Fraction-free elimination; every division is exact in the domain."""
-    dom = m.domain
-    n = m.nrows
-    if n == 0:
-        return dom.one
-    a = [row[:] for row in m.data]
-    is_zero = dom.is_zero
-    mul = dom.mul
-    sub = dom.sub
-    ediv = dom.exact_div
-    size = dom.size
-    sign = 1
-    prev = dom.one
-    for k in range(n - 1):
-        # smallest nonzero pivot by the domain's size hint, ties by row
-        pivot_row = -1
-        best = None
-        for i in range(k, n):
-            x = a[i][k]
-            if not is_zero(x):
-                s = size(x)
-                if best is None or s < best:
-                    best = s
-                    pivot_row = i
-                    if s <= 1:
-                        break
-        if pivot_row < 0:
-            return dom.zero
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        akk = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            if is_zero(aik):
-                for j in range(k + 1, n):
-                    row_i[j] = ediv(mul(akk, row_i[j]), prev)
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = ediv(sub(mul(akk, row_i[j]), mul(aik, row_k[j])),
-                                    prev)
-            row_i[k] = dom.zero
-        prev = akk
-    out = a[n - 1][n - 1]
-    return dom.neg(out) if sign < 0 else out
-
-
 def _det_lu(m: Matrix):
     dom = m.domain
     n = m.nrows
@@ -276,15 +229,6 @@ def _det_lu(m: Matrix):
             for j in range(k + 1, n):
                 a[i][j] -= f * a[k][j]
     return det
-
-
-def det(m: Matrix):
-    """Determinant: Bareiss for exact domains, pivoted LU for floating."""
-    if not m.is_square():
-        raise NotSquareError("determinant of a non-square matrix")
-    if m.domain.exact:
-        return _det_bareiss(m)
-    return _det_lu(m)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +335,30 @@ def _split_parts(x):
     return x, 0
 
 
-def _charpoly_multimodular(m: Matrix, var: str) -> MultiPoly:
-    """det(var*I - m) for a matrix over QQ or QQ(i), exactly.
+def _cleared(m: Matrix) -> tuple[int, list[list[int]], list[list[int]] | None]:
+    """(D, re, im): D the lcm of the entry denominators and D*m split into
+    integer real and imaginary parts; im is None when every entry is
+    real.  A QQ matrix is read as it is: no pair per entry, and with
+    integer entries (D = 1) no rescaling."""
+    if isinstance(m.domain, GaussianRationalDomain):
+        parts = [[_split_parts(x) for x in row] for row in m.data]
+        d = lcm(1, *(q.denominator for row in parts for pair in row
+                     for q in pair))
+        im = [[int(b * d) for _, b in row] for row in parts]
+        return (d, [[int(a * d) for a, _ in row] for row in parts],
+                im if any(any(row) for row in im) else None)
+    d = lcm(1, *{x.denominator for row in m.data for x in row})
+    if d == 1:
+        return 1, [list(map(int, row)) for row in m.data], None
+    return d, [[int(x * d) for x in row] for row in m.data], None
+
+
+def _charpoly_multimodular(m: Matrix) -> list:
+    """Coefficients c_0, ..., c_n of det(x*I - m), ascending, for a
+    matrix over QQ or QQ(i), exactly.
 
     With D the lcm of the entry denominators, the coefficient c_k of
-    var^(n-k) in the charpoly of the (Gaussian) integer matrix D*m is a
+    x^(n-k) in the charpoly of the (Gaussian) integer matrix D*m is a
     signed sum of k x k principal minors, so Hadamard's inequality gives
     |c_k| <= e_k(|r_1|, ..., |r_n|) <= prod(1 + ceil|r_i|) = B over the
     row norms |r_i|.  Primes are taken until their product M exceeds
@@ -403,19 +366,19 @@ def _charpoly_multimodular(m: Matrix, var: str) -> MultiPoly:
     QQ(i), its real and imaginary parts, each at most |c_k|), and the
     charpoly of m has coefficients c_k / D^k."""
     n = m.nrows
-    parts = [[_split_parts(x) for x in row] for row in m.data]
-    d = lcm(1, *(q.denominator for row in parts for pair in row for q in pair))
-    re = [[int(a * d) for a, _ in row] for row in parts]
-    im = [[int(b * d) for _, b in row] for row in parts]
-    gaussian = any(any(row) for row in im)
+    d, re, im = _cleared(m)
     bound = 1
-    for r_re, r_im in zip(re, im):
-        sq = sum(a * a for a in r_re) + sum(b * b for b in r_im)
+    for k, r_re in enumerate(re):
+        sq = sum(map(operator.mul, r_re, r_re))
+        if im is not None:
+            sq += sum(map(operator.mul, im[k], im[k]))
         root = isqrt(sq)
         bound *= 1 + root + (root * root < sq)
 
     def image(root, p):
         """D*m modulo p with i mapped to root."""
+        if im is None:
+            return [[a % p for a in row] for row in re]
         return [[(a + root * b) % p for a, b in zip(ra, rb)]
                 for ra, rb in zip(re, im)]
 
@@ -433,7 +396,7 @@ def _charpoly_multimodular(m: Matrix, var: str) -> MultiPoly:
             return [x + modulus * ((r - x) * inv % p)
                     for x, r in zip(acc, res)]
 
-        if gaussian:
+        if im is not None:
             minus = _hessenberg_charpoly(image(-s, p), p)
             half = pow(2, -1, p)
             half_s = pow(2 * s, -1, p)
@@ -445,24 +408,21 @@ def _charpoly_multimodular(m: Matrix, var: str) -> MultiPoly:
             acc_re = garner(acc_re, plus)
         modulus *= p
     half_m = modulus // 2
-    reg = VarRegistry((var,))
-    terms = {}
+    coeffs = [0] * (n + 1)
     scale = 1
     for power in range(n, -1, -1):
         x, y = acc_re[power], acc_im[power]
         x = x - modulus if x > half_m else x
         y = y - modulus if y > half_m else y
-        if x or y:
-            c = _norm_rat(Fraction(x, scale))
-            if y:
-                c = GaussianRational(c, Fraction(y, scale))
-            terms[reg.pack((power,))] = c
+        c = x if scale == 1 else _norm_rat(Fraction(x, scale))
+        coeffs[power] = GaussianRational(c, Fraction(y, scale)) if y else c
         scale *= d
-    return MultiPoly(reg, terms)
+    return coeffs
 
 
-def _charpoly_berkowitz(m: Matrix, var: str) -> MultiPoly:
-    """det(var*I - m) for polynomial entries, with no division at all.
+def _charpoly_berkowitz(m: Matrix) -> list:
+    """Coefficients c_0, ..., c_n of det(x*I - m), ascending, for
+    polynomial entries, with no division at all.
 
     Samuelson-Berkowitz recurrence (Berkowitz 1984; Rote 2001, "Division-
     free algorithms for the determinant and the Pfaffian"): write the
@@ -470,9 +430,9 @@ def _charpoly_berkowitz(m: Matrix, var: str) -> MultiPoly:
     charpoly coefficients, highest power first, are the first r + 1
     terms of the convolution of the Toeplitz column
     [1, -a, -R*C, -R*A*C, ..., -R*A^(r-2)*C] with those of A.  Every
-    value stays in the entries' own ring; var is adjoined only to the
-    finished coefficients, and every inner product and convolution term
-    is summed by sum_of_products in one term dict."""
+    value stays in the entries' own ring, x is never adjoined, and every
+    inner product and convolution term is summed by sum_of_products in
+    one term dict."""
     dom = m.domain
     reg = dom.reg
     n = m.nrows
@@ -493,7 +453,20 @@ def _charpoly_berkowitz(m: Matrix, var: str) -> MultiPoly:
                                         for j in range(max(0, k - r - 1),
                                                        min(k, r) + 1)])
                   for k in range(r + 2)]
-    return MultiPoly.from_coefficients(reg, var, coeffs[::-1])
+    return coeffs[::-1]
+
+
+def _charpoly_coeffs(m: Matrix) -> list:
+    """Coefficients c_0, ..., c_n of det(x*I - m), ascending, in m's own
+    domain, from the exact kernel of that domain."""
+    dom = m.domain
+    if isinstance(dom, (RationalDomain, GaussianRationalDomain)):
+        return _charpoly_multimodular(m)
+    if isinstance(dom, PolyDomain):
+        return _charpoly_berkowitz(m)
+    raise DomainMismatchError(
+        "exact characteristic polynomials need an exact domain; "
+        "use charpoly_coeffs_numeric for floating matrices")
 
 
 def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
@@ -510,18 +483,31 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
         raise NotSquareError("characteristic polynomial of a non-square matrix")
     n = m.nrows
     dom = m.domain
-    if isinstance(dom, (RationalDomain, GaussianRationalDomain)):
-        p = _charpoly_multimodular(m, var)
-    elif isinstance(dom, PolyDomain):
-        p = _charpoly_berkowitz(m, var)
-    else:
-        raise DomainMismatchError(
-            "exact characteristic polynomials need an exact domain; "
-            "use charpoly_coeffs_numeric for floating matrices")
-    top = p.coefficient_of(var, n)
-    if not (top.is_constant() and top.constant_value() == 1):
+    coeffs = _charpoly_coeffs(m)
+    if not dom.eq(coeffs[n], dom.one):
         raise ArithmeticError("characteristic polynomial came out non-monic")
-    return p
+    if isinstance(dom, PolyDomain):
+        return MultiPoly.from_coefficients(dom.reg, var, coeffs)
+    reg = VarRegistry((var,))
+    return MultiPoly(reg, {reg.pack((k,)): coeffs[k]
+                           for k in range(n, -1, -1) if coeffs[k]})
+
+
+def det(m: Matrix):
+    """Determinant, (-1)^n times the constant coefficient of the charpoly.
+
+    Exact domains take their charpoly kernel: multi-modular Hessenberg
+    with the proved Hadamard/CRT bound for QQ and QQ(i), the
+    division-free Berkowitz recurrence for polynomial entries.  No
+    variable is adjoined, so entries may already hold lambda.  The
+    floating domain uses pivoted LU."""
+    if not m.is_square():
+        raise NotSquareError("determinant of a non-square matrix")
+    dom = m.domain
+    if not dom.exact:
+        return _det_lu(m)
+    c0 = _charpoly_coeffs(m)[0]
+    return dom.neg(c0) if m.nrows % 2 else c0
 
 
 def charpoly_coeffs_numeric(m: Matrix) -> list[complex]:

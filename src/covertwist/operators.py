@@ -50,11 +50,6 @@ class EdgeWeights:
         return all(self.domain.eq(self.values[e], self.values[g.inv[e]])
                    for e in range(g.num_edges))
 
-    def is_antisymmetric(self, g: Graph) -> bool:
-        return all(self.domain.eq(self.values[e],
-                                  self.domain.neg(self.values[g.inv[e]]))
-                   for e in range(g.num_edges))
-
     def is_integral(self) -> bool:
         """True when every weight is a rational integer or a polynomial
         (in indeterminate weights) with rational integer coefficients."""

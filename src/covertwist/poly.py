@@ -586,15 +586,5 @@ class PolyDomain:
             raise ZeroDivisionError("only nonzero constants invert in a polynomial ring")
         return MultiPoly.const(self.reg, _coeff_div(1, a.constant_value()))
 
-    def exact_div(self, a, b):
-        from .errors import ExactDivisionError
-        q = a.exact_div(b)
-        if q is None:
-            raise ExactDivisionError("division expected to be exact left a remainder")
-        return q
-
-    def size(self, a):
-        return len(a.terms)
-
     def __repr__(self):
         return self.name

@@ -22,9 +22,9 @@ from .covering import (
 from .domains import QQ
 from .graphs import Graph, build_graph
 from .homotopy import Pi1Presentation, fundamental_presentation, spanning_tree
-from .matrix import Matrix
+from .matrix import Matrix, inverse
 from .operators import EdgeWeights, symbolic_weights
-from .representation import Representation, representation
+from .representation import Representation
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int = 6,
@@ -89,8 +89,10 @@ def random_invertible_matrix(rng: random.Random, n: int,
 
 def random_representation(rng: random.Random, rank: int,
                           degree: int) -> Representation:
-    mats = [random_invertible_matrix(rng, degree) for _ in range(rank)]
-    return representation(QQ, mats)
+    """rank random invertible generators of the given degree; at rank 0
+    the representation still has that degree."""
+    mats = tuple(random_invertible_matrix(rng, degree) for _ in range(rank))
+    return Representation(QQ, degree, mats, tuple(inverse(m) for m in mats))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,11 @@ class Representation:
 
 
 def representation(domain, mats: list[Matrix]) -> Representation:
-    """Build with inverses computed (and thereby invertibility checked)."""
+    """Build with inverses computed (and thereby invertibility checked).
+
+    The degree is that of the first matrix; with no matrices it is 1,
+    which the character builders (abelian_characters and the zeta
+    checks) rely on for a group of rank 0."""
     ms = tuple(mats)
     degree = ms[0].shape[0] if ms else 1
     return Representation(domain, degree, ms,

@@ -1,8 +1,9 @@
 """Division-free Berkowitz charpolys of matrices with polynomial entries.
 
 References: det(lambda*I - A) by Bareiss elimination over the ring with
-lambda adjoined (the route the kernel replaced; it survives only here),
-and sympy's charpoly (skipped when sympy is missing).
+lambda adjoined (the route the kernel replaced; it survives only in
+bareiss_reference.py), and sympy's charpoly (skipped when sympy is
+missing).
 """
 
 from fractions import Fraction
@@ -12,20 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertwist.domains import QI, QQ, GaussianRational
-from covertwist.matrix import Matrix, charpoly, det
+from covertwist.matrix import Matrix, charpoly
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
+
+from bareiss_reference import bareiss_charpoly
 
 REG = VarRegistry(("x", "y", "z"))
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
-
-
-def bareiss_charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
-    pd = PolyDomain(m.domain.reg.with_var(var), m.domain.coeff)
-    lam = MultiPoly.variable(pd.reg, var)
-    n = m.nrows
-    return det(Matrix(pd, [[lam - pd.coerce(m[i, j]) if i == j
-                            else -pd.coerce(m[i, j]) for j in range(n)]
-                           for i in range(n)]))
 
 
 def sympy_charpoly_matches(m: Matrix, cp: MultiPoly) -> bool:

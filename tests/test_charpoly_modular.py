@@ -2,7 +2,8 @@
 
 References: sympy's charpoly (skipped when sympy is missing) and the
 fraction-free route the kernel replaced for scalar matrices, det of
-lambda*I - A over the polynomial ring QQ[lambda] or QQ(i)[lambda].
+lambda*I - A over the polynomial ring QQ[lambda] or QQ(i)[lambda] by
+Bareiss elimination (bareiss_reference.py).
 Orders run from 8, above the Leibniz oracle's budget of 7.
 """
 
@@ -18,21 +19,12 @@ from covertwist.matrix import (
     _hessenberg_charpoly,
     _split_prime,
     charpoly,
-    det,
 )
-from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
+from covertwist.poly import MultiPoly, VarRegistry
+
+from bareiss_reference import bareiss_charpoly
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
-
-
-def bareiss_charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
-    """det(var*I - m) by fraction-free elimination over dom[var]."""
-    pd = PolyDomain(VarRegistry((var,)), m.domain)
-    lam = MultiPoly.variable(pd.reg, var)
-    n = m.nrows
-    rows = [[lam - pd.coerce(m[i, j]) if i == j else -pd.coerce(m[i, j])
-             for j in range(n)] for i in range(n)]
-    return det(Matrix(pd, rows))
 
 
 def sympy_charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:

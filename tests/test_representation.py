@@ -42,6 +42,15 @@ def test_representation_checks_invertibility():
         representation(QQ, [Matrix(QQ, [[0]])])
 
 
+def test_random_representation_keeps_degree_at_rank_zero():
+    for degree in (1, 2, 3):
+        rho = random_representation(random.Random(1), 0, degree)
+        assert (rho.degree, rho.rank) == (degree, 0)
+        assert rep_of_word(rho, ()).eq(Matrix.identity(QQ, degree))
+    # with no generators at all, representation() defaults to degree 1
+    assert representation(QQ, []).degree == 1
+
+
 def test_rep_of_word_homomorphism():
     rng = random.Random(21)
     rho = random_representation(rng, 2, 2)

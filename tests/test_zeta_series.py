@@ -1,7 +1,7 @@
 """The series determinant det(I - uB_rho) against independent routes:
-Bareiss elimination over Q[u], the twisted Ihara-Bass formula, and the
-Newton identities that tie it to the trace side of the log-derivative
-check."""
+Bareiss elimination over Q[u] (bareiss_reference.py), the twisted
+Ihara-Bass formula, and the Newton identities that tie it to the trace
+side of the log-derivative check."""
 
 import random
 from fractions import Fraction
@@ -24,6 +24,8 @@ from covertwist.operators import (
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 from covertwist.representation import connection_from_rep, representation
 from covertwist.zeta import amitsur_check, l_series_inverse
+
+from bareiss_reference import det_bareiss
 
 
 def small_graph(rng):
@@ -91,7 +93,7 @@ def bareiss_reference(g, x, rho, pres):
     ld = line_digraph(g, sx)
     conn = connection_from_rep(pres, rho)
     m = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
-    return det(Matrix.identity(m.domain, m.nrows) - m)
+    return det_bareiss(Matrix.identity(m.domain, m.nrows) - m)
 
 
 CASES = [
