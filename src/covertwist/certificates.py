@@ -21,12 +21,15 @@ parts, each checked exactly:
 A fourth, cheap check ties the product back to the cover operator
 itself: its λ^{N−1} coefficient must be −tr(M_cover), N = d·n.
 
-cor1 (M = A) and trees (M = L) take that route at every degree.  The
-remaining certificates are consequences checked in their own right: full
-factorization over the irreducibles of a normal cover's deck group,
-dimer determinant factorization under an odd cyclic symmetry, and the
-torus product identity.  Exact arithmetic throughout, except where roots
-of unity force the floating domain.
+cor1 (M = A) and trees (M = L) take that route at every degree, and so
+do cor2 (M = A; full factorization over the irreducibles of a normal
+cover's deck group) and dimer (M = K, the Kasteleyn-weighted adjacency;
+determinant factorization under an odd cyclic symmetry, det K read off
+the charpoly's constant coefficient): each takes its cover-side
+quantity from the split, with its whole witness.  kos, the torus product
+identity, still takes the cover determinant directly: its weights may
+be floating, which charpoly refuses.  Exact arithmetic throughout,
+except where roots of unity force the floating domain.
 """
 
 from __future__ import annotations
@@ -371,17 +374,8 @@ class Cor2Result:
 
 def _coeff_list(poly: MultiPoly, n: int) -> list[complex]:
     by = poly.by_var("lambda")
-    out = []
-    for k in range(n + 1):
-        c = by.get(k)
-        if c is None:
-            out.append(0j)
-        else:
-            if not c.is_constant():
-                raise DomainMismatchError(
-                    "numeric comparison needs scalar weights")
-            out.append(complex(c.constant_value()))
-    return out
+    return [complex(by[k].constant_value()) if k in by else 0j
+            for k in range(n + 1)]
 
 
 def _conv(a: list[complex], b: list[complex]) -> list[complex]:
@@ -399,7 +393,10 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
 
     Abelian deck groups generate their own character list; otherwise the
     caller supplies the irreducibles (as representations of the base
-    loop group, one per conjugacy-class worth, Σ deg² = group order)."""
+    loop group, one per conjugacy-class worth, Σ deg² = group order).
+    The cover charpoly is split_cover_charpoly's, so the factorization
+    holds only with its whole witness; no charpoly of order d·n is
+    taken."""
     normal, galois = is_normal(p, pres)
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
@@ -412,10 +409,14 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     if total != galois.order:
         raise IrreducibleCountMismatchError(
             f"sum of squared degrees {total} != group order {galois.order}")
-    a_cover = twisted_adjacency(p.cover, lift_weights(p, x),
-                                trivial_connection(QQ, p.cover.num_edges))
-    cp_cover = charpoly(a_cover)
     exact = all(r.domain.exact for r in irreducibles)
+    if not exact and isinstance(x.domain, PolyDomain):
+        raise DomainMismatchError(
+            "floating characters need numeric weights")
+    split = split_cover_charpoly(
+        p, coset_data(p, spanning_tree(p.base, p.base_vertex)), x,
+        twisted_adjacency)
+    cp_cover = split.cover
     degrees = tuple(r.degree for r in irreducibles)
     if exact:
         prod = None
@@ -423,12 +424,9 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
             a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
             f = charpoly(a) ** r.degree
             prod = f if prod is None else prod * f
-        return Cor2Result(True, cp_cover == prod, cp_cover, prod, degrees)
-    if isinstance(x.domain, PolyDomain):
-        raise DomainMismatchError(
-            "floating characters need numeric weights")
-    n_cover = a_cover.nrows
-    lhs = _coeff_list(cp_cover, n_cover)
+        return Cor2Result(True, split.ok and cp_cover == prod, cp_cover, prod,
+                          degrees)
+    lhs = _coeff_list(cp_cover, p.cover.num_vertices)
     rhs = [1 + 0j]
     for r in irreducibles:
         a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
@@ -436,8 +434,8 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
         for _ in range(r.degree):
             rhs = _conv(rhs, coeffs)
     cc = ComplexDomain(rtol, atol)
-    matches = len(lhs) == len(rhs) and all(cc.eq(a, b)
-                                           for a, b in zip(lhs, rhs))
+    matches = (split.ok and len(lhs) == len(rhs)
+               and all(cc.eq(a, b) for a, b in zip(lhs, rhs)))
     return Cor2Result(False, matches, lhs, rhs, degrees)
 
 
@@ -582,12 +580,16 @@ def forest_coefficient_checks(g: Graph, x: EdgeWeights) -> list[tuple[int, bool]
 
 @dataclass(frozen=True)
 class DimerResult:
+    """det_identity is the split's whole witness; det_cover is
+    det(K_cover), read off the split's cover charpoly."""
+
     det_identity: bool
     matching_cert: DivisibilityCertificate
     pf_base_squared_ok: bool
     pf_cover_squared_ok: bool
     z_base: MultiPoly
     z_cover: MultiPoly
+    det_cover: MultiPoly
 
     @property
     def ok(self) -> bool:
@@ -595,35 +597,16 @@ class DimerResult:
                 and self.pf_base_squared_ok and self.pf_cover_squared_ok)
 
 
-def _shift_complement(d: int, k: int) -> Matrix:
-    """Action of the shift by k on the zero-sum complement of the
-    ℤ/d permutation module, in the basis e_j − e_0 (j = 1..d−1)."""
-    dom = QQ
-    size = d - 1
-    data = [[dom.zero] * size for _ in range(size)]
-    k = k % d
-    for j in range(1, d):
-        tgt_up = (j + k) % d
-        if tgt_up != 0:
-            data[tgt_up - 1][j - 1] = dom.add(data[tgt_up - 1][j - 1], 1)
-        if k != 0:
-            data[k - 1][j - 1] = dom.sub(data[k - 1][j - 1], 1)
-    return Matrix(dom, data)
-
-
-def cyclic_complement_connection(g: Graph, zd_volt: tuple[int, ...],
-                                 d: int) -> Connection:
-    """Per-edge complement matrices from ℤ/d edge voltages; models the
-    regular representation minus its trivial summand."""
-    mats = tuple(_shift_complement(d, zd_volt[e]) for e in range(g.num_edges))
-    return Connection(QQ, d - 1, mats)
-
-
 def dimer_certificate(g: Graph, rot: RotationSystem,
                       zd_volt: tuple[int, ...], d: int,
                       x: EdgeWeights) -> DimerResult:
     """Determinant factorization and dimer divisibility for a cover with
-    odd cyclic symmetry over a planar quotient."""
+    odd cyclic symmetry over a planar quotient.
+
+    det(K_cover) and det(K_base) are read off split_cover_charpoly with
+    the Kasteleyn weights, so "determinant factorizes" is its whole
+    witness and no determinant of order d·n is taken; the Pfaffians are
+    checked against both."""
     if d < 1 or d % 2 == 0:
         raise EvenDegreeError(f"cyclic symmetry order must be odd, got {d}")
     fc = faces(g, rot)
@@ -636,14 +619,12 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
         raise CoverNotConnectedError("dimer cover is disconnected")
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
-    a_base = twisted_adjacency(g, kw, trivial_connection(QQ, g.num_edges))
-    a_cover = twisted_adjacency(p.cover, lift_weights(p, kw),
-                                trivial_connection(QQ, p.cover.num_edges))
-    a_comp = twisted_adjacency(g, kw, cyclic_complement_connection(g, zd_volt, d))
-    det_cover = det(a_cover)
-    det_base = det(a_base)
-    det_comp = det(a_comp)
-    det_ok = det_cover == det_base * det_comp
+    split = split_cover_charpoly(
+        p, coset_data(p, spanning_tree(p.base, p.base_vertex)), kw,
+        twisted_adjacency)
+    # K is skew-symmetric, so det K = det(−K) = c_0 of its charpoly
+    det_cover = split.cover.coefficient_of("lambda", 0)
+    det_base = split.base.coefficient_of("lambda", 0)
 
     dom = x.domain
     pd = dom if isinstance(dom, PolyDomain) else PolyDomain(VarRegistry(()), dom)
@@ -653,13 +634,15 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
                                                        lift_weights(p, x))))
     cert = _exact_divide(z_cover, z_base, "dimer partition function", x)
 
+    a_base = twisted_adjacency(g, kw, trivial_connection(QQ, g.num_edges))
     pf_b = pd.coerce(pfaffian(a_base))
-    pf_c = pd.coerce(pfaffian(a_cover))
-    pf_base_ok = (pf_b * pf_b == pd.coerce(det_base)
+    pf_c = pd.coerce(pfaffian(split.conjugacy.a_cover))
+    pf_base_ok = (pf_b * pf_b == det_base
                   and pf_b * pf_b == z_base * z_base)
-    pf_cover_ok = (pf_c * pf_c == pd.coerce(det_cover)
+    pf_cover_ok = (pf_c * pf_c == det_cover
                    and pf_c * pf_c == z_cover * z_cover)
-    return DimerResult(det_ok, cert, pf_base_ok, pf_cover_ok, z_base, z_cover)
+    return DimerResult(split.ok, cert, pf_base_ok, pf_cover_ok, z_base,
+                       z_cover, det_cover)
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,18 @@ _SUITE_COMMANDS = ("verify-main", "cor1", "trees")
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first main call and kept for
@@ -461,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int,
                            help="run a randomized suite instead of a file")
-            p.add_argument("--count", type=int, default=10,
+            p.add_argument("--count", type=_positive_int, default=10,
                            help="suite size (default 10)")
         if tol:
             p.add_argument("--rtol", type=float, default=1e-9,
@@ -469,16 +481,16 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--atol", type=float, default=1e-12,
                            help="absolute tolerance for floating checks")
         if length:
-            p.add_argument("--max-length", type=int, default=6,
+            p.add_argument("--max-length", type=_positive_int, default=6,
                            dest="max_length",
                            help="cycle length horizon (default 6)")
         if degree:
-            p.add_argument("--degree", type=int,
+            p.add_argument("--degree", type=_positive_int,
                            help="cover degree bound or cyclic degree")
         if torus:
-            p.add_argument("--m", type=int, default=2,
+            p.add_argument("--m", type=_positive_int, default=2,
                            help="torus rows (default 2)")
-            p.add_argument("--n", type=int, default=2,
+            p.add_argument("--n", type=_positive_int, default=2,
                            help="torus columns (default 2)")
         return p
 

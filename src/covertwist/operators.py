@@ -1,11 +1,10 @@
 """Weighted operators attached to graphs.
 
 Twisted adjacency matrices pair edge weights with connection matrices;
-the Laplacian is assembled directly (the self-paired loop the classical
-construction would add is not a legal edge here, so the matrix route is
-the honest one); the directed line graph supports the cycle-counting
-operators; and the Kasteleyn helpers produce clockwise-odd orientations and the
-skew weightings they induce on planar embeddings.
+the Laplacian is the weighted out-degree minus the twisted adjacency;
+the directed line graph supports the cycle-counting operators; and the
+Kasteleyn helpers produce clockwise-odd orientations and the skew
+weightings they induce on planar embeddings.
 """
 
 from __future__ import annotations
@@ -131,31 +130,22 @@ def twisted_adjacency(g: Union[Graph, DirectedGraph], x: EdgeWeights,
 
 def laplacian(g: Graph, x: EdgeWeights,
               c: Connection | None = None) -> Matrix:
-    """Δf(v) = Σ_{e from v} x_e·(f(v) − φ_e f(t(e))), assembled directly:
-    each edge adds its weight on the source diagonal block and subtracts
-    the twisted term from the (source, target) block."""
+    """Δf(v) = Σ_{e from v} x_e·(f(v) − φ_e f(t(e))), that is D − A^ρ:
+    D holds each out-edge weight, loops included, on its source's
+    diagonal block, and A^ρ is twisted_adjacency."""
     if not x.is_symmetric(g):
         raise WeightsNotSymmetricError("Laplacian weights must be symmetric")
     if c is None:
         c = trivial_connection(QQ, g.num_edges)
-    dom = _operator_domain(x.domain, c.domain)
+    a = twisted_adjacency(g, x, c)
+    dom = a.domain
     m = c.degree
-    n = g.num_vertices
-    data = [[dom.zero] * (n * m) for _ in range(n * m)]
+    deg = Matrix.zeros(dom, a.nrows, a.ncols, m)
     for e in range(g.num_edges):
-        v, w = g.src[e], g.tgt[e]
         xe = dom.coerce(x.values[e])
-        phi = c.mats[e]
-        for i in range(m):
-            data[v * m + i][v * m + i] = dom.add(data[v * m + i][v * m + i], xe)
-            row = data[v * m + i]
-            for j in range(m):
-                entry = phi[i, j]
-                if c.domain.is_zero(entry):
-                    continue
-                row[w * m + j] = dom.sub(row[w * m + j],
-                                         dom.mul(xe, dom.coerce(entry)))
-    return Matrix(dom, data, block_size=m)
+        for k in range(g.src[e] * m, (g.src[e] + 1) * m):
+            deg.data[k][k] = dom.add(deg.data[k][k], xe)
+    return deg - a
 
 
 # ---------------------------------------------------------------------------

@@ -242,3 +242,23 @@ def test_parser_built_once_per_process(capsys):
                                timeout=120)
         assert got == (fresh.returncode, fresh.stdout), argv
     assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("kos", "--input", f"{SAMPLES}/kos_b2.txt", "--m", "0"),
+    ("kos", "--input", f"{SAMPLES}/kos_b2.txt", "--m", "-1"),
+    ("kos", "--input", f"{SAMPLES}/kos_b2.txt", "--n", "two"),
+    ("zeta-amitsur", "--input", f"{SAMPLES}/c3.txt", "--max-length", "0"),
+    ("verify-main", "--seed", "1", "--degree", "0"),
+    ("cor1", "--seed", "1", "--count", "-2"),
+])
+def test_bad_numeric_argument_is_rejected(capsys, argv):
+    # once a division by zero, a ValueError, a vacuous pass or a silent
+    # default: now an argument error, exit 2, before any work
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {argv[-2]}:" in captured.err
+    assert "Traceback" not in captured.err

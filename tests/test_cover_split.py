@@ -1,22 +1,27 @@
 """The cover charpoly read off the certified identity.
 
-For the trivial twist, cor1 and trees take charpoly(M_cover) as
-charpoly(M_base)·charpoly(M_base^{ρ_c}), witnessed by ψ (conjugacy and
-invertibility) and by Q = [1 | e_j − e_fixed].  The direct charpoly of
-the cover operator survives only here, as the reference: the route the
-certificates took before, a cover-order charpoly followed by exact
-division, must give the same dividend, divisor, quotient, Z_ST and Z_RSF.
+For the trivial twist, cor1, trees, cor2 and dimer take charpoly(M_cover)
+as charpoly(M_base)·charpoly(M_base^{ρ_c}), witnessed by ψ (conjugacy and
+invertibility) and by Q = [1 | e_j − e_fixed].  The direct charpoly and
+determinant of the cover operator survive only here, as the reference:
+the routes the certificates took before (a cover-order charpoly followed
+by exact division, det(K_cover) for dimer) must give the same dividend,
+divisor, quotient, Z_ST, Z_RSF, cover charpoly and cover determinant, and
+no certificate may take a charpoly or determinant at the cover's order.
 Broken witness parts must turn the documented report lines to FAIL.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import covertwist.certificates as certificates
+import covertwist.matrix as matrix
 from covertwist.certificates import (
     cor1_certificate,
+    cor2_certificate,
+    dimer_certificate,
     rooted_forest_polynomial,
     spanning_tree_polynomial,
     split_cover_charpoly,
@@ -27,13 +32,21 @@ from covertwist.covering import (
     VoltageAssignment,
     build_cover,
     coset_data,
+    edge_voltage_cover,
     identity_cover,
 )
 from covertwist.domains import QQ
-from covertwist.graphs import build_graph
+from covertwist.graphs import (
+    build_graph,
+    default_rotation,
+    faces,
+    is_connected,
+)
 from covertwist.homotopy import fundamental_presentation, spanning_tree
-from covertwist.matrix import Matrix, charpoly
+from covertwist.matrix import Matrix, charpoly, det
 from covertwist.operators import (
+    kasteleyn_orientation,
+    kasteleyn_weights,
     laplacian,
     lift_weights,
     symbolic_weights,
@@ -52,6 +65,7 @@ SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 DEGREES = pytest.mark.parametrize("d", [1, 2, 3, 4])
 KINDS = pytest.mark.parametrize("kind", ["integer", "rational", "symbolic"])
 C3 = "sample_inputs/c3.txt"
+DIMER = "sample_inputs/dimer_c4.txt"
 
 
 def direct_charpoly(p, x, operator):
@@ -65,11 +79,23 @@ def base_charpoly(p, x, operator):
                              trivial_connection(QQ, p.base.num_edges)))
 
 
+def draw_weights(draw, g, kind):
+    """Integer, non-integer rational or symbolic weights on g."""
+    if kind == "symbolic":
+        return symbolic_weights(g)
+    den = 1 if kind == "integer" else 2
+    num = st.integers(1, 5).filter(lambda k: den == 1 or k % 2)
+    vals = [Fraction(draw(num), den) for _ in range(g.num_unoriented)]
+    return weights_from_unoriented(g, QQ, vals)
+
+
 @st.composite
-def covers(draw, d, kind):
+def covers(draw, d, kind, cyclic=False):
     """A connected cover of degree d over a connected multigraph on at
     most three vertices (loops and parallel edges allowed), with integer,
-    non-integer rational or symbolic weights."""
+    non-integer rational or symbolic weights.  A cyclic cover takes its
+    voltages among the powers of one d-cycle, so it is normal with deck
+    group ℤ/d."""
     # symbolic covers stay at 9 vertices or fewer: the direct reference
     # is a Berkowitz charpoly over Q[x] at the cover's order
     n = draw(st.integers(1, 3 if kind != "symbolic" else min(3, 9 // d)))
@@ -79,18 +105,46 @@ def covers(draw, d, kind):
                            min_size=1 if d > 1 else 0, max_size=3))
     g = build_graph(n, pairs)
     pres = fundamental_presentation(g, 0)
-    perms = draw(st.lists(st.permutations(range(d)).map(tuple),
-                          min_size=pres.rank, max_size=pres.rank))
+    if cyclic:
+        shifts = draw(st.lists(st.integers(0, d - 1),
+                               min_size=pres.rank, max_size=pres.rank))
+        perms = [tuple((i + k) % d for i in range(d)) for k in shifts]
+    else:
+        perms = draw(st.lists(st.permutations(range(d)).map(tuple),
+                              min_size=pres.rank, max_size=pres.rank))
     if not VoltageAssignment(d, tuple(perms)).is_transitive():
         perms[0] = tuple((i + 1) % d for i in range(d))
-    if kind == "symbolic":
-        x = symbolic_weights(g)
-    else:
-        den = 1 if kind == "integer" else 2
-        num = st.integers(1, 5).filter(lambda k: den == 1 or k % 2)
-        vals = [Fraction(draw(num), den) for _ in range(g.num_unoriented)]
-        x = weights_from_unoriented(g, QQ, vals)
+    x = draw_weights(draw, g, kind)
     return build_cover(pres, VoltageAssignment(d, tuple(perms))), x
+
+
+@st.composite
+def dimer_inputs(draw, d, kind):
+    """An even cycle (two parallel edges at two vertices) with at most
+    one chord, planar under its default rotation, and ℤ/d edge voltages
+    whose cover is connected and planar: exactly two faces wind, holding
+    the fixed points of the rotation the cover's symmetry is.  The cover
+    has at most 16 vertices (12 when symbolic: the direct reference is a
+    determinant at the cover's order)."""
+    top = 16 if kind != "symbolic" else 12
+    n = draw(st.sampled_from([k for k in (2, 4, 6) if k * d <= top]))
+    pairs = [(v, (v + 1) % n) for v in range(n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1))
+                           .filter(lambda e: e[0] != e[1]), max_size=1))
+    g = build_graph(n, pairs)
+    fc = faces(g, default_rotation(g))
+    assume(fc.euler_characteristic == 2)
+    zd = [0] * g.num_edges
+    for e, ebar in g.unoriented:
+        zd[e] = draw(st.integers(0, d - 1))
+        zd[ebar] = -zd[e] % d
+    zd = tuple(zd)
+    winding = sum(1 for walk in fc.walks if sum(zd[e] for e in walk) % d)
+    assume(d == 1 or winding == 2)
+    p = edge_voltage_cover(g, tuple((b,) for b in zd), (d,))
+    assume(is_connected(p.cover))
+    return g, zd, p, draw_weights(draw, g, kind)
 
 
 @DEGREES
@@ -154,6 +208,54 @@ def check_trees(strategy, data):
         assert cert.quotient == dividend.exact_div(divisor)
 
 
+@pytest.mark.parametrize("d, kind", [
+    (d, kind) for d in (1, 2, 3, 4)
+    for kind in ("integer", "rational", "symbolic")
+    # cube roots of unity refuse symbolic weights
+    if (d, kind) != (3, "symbolic")])
+def test_cor2_matches_the_direct_route(d, kind):
+    check_cor2(covers(d, kind, cyclic=True))
+
+
+@SETTINGS
+@given(st.data())
+def check_cor2(strategy, data):
+    p, x = data.draw(strategy)
+    cover = direct_charpoly(p, x, twisted_adjacency)
+    # floating coefficients here reach 10^4, and their rounding errors
+    # exceed the default absolute tolerance of 1e-12
+    res = cor2_certificate(p, fundamental_presentation(p.base, 0), x,
+                           atol=1e-6)
+    assert res.ok
+    if res.exact:
+        assert res.lhs == cover
+    else:
+        assert res.lhs == [
+            complex(cover.coefficient_of("lambda", k).constant_value())
+            for k in range(p.cover.num_vertices + 1)]
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+@KINDS
+def test_dimer_matches_the_direct_route(d, kind):
+    check_dimer(dimer_inputs(d, kind))
+
+
+@SETTINGS
+@given(st.data())
+def check_dimer(strategy, data):
+    g, zd, p, x = data.draw(strategy)
+    rot = default_rotation(g)
+    kw = kasteleyn_weights(g, kasteleyn_orientation(g, rot), x)
+    direct = det(twisted_adjacency(p.cover, lift_weights(p, kw),
+                                   trivial_connection(QQ, p.cover.num_edges)))
+    res = dimer_certificate(g, rot, zd, p.degree, x)
+    assert res.ok
+    if not isinstance(direct, MultiPoly):
+        direct = MultiPoly.const(res.det_cover.reg, direct)
+    assert res.det_cover == direct
+
+
 def test_identity_cover_complement_is_empty():
     # d = 1 over a tree base: the complement has order 0 and charpoly 1
     for g in (build_graph(2, [(0, 1)]), build_graph(3, [(0, 1), (1, 2),
@@ -170,6 +272,49 @@ def test_identity_cover_complement_is_empty():
 def test_complement_of_degree_one_has_degree_zero():
     rho = trivial_representation(QQ, 0)
     assert permutation_complement(rho).degree == 0
+
+
+# ---------------------------------------------------------------------------
+# no charpoly or determinant at the cover's order
+
+
+def record_orders(monkeypatch):
+    """The orders of the matrices whose charpoly or determinant is taken,
+    exactly or in floating point, from here on; Pfaffians are not seen."""
+    orders = []
+    for module, name in ((matrix, "_charpoly_coeffs"),
+                         (certificates, "charpoly_coeffs_numeric")):
+        def recording(m, kernel=getattr(module, name)):
+            orders.append(m.nrows)
+            return kernel(m)
+        monkeypatch.setattr(module, name, recording)
+    return orders
+
+
+@pytest.mark.parametrize("command, weights, order", [
+    ("cor2", C3, 6),
+    ("cor2", "unit", 12),   # cube roots of unity: the floating branch
+    ("dimer", DIMER, 12)])
+def test_no_cover_order_charpoly_or_det(capsys, monkeypatch, tmp_path,
+                                        command, weights, order):
+    path = weights
+    if weights == "unit":
+        path = tmp_path / "dimer_unit.txt"
+        with open(DIMER, encoding="utf-8") as fh:
+            text = fh.read()
+        path.write_text(text.replace("kind = symbolic", "kind = unit"),
+                        encoding="utf-8")
+    orders = record_orders(monkeypatch)
+    assert main([command, "--input", str(path)]) == 0
+    assert orders and max(orders) < order, orders
+
+
+def test_cor2_refuses_floating_characters_before_any_charpoly(
+        capsys, monkeypatch):
+    orders = record_orders(monkeypatch)
+    assert main(["cor2", "--input", DIMER]) == 2
+    assert "floating characters" in capsys.readouterr().err
+    assert orders == []
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +386,15 @@ COR1_LINES = {
     "charpoly trace shifted": ["charpoly divisible", *QUOTIENT_LINES],
 }
 TREES_LINES = ["tree sum divisible", "forest sum divisible"]
+# cor2 and dimer read the cover charpoly and det(K_cover) off the split,
+# so one line carries the whole witness
+WITNESS_LINES = {
+    "trees": TREES_LINES,
+    "cor2": ["factorization exact"],
+    "dimer": ["determinant factorizes"],
+}
+INPUTS = {"cor1": C3, "trees": C3, "cor2": C3, "dimer": DIMER}
+COMMANDS = pytest.mark.parametrize("command", list(INPUTS))
 
 
 def checks(out):
@@ -249,24 +403,25 @@ def checks(out):
             for line in out.splitlines() if line.startswith("check ")}
 
 
-@pytest.mark.parametrize("command", ["cor1", "trees"])
+@COMMANDS
 def test_intact_witness_passes(capsys, command):
-    assert main([command, "--input", C3]) == 0
+    assert main([command, "--input", INPUTS[command]]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("broken", sorted(BREAKS))
-@pytest.mark.parametrize("command", ["cor1", "trees"])
+@COMMANDS
 def test_broken_witness_fails(capsys, monkeypatch, command, broken):
     name, breaker = BREAKS[broken]
     monkeypatch.setattr(certificates, name,
                         breaker(getattr(certificates, name)))
-    code = main([command, "--input", C3])
+    code = main([command, "--input", INPUTS[command]])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""
     found = checks(captured.out)
-    lines = COR1_LINES[broken] if command == "cor1" else TREES_LINES
+    lines = (COR1_LINES[broken] if command == "cor1"
+             else WITNESS_LINES[command])
     for line in lines:
         assert found[line] == "FAIL", (line, captured.out)
     assert "result: FAIL" in captured.out
