@@ -54,6 +54,7 @@ from .errors import (
     IrreducibleCountMismatchError,
     NotAbelianError,
     NotNormalError,
+    NotPlanarError,
     NotPlanarQuotientError,
 )
 from .graphs import Graph, RotationSystem, faces, is_connected
@@ -61,7 +62,6 @@ from .homotopy import spanning_tree
 from .matrix import (
     Matrix,
     charpoly,
-    charpoly_coeffs_numeric,
     det,
     direct_sum_matrices,
     pfaffian,
@@ -99,8 +99,7 @@ def unoriented_values(g: Graph, x: EdgeWeights) -> list:
 def _lift_matrix(m: Matrix, dom) -> Matrix:
     if m.domain is dom:
         return m
-    return Matrix(dom, [[dom.coerce(v) for v in row] for row in m.data],
-                  m.block_size)
+    return Matrix(dom, [[dom.coerce(v) for v in row] for row in m.data])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,7 @@ def build_psi(p: CoveringMap, cd: CosetData, rho: Representation,
             row = data[v * md + i]
             for j in range(m):
                 row[vt * m + j] = mat[i, j]
-    return Matrix(dom, data, block_size=m)
+    return Matrix(dom, data)
 
 
 def psi_vertex_determinants(p: CoveringMap, psi: Matrix, m: int) -> tuple:
@@ -361,6 +360,13 @@ def cor1_certificate(p: CoveringMap, x: EdgeWeights,
 
 @dataclass(frozen=True)
 class Cor2Result:
+    """The cover charpoly (lhs) against the product of the irreducible
+    charpolys (rhs).  With exact characters both are exact polynomials;
+    with floating ones both are tuples of values at the N + 1 roots of
+    unity z_k = e^{2πik/(N+1)}, N the cover's vertex count: lhs the
+    exact cover charpoly evaluated there, rhs Π_ρ det(z_k·I − A^ρ)^{deg ρ}
+    by LU."""
+
     exact: bool
     matches: bool
     lhs: object
@@ -370,20 +376,6 @@ class Cor2Result:
     @property
     def ok(self) -> bool:
         return self.matches
-
-
-def _coeff_list(poly: MultiPoly, n: int) -> list[complex]:
-    by = poly.by_var("lambda")
-    return [complex(by[k].constant_value()) if k in by else 0j
-            for k in range(n + 1)]
-
-
-def _conv(a: list[complex], b: list[complex]) -> list[complex]:
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
@@ -396,7 +388,15 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     loop group, one per conjugacy-class worth, Σ deg² = group order).
     The cover charpoly is split_cover_charpoly's, so the factorization
     holds only with its whole witness; no charpoly of order d·n is
-    taken."""
+    taken.
+
+    Floating characters have no exact charpoly.  Both sides then have
+    degree N, the cover's vertex count, and are compared by their values
+    at the N + 1 roots of unity z_k, which are the discrete Fourier
+    transform of the coefficient vector: equal values mean equal
+    polynomials.  The comparison passes when every
+    |P(z_k) − R(z_k)| ≤ atol + rtol·s, s the largest |P(z_j)| or
+    |R(z_j)|, so the tolerance is norm-wise on the coefficients."""
     normal, galois = is_normal(p, pres)
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
@@ -426,17 +426,19 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
             prod = f if prod is None else prod * f
         return Cor2Result(True, split.ok and cp_cover == prod, cp_cover, prod,
                           degrees)
-    lhs = _coeff_list(cp_cover, p.cover.num_vertices)
-    rhs = [1 + 0j]
+    n = p.cover.num_vertices
+    points = [cmath.exp(2j * cmath.pi * k / (n + 1)) for k in range(n + 1)]
+    lhs = tuple(complex(cp_cover.evaluate({"lambda": z})) for z in points)
+    rhs = [1 + 0j] * (n + 1)
     for r in irreducibles:
-        a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
-        coeffs = charpoly_coeffs_numeric(a)
-        for _ in range(r.degree):
-            rhs = _conv(rhs, coeffs)
-    cc = ComplexDomain(rtol, atol)
-    matches = (split.ok and len(lhs) == len(rhs)
-               and all(cc.eq(a, b) for a, b in zip(lhs, rhs)))
-    return Cor2Result(False, matches, lhs, rhs, degrees)
+        a = _lift_matrix(twisted_adjacency(p.base, x,
+                                           connection_from_rep(pres, r)), CC)
+        eye = Matrix.identity(CC, a.nrows)
+        rhs = [v * det(eye.scale(z) - a) ** r.degree
+               for v, z in zip(rhs, points)]
+    bound = atol + rtol * max(map(abs, lhs + tuple(rhs)))
+    matches = split.ok and all(abs(u - v) <= bound for u, v in zip(lhs, rhs))
+    return Cor2Result(False, matches, lhs, tuple(rhs), degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +603,9 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
                       zd_volt: tuple[int, ...], d: int,
                       x: EdgeWeights) -> DimerResult:
     """Determinant factorization and dimer divisibility for a cover with
-    odd cyclic symmetry over a planar quotient.
+    odd cyclic symmetry over a planar quotient.  The cover must be planar
+    too under the lifted rotation, or the lifted Kasteleyn orientation
+    proves nothing: NotPlanarError otherwise, before any charpoly.
 
     det(K_cover) and det(K_base) are read off split_cover_charpoly with
     the Kasteleyn weights, so "determinant factorizes" is its whole
@@ -617,6 +621,14 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     p = edge_voltage_cover(g, tuple((b,) for b in zd_volt), (d,))
     if not is_connected(p.cover):
         raise CoverNotConnectedError("dimer cover is disconnected")
+    # the rotation lifted to the cover: at v·d+s, the edges e·d+s
+    lifted = RotationSystem(tuple(tuple(e * d + s for e in rot.orders[v])
+                                  for v in range(g.num_vertices)
+                                  for s in range(d)))
+    chi = faces(p.cover, lifted).euler_characteristic
+    if chi != 2:
+        raise NotPlanarError(
+            f"cover embedding has Euler characteristic {chi}")
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
     split = split_cover_charpoly(

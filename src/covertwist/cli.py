@@ -253,7 +253,9 @@ def _cmd_cor2(args, doc: InputDocument) -> Report:
         r.datum("factor product", res.rhs)
         r.check("factorization exact", res.matches)
     else:
-        r.notes.append("floating characters; comparing coefficientwise "
+        r.notes.append("floating characters; comparing values at the "
+                       "roots of unity of order N+1 (N cover vertices), "
+                       "each within atol + rtol*(largest value) "
                        f"at rtol={args.rtol} atol={args.atol}")
         r.check("factorization within tolerance", res.matches)
     return r

@@ -161,20 +161,12 @@ class CoveringMap:
                     tuple(self.p_edge[e] for e in path.edges))
 
 
-def build_cover(pres: Pi1Presentation, volt: VoltageAssignment) -> CoveringMap:
-    """Degree-d cover from voltages: vertex (v,i) ↦ v·d+i, edge (e,i) ↦
-    e·d+i; tree edges keep the sheet, the preferred orientation of
-    generator k permutes sheets by volt.perms[k].  The result satisfies
-    every covering invariant but may be disconnected.
-    """
-    g = pres.graph
-    d = volt.degree
-    ident = perm_identity(d)
-    sigma: list[Perm] = [ident] * g.num_edges
-    for k, e in enumerate(pres.gen_edge):
-        sigma[e] = volt.perms[k]
-        sigma[g.inv[e]] = perm_inverse(volt.perms[k])
-
+def _sheet_cover(g: Graph, d: int, sigma: list[Perm],
+                 base_vertex: int) -> CoveringMap:
+    """Degree-d cover with one sheet permutation σ_e per directed edge:
+    vertex (v, i) ↦ v·d+i, edge (e, i) ↦ e·d+i from src(e)·d+i to
+    tgt(e)·d+σ_e(i), its inverse inv(e)·d+σ_e(i).  σ_ē must be σ_e
+    inverted for the involution to close up."""
     src = []
     tgt = []
     inv = []
@@ -189,8 +181,22 @@ def build_cover(pres: Pi1Presentation, volt: VoltageAssignment) -> CoveringMap:
                   tuple(inv))
     p_vertex = tuple(v for v in range(g.num_vertices) for _ in range(d))
     p_edge = tuple(e for e in range(g.num_edges) for _ in range(d))
-    root = pres.tree.root
-    return CoveringMap(g, cover, p_vertex, p_edge, root, root * d)
+    return CoveringMap(g, cover, p_vertex, p_edge, base_vertex,
+                       base_vertex * d)
+
+
+def build_cover(pres: Pi1Presentation, volt: VoltageAssignment) -> CoveringMap:
+    """Degree-d cover from voltages, laid out by _sheet_cover: tree edges
+    keep the sheet, the preferred orientation of generator k permutes
+    sheets by volt.perms[k].  The result satisfies every covering
+    invariant but may be disconnected.
+    """
+    g = pres.graph
+    sigma: list[Perm] = [perm_identity(volt.degree)] * g.num_edges
+    for k, e in enumerate(pres.gen_edge):
+        sigma[e] = volt.perms[k]
+        sigma[g.inv[e]] = perm_inverse(volt.perms[k])
+    return _sheet_cover(g, volt.degree, sigma, pres.tree.root)
 
 
 def validate_covering(p: CoveringMap) -> ValidationReport:
@@ -642,8 +648,9 @@ def edge_voltage_cover(g: Graph, voltages: tuple[tuple[int, ...], ...],
     """Abelian cover from one voltage vector per directed edge, sheet
     group ⊕ ℤ/moduli[j].
 
-    Sheets are indexed in mixed radix (last modulus fastest); edge (e, s)
-    runs from (src e, s) to (tgt e, s + voltage_e).  The involution needs
+    Sheets are indexed in mixed radix (last modulus fastest) and laid
+    out by _sheet_cover; edge (e, s) runs from (src e, s) to
+    (tgt e, s + voltage_e).  The involution needs
     voltage(ē) = −voltage(e) componentwise, which is checked.
     """
     k = len(moduli)
@@ -663,41 +670,13 @@ def edge_voltage_cover(g: Graph, voltages: tuple[tuple[int, ...], ...],
             raise VoltageNotAntisymmetricError(
                 f"edge {e}: reverse voltage is not the negation")
 
-    d = 1
+    # sheets in index order (mixed radix, last modulus fastest)
+    sheets: list[tuple[int, ...]] = [()]
     for m in moduli:
-        d *= m
-    strides = [0] * k
-    acc = 1
-    for j in range(k - 1, -1, -1):
-        strides[j] = acc
-        acc *= moduli[j]
-
-    def sheet_index(sheet: tuple[int, ...]) -> int:
-        return sum(s * t for s, t in zip(sheet, strides))
-
-    all_sheets: list[tuple[int, ...]] = [()]
-    for m in moduli:
-        all_sheets = [s + (i,) for s in all_sheets for i in range(m)]
-    nv = g.num_vertices
-    src = [0] * (g.num_edges * d)
-    tgt = [0] * (g.num_edges * d)
-    inv = [0] * (g.num_edges * d)
-    p_vertex = [0] * (nv * d)
-    p_edge = [0] * (g.num_edges * d)
-    for v in range(nv):
-        for s in all_sheets:
-            p_vertex[v * d + sheet_index(s)] = v
-    for e in range(g.num_edges):
-        for s in all_sheets:
-            i = sheet_index(s)
-            shifted = tuple((a + b) % m
-                            for a, b, m in zip(s, volts[e], moduli))
-            j = sheet_index(shifted)
-            et = e * d + i
-            src[et] = g.src[e] * d + i
-            tgt[et] = g.tgt[e] * d + j
-            inv[et] = g.inv[e] * d + j
-            p_edge[et] = e
-    cover = Graph(DirectedGraph(nv * d, tuple(src), tuple(tgt)), tuple(inv))
-    return CoveringMap(g, cover, tuple(p_vertex), tuple(p_edge),
-                       base_vertex, base_vertex * d)
+        sheets = [s + (i,) for s in sheets for i in range(m)]
+    index = {s: i for i, s in enumerate(sheets)}
+    sigma = [tuple(index[tuple((a + b) % m
+                               for a, b, m in zip(s, volts[e], moduli))]
+                   for s in sheets)
+             for e in range(g.num_edges)]
+    return _sheet_cover(g, len(sheets), sigma, base_vertex)

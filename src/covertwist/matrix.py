@@ -16,11 +16,13 @@ characteristic polynomials alike:
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x]
   or QQ(i)[x]): inner products and convolutions only, no division, and
   the charpoly variable is adjoined only to the finished coefficients.
-  Floating matrices have no exact charpoly (see charpoly_coeffs_numeric).
 * Exact determinants are read off those kernels: det(m) = (-1)^n * c_0
   for the constant coefficient c_0 of det(x*I - m), so they carry the
-  same proved bound, and the polynomial kernel adjoins no variable.  The
-  floating complex domain uses partially pivoted LU.
+  same proved bound, and the polynomial kernel adjoins no variable.
+* The floating complex domain has one kernel, partially pivoted LU,
+  and only det takes it: charpoly and pfaffian refuse floating
+  matrices.  Callers that need a floating charpoly compare its values
+  det(z*I - m) at chosen points instead.
 * Series determinants det(I - u*B) of the zeta layer are not computed
   here as determinants over QQ[u]: zeta reverses charpoly(B, "u"), since
   det(I - u*B) = u^n * charpoly(B)(1/u), so they take the charpoly route
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
-from .domains import (ComplexDomain, GaussianRational, GaussianRationalDomain,
+from .domains import (GaussianRational, GaussianRationalDomain,
                       RationalDomain, _norm_rat)
 from .errors import (
     DomainMismatchError,
@@ -51,36 +53,35 @@ PFAFFIAN_EXACT_CAP = 16
 class Matrix:
     """Row-major dense matrix over a domain."""
 
-    __slots__ = ("domain", "nrows", "ncols", "data", "block_size")
+    __slots__ = ("domain", "nrows", "ncols", "data")
 
-    def __init__(self, domain, data: list[list], block_size: int = 1):
+    def __init__(self, domain, data: list[list]):
         self.domain = domain
         self.data = data
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
-        self.block_size = block_size
 
     @classmethod
-    def from_rows(cls, domain, rows, block_size: int = 1) -> "Matrix":
+    def from_rows(cls, domain, rows) -> "Matrix":
         data = [[domain.coerce(x) for x in row] for row in rows]
         widths = {len(r) for r in data}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-        return cls(domain, data, block_size)
+        return cls(domain, data)
 
     @classmethod
-    def identity(cls, domain, n: int, block_size: int = 1) -> "Matrix":
+    def identity(cls, domain, n: int) -> "Matrix":
         z, o = domain.zero, domain.one
         return cls(domain, [[o if i == j else z for j in range(n)]
-                            for i in range(n)], block_size)
+                            for i in range(n)])
 
     @classmethod
-    def zeros(cls, domain, nrows: int, ncols: int, block_size: int = 1) -> "Matrix":
+    def zeros(cls, domain, nrows: int, ncols: int) -> "Matrix":
         z = domain.zero
-        return cls(domain, [[z] * ncols for _ in range(nrows)], block_size)
+        return cls(domain, [[z] * ncols for _ in range(nrows)])
 
     def copy(self) -> "Matrix":
-        return Matrix(self.domain, [row[:] for row in self.data], self.block_size)
+        return Matrix(self.domain, [row[:] for row in self.data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -106,8 +107,7 @@ class Matrix:
         add = self.domain.add
         return Matrix(self.domain,
                       [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)],
-                      self.block_size)
+                       for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_domain(other)
@@ -116,13 +116,12 @@ class Matrix:
         sub = self.domain.sub
         return Matrix(self.domain,
                       [[sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)],
-                      self.block_size)
+                       for ra, rb in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
         neg = self.domain.neg
-        return Matrix(self.domain, [[neg(a) for a in row] for row in self.data],
-                      self.block_size)
+        return Matrix(self.domain,
+                      [[neg(a) for a in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -150,17 +149,16 @@ class Matrix:
                 for j, y in b_rows[k]:
                     orow[j] = add(orow[j], mul(x, y))
             out.append(orow)
-        return Matrix(dom, out, self.block_size)
+        return Matrix(dom, out)
 
     def scale(self, c) -> "Matrix":
         mul = self.domain.mul
         c = self.domain.coerce(c)
-        return Matrix(self.domain, [[mul(c, a) for a in row] for row in self.data],
-                      self.block_size)
+        return Matrix(self.domain,
+                      [[mul(c, a) for a in row] for row in self.data])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.domain, [list(col) for col in zip(*self.data)],
-                      self.block_size)
+        return Matrix(self.domain, [list(col) for col in zip(*self.data)])
 
     def eq(self, other: "Matrix") -> bool:
         if self.shape != other.shape:
@@ -193,8 +191,7 @@ class Matrix:
 
     def submatrix(self, rows, cols) -> "Matrix":
         return Matrix(self.domain,
-                      [[self.data[i][j] for j in cols] for i in rows],
-                      self.block_size)
+                      [[self.data[i][j] for j in cols] for i in rows])
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.domain!r})"
@@ -466,7 +463,7 @@ def _charpoly_coeffs(m: Matrix) -> list:
         return _charpoly_berkowitz(m)
     raise DomainMismatchError(
         "exact characteristic polynomials need an exact domain; "
-        "use charpoly_coeffs_numeric for floating matrices")
+        "floating matrices have only det")
 
 
 def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
@@ -476,8 +473,8 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
     whose prime count comes from a proved coefficient bound.  Matrices
     with polynomial entries take the division-free Berkowitz recurrence
     over their own ring; var is adjoined to its n + 1 coefficients at
-    the end.  Floating matrices are rejected: use
-    charpoly_coeffs_numeric.  Either way the result must come out monic.
+    the end.  Floating matrices are rejected: their one kernel is det's
+    LU.  Either way the result must come out monic.
     """
     if not m.is_square():
         raise NotSquareError("characteristic polynomial of a non-square matrix")
@@ -510,31 +507,6 @@ def det(m: Matrix):
     return dom.neg(c0) if m.nrows % 2 else c0
 
 
-def charpoly_coeffs_numeric(m: Matrix) -> list[complex]:
-    """Coefficients [c_0, ..., c_n] of det(x*I - m) over floating complex.
-
-    Faddeev-LeVerrier recursion: exact divisions by integers only, so it
-    is stable enough at the sizes used here.
-    """
-    if not m.is_square():
-        raise NotSquareError("characteristic polynomial of a non-square matrix")
-    n = m.nrows
-    a = [[complex(x) for x in row] for row in m.data]
-    coeffs = [0j] * (n + 1)
-    coeffs[n] = 1 + 0j
-    mk = [[1 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        # mk = a @ mk
-        prod = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
-        c = -sum(prod[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            prod[i][i] += c
-        mk = prod
-    return coeffs
-
-
 def inverse(m: Matrix) -> Matrix:
     """Inverse over a field domain (QQ, QQ(i), CC) by Gauss-Jordan."""
     if not m.is_square():
@@ -562,7 +534,7 @@ def inverse(m: Matrix) -> Matrix:
             if dom.is_zero(f):
                 continue
             a[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(a[i], a[k])]
-    return Matrix(dom, [row[n:] for row in a], m.block_size)
+    return Matrix(dom, [row[n:] for row in a])
 
 
 def _pfaffian_exact(m: Matrix):
@@ -599,53 +571,22 @@ def _pfaffian_exact(m: Matrix):
     return pf(tuple(range(n)))
 
 
-def _pfaffian_float(m: Matrix) -> complex:
-    """Parlett-Reid tridiagonalization with pivoting, for floating skew matrices."""
-    n = m.nrows
-    if n == 0:
-        return 1 + 0j
-    a = [[complex(x) for x in row] for row in m.data]
-    sign = 1
-    for k in range(n - 2):
-        pivot_row = max(range(k + 1, n), key=lambda i: abs(a[i][k]))
-        if abs(a[pivot_row][k]) == 0.0:
-            return 0j
-        if pivot_row != k + 1:
-            a[k + 1], a[pivot_row] = a[pivot_row], a[k + 1]
-            for row in a:
-                row[k + 1], row[pivot_row] = row[pivot_row], row[k + 1]
-            sign = -sign
-        piv = a[k + 1][k]
-        for i in range(k + 2, n):
-            f = a[i][k] / piv
-            if f == 0:
-                continue
-            for j in range(n):
-                a[i][j] -= f * a[k + 1][j]
-            for row in a:
-                row[i] -= f * row[k + 1]
-    out = 1 + 0j
-    for k in range(0, n, 2):
-        out *= a[k][k + 1]
-    return sign * out
-
-
 def pfaffian(m: Matrix):
     """Pfaffian of a skew-symmetric matrix; sign convention Pf([[0,a],[-a,0]]) = a.
 
-    Exact domains use recursive first-row expansion with memoization,
-    capped at 16x16; the floating domain uses tridiagonalization.
+    Exact domains only: recursive first-row expansion with memoization,
+    capped at 16x16.  Floating matrices are rejected, as by charpoly.
     """
+    if not m.domain.exact:
+        raise DomainMismatchError("pfaffians need an exact domain")
     if not m.is_square():
         raise NotSquareError("pfaffian of a non-square matrix")
     if m.nrows % 2 != 0:
         raise OddDimensionError("pfaffian needs even dimension")
     if not m.is_skew_symmetric():
         raise NotSkewSymmetricError("pfaffian needs a skew-symmetric matrix")
-    if isinstance(m.domain, ComplexDomain):
-        return _pfaffian_float(m)
     if m.nrows > PFAFFIAN_EXACT_CAP:
         raise TooLargeForExactExpansionError(
-            f"exact pfaffian capped at {PFAFFIAN_EXACT_CAP}x{PFAFFIAN_EXACT_CAP}; "
-            "use the floating domain beyond that")
+            f"exact pfaffian capped at "
+            f"{PFAFFIAN_EXACT_CAP}x{PFAFFIAN_EXACT_CAP}")
     return _pfaffian_exact(m)

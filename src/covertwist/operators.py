@@ -125,7 +125,7 @@ def twisted_adjacency(g: Union[Graph, DirectedGraph], x: EdgeWeights,
                     continue
                 row[w * m + j] = dom.add(row[w * m + j],
                                          dom.mul(xe, dom.coerce(entry)))
-    return Matrix(dom, data, block_size=m)
+    return Matrix(dom, data)
 
 
 def laplacian(g: Graph, x: EdgeWeights,
@@ -140,7 +140,7 @@ def laplacian(g: Graph, x: EdgeWeights,
     a = twisted_adjacency(g, x, c)
     dom = a.domain
     m = c.degree
-    deg = Matrix.zeros(dom, a.nrows, a.ncols, m)
+    deg = Matrix.zeros(dom, a.nrows, a.ncols)
     for e in range(g.num_edges):
         xe = dom.coerce(x.values[e])
         for k in range(g.src[e] * m, (g.src[e] + 1) * m):

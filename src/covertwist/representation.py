@@ -159,7 +159,7 @@ def _blocks_to_matrix(domain, d: int, m: int,
             row = data[bi * m + i]
             for j in range(m):
                 row[bj * m + j] = blk[i, j]
-    return Matrix(domain, data, block_size=m)
+    return Matrix(domain, data)
 
 
 def _induced_generator(cd: CosetData, rho: Representation,

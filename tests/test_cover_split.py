@@ -11,6 +11,7 @@ no certificate may take a charpoly or determinant at the cover's order.
 Broken witness parts must turn the documented report lines to FAIL.
 """
 
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -222,17 +223,61 @@ def test_cor2_matches_the_direct_route(d, kind):
 def check_cor2(strategy, data):
     p, x = data.draw(strategy)
     cover = direct_charpoly(p, x, twisted_adjacency)
-    # floating coefficients here reach 10^4, and their rounding errors
-    # exceed the default absolute tolerance of 1e-12
-    res = cor2_certificate(p, fundamental_presentation(p.base, 0), x,
-                           atol=1e-6)
+    res = cor2_certificate(p, fundamental_presentation(p.base, 0), x)
     assert res.ok
     if res.exact:
         assert res.lhs == cover
     else:
-        assert res.lhs == [
-            complex(cover.coefficient_of("lambda", k).constant_value())
-            for k in range(p.cover.num_vertices + 1)]
+        # the direct charpoly sums its terms in another order, so the
+        # values agree up to rounding: to 1e-12 of the coefficients' size
+        n = p.cover.num_vertices
+        expected = [complex(cover.evaluate(
+                        {"lambda": cmath.exp(2j * cmath.pi * k / (n + 1))}))
+                    for k in range(n + 1)]
+        size = sum(abs(c) for c in cover.terms.values())
+        assert list(res.lhs) == pytest.approx(expected, rel=0,
+                                              abs=1e-12 * size)
+
+
+# edges 0–1, 0–2 and a loop at 0, ℤ/3 voltage on the loop: the cover
+# charpoly's coefficients reach 17576, and its λ^4 coefficient is 0
+COR2_FLOATING = """graph:
+  vertices = 3
+  edge 0 1
+  edge 0 2
+  edge 0 0
+weights:
+  kind = rational
+  value 0 = 1
+  value 1 = 5
+  value 2 = 3
+voltage:
+  degree = 3
+  generator 0 = (0 1 2)
+"""
+
+
+def perturb_characters(build):
+    def perturbed(g, x, c):
+        a = build(g, x, c)
+        if not a.domain.exact:   # the character-twisted base operators
+            a.data[0][0] += 1e-6
+        return a
+    return perturbed
+
+
+@pytest.mark.parametrize("perturbed, code, verdict", [
+    (False, 0, "pass"), (True, 1, "FAIL")])
+def test_cor2_floating_at_default_tolerances(capsys, monkeypatch, tmp_path,
+                                             perturbed, code, verdict):
+    path = tmp_path / "cor2.txt"
+    path.write_text(COR2_FLOATING, encoding="utf-8")
+    if perturbed:
+        monkeypatch.setattr(certificates, "twisted_adjacency",
+                            perturb_characters(certificates.twisted_adjacency))
+    assert main(["cor2", "--input", str(path)]) == code
+    out = capsys.readouterr().out
+    assert f"check factorization within tolerance: {verdict}" in out
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -254,6 +299,39 @@ def check_dimer(strategy, data):
     if not isinstance(direct, MultiPoly):
         direct = MultiPoly.const(res.det_cover.reg, direct)
     assert res.det_cover == direct
+
+
+# the 4-cycle plus a second 1–2 edge: planar, but with voltage 1 on
+# edges 3 and 4 its ℤ/3 cover under the lifted rotation is not
+DIMER_NONPLANAR_COVER = """graph:
+  vertices = 4
+  edge 0 1
+  edge 1 2
+  edge 2 3
+  edge 3 0
+  edge 1 2
+weights:
+  kind = unit
+zdvoltage:
+  modulus = 3
+  edge 0 = 0
+  edge 1 = 0
+  edge 2 = 0
+  edge 3 = 1
+  edge 4 = 1
+"""
+
+
+def test_dimer_refuses_a_nonplanar_cover_before_any_charpoly(
+        capsys, monkeypatch, tmp_path):
+    path = tmp_path / "dimer.txt"
+    path.write_text(DIMER_NONPLANAR_COVER, encoding="utf-8")
+    orders = record_orders(monkeypatch)
+    assert main(["dimer", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cover embedding has Euler characteristic" in captured.err
+    assert orders == []
 
 
 def test_identity_cover_complement_is_empty():
@@ -280,14 +358,13 @@ def test_complement_of_degree_one_has_degree_zero():
 
 def record_orders(monkeypatch):
     """The orders of the matrices whose charpoly or determinant is taken,
-    exactly or in floating point, from here on; Pfaffians are not seen."""
+    exactly or by floating LU, from here on; Pfaffians are not seen."""
     orders = []
-    for module, name in ((matrix, "_charpoly_coeffs"),
-                         (certificates, "charpoly_coeffs_numeric")):
-        def recording(m, kernel=getattr(module, name)):
+    for name in ("_charpoly_coeffs", "_det_lu"):
+        def recording(m, kernel=getattr(matrix, name)):
             orders.append(m.nrows)
             return kernel(m)
-        monkeypatch.setattr(module, name, recording)
+        monkeypatch.setattr(matrix, name, recording)
     return orders
 
 
@@ -327,14 +404,14 @@ def swap_two_columns(build):
         data = [row[:] for row in psi.data]
         for row in data:   # two lifts of base vertex 0: ψ stays invertible
             row[0], row[1] = row[1], row[0]
-        return Matrix(psi.domain, data, psi.block_size)
+        return Matrix(psi.domain, data)
     return broken
 
 
 def zero_psi(build):
     def broken(*args):
         psi = build(*args)
-        return Matrix.zeros(psi.domain, psi.nrows, psi.ncols, psi.block_size)
+        return Matrix.zeros(psi.domain, psi.nrows, psi.ncols)
     return broken
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertwist.covering import (
     VoltageAssignment,
@@ -229,3 +230,26 @@ def test_edge_voltage_cover_rejects_asymmetric():
     voltages[g.inv[0]] = (1,)
     with pytest.raises(VoltageNotAntisymmetricError):
         edge_voltage_cover(g, tuple(voltages), (3,))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_edge_voltage_cover_matches_build_cover(data):
+    # ℤ/d voltages vanishing on tree edges are shift permutations on the
+    # generators, and both builders lay out the same sheets
+    n = data.draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    pairs = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += data.draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    g = build_graph(n, pairs)
+    pres = fundamental_presentation(g, 0)
+    d = data.draw(st.integers(1, 4))
+    shifts = data.draw(st.lists(st.integers(0, d - 1), min_size=pres.rank,
+                                max_size=pres.rank))
+    voltages = [(0,)] * g.num_edges
+    for k, e in enumerate(pres.gen_edge):
+        voltages[e] = (shifts[k],)
+        voltages[g.inv[e]] = (-shifts[k] % d,)
+    perms = tuple(tuple((i + k) % d for i in range(d)) for k in shifts)
+    assert (edge_voltage_cover(g, tuple(voltages), (d,))
+            == build_cover(pres, VoltageAssignment(d, perms)))

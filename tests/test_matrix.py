@@ -7,6 +7,7 @@ import pytest
 
 from covertwist.domains import CC, QQ
 from covertwist.errors import (
+    DomainMismatchError,
     NotSkewSymmetricError,
     NotSquareError,
     OddDimensionError,
@@ -14,7 +15,6 @@ from covertwist.errors import (
 from covertwist.matrix import (
     Matrix,
     charpoly,
-    charpoly_coeffs_numeric,
     det,
     direct_sum_matrices,
     inverse,
@@ -106,15 +106,6 @@ def test_charpoly_non_monic_kernel_result_raises(monkeypatch, kernel, domain):
         charpoly(m)
 
 
-def test_charpoly_coeffs_numeric():
-    m = Matrix(CC, [[2.0, 0.0], [0.0, 3.0]])
-    coeffs = charpoly_coeffs_numeric(m)
-    # ascending: c0 + c1 x + c2 x^2 = 6 - 5x + x^2
-    assert abs(coeffs[0] - 6) < 1e-9
-    assert abs(coeffs[1] + 5) < 1e-9
-    assert abs(coeffs[2] - 1) < 1e-9
-
-
 def test_inverse_round_trip():
     rng = random.Random(12)
     for _ in range(10):
@@ -144,6 +135,12 @@ def test_pfaffian_rejects_odd_and_nonskew():
         pfaffian(Matrix(QQ, [[0]]))
     with pytest.raises(NotSkewSymmetricError):
         pfaffian(Matrix(QQ, [[0, 1], [1, 0]]))
+
+
+def test_pfaffian_refuses_floating_matrices():
+    # LU in det is the only floating kernel
+    with pytest.raises(DomainMismatchError):
+        pfaffian(Matrix(CC, [[0j, 2 + 0j], [-2 + 0j, 0j]]))
 
 
 def test_submatrix():

@@ -104,7 +104,6 @@ def test_twisted_adjacency_with_connection():
     rho = trivial_representation(QQ, pres.rank, degree=2)
     a = twisted_adjacency(g, unit_weights(g), connection_from_rep(pres, rho))
     assert a.nrows == 6
-    assert a.block_size == 2
 
 
 def test_twist_respects_inverse():
