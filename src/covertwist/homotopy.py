@@ -154,12 +154,18 @@ class Pi1Presentation:
         up = self.tree.path_to_root(g.tgt[e])
         return path_concat(g, path_concat(g, down, Path(g.src[e], (e,))), up)
 
+    @cached_property
+    def letter_loops(self) -> dict[tuple[int, int], Path]:
+        """Each letter's loop at the root, as realize_letter builds it."""
+        return {(k, s): self.realize_letter(k, s)
+                for k in range(self.rank) for s in (1, -1)}
+
     def realize_word(self, w: FreeWord) -> Path:
-        """A loop at the root whose word reduces back to w."""
-        p = Path(self.tree.root)
-        for (gen, sign) in w:
-            p = path_concat(self.graph, p, self.realize_letter(gen, sign))
-        return p
+        """A loop at the root whose word reduces back to w: the letters'
+        loops, each at the root, one after the other."""
+        loops = self.letter_loops
+        return Path(self.tree.root,
+                    tuple(e for let in w for e in loops[let].edges))
 
 
 def presentation_from_tree(tree: SpanningTree) -> Pi1Presentation:

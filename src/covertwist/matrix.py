@@ -5,13 +5,15 @@ characteristic polynomials alike:
 
 * Characteristic polynomials of QQ and QQ(i) matrices are computed
   multi-modularly: denominators are cleared, the integer (or Gaussian
-  integer) matrix is reduced to Hessenberg form modulo 61-bit primes, the
-  Hessenberg recurrence gives the charpoly modulo each prime, and the
-  residues are combined by the Chinese remainder theorem.  A Hadamard
-  bound on every coefficient fixes the number of primes in advance, so
-  the result is proved exact, not guessed: no coefficient of absolute
-  value at most B can be confused with another once the product of the
-  primes exceeds 2B + 1.
+  integer) matrix is reduced to Hessenberg form modulo a prime, and the
+  Hessenberg recurrence gives the charpoly modulo that prime.  A
+  Hadamard bound B on every coefficient fixes the primes in advance:
+  their product exceeds 2B + 1, so the result is proved exact, not
+  guessed, since no coefficient of absolute value at most B can be
+  confused with another.  The primes are Proth primes, proved prime by
+  Proth's theorem, sized to the bound: a bound up to 240 bits takes one
+  prime and one Hessenberg run, and only a larger one splits over
+  several primes whose residues the Chinese remainder theorem combines.
 * Characteristic polynomials of matrices with polynomial entries take
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x]
   or QQ(i)[x]): inner products and convolutions only, no division, and
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache
 from math import isqrt, lcm
 
 from .domains import (GaussianRational, GaussianRationalDomain,
@@ -231,49 +232,69 @@ def _det_lu(m: Matrix):
 # ---------------------------------------------------------------------------
 # multi-modular characteristic polynomials over QQ and QQ(i)
 
-# Witnesses that make Miller-Rabin deterministic below 3.3e24 > 2^61.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Each Hessenberg run works modulo one prime of at most _RUN_BITS bits:
+# the cost of a run is flat in the prime's size up to a few hundred bits
+# and rises beyond, so a bound up to _RUN_BITS takes a single run and no
+# Chinese remaindering.  Prime sizes are multiples of CPython's 30-bit
+# int digit.
+_RUN_BITS = 240
+_DIGIT_BITS = 30
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
-@cache
-def _split_prime(k: int) -> tuple[int, int]:
-    """(p, s): the k-th prime p = 1 (mod 4) below 2^61, descending, and
-    s with s^2 = -1 (mod p).  Found on first use rather than at import.
+def _proth_witness(p: int) -> int | None:
+    """For a Proth number p = k*2^m + 1 (k odd, k < 2^m): the least odd
+    a >= 3 with Jacobi symbol (a/p) = -1 if p is prime, else None.
 
-    Such primes split in ZZ[i], so the same list serves QQ (s is
-    ignored) and QQ(i) (i maps to s and to -s)."""
-    p = _split_prime(k - 1)[0] - 4 if k else (1 << 61) - 3
-    while not _is_prime(p):
-        p -= 4
-    a = 2
-    while pow(a, (p - 1) // 2, p) != p - 1:   # a quadratic non-residue
-        a += 1
-    return p, pow(a, (p - 1) // 4, p)
+    Proth's theorem: p is prime iff a^((p-1)/2) = -1 (mod p) for some a,
+    and for a prime p every a with (a/p) = -1 is such an a (Euler's
+    criterion), so one power decides.  Such an a exists unless p is a
+    perfect square, where (a/p) is never -1."""
+    r = isqrt(p)
+    if r * r == p:
+        return None
+    a = 3
+    while _jacobi(a, p) != -1:
+        a += 2
+    return a if pow(a, (p - 1) >> 1, p) == p - 1 else None
+
+
+_PROTH_PRIMES: dict[int, list[tuple[int, int]]] = {}
+
+
+def _proth_prime(bits: int, index: int) -> tuple[int, int]:
+    """(p, s): the index-th prime p = k*2^m + 1 >= 2^bits, ascending, with
+    m = bits // 2 + 1 and k odd, k < 2^m, and s with s^2 = -1 (mod p).
+    Found on first use and cached, never at import.
+
+    p = 1 (mod 4), so p splits in ZZ[i] and the same primes serve QQ
+    (s is ignored) and QQ(i) (i maps to s and to -s)."""
+    found = _PROTH_PRIMES.setdefault(bits, [])
+    m = bits // 2 + 1
+    while len(found) <= index:
+        k = (found[-1][0] >> m) + 2 if found else (1 << bits - m) + 1
+        while (a := _proth_witness((k << m) + 1)) is None:
+            k += 2
+        if k >> m:   # past the Proth range, where the test proves nothing
+            raise ArithmeticError(f"no {index}-th Proth prime of {bits} bits")
+        p = (k << m) + 1
+        found.append((p, pow(a, (p - 1) >> 2, p)))
+    return found[index]
 
 
 def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
@@ -358,10 +379,15 @@ def _charpoly_multimodular(m: Matrix) -> list:
     x^(n-k) in the charpoly of the (Gaussian) integer matrix D*m is a
     signed sum of k x k principal minors, so Hadamard's inequality gives
     |c_k| <= e_k(|r_1|, ..., |r_n|) <= prod(1 + ceil|r_i|) = B over the
-    row norms |r_i|.  Primes are taken until their product M exceeds
-    2B + 1; the symmetric residue modulo M is then c_k itself (for
-    QQ(i), its real and imaginary parts, each at most |c_k|), and the
-    charpoly of m has coefficients c_k / D^k."""
+    row norms |r_i|.  With L the bit length of 2B + 1, the kernel runs
+    ceil(L / 240) Hessenberg reductions, each modulo its own prime of
+    at least L / runs bits rounded up to a multiple of 30, so that the
+    product M of the primes exceeds 2B + 1; the count is fixed before
+    the first run.  The symmetric residue modulo M is then c_k itself
+    (for QQ(i), its real and imaginary parts, each at most |c_k|), and
+    the charpoly of m has coefficients c_k / D^k.  One prime needs no
+    recombination; several are combined by Garner's form of the Chinese
+    remainder theorem."""
     n = m.nrows
     d, re, im = _cleared(m)
     bound = 1
@@ -379,36 +405,43 @@ def _charpoly_multimodular(m: Matrix) -> list:
         return [[(a + root * b) % p for a, b in zip(ra, rb)]
                 for ra, rb in zip(re, im)]
 
-    acc_re = [0] * (n + 1)
-    acc_im = [0] * (n + 1)
-    modulus = 1
-    k = 0
-    while modulus <= 2 * bound + 1:
-        p, s = _split_prime(k)
-        k += 1
+    def residues(p, s):
+        """The charpoly of D*m modulo p: its real and imaginary parts,
+        the latter None for a real matrix."""
         plus = _hessenberg_charpoly(image(s, p), p)
+        if im is None:
+            return plus, None
+        minus = _hessenberg_charpoly(image(-s, p), p)
+        half = pow(2, -1, p)
+        half_s = pow(2 * s, -1, p)
+        return ([(x + y) * half % p for x, y in zip(plus, minus)],
+                [(x - y) * half_s % p for x, y in zip(plus, minus)])
+
+    size = (2 * bound + 1).bit_length()
+    runs = -(-size // _RUN_BITS)
+    bits = -(-size // (runs * _DIGIT_BITS)) * _DIGIT_BITS
+    p, s = _proth_prime(bits, 0)
+    acc_re, acc_im = residues(p, s)
+    modulus = p
+    for index in range(1, runs):
+        p, s = _proth_prime(bits, index)
+        res_re, res_im = residues(p, s)
         inv = pow(modulus, -1, p)
 
         def garner(acc, res):   # the value mod modulus*p matching both
             return [x + modulus * ((r - x) * inv % p)
                     for x, r in zip(acc, res)]
 
-        if im is not None:
-            minus = _hessenberg_charpoly(image(-s, p), p)
-            half = pow(2, -1, p)
-            half_s = pow(2 * s, -1, p)
-            acc_re = garner(acc_re, [(x + y) * half % p
-                                     for x, y in zip(plus, minus)])
-            acc_im = garner(acc_im, [(x - y) * half_s % p
-                                     for x, y in zip(plus, minus)])
-        else:
-            acc_re = garner(acc_re, plus)
+        acc_re = garner(acc_re, res_re)
+        if acc_im is not None:
+            acc_im = garner(acc_im, res_im)
         modulus *= p
     half_m = modulus // 2
     coeffs = [0] * (n + 1)
     scale = 1
     for power in range(n, -1, -1):
-        x, y = acc_re[power], acc_im[power]
+        x = acc_re[power]
+        y = acc_im[power] if acc_im is not None else 0
         x = x - modulus if x > half_m else x
         y = y - modulus if y > half_m else y
         c = x if scale == 1 else _norm_rat(Fraction(x, scale))
@@ -493,11 +526,11 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
 def det(m: Matrix):
     """Determinant, (-1)^n times the constant coefficient of the charpoly.
 
-    Exact domains take their charpoly kernel: multi-modular Hessenberg
-    with the proved Hadamard/CRT bound for QQ and QQ(i), the
-    division-free Berkowitz recurrence for polynomial entries.  No
-    variable is adjoined, so entries may already hold lambda.  The
-    floating domain uses pivoted LU."""
+    Exact domains take their charpoly kernel: Hessenberg modulo primes
+    whose product exceeds twice the proved Hadamard bound, for QQ and
+    QQ(i), and the division-free Berkowitz recurrence for polynomial
+    entries.  No variable is adjoined, so entries may already hold
+    lambda.  The floating domain uses pivoted LU."""
     if not m.is_square():
         raise NotSquareError("determinant of a non-square matrix")
     dom = m.domain
