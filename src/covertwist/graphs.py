@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import (
     InvalidRotationError,
@@ -319,11 +319,3 @@ def faces(g: Graph, rot: RotationSystem) -> FaceCollection:
 def default_rotation(g: Graph) -> RotationSystem:
     """Out-edges in index order at every vertex."""
     return RotationSystem(tuple(g.out_edges[v] for v in range(g.num_vertices)))
-
-
-def relabel_vertices(g: Graph, perm: Sequence[int]) -> Graph:
-    """Graph with vertex v renamed perm[v]; edge indices unchanged."""
-    return Graph(DirectedGraph(g.num_vertices,
-                               tuple(perm[v] for v in g.src),
-                               tuple(perm[v] for v in g.tgt)),
-                 g.inv)

@@ -42,15 +42,6 @@ def concat_words(*ws: FreeWord) -> FreeWord:
     return reduce_word(tuple(out))
 
 
-def word_to_text(w: FreeWord) -> str:
-    if not w:
-        return "1"
-    parts = []
-    for (g, s) in w:
-        parts.append(f"g{g}" if s == 1 else f"g{g}^-1")
-    return "*".join(parts)
-
-
 @dataclass(frozen=True)
 class SpanningTree:
     """BFS spanning tree rooted at `root`.

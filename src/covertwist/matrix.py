@@ -14,6 +14,8 @@ characteristic polynomials alike:
   Proth's theorem, sized to the bound: a bound up to 240 bits takes one
   prime and one Hessenberg run, and only a larger one splits over
   several primes whose residues the Chinese remainder theorem combines.
+  The Hessenberg kernel skips zero entries in its reduction and runs
+  its recurrence on packed integers, one coefficient per bit field.
 * Characteristic polynomials of matrices with polynomial entries take
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x]
   or QQ(i)[x]): inner products and convolutions only, no division, and
@@ -63,14 +65,6 @@ class Matrix:
         self.ncols = len(data[0]) if data else 0
 
     @classmethod
-    def from_rows(cls, domain, rows) -> "Matrix":
-        data = [[domain.coerce(x) for x in row] for row in rows]
-        widths = {len(r) for r in data}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        return cls(domain, data)
-
-    @classmethod
     def identity(cls, domain, n: int) -> "Matrix":
         z, o = domain.zero, domain.one
         return cls(domain, [[o if i == j else z for j in range(n)]
@@ -80,9 +74,6 @@ class Matrix:
     def zeros(cls, domain, nrows: int, ncols: int) -> "Matrix":
         z = domain.zero
         return cls(domain, [[z] * ncols for _ in range(nrows)])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.domain, [row[:] for row in self.data])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -304,36 +295,70 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     to upper Hessenberg form by similarity transforms (a column with no
     nonzero entry below the subdiagonal is already reduced and is
     skipped), then the recurrence of Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9, expands the determinant."""
+    Algebraic Number Theory, Alg. 2.2.9, expands the determinant.
+
+    Both stages skip zeros.  Step j of the reduction takes the pivot
+    row's nonzero (column, value) pairs once, after the row swap, and
+    updates each eliminated row on those columns only; the matching
+    column update adds only the nonzero entries of the eliminated
+    columns.
+
+    The recurrence p_m = (x - h[m-1][m-1]) * p_(m-1)
+    - sum_i h[i-1][m-1] * t_i * p_(i-1), with t_i the product of the
+    subdiagonal entries h[i][i-1] ... h[m-1][m-2], runs on packed
+    integers: p_m is the single int sum_k c_k * 2^(k*w), with every
+    c_k in [0, p) and w = 2*bitlen(p) + bitlen(n + 1).  Then x * p_(m-1)
+    is a shift by w, and each product by a residue -h[m-1][m-1] or
+    -h[i-1][m-1] * t_i mod p, in [0, p), is one multiply-add of ints.
+    No carry crosses a field: field k of the sum is c_(k-1) of
+    p_(m-1), at most p - 1, plus at most m products of two residues,
+    one for the diagonal and one for each i < m, each at most (p - 1)^2.
+    So every field stays at most
+        (p - 1) + m*(p - 1)^2 <= (m + 1)*(p - 1)^2 < (n + 1)*p^2
+        < 2^bitlen(n + 1) * 2^(2*bitlen(p)) = 2^w
+    (using p - 1 <= (p - 1)^2 and m <= n).  Each field of the sum is
+    then a nonnegative integer congruent to its coefficient of p_m, and
+    reducing each field mod p, once per m, gives p_m packed again.  The
+    products have degree below m, so the top field m is the leading 1
+    of p_(m-1): the fields are peeled off from the bottom until nothing
+    is left, and every p_m, monic, has exactly m + 1 fields."""
     n = len(h)
     for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if piv is None:
+        for piv in range(j + 1, n):
+            if h[piv][j]:
+                break
+        else:
             continue
         if piv != j + 1:
             h[piv], h[j + 1] = h[j + 1], h[piv]
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = pow(h[j + 1][j], -1, p)
-        prow = h[j + 1][j:]
+        prow = h[j + 1]
+        inv = pow(prow[j], -1, p)
+        terms = [(c, y) for c, y in enumerate(prow[j:], j) if y]
         elim = []
         for r in range(j + 2, n):
             row = h[r]
-            if row[j]:
-                u = row[j] * inv % p
-                row[j:] = [(x - u * y) % p for x, y in zip(row[j:], prow)]
+            x = row[j]
+            if x:
+                u = x * inv % p
+                for c, y in terms:
+                    row[c] = (row[c] - u * y) % p
                 elim.append((r, u))
         if elim:
             for row in h:
-                row[j + 1] = (row[j + 1]
-                              + sum(u * row[r] for r, u in elim)) % p
-    polys = [[1]]
+                acc = row[j + 1]
+                for r, u in elim:
+                    x = row[r]
+                    if x:
+                        acc += u * x
+                row[j + 1] = acc % p
+    w = 2 * p.bit_length() + (n + 1).bit_length()
+    mask = (1 << w) - 1
+    polys = [1]
     for m in range(1, n + 1):
         prev = polys[m - 1]
-        d = h[m - 1][m - 1]
-        new = [0] + prev
-        for k, c in enumerate(prev):
-            new[k] -= d * c
+        acc = (prev << w) + (-h[m - 1][m - 1] % p) * prev
         t = 1
         for i in range(m - 1, 0, -1):
             t = t * h[i][i - 1] % p
@@ -341,10 +366,20 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
                 break
             f = h[i - 1][m - 1] * t % p
             if f:
-                for k, c in enumerate(polys[i - 1]):
-                    new[k] -= f * c
-        polys.append([c % p for c in new])
-    return polys[n]
+                acc += (p - f) * polys[i - 1]
+        packed = 0
+        k = 0
+        while acc:   # the top field is 1, so this ends after field m
+            packed |= (acc & mask) % p << k
+            acc >>= w
+            k += w
+        polys.append(packed)
+    coeffs = []
+    acc = polys[n]
+    while acc:
+        coeffs.append(acc & mask)
+        acc >>= w
+    return coeffs
 
 
 def _split_parts(x):

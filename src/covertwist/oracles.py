@@ -1,24 +1,20 @@
 """Brute-force reference counts for the certificate machinery.
 
 Everything here enumerates structures directly: subsets are walked one
-edge at a time with a union-find carried along, matchings are grown
-vertex by vertex, determinants expand over permutations.  None of it
-shares logic with the linear-algebra routes it is used to check, and
-all of it is intentionally naive, so the budgets are small and hard.
+edge at a time with a union-find carried along, and matchings are grown
+vertex by vertex.  None of it shares logic with the linear-algebra
+routes it is used to check, and all of it is intentionally naive, so
+the budgets are small and hard.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .errors import BudgetExceededError, TooLargeError
+from .errors import BudgetExceededError
 from .graphs import Graph
-from .matrix import Matrix
 
 TREE_EDGE_BUDGET = 24
 FOREST_EDGE_BUDGET = 20
 MATCHING_VERTEX_BUDGET = 20
-LEIBNIZ_BUDGET = 7
 
 
 class _UnionFind:
@@ -215,35 +211,4 @@ def matching_sum(g: Graph, domain, per_unoriented) -> object:
     acc = domain.zero
     for mset in enum_perfect_matchings(g):
         acc = domain.add(acc, _subset_weight(domain, per_unoriented, mset))
-    return acc
-
-
-def det_leibniz(m: Matrix):
-    """Determinant by signed permutation expansion; small matrices only."""
-    n = m.nrows
-    if n != m.ncols:
-        raise TooLargeError("leibniz expansion needs a square matrix")
-    if n > LEIBNIZ_BUDGET:
-        raise TooLargeError(
-            f"{n}x{n} exceeds the {LEIBNIZ_BUDGET}x{LEIBNIZ_BUDGET} "
-            "expansion budget")
-    dom = m.domain
-    acc = dom.zero
-    for perm in permutations(range(n)):
-        seen = [False] * n
-        sign = 1
-        for i in range(n):
-            if not seen[i]:
-                j = i
-                clen = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    clen += 1
-                if clen % 2 == 0:
-                    sign = -sign
-        term = dom.one
-        for i in range(n):
-            term = dom.mul(term, m.data[i][perm[i]])
-        acc = dom.add(acc, term) if sign > 0 else dom.sub(acc, term)
     return acc

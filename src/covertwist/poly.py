@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .domains import (GaussianRational, coeff_is_integer, format_gaussian,
                       _norm_rat, _rat_div)
@@ -209,25 +209,6 @@ class MultiPoly:
     @classmethod
     def variable(cls, reg: VarRegistry, name: str) -> "MultiPoly":
         return cls(reg, {reg.var_key(reg.index(name)): 1})
-
-    @classmethod
-    def from_exponents(cls, reg: VarRegistry,
-                       entries: Iterable[tuple[Sequence[int], object]]) -> "MultiPoly":
-        terms: dict = {}
-        for exps, c in entries:
-            if not c:
-                continue
-            k = reg.pack(exps)
-            acc = terms.get(k)
-            if acc is None:
-                terms[k] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[k] = acc
-                else:
-                    del terms[k]
-        return cls(reg, terms)
 
     @classmethod
     def from_coefficients(cls, reg: VarRegistry, var: str,
@@ -454,21 +435,6 @@ class MultiPoly:
                     del out[k2]
         return MultiPoly(new_reg, out)
 
-    def by_var(self, name: str) -> dict[int, "MultiPoly"]:
-        """Coefficient polynomials with respect to one variable.
-
-        Returns {exponent: polynomial over the registry without name}.
-        """
-        i = self.reg.index(name)
-        new_reg = VarRegistry(self.reg.names[:i] + self.reg.names[i + 1:])
-        buckets: dict[int, dict] = {}
-        for k, c in self.terms.items():
-            exps = self.reg.unpack(k)
-            e = exps[i]
-            k2 = new_reg.pack(exps[:i] + exps[i + 1:])
-            buckets.setdefault(e, {})[k2] = c
-        return {e: MultiPoly(new_reg, t) for e, t in sorted(buckets.items())}
-
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """The coefficient of name^power, over the registry without name.
 
@@ -498,43 +464,51 @@ class MultiPoly:
     # ---- text form ----
 
     def to_text(self) -> str:
-        """Canonical text: graded-lex descending, e.g. 3*x_0^2*x_1 - 2*lambda."""
-        if not self.terms:
+        """Canonical text: graded-lex descending, e.g. 3*x_0^2*x_1 - 2*lambda.
+
+        Each key is read from its top bit down, one nonzero exponent
+        field at a time (variable 0 is the highest field below the total
+        degree), and each field's text is built once per call."""
+        terms = self.terms
+        if not terms:
             return "0"
-        names = self.reg.names
+        names = self.reg.names[::-1]   # by field, lowest first
+        low = (1 << self.reg._deg_shift) - 1
+        factor = {}   # one variable's field, in place -> its text
         parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
-            exps = self.reg.unpack(key)
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            rest = key & low
             factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+            while rest:
+                sh = (rest.bit_length() - 1) // VAR_BITS * VAR_BITS
+                field = rest >> sh << sh
+                rest ^= field
+                text = factor.get(field)
+                if text is None:
+                    e = field >> sh
+                    name = names[sh // VAR_BITS]
+                    text = factor[field] = name if e == 1 else f"{name}^{e}"
+                factors.append(text)
             mono = "*".join(factors)
             if isinstance(c, GaussianRational):
                 if c.im != 0:
                     cs = format_gaussian(c)
-                    body = f"{cs}*{mono}" if mono else cs
-                    parts.append(("+", body))
+                    parts.append(f" + {cs}*{mono}" if mono else f" + {cs}")
                     continue
                 c = c.re
             neg = c < 0
-            mag = -c if neg else c
-            ms = str(_norm_rat(mag))
-            if mono and ms == "1":
-                body = mono
-            elif mono:
-                body = f"{ms}*{mono}"
-            else:
+            ms = str(-c if neg else c)   # a Fraction n/1 prints as n
+            if not mono:
                 body = ms
-            parts.append(("-" if neg else "+", body))
-        sign0, body0 = parts[0]
-        out = [body0 if sign0 == "+" else f"-{body0}"]
-        for sign, body in parts[1:]:
-            out.append(f" {sign} {body}")
-        return "".join(out)
+            elif ms == "1":
+                body = mono
+            else:
+                body = f"{ms}*{mono}"
+            parts.append(f" - {body}" if neg else f" + {body}")
+        first = parts[0]
+        parts[0] = f"-{first[3:]}" if first[1] == "-" else first[3:]
+        return "".join(parts)
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"

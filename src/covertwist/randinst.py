@@ -130,18 +130,3 @@ def random_cover_instance(rng: random.Random, max_vertices: int = 6,
     rho = random_representation(rng, cd.cover_pres.rank,
                                 rng.randint(1, max_rep_degree))
     return CoverInstance(p, pres, cd, rho, symbolic_weights(g))
-
-
-def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> Matrix:
-    return Matrix(QQ, [[rng.randint(-bound, bound) for _ in range(n)]
-                       for _ in range(n)])
-
-
-def random_skew_matrix(rng: random.Random, n: int, bound: int = 9) -> Matrix:
-    data = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = rng.randint(-bound, bound)
-            data[i][j] = v
-            data[j][i] = -v
-    return Matrix(QQ, data)

@@ -38,15 +38,14 @@ from covertwist.operators import (
     unit_weights,
     weights_from_unoriented,
 )
-from covertwist.oracles import det_leibniz, enum_perfect_matchings
+from covertwist.oracles import enum_perfect_matchings
 from covertwist.poly import MultiPoly
-from covertwist.randinst import (
-    random_cover_instance,
-    random_int_matrix,
-    random_skew_matrix,
-)
+from covertwist.randinst import random_cover_instance
 from covertwist.representation import trivial_representation
 from covertwist.zeta import amitsur_check, artin_axioms, untwisted_l_series_inverse
+
+from builders import random_int_matrix, random_skew_matrix
+from leibniz_reference import det_leibniz
 
 
 def verdict(num: int, label: str, ok: bool) -> None:

@@ -1,13 +1,20 @@
-"""The benchmark's checkers still accept this program's reports."""
+"""The benchmark's checkers still accept this program's reports, and its
+traced runs still find every function they wrap."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
 
+import covertwist
+import covertwist.cli
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SELFTEST = os.path.join(ROOT, "certbench", "selftest.py")
+LAYERS = os.path.join(ROOT, "certbench", "layers.py")
+SAMPLE = os.path.join(ROOT, "sample_inputs", "c3.txt")
 
 
 @pytest.mark.skipif(not os.path.isfile(SELFTEST),
@@ -16,3 +23,27 @@ def test_certbench_selftest():
     proc = subprocess.run([sys.executable, SELFTEST], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isfile(LAYERS),
+                    reason="certbench/ is not part of this checkout")
+def test_certbench_tracing_finds_every_span(capsys):
+    # a traced benchmark run looks up every function SPANS names, by
+    # name, before its first operation: a deleted or renamed one ends
+    # the run there
+    assert os.path.abspath(covertwist.__file__).startswith(
+        os.path.join(ROOT, "src") + os.sep)
+    spec = importlib.util.spec_from_file_location("certbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracing = layers.Tracing(layers.Recorder())
+    argv = ["cor1", "--input", SAMPLE]
+    untraced = covertwist.cli.main(argv), capsys.readouterr().out
+    main = covertwist.cli.main
+    with tracing:
+        assert covertwist.cli.main is not main
+        traced = covertwist.cli.main(argv), capsys.readouterr().out
+    assert covertwist.cli.main is main
+    assert traced == untraced and untraced[0] == 0
+    calls = tracing.recorder.calls
+    assert calls["cli"] == 1 and calls["matrix.charpoly"] >= 1

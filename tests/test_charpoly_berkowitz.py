@@ -17,6 +17,7 @@ from covertwist.matrix import Matrix, charpoly
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import bareiss_charpoly
+from builders import matrix_from_rows, poly_from_exponents
 
 REG = VarRegistry(("x", "y", "z"))
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -54,7 +55,7 @@ exponents = st.tuples(*[st.integers(0, 2)] * 3)
 def entries(coeff, max_terms=2, min_terms=0):
     return st.lists(st.tuples(exponents, coeff), min_size=min_terms,
                     max_size=max_terms).map(
-        lambda terms: MultiPoly.from_exponents(REG, terms))
+        lambda terms: poly_from_exponents(REG, terms))
 
 
 def loops(coeff):
@@ -168,7 +169,7 @@ def test_degree_overflow_raises(rows):
         sign, _, power = v.rpartition("x^")
         return -x ** int(power) if sign else x ** int(power)
 
-    m = Matrix.from_rows(PolyDomain(REG, QQ),
+    m = matrix_from_rows(PolyDomain(REG, QQ),
                          [[entry(v) for v in row] for row in rows])
     with pytest.raises(OverflowError):
         charpoly(m)

@@ -418,7 +418,7 @@ def zero_psi(build):
 def change_one_entry(complement):
     def broken(rep, fixed=0):
         rc = complement(rep, fixed)
-        m = rc.gen_mats[0].copy()
+        m = Matrix(rc.domain, [row[:] for row in rc.gen_mats[0].data])
         m.data[0][0] += 2   # on the hexagon, -1 becomes 1: still invertible
         return representation(rc.domain, [m, *rc.gen_mats[1:]])
     return broken

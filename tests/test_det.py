@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 from covertwist.domains import QI, QQ, GaussianRational
 from covertwist.errors import RegistryMismatchError
 from covertwist.matrix import Matrix, charpoly, det
-from covertwist.oracles import LEIBNIZ_BUDGET, det_leibniz
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import det_bareiss
+from builders import matrix_from_rows, poly_from_exponents
+from leibniz_reference import LEIBNIZ_BUDGET, det_leibniz
 
 REG = VarRegistry(("x", "y"))
 PQ = PolyDomain(REG, QQ)
@@ -29,7 +30,7 @@ gaussians = st.one_of(rationals, st.builds(GaussianRational, rationals,
                                            rationals))
 polys = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 1)),
                            rationals), min_size=1, max_size=2).map(
-    lambda terms: MultiPoly.from_exponents(REG, terms))
+    lambda terms: poly_from_exponents(REG, terms))
 
 
 def matrices(domain, entry, n_max=LEIBNIZ_BUDGET):
@@ -38,7 +39,7 @@ def matrices(domain, entry, n_max=LEIBNIZ_BUDGET):
     return st.integers(0, n_max).flatmap(
         lambda n: st.lists(st.lists(entry, min_size=n, max_size=n),
                            min_size=n, max_size=n)).map(
-        lambda rows: Matrix.from_rows(domain, rows))
+        lambda rows: matrix_from_rows(domain, rows))
 
 
 @SETTINGS
@@ -77,7 +78,7 @@ X, Y = (MultiPoly.variable(REG, v) for v in REG.names)
     (PQ, [[0, 0], [X, 1]]),
 ])
 def test_singular_is_exact_zero(domain, rows):
-    d = det(Matrix.from_rows(domain, rows))
+    d = det(matrix_from_rows(domain, rows))
     if domain is PQ:
         assert d == PQ.zero and not d.terms
     else:

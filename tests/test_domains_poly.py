@@ -21,6 +21,8 @@ from covertwist.errors import (
 )
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
+from builders import by_var, poly_from_exponents
+
 
 # gaussian rationals -------------------------------------------------------
 
@@ -191,7 +193,7 @@ def test_poly_eliminate_and_evaluate():
 def test_poly_by_var():
     reg, x, y = xy()
     p = x ** 2 * y + 2 * x + y
-    slices = p.by_var("x")
+    slices = by_var(p, "x")
     assert set(slices) == {0, 1, 2}
     yy = MultiPoly.variable(slices[0].reg, "y")
     assert slices[0] == yy
@@ -212,8 +214,8 @@ def polys_and_power(draw):
     coeffs = st.one_of(st.integers(-9, 9),
                        st.builds(Fraction, st.integers(-9, 9),
                                  st.integers(1, 5)))
-    p = MultiPoly.from_exponents(reg, draw(st.lists(st.tuples(exps, coeffs),
-                                                    max_size=8)))
+    p = poly_from_exponents(reg, draw(st.lists(st.tuples(exps, coeffs),
+                                               max_size=8)))
     name = draw(st.sampled_from(reg.names))
     used = sorted({reg.unpack(k)[reg.index(name)] for k in p.terms})
     power = draw(st.sampled_from(used) if used and draw(st.booleans())
@@ -226,7 +228,7 @@ def polys_and_power(draw):
 def test_coefficient_of_against_by_var(case):
     p, name, power = case
     got = p.coefficient_of(name, power)
-    want = p.by_var(name).get(power)
+    want = by_var(p, name).get(power)
     assert got.reg.names == tuple(n for n in p.reg.names if n != name)
     if want is None:
         assert got.is_zero
@@ -240,7 +242,7 @@ def test_coefficient_of_against_by_var(case):
 def test_eliminate_against_by_var(case, value):
     p, name, _ = case
     want = MultiPoly.zero(p.eliminate(name, value).reg)
-    for e, c in p.by_var(name).items():
+    for e, c in by_var(p, name).items():
         want = want + c * value ** e
     assert p.eliminate(name, value) == want
 

@@ -17,10 +17,11 @@ from covertwist.graphs import (
     path_concat,
     path_reverse,
     path_target,
-    relabel_vertices,
     validate_graph,
     validate_rotation,
 )
+
+from builders import relabel_vertices
 
 
 def triangle():

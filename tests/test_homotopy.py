@@ -13,8 +13,9 @@ from covertwist.homotopy import (
     presentation_from_tree,
     reduce_word,
     spanning_tree,
-    word_to_text,
 )
+
+from builders import word_to_text
 
 
 def test_reduce_word_cancels():

@@ -21,11 +21,11 @@ from covertwist.matrix import (
     pfaffian,
 )
 import covertwist.matrix as matrix_module
-from covertwist.oracles import det_leibniz
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
-from covertwist.randinst import random_int_matrix, random_skew_matrix
 
 from bareiss_reference import det_bareiss
+from builders import matrix_from_rows, random_int_matrix, random_skew_matrix
+from leibniz_reference import det_leibniz
 
 
 def test_identity_and_mul():
@@ -101,7 +101,7 @@ def test_charpoly_non_monic_kernel_result_raises(monkeypatch, kernel, domain):
         one = m.domain.one
         return [one] * m.nrows + [m.domain.add(one, one)]
     monkeypatch.setattr(matrix_module, kernel, doubled)
-    m = Matrix.from_rows(domain, [[1, 2], [3, 4]])
+    m = matrix_from_rows(domain, [[1, 2], [3, 4]])
     with pytest.raises(ArithmeticError, match="came out non-monic"):
         charpoly(m)
 

@@ -11,7 +11,6 @@ from covertwist.graphs import build_graph
 from covertwist.matrix import Matrix
 from covertwist.operators import symbolic_weights
 from covertwist.oracles import (
-    det_leibniz,
     enum_forests,
     enum_perfect_matchings,
     enum_spanning_trees,
@@ -21,9 +20,9 @@ from covertwist.oracles import (
     tree_sum,
 )
 from covertwist.poly import MultiPoly
-from covertwist.randinst import random_int_matrix
-
 from bareiss_reference import det_bareiss
+from builders import random_int_matrix
+from leibniz_reference import det_leibniz
 
 
 def c3():

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from covertwist.domains import GaussianRational
 from covertwist.poly import MultiPoly, VarRegistry, _coeff_div
 
+from builders import poly_from_exponents
+
 REG = VarRegistry(("x", "y", "z"))
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -42,7 +44,7 @@ def max_scan_div(a: MultiPoly, b: MultiPoly):
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return MultiPoly.from_exponents(reg, quotient)
+    return poly_from_exponents(reg, quotient)
 
 
 integers = st.integers(-6, 6)
@@ -55,7 +57,7 @@ exponents = st.tuples(*[st.integers(0, 3)] * 3)
 def polys(coeff=coefficients, min_size=0, max_size=6):
     return st.lists(st.tuples(exponents, coeff), min_size=min_size,
                     max_size=max_size).map(
-        lambda entries: MultiPoly.from_exponents(REG, entries))
+        lambda entries: poly_from_exponents(REG, entries))
 
 
 nonzero_polys = polys(min_size=1).filter(lambda p: not p.is_zero)
@@ -83,7 +85,7 @@ def test_against_max_scan(a, b, r):
 @SETTINGS
 @given(polys(max_size=10), exponents, coefficients.filter(bool))
 def test_monomial_divisors(a, exps, c):
-    b = MultiPoly.from_exponents(REG, [(exps, c)])
+    b = poly_from_exponents(REG, [(exps, c)])
     assert (a * b).exact_div(b) == a
     q = a.exact_div(b)
     assert q == max_scan_div(a, b)

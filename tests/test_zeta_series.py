@@ -26,6 +26,7 @@ from covertwist.representation import connection_from_rep, representation
 from covertwist.zeta import amitsur_check, l_series_inverse
 
 from bareiss_reference import det_bareiss
+from builders import by_var
 
 
 def small_graph(rng):
@@ -163,7 +164,7 @@ def power_sums_series(det_poly, length):
     """sum_{k <= length} p_k u^k / k from det(I - uB) = sum c_k u^k by
     Newton's identities p_k = -k c_k - sum_{i<k} c_i p_(k-i)."""
     reg = det_poly.reg
-    coeffs = det_poly.by_var("u")
+    coeffs = by_var(det_poly, "u")
     c = [coeffs[k].lift(reg) if k in coeffs else MultiPoly.zero(reg)
          for k in range(length + 1)]
     p = [None]
