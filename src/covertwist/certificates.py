@@ -27,16 +27,17 @@ cover's deck group) and dimer (M = K, the Kasteleyn-weighted adjacency;
 determinant factorization under an odd cyclic symmetry, det K read off
 the charpoly's constant coefficient): each takes its cover-side
 quantity from the split, with its whole witness.  kos, the torus product
-identity, still takes the cover determinant directly: its weights may
-be floating, which charpoly refuses.  Exact arithmetic throughout,
-except where roots of unity force the floating domain.
+identity, still takes the cover determinant directly, under an order
+budget, and compares it with the product of the character-twisted
+base determinants over Q(ζ_lcm(m, n)).  Exact arithmetic throughout:
+roots of unity are cyclotomic numbers.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .covering import (
     CosetData,
@@ -45,8 +46,9 @@ from .covering import (
     edge_voltage_cover,
     is_normal,
 )
-from .domains import CC, ComplexDomain, QQ
+from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
+    BudgetExceededError,
     CoverNotConnectedError,
     DivisionFailedError,
     DomainMismatchError,
@@ -74,7 +76,7 @@ from .operators import (
     lift_weights,
     twisted_adjacency,
 )
-from .oracles import matching_sum
+from .oracles import matching_sum, rooted_forest_sum_by_components
 from .poly import MultiPoly, PolyDomain, VarRegistry
 from .representation import (
     Connection,
@@ -96,12 +98,6 @@ def unoriented_values(g: Graph, x: EdgeWeights) -> list:
     return [x.values[e] for (e, _) in g.unoriented]
 
 
-def _lift_matrix(m: Matrix, dom) -> Matrix:
-    if m.domain is dom:
-        return m
-    return Matrix(dom, [[dom.coerce(v) for v in row] for row in m.data])
-
-
 # ---------------------------------------------------------------------------
 # the conjugation certificate
 
@@ -117,7 +113,6 @@ class ConjugacyCertificate:
     a_base: Matrix
     commutes: bool
     vertex_dets: tuple
-    max_deficit: float | None
     induced: InducedRep
 
     @property
@@ -184,17 +179,12 @@ def verify_main(p: CoveringMap, cd: CosetData, rho: Representation,
     a_base = operator(p.base, x, conn_base)
     psi = build_psi(p, cd, rho, ind)
     dets = psi_vertex_determinants(p, psi, rho.degree)
-    psi_op = _lift_matrix(psi, a_cover.domain)
+    dom = a_cover.domain
+    psi_op = psi if psi.domain is dom else Matrix(
+        dom, [[dom.coerce(v) for v in row] for row in psi.data])
     lhs = psi_op * a_cover
     rhs = a_base * psi_op
-    commutes = lhs.eq(rhs)
-    deficit = None
-    if isinstance(rho.domain, ComplexDomain):
-        deficit = max((abs(complex(a) - complex(b))
-                       for ra, rb in zip(lhs.data, rhs.data)
-                       for a, b in zip(ra, rb)), default=0.0)
-    return ConjugacyCertificate(psi, a_cover, a_base, commutes, dets, deficit,
-                                ind)
+    return ConjugacyCertificate(psi, a_cover, a_base, lhs.eq(rhs), dets, ind)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +351,11 @@ def cor1_certificate(p: CoveringMap, x: EdgeWeights,
 @dataclass(frozen=True)
 class Cor2Result:
     """The cover charpoly (lhs) against the product of the irreducible
-    charpolys (rhs).  With exact characters both are exact polynomials;
-    with floating ones both are tuples of values at the N + 1 roots of
-    unity z_k = e^{2πik/(N+1)}, N the cover's vertex count: lhs the
-    exact cover charpoly evaluated there, rhs Π_ρ det(z_k·I − A^ρ)^{deg ρ}
-    by LU."""
+    charpolys (rhs), both exact polynomials."""
 
-    exact: bool
     matches: bool
-    lhs: object
-    rhs: object
+    lhs: MultiPoly
+    rhs: MultiPoly
     factor_degrees: tuple[int, ...]
 
     @property
@@ -379,24 +364,16 @@ class Cor2Result:
 
 
 def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
-                     irreducibles: list[Representation] | None = None,
-                     rtol: float = 1e-9, atol: float = 1e-12) -> Cor2Result:
+                     irreducibles: list[Representation] | None = None
+                     ) -> Cor2Result:
     """charpoly(A_cover) = Π over irreducibles ρ of charpoly(A^ρ)^{deg ρ}.
 
-    Abelian deck groups generate their own character list; otherwise the
-    caller supplies the irreducibles (as representations of the base
-    loop group, one per conjugacy-class worth, Σ deg² = group order).
-    The cover charpoly is split_cover_charpoly's, so the factorization
-    holds only with its whole witness; no charpoly of order d·n is
-    taken.
-
-    Floating characters have no exact charpoly.  Both sides then have
-    degree N, the cover's vertex count, and are compared by their values
-    at the N + 1 roots of unity z_k, which are the discrete Fourier
-    transform of the coefficient vector: equal values mean equal
-    polynomials.  The comparison passes when every
-    |P(z_k) − R(z_k)| ≤ atol + rtol·s, s the largest |P(z_j)| or
-    |R(z_j)|, so the tolerance is norm-wise on the coefficients."""
+    Abelian deck groups generate their own character list, over
+    Q(ζ_N) for N the group exponent; otherwise the caller supplies the
+    irreducibles (as representations of the base loop group, one per
+    conjugacy-class worth, Σ deg² = group order).  The cover charpoly is
+    split_cover_charpoly's, so the factorization holds only with its
+    whole witness; no charpoly of order d·n is taken."""
     normal, galois = is_normal(p, pres)
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
@@ -409,36 +386,16 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     if total != galois.order:
         raise IrreducibleCountMismatchError(
             f"sum of squared degrees {total} != group order {galois.order}")
-    exact = all(r.domain.exact for r in irreducibles)
-    if not exact and isinstance(x.domain, PolyDomain):
-        raise DomainMismatchError(
-            "floating characters need numeric weights")
     split = split_cover_charpoly(
         p, coset_data(p, spanning_tree(p.base, p.base_vertex)), x,
         twisted_adjacency)
-    cp_cover = split.cover
-    degrees = tuple(r.degree for r in irreducibles)
-    if exact:
-        prod = None
-        for r in irreducibles:
-            a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
-            f = charpoly(a) ** r.degree
-            prod = f if prod is None else prod * f
-        return Cor2Result(True, split.ok and cp_cover == prod, cp_cover, prod,
-                          degrees)
-    n = p.cover.num_vertices
-    points = [cmath.exp(2j * cmath.pi * k / (n + 1)) for k in range(n + 1)]
-    lhs = tuple(complex(cp_cover.evaluate({"lambda": z})) for z in points)
-    rhs = [1 + 0j] * (n + 1)
+    prod = None
     for r in irreducibles:
-        a = _lift_matrix(twisted_adjacency(p.base, x,
-                                           connection_from_rep(pres, r)), CC)
-        eye = Matrix.identity(CC, a.nrows)
-        rhs = [v * det(eye.scale(z) - a) ** r.degree
-               for v, z in zip(rhs, points)]
-    bound = atol + rtol * max(map(abs, lhs + tuple(rhs)))
-    matches = split.ok and all(abs(u - v) <= bound for u, v in zip(lhs, rhs))
-    return Cor2Result(False, matches, lhs, tuple(rhs), degrees)
+        a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
+        f = charpoly(a) ** r.degree
+        prod = f if prod is None else prod * f
+    return Cor2Result(split.ok and split.cover == prod, split.cover, prod,
+                      tuple(r.degree for r in irreducibles))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +519,6 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights,
 def forest_coefficient_checks(g: Graph, x: EdgeWeights) -> list[tuple[int, bool]]:
     """Every Laplacian charpoly coefficient against the forest oracle:
     (−1)^{n−i}·c_i must equal the i-component rooted-forest sum."""
-    from .oracles import rooted_forest_sum_by_components
     P = charpoly(laplacian(g, x))
     n = g.num_vertices
     dom = x.domain
@@ -661,38 +617,48 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
 # the torus product identity
 
 
+# The cover determinant has order m·n·|V|; past this budget kos refuses
+# before building the cover.
+KOS_ORDER_BUDGET = 400
+
+
 @dataclass(frozen=True)
 class KosResult:
-    lhs: complex
-    rhs: complex
-    factors: tuple[complex, ...]
+    lhs: object
+    rhs: object
+    factors: tuple
     ok: bool
 
 
 def kos_certificate(g: Graph, z2_volt: tuple[tuple[int, int], ...],
-                    x: EdgeWeights, m: int, n: int,
-                    rtol: float = 1e-9, atol: float = 1e-12) -> KosResult:
+                    x: EdgeWeights, m: int, n: int) -> KosResult:
     """det of the m×n torus cover's adjacency against the product of the
-    character-twisted base determinants over all (z, w) root pairs."""
+    character-twisted base determinants over all pairs (z, w) of m-th
+    and n-th roots of unity, each exact in Q(ζ_lcm(m, n)).  The product
+    comes first, so that a field past its order budget stops the run
+    before the cover determinant."""
     if isinstance(x.domain, PolyDomain):
         raise DomainMismatchError("the torus identity is numeric; "
                                   "use rational or unit weights")
-    p = edge_voltage_cover(g, z2_volt, (m, n))
-    a_cover = twisted_adjacency(p.cover, lift_weights(p, x),
-                                trivial_connection(QQ, p.cover.num_edges))
-    lhs = complex(det(a_cover))
+    order = m * n * g.num_vertices
+    if order > KOS_ORDER_BUDGET:
+        raise BudgetExceededError(
+            f"torus cover determinant of order {order} exceeds the "
+            f"budget of {KOS_ORDER_BUDGET}")
+    big = lcm(m, n)
+    dom = cyclotomic_field(big)
     factors = []
-    rhs = 1 + 0j
+    rhs = 1
     for j in range(m):
-        z = cmath.exp(2j * cmath.pi * j / m)
         for k in range(n):
-            w = cmath.exp(2j * cmath.pi * k / n)
-            mats = tuple(
-                Matrix(CC, [[z ** z2_volt[e][0] * w ** z2_volt[e][1]]])
-                for e in range(g.num_edges))
-            a = twisted_adjacency(g, x, Connection(CC, 1, mats))
-            f = det(a)
+            # z = ζ^(j·L/m) and w = ζ^(k·L/n) for ζ = ζ_L, L = lcm(m, n)
+            mats = tuple(Matrix(dom, [[dom.coerce(root_of_unity(
+                big, a * j * (big // m) + b * k * (big // n)))]])
+                for a, b in z2_volt)
+            f = det(twisted_adjacency(g, x, Connection(dom, 1, mats)))
             factors.append(f)
-            rhs *= f
-    ok = abs(lhs - rhs) <= atol + rtol * max(abs(lhs), abs(rhs))
-    return KosResult(lhs, rhs, tuple(factors), ok)
+            rhs = dom.mul(rhs, f)
+    p = edge_voltage_cover(g, z2_volt, (m, n))
+    lhs = det(twisted_adjacency(p.cover, lift_weights(p, x),
+                                trivial_connection(QQ, p.cover.num_edges)))
+    return KosResult(lhs, rhs, tuple(factors), lhs == rhs)

@@ -16,9 +16,12 @@ lines until the next header.  `#` starts a comment anywhere.  Example:
       generator 0 = (0 1)
 
 Graphs may also be given as explicit `directed src tgt inv` triples.
-Numbers are exact: integers, fractions `p/q`, gaussian values `a+b*i`,
-or floating complex `a+b*j`.  Serialization normalizes every section,
-and parsing its own output reproduces the document.
+Numbers are exact: integers, fractions `p/q`, decimals `2.5` and `1e-3`
+(read as the fractions they name), gaussian values `a+b*i` (or `a+b*j`)
+and cyclotomic values `1/2*zeta_5^2-zeta_5^3`, sums of rational
+multiples of the roots of unity zeta_N = e^(2*pi*i/N).  Serialization
+normalizes every section, and parsing its own output reproduces the
+document.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covering import VoltageAssignment
-from .domains import CC, QI, QQ, GaussianRational, format_gaussian
-from .errors import ParseError, SemanticError
+from .domains import (QQ, GaussianRational, _norm_rat, domain_of,
+                      format_gaussian, root_of_unity)
+from .errors import InvalidRotationError, ParseError, SemanticError
 from .graphs import (
     DirectedGraph,
     Graph,
     RotationSystem,
+    build_graph,
     validate_graph,
     validate_rotation,
 )
@@ -67,32 +72,42 @@ def document_weights(doc: InputDocument) -> EdgeWeights:
         return symbolic_weights(g)
     if doc.weights_kind == "unit":
         return weights_from_unoriented(g, QQ, [Fraction(1)] * g.num_unoriented)
-    if doc.weights_kind == "rational":
-        return weights_from_unoriented(g, QQ, list(doc.weight_values))
-    return weights_from_unoriented(g, CC, [complex(v)
-                                           for v in doc.weight_values])
+    vals = list(doc.weight_values)
+    return weights_from_unoriented(g, domain_of(vals), vals)
 
 
 # ---------------------------------------------------------------------------
 # scalar lexing
 
 
-def parse_scalar(tok: str, line: int):
-    """int, Fraction, GaussianRational (i) or complex (j); exact when.
+# Decimal exponents are bounded like int's own digit limit, so that no
+# literal of a few bytes asks for an integer of gigabytes.
+MAX_DECIMAL_EXPONENT = 4300
 
-    Accepted forms: `3`, `-3/2`, `3+1/2*i`, `2-i`, `1.5+0.5*j`, `2.0`.
+
+def parse_scalar(tok: str, line: int):
+    """An exact scalar: int, Fraction, GaussianRational or Cyclotomic.
+
+    Accepted forms: `3`, `-3/2`, `2.5`, `1e-3`, `3+1/2*i`, `2-i`,
+    `1.5+0.5*j` (j reads as i), `1/2*zeta_5^2-zeta_5^3`: a sum of terms,
+    each a rational or a rational times i, j or zeta_N^k.  nan and inf
+    are not numbers here.
     """
     s = tok.replace(" ", "")
     if not s:
         raise ParseError(line, "empty number")
     try:
-        if "j" in s:
-            return complex(s.replace("*", ""))
-        if "i" in s:
-            return _parse_gaussian(s)
-        if "." in s or "e" in s or "E" in s:
-            return complex(float(s))
-        return _parse_rational(s)
+        try:
+            return _parse_rational(s)
+        except ValueError:
+            pass
+        total = 0
+        start = 0
+        for k in range(1, len(s) + 1):
+            if k == len(s) or s[k] in "+-" and s[k - 1] not in "eE*/^":
+                total = total + _parse_term(s[start:k])
+                start = k
+        return total
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(line, f"bad number {tok!r}: {exc}") from None
 
@@ -105,40 +120,41 @@ def _parse_rational(s: str):
     return int(s)
 
 
-def _parse_gaussian(s: str) -> GaussianRational:
-    # split a+b*i / a-b*i / b*i / i at the last top-level +/-
-    body = s
-    split_at = -1
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/*eE":
-            split_at = k
-            break
-    if "i" not in body:
-        raise ValueError("not a gaussian value")
-    if split_at == -1:
-        re_part, im_part = "0", body
+def _parse_term(t: str):
+    """One signed term: q, q*i, q*j or q*zeta_N^k, where the rational q
+    before a unit may be left out."""
+    sign = -1 if t[0] == "-" else 1
+    if t[0] in "+-":
+        t = t[1:]
+    if t.endswith(("i", "j")):
+        coef, unit = t[:-1], GaussianRational(0, 1)
+    elif "zeta_" in t:
+        coef, _, atom = t.partition("zeta_")
+        order, hat, power = atom.partition("^")
+        unit = root_of_unity(int(order), int(power) if hat else 1)
     else:
-        re_part, im_part = body[:split_at], body[split_at:]
-        if "i" not in im_part:
-            re_part, im_part = im_part, re_part  # weird orders rejected below
-    if "i" in re_part:
-        raise ValueError("two imaginary parts")
-    im_part = im_part.replace("*i", "").replace("i", "")
-    if im_part in ("", "+"):
-        im_part = "1"
-    elif im_part == "-":
-        im_part = "-1"
-    return GaussianRational(_parse_rational(re_part) if re_part else 0,
-                            _parse_rational(im_part))
+        return sign * _parse_decimal(t)
+    if coef.endswith("*"):
+        coef = coef[:-1]
+        if not coef:
+            raise ValueError("* without a coefficient")
+    return sign * (_parse_decimal(coef) if coef else 1) * unit
+
+
+def _parse_decimal(t: str):
+    """A rational written p/q or as a decimal, exactly."""
+    _, e, exponent = t.upper().partition("E")
+    if e and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return _norm_rat(Fraction(t))
 
 
 def format_scalar(v) -> str:
+    """Text that parse_scalar reads back as v, with no spaces."""
     if isinstance(v, GaussianRational):
         s = format_gaussian(v)
         return s[1:-1] if s.startswith("(") else s
-    if isinstance(v, complex):
-        return repr(v).strip("()")
-    return str(v)
+    return str(v)   # int, Fraction and Cyclotomic print without spaces
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +324,9 @@ def _parse_graph(num: int, body: list[tuple[int, str]]) -> Graph:
             raise SemanticError("; ".join(report.problems))
         return g
     try:
-        g = build_graph_checked(nv, pairs)
+        return build_graph(nv, pairs)
     except ValueError as exc:
         raise SemanticError(str(exc))
-    return g
-
-
-def build_graph_checked(nv: int, pairs) -> Graph:
-    from .graphs import build_graph
-    return build_graph(nv, pairs)
 
 
 def _per_unoriented(body, g: Graph, word: str, what: str) -> list[tuple[int, str]]:
@@ -411,14 +421,10 @@ def _parse_weights(num, body, g: Graph, out: dict) -> None:
     if kind in ("symbolic", "unit"):
         return
     entries = _per_unoriented(body, g, "value", "weight value")
-    vals = [parse_scalar(v, lnum) for lnum, v in entries]
-    if kind == "rational":
-        bad = [v for v in vals if isinstance(v, (complex, GaussianRational))]
-        if bad:
-            raise SemanticError("rational weights contain non-rational values")
-        out["weight_values"] = tuple(vals)
-    else:
-        out["weight_values"] = tuple(complex(v) for v in vals)
+    vals = tuple(parse_scalar(v, lnum) for lnum, v in entries)
+    if kind == "rational" and domain_of(vals) is not QQ:
+        raise SemanticError("rational weights contain non-rational values")
+    out["weight_values"] = vals
 
 
 def _parse_rotation(num, body, g: Graph) -> RotationSystem:
@@ -439,7 +445,6 @@ def _parse_rotation(num, body, g: Graph) -> RotationSystem:
     if missing:
         raise SemanticError(f"rotation missing at vertices {', '.join(missing)}")
     rot = RotationSystem(tuple(orders[v] for v in range(g.num_vertices)))
-    from .errors import InvalidRotationError
     try:
         validate_rotation(g, rot)
     except InvalidRotationError as exc:
@@ -529,15 +534,6 @@ def _parse_matrix(rows_text: str, line: int):
     return rows
 
 
-def _matrix_domain(matrices):
-    kinds = {type(v) for rows in matrices for row in rows for v in row}
-    if complex in kinds:
-        return CC, lambda v: complex(v)
-    if GaussianRational in kinds:
-        return QI, lambda v: QI.coerce(v)
-    return QQ, lambda v: QQ.coerce(v)
-
-
 def _parse_representation(num, body) -> Representation:
     mats: dict[int, tuple[int, list]] = {}
     for lnum, rest in _directive_lines(body, "generator"):
@@ -565,10 +561,10 @@ def _parse_representation(num, body) -> Representation:
             raise SemanticError(
                 f"line {mats[i][0]}: generator matrices must all be "
                 f"square of one size")
-    dom, conv = _matrix_domain(all_rows)
+    dom = domain_of([v for rows in all_rows for row in rows for v in row])
     try:
         return representation(
-            dom, [Matrix(dom, [[conv(v) for v in row] for row in rows])
+            dom, [Matrix(dom, [[dom.coerce(v) for v in row] for row in rows])
                   for rows in all_rows])
     except (ValueError, ZeroDivisionError) as exc:
         raise SemanticError(f"representation is not invertible: {exc}")

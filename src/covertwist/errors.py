@@ -144,10 +144,6 @@ class BudgetExceededError(CovertwistError):
     """Requested size exceeds a documented enumeration budget."""
 
 
-class TooLargeError(BudgetExceededError):
-    """Oracle input exceeds its documented size cap."""
-
-
 class ParseError(CovertwistError):
     """Input document is malformed; carries a 1-based line number."""
 

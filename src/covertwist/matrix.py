@@ -17,16 +17,15 @@ characteristic polynomials alike:
   The Hessenberg kernel skips zero entries in its reduction and runs
   its recurrence on packed integers, one coefficient per bit field.
 * Characteristic polynomials of matrices with polynomial entries take
-  the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x]
-  or QQ(i)[x]): inner products and convolutions only, no division, and
-  the charpoly variable is adjoined only to the finished coefficients.
+  the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x],
+  QQ(i)[x] or Q(zeta_N)[x]): inner products and convolutions only, no
+  division, and the charpoly variable is adjoined only to the finished
+  coefficients.  Berkowitz works over any commutative ring, so a
+  matrix over a cyclotomic field Q(zeta_N) takes it too, as constant
+  polynomials in no variable.
 * Exact determinants are read off those kernels: det(m) = (-1)^n * c_0
   for the constant coefficient c_0 of det(x*I - m), so they carry the
   same proved bound, and the polynomial kernel adjoins no variable.
-* The floating complex domain has one kernel, partially pivoted LU,
-  and only det takes it: charpoly and pfaffian refuse floating
-  matrices.  Callers that need a floating charpoly compare its values
-  det(z*I - m) at chosen points instead.
 * Series determinants det(I - u*B) of the zeta layer are not computed
   here as determinants over QQ[u]: zeta reverses charpoly(B, "u"), since
   det(I - u*B) = u^n * charpoly(B)(1/u), so they take the charpoly route
@@ -37,10 +36,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
-from .domains import (GaussianRational, GaussianRationalDomain,
-                      RationalDomain, _norm_rat)
+from .domains import (CyclotomicDomain, GaussianRational,
+                      GaussianRationalDomain, RationalDomain, _norm_rat)
 from .errors import (
     DomainMismatchError,
     NotSkewSymmetricError,
@@ -195,29 +195,6 @@ def direct_sum_matrices(a: Matrix, b: Matrix) -> Matrix:
     out = [row[:] + [z] * b.ncols for row in a.data]
     out += [[z] * a.ncols + row[:] for row in b.data]
     return Matrix(a.domain, out)
-
-
-def _det_lu(m: Matrix):
-    dom = m.domain
-    n = m.nrows
-    a = [[complex(x) for x in row] for row in m.data]
-    det = 1 + 0j
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if abs(a[pivot_row][k]) == 0.0:
-            return 0j
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        akk = a[k][k]
-        det *= akk
-        for i in range(k + 1, n):
-            f = a[i][k] / akk
-            if f == 0:
-                continue
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +506,11 @@ def _charpoly_coeffs(m: Matrix) -> list:
         return _charpoly_multimodular(m)
     if isinstance(dom, PolyDomain):
         return _charpoly_berkowitz(m)
-    raise DomainMismatchError(
-        "exact characteristic polynomials need an exact domain; "
-        "floating matrices have only det")
+    if isinstance(dom, CyclotomicDomain):
+        consts = PolyDomain(VarRegistry(()), dom)
+        return [c.constant_value()
+                for c in _charpoly_berkowitz(Matrix(consts, m.data))]
+    raise DomainMismatchError(f"no charpoly kernel for {dom!r}")
 
 
 def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
@@ -539,10 +518,10 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
 
     QQ and QQ(i) matrices take the multi-modular Hessenberg route above,
     whose prime count comes from a proved coefficient bound.  Matrices
-    with polynomial entries take the division-free Berkowitz recurrence
-    over their own ring; var is adjoined to its n + 1 coefficients at
-    the end.  Floating matrices are rejected: their one kernel is det's
-    LU.  Either way the result must come out monic.
+    with polynomial or cyclotomic entries take the division-free
+    Berkowitz recurrence over their own ring; var is adjoined to its
+    n + 1 coefficients at the end.  Either way the result must come out
+    monic.
     """
     if not m.is_square():
         raise NotSquareError("characteristic polynomial of a non-square matrix")
@@ -561,22 +540,19 @@ def charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
 def det(m: Matrix):
     """Determinant, (-1)^n times the constant coefficient of the charpoly.
 
-    Exact domains take their charpoly kernel: Hessenberg modulo primes
+    Each domain takes its charpoly kernel: Hessenberg modulo primes
     whose product exceeds twice the proved Hadamard bound, for QQ and
-    QQ(i), and the division-free Berkowitz recurrence for polynomial
-    entries.  No variable is adjoined, so entries may already hold
-    lambda.  The floating domain uses pivoted LU."""
+    QQ(i), and the division-free Berkowitz recurrence for polynomial and
+    cyclotomic entries.  No variable is adjoined, so entries may already
+    hold lambda."""
     if not m.is_square():
         raise NotSquareError("determinant of a non-square matrix")
-    dom = m.domain
-    if not dom.exact:
-        return _det_lu(m)
     c0 = _charpoly_coeffs(m)[0]
-    return dom.neg(c0) if m.nrows % 2 else c0
+    return m.domain.neg(c0) if m.nrows % 2 else c0
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse over a field domain (QQ, QQ(i), CC) by Gauss-Jordan."""
+    """Inverse over a field domain (QQ, QQ(i), Q(zeta_N)) by Gauss-Jordan."""
     if not m.is_square():
         raise NotSquareError("inverse of a non-square matrix")
     dom = m.domain
@@ -607,15 +583,11 @@ def inverse(m: Matrix) -> Matrix:
 
 def _pfaffian_exact(m: Matrix):
     dom = m.domain
-    n = m.nrows
-    if n == 0:
-        return dom.one
     data = m.data
-    from functools import lru_cache
-
     mul = dom.mul
     is_zero = dom.is_zero
 
+    @cache
     def pf(active: tuple[int, ...]):
         if not active:
             return dom.one
@@ -627,26 +599,19 @@ def _pfaffian_exact(m: Matrix):
             x = data[i0][j]
             if not is_zero(x):
                 sub = rest[:t] + rest[t + 1:]
-                term = mul(x, _pf_cached(sub))
+                term = mul(x, pf(sub))
                 acc = dom.add(acc, term if sgn > 0 else dom.neg(term))
             sgn = -sgn
         return acc
 
-    @lru_cache(maxsize=None)
-    def _pf_cached(active: tuple[int, ...]):
-        return pf(active)
-
-    return pf(tuple(range(n)))
+    return pf(tuple(range(m.nrows)))
 
 
 def pfaffian(m: Matrix):
     """Pfaffian of a skew-symmetric matrix; sign convention Pf([[0,a],[-a,0]]) = a.
 
-    Exact domains only: recursive first-row expansion with memoization,
-    capped at 16x16.  Floating matrices are rejected, as by charpoly.
+    Recursive first-row expansion with memoization, capped at 16x16.
     """
-    if not m.domain.exact:
-        raise DomainMismatchError("pfaffians need an exact domain")
     if not m.is_square():
         raise NotSquareError("pfaffian of a non-square matrix")
     if m.nrows % 2 != 0:

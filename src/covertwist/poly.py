@@ -6,9 +6,9 @@ integer addition and graded-lex comparison is integer comparison, which
 keeps fraction-free elimination over these rings fast enough for the
 symbolic covers handled here.
 
-Coefficients are int, Fraction or GaussianRational; zero coefficients
-are never stored, so the zero polynomial has an empty term dict and
-equality is plain dict comparison.
+Coefficients are int, Fraction, GaussianRational or Cyclotomic; zero
+coefficients are never stored, so the zero polynomial has an empty term
+dict and equality is plain dict comparison.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .domains import (GaussianRational, coeff_is_integer, format_gaussian,
-                      _norm_rat, _rat_div)
-from .errors import (DivisionByZeroPolyError, DomainMismatchError,
-                     RegistryMismatchError)
+from .domains import (QQ, Cyclotomic, GaussianRational, _Field, _rat_div,
+                      coeff_is_integer, format_gaussian)
+from .errors import DivisionByZeroPolyError, RegistryMismatchError
 
 VAR_BITS = 16
 VAR_MASK = (1 << VAR_BITS) - 1
@@ -116,6 +115,10 @@ class VarRegistry:
         return f"VarRegistry{self.names}"
 
 
+# Fraction last: isinstance against its ABC is slow
+_SCALARS = (int, GaussianRational, Cyclotomic, Fraction)
+
+
 def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
     if a.reg.names != b.reg.names:
         raise RegistryMismatchError(
@@ -123,14 +126,10 @@ def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
 
 
 def _coeff_div(a, b):
-    """Exact coefficient division in QQ or QQ(i)."""
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        ga = a if isinstance(a, GaussianRational) else GaussianRational(a)
-        out = ga / b
-        if out.im == 0:
-            return _norm_rat(out.re)
-        return out
-    return _rat_div(a, b)
+    """Exact coefficient division in QQ, QQ(i) or Q(zeta_N)."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return _rat_div(a, b)
+    return a / b
 
 
 def _add_product(out: dict, a: dict, b: dict, shift: int) -> None:
@@ -279,7 +278,7 @@ class MultiPoly:
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction, GaussianRational)):
+            if isinstance(other, _SCALARS):
                 other = MultiPoly.const(self.reg, other)
             else:
                 return NotImplemented
@@ -304,7 +303,7 @@ class MultiPoly:
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction, GaussianRational)):
+            if isinstance(other, _SCALARS):
                 other = MultiPoly.const(self.reg, other)
             else:
                 return NotImplemented
@@ -315,7 +314,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction, GaussianRational)):
+            if isinstance(other, _SCALARS):
                 if not other:
                     return MultiPoly(self.reg, {})
                 return MultiPoly(self.reg,
@@ -399,20 +398,6 @@ class MultiPoly:
 
     # ---- substitution ----
 
-    def evaluate(self, values: dict):
-        """Evaluate with a scalar for every variable; returns a scalar."""
-        vals = [values[name] for name in self.reg.names]
-        shifts = self.reg._shifts
-        total = 0
-        for k, c in self.terms.items():
-            term = c
-            for v, sh in zip(vals, shifts):
-                e = (k >> sh) & VAR_MASK
-                if e:
-                    term = term * v ** e
-            total = total + term
-        return total
-
     def eliminate(self, name: str, value) -> "MultiPoly":
         """Substitute a scalar for one variable; result drops that variable."""
         new_reg, cut = self.reg.without_var(name)
@@ -491,12 +476,13 @@ class MultiPoly:
                     text = factor[field] = name if e == 1 else f"{name}^{e}"
                 factors.append(text)
             mono = "*".join(factors)
-            if isinstance(c, GaussianRational):
-                if c.im != 0:
-                    cs = format_gaussian(c)
-                    parts.append(f" + {cs}*{mono}" if mono else f" + {cs}")
-                    continue
+            if isinstance(c, GaussianRational) and not c.im:
                 c = c.re
+            elif not isinstance(c, (int, Fraction)):   # nonreal or irrational
+                cs = (format_gaussian(c) if isinstance(c, GaussianRational)
+                      else f"({c})")
+                parts.append(f" + {cs}*{mono}" if mono else f" + {cs}")
+                continue
             neg = c < 0
             ms = str(-c if neg else c)   # a Fraction n/1 prints as n
             if not mono:
@@ -514,18 +500,13 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()})"
 
 
-class PolyDomain:
-    """Polynomial ring over an exact scalar domain, as a matrix domain."""
-
-    exact = True
+class PolyDomain(_Field):
+    """Polynomial ring over a scalar domain, as a matrix domain: the
+    scalar domains' operators, with its own zero, one and units."""
 
     def __init__(self, reg: VarRegistry, coeff=None):
-        from .domains import QQ
         self.reg = reg
         self.coeff = coeff if coeff is not None else QQ
-        if not self.coeff.exact:
-            raise DomainMismatchError(
-                "polynomial coefficients require an exact domain")
         self.zero = MultiPoly.zero(reg)
         self.one = MultiPoly.one(reg)
         self.name = f"{self.coeff.name}[{', '.join(reg.names)}]"
@@ -537,21 +518,6 @@ class PolyDomain:
             return x.lift(self.reg)
         return MultiPoly.const(self.reg, self.coeff.coerce(x))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def eq(self, a, b):
-        return a == b
-
     def is_zero(self, a):
         return a.is_zero
 
@@ -559,6 +525,3 @@ class PolyDomain:
         if not a.is_constant() or a.is_zero:
             raise ZeroDivisionError("only nonzero constants invert in a polynomial ring")
         return MultiPoly.const(self.reg, _coeff_div(1, a.constant_value()))
-
-    def __repr__(self):
-        return self.name

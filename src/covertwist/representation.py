@@ -4,14 +4,14 @@ A representation assigns an invertible matrix to each free generator of
 a presentation.  Connections realize representations edgewise, induced
 representations push a cover representation down to the base through
 coset words, and abelian fiber groups get their full character family
-in the smallest exact domain that contains the needed roots of unity.
+over Q(zeta_N), N the group exponent: QQ for N <= 2, QQ(i) for N = 4
+and the cyclotomic field otherwise, so every character value is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from math import gcd, prod
+from math import lcm, prod
 
 from .covering import (
     CosetData,
@@ -23,7 +23,7 @@ from .covering import (
     perm_identity,
     perm_inverse,
 )
-from .domains import CC, QI, QQ, GaussianRational
+from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
     DomainMismatchError,
     InternalCosetError,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import Path, check_loop
 from .homotopy import FreeWord, Pi1Presentation, concat_words, invert_word
-from .matrix import Matrix, inverse
+from .matrix import Matrix, direct_sum_matrices, inverse
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
         raise DomainMismatchError(f"{r1.domain!r} vs {r2.domain!r}")
     if r1.rank != r2.rank:
         raise ValueError("generator counts differ")
-    from .matrix import direct_sum_matrices
     mats = tuple(direct_sum_matrices(a, b)
                  for a, b in zip(r1.gen_mats, r2.gen_mats))
     invs = tuple(direct_sum_matrices(a, b)
@@ -337,20 +336,6 @@ def _diagonalize_relations(rows: list[list[int]], r: int):
     return diag, u
 
 
-def _root_of_unity(order: int, power: int, domain):
-    power %= order
-    if domain is CC:
-        return cmath.exp(2j * cmath.pi * power / order)
-    if order == 1 or power == 0:
-        return domain.one
-    if order == 2:
-        return -1
-    if order == 4:
-        return (GaussianRational(0, 1), GaussianRational(-1, 0),
-                GaussianRational(0, -1))[power - 1]
-    raise ValueError(f"order {order} needs the floating domain")
-
-
 def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
     """Characters via a cyclic decomposition of the relation lattice of
     the generators.  The table is verified on construction: each map is
@@ -392,15 +377,7 @@ def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
     if prod(diag) != order:
         raise InternalCosetError("cyclic decomposition misses the group order")
 
-    exponent = 1
-    for d in diag:
-        exponent = exponent * d // gcd(exponent, d)
-    if exponent in (1, 2):
-        domain = QQ
-    elif exponent == 4 and all(d in (1, 2, 4) for d in diag):
-        domain = QI
-    else:
-        domain = CC
+    domain = cyclotomic_field(lcm(*diag))
 
     def char_value(t: tuple[int, ...], vec: tuple[int, ...]):
         y = [sum(u[j][i] * vec[i] for i in range(r)) for j in range(r)]
@@ -408,7 +385,7 @@ def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
         for j, d in enumerate(diag):
             if d == 1:
                 continue
-            val = domain.mul(val, _root_of_unity(d, t[j] * y[j], domain))
+            val = domain.mul(val, domain.coerce(root_of_unity(d, t[j] * y[j])))
         return val
 
     tuples = [()]

@@ -11,8 +11,8 @@ The operator B is built over the weights' domain (unified with the
 representation's), and the series determinant is the reversed
 characteristic polynomial det(I - u*B) = u^n * chi_B(1/u): scalar
 weights with a QQ or QQ(i) representation take the multi-modular
-charpoly, polynomial weights the division-free Berkowitz charpoly over
-their own ring.
+charpoly, polynomial weights or a Q(zeta_N) representation the
+division-free Berkowitz charpoly over their own ring.
 The log-derivative check likewise takes traces of powers of B over the
 weights' domain and attaches u^k only when it sums the two sides.
 """
@@ -396,8 +396,5 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
 
 def QQ_of(x: EdgeWeights):
     """Scalar domain usable for untwisted connections alongside x."""
-    from .domains import QQ
     dom = x.domain
-    if isinstance(dom, PolyDomain):
-        return dom.coeff
-    return dom if dom.exact else QQ
+    return dom.coeff if isinstance(dom, PolyDomain) else dom

@@ -2,7 +2,8 @@
 
 The program takes every exact determinant and characteristic polynomial
 from one kernel per kind of domain: multi-modular Hessenberg over QQ and
-QQ(i), the division-free Berkowitz recurrence over polynomial rings.
+QQ(i), the division-free Berkowitz recurrence over polynomial rings and
+cyclotomic fields.
 Bareiss elimination shares no code with either, so tests compare the
 kernels against it.  Its divisions are exact in any integral domain;
 the exact division and the pivot-size hint it needs live here, since
@@ -12,7 +13,7 @@ the domains no longer carry them.
 from fractions import Fraction
 from functools import partial
 
-from covertwist.domains import GaussianRational, _rat_div
+from covertwist.domains import Cyclotomic, GaussianRational, _rat_div
 from covertwist.matrix import Matrix
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
@@ -24,9 +25,9 @@ def _exact_div(dom, a, b):
         if q is None:
             raise ArithmeticError("division expected to be exact left a remainder")
         return q
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        ga = a if isinstance(a, GaussianRational) else GaussianRational(a)
-        return dom.coerce(ga / b)
+    if isinstance(a, (GaussianRational, Cyclotomic)) or \
+            isinstance(b, (GaussianRational, Cyclotomic)):
+        return dom.coerce(a / b)
     if not b:
         raise ZeroDivisionError(f"division by 0 in {dom!r}")
     return _rat_div(a, b)
@@ -38,6 +39,8 @@ def _size(dom, a):
         return len(a.terms)
     if isinstance(a, GaussianRational):
         return (abs(a.re.numerator) + abs(a.im.numerator)).bit_length()
+    if isinstance(a, Cyclotomic):
+        return sum(_size(dom, c) for c in a.c)
     n = a.numerator if isinstance(a, Fraction) else a
     return abs(n).bit_length()
 

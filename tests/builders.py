@@ -32,6 +32,16 @@ def random_skew_matrix(rng: random.Random, n: int, bound: int = 9) -> Matrix:
     return Matrix(QQ, data)
 
 
+def evaluate(poly: MultiPoly, values: dict):
+    """The scalar poly takes with a scalar for every variable."""
+    total = 0
+    for key, c in poly.terms.items():
+        for name, e in zip(poly.reg.names, poly.reg.unpack(key)):
+            c = c * values[name] ** e
+        total = total + c
+    return total
+
+
 def matrix_from_rows(domain, rows) -> Matrix:
     """The matrix of rows, each entry coerced into domain."""
     data = [[domain.coerce(x) for x in row] for row in rows]

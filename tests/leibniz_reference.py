@@ -6,7 +6,7 @@ program's kernels, and its budget keeps it to order 7.
 
 from itertools import permutations
 
-from covertwist.errors import TooLargeError
+from covertwist.errors import BudgetExceededError, NotSquareError
 from covertwist.matrix import Matrix
 
 LEIBNIZ_BUDGET = 7
@@ -16,9 +16,9 @@ def det_leibniz(m: Matrix):
     """Determinant by signed permutation expansion; small matrices only."""
     n = m.nrows
     if n != m.ncols:
-        raise TooLargeError("leibniz expansion needs a square matrix")
+        raise NotSquareError("leibniz expansion needs a square matrix")
     if n > LEIBNIZ_BUDGET:
-        raise TooLargeError(
+        raise BudgetExceededError(
             f"{n}x{n} exceeds the {LEIBNIZ_BUDGET}x{LEIBNIZ_BUDGET} "
             "expansion budget")
     dom = m.domain

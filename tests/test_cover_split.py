@@ -11,7 +11,6 @@ no certificate may take a charpoly or determinant at the cover's order.
 Broken witness parts must turn the documented report lines to FAIL.
 """
 
-import cmath
 from fractions import Fraction
 
 import pytest
@@ -36,7 +35,8 @@ from covertwist.covering import (
     edge_voltage_cover,
     identity_cover,
 )
-from covertwist.domains import QQ
+from covertwist.docio import parse_input
+from covertwist.domains import QQ, CyclotomicDomain
 from covertwist.graphs import (
     build_graph,
     default_rotation,
@@ -52,6 +52,7 @@ from covertwist.operators import (
     lift_weights,
     symbolic_weights,
     twisted_adjacency,
+    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.poly import MultiPoly
@@ -61,12 +62,14 @@ from covertwist.representation import (
     trivial_connection,
     trivial_representation,
 )
+from covertwist.zeta import artin_axioms
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 DEGREES = pytest.mark.parametrize("d", [1, 2, 3, 4])
 KINDS = pytest.mark.parametrize("kind", ["integer", "rational", "symbolic"])
 C3 = "sample_inputs/c3.txt"
 DIMER = "sample_inputs/dimer_c4.txt"
+Z6 = "sample_inputs/z6_bouquet.txt"
 
 
 def direct_charpoly(p, x, operator):
@@ -210,11 +213,10 @@ def check_trees(strategy, data):
 
 
 @pytest.mark.parametrize("d, kind", [
-    (d, kind) for d in (1, 2, 3, 4)
-    for kind in ("integer", "rational", "symbolic")
-    # cube roots of unity refuse symbolic weights
-    if (d, kind) != (3, "symbolic")])
+    (d, kind) for d in (1, 2, 3, 4, 5, 6)
+    for kind in ("integer", "rational", "symbolic")])
 def test_cor2_matches_the_direct_route(d, kind):
+    # characters of ℤ/3, ℤ/5 and ℤ/6 take Q(ζ_d), of ℤ/4 QQ(i)
     check_cor2(covers(d, kind, cyclic=True))
 
 
@@ -225,23 +227,12 @@ def check_cor2(strategy, data):
     cover = direct_charpoly(p, x, twisted_adjacency)
     res = cor2_certificate(p, fundamental_presentation(p.base, 0), x)
     assert res.ok
-    if res.exact:
-        assert res.lhs == cover
-    else:
-        # the direct charpoly sums its terms in another order, so the
-        # values agree up to rounding: to 1e-12 of the coefficients' size
-        n = p.cover.num_vertices
-        expected = [complex(cover.evaluate(
-                        {"lambda": cmath.exp(2j * cmath.pi * k / (n + 1))}))
-                    for k in range(n + 1)]
-        size = sum(abs(c) for c in cover.terms.values())
-        assert list(res.lhs) == pytest.approx(expected, rel=0,
-                                              abs=1e-12 * size)
+    assert res.lhs == res.rhs == cover
 
 
 # edges 0–1, 0–2 and a loop at 0, ℤ/3 voltage on the loop: the cover
 # charpoly's coefficients reach 17576, and its λ^4 coefficient is 0
-COR2_FLOATING = """graph:
+COR2_CUBE_ROOTS = """graph:
   vertices = 3
   edge 0 1
   edge 0 2
@@ -260,24 +251,24 @@ voltage:
 def perturb_characters(build):
     def perturbed(g, x, c):
         a = build(g, x, c)
-        if not a.domain.exact:   # the character-twisted base operators
-            a.data[0][0] += 1e-6
+        if isinstance(a.domain, CyclotomicDomain):   # twisted by a character
+            a.data[0][0] += 1
         return a
     return perturbed
 
 
 @pytest.mark.parametrize("perturbed, code, verdict", [
     (False, 0, "pass"), (True, 1, "FAIL")])
-def test_cor2_floating_at_default_tolerances(capsys, monkeypatch, tmp_path,
-                                             perturbed, code, verdict):
+def test_cor2_exact_over_cube_roots(capsys, monkeypatch, tmp_path,
+                                    perturbed, code, verdict):
     path = tmp_path / "cor2.txt"
-    path.write_text(COR2_FLOATING, encoding="utf-8")
+    path.write_text(COR2_CUBE_ROOTS, encoding="utf-8")
     if perturbed:
         monkeypatch.setattr(certificates, "twisted_adjacency",
                             perturb_characters(certificates.twisted_adjacency))
     assert main(["cor2", "--input", str(path)]) == code
     out = capsys.readouterr().out
-    assert f"check factorization within tolerance: {verdict}" in out
+    assert f"check factorization exact: {verdict}" in out
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -357,20 +348,22 @@ def test_complement_of_degree_one_has_degree_zero():
 
 
 def record_orders(monkeypatch):
-    """The orders of the matrices whose charpoly or determinant is taken,
-    exactly or by floating LU, from here on; Pfaffians are not seen."""
+    """The orders of the matrices whose charpoly or determinant is taken
+    from here on; Pfaffians are not seen."""
     orders = []
-    for name in ("_charpoly_coeffs", "_det_lu"):
-        def recording(m, kernel=getattr(matrix, name)):
-            orders.append(m.nrows)
-            return kernel(m)
-        monkeypatch.setattr(matrix, name, recording)
+    kernel = matrix._charpoly_coeffs
+
+    def recording(m):
+        orders.append(m.nrows)
+        return kernel(m)
+    monkeypatch.setattr(matrix, "_charpoly_coeffs", recording)
     return orders
 
 
 @pytest.mark.parametrize("command, weights, order", [
     ("cor2", C3, 6),
-    ("cor2", "unit", 12),   # cube roots of unity: the floating branch
+    ("cor2", DIMER, 12),    # cube roots of unity, symbolic weights
+    ("cor2", "unit", 12),
     ("dimer", DIMER, 12)])
 def test_no_cover_order_charpoly_or_det(capsys, monkeypatch, tmp_path,
                                         command, weights, order):
@@ -386,12 +379,45 @@ def test_no_cover_order_charpoly_or_det(capsys, monkeypatch, tmp_path,
     assert orders and max(orders) < order, orders
 
 
-def test_cor2_refuses_floating_characters_before_any_charpoly(
-        capsys, monkeypatch):
-    orders = record_orders(monkeypatch)
-    assert main(["cor2", "--input", DIMER]) == 2
-    assert "floating characters" in capsys.readouterr().err
-    assert orders == []
+def test_cor2_on_the_symbolic_triangle_over_cube_roots():
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
+    pres = fundamental_presentation(g, 0)
+    p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0),)))
+    x = symbolic_weights(g)
+    res = cor2_certificate(p, pres, x)
+    assert res.ok
+    assert res.lhs == res.rhs == direct_charpoly(p, x, twisted_adjacency)
+
+
+@pytest.mark.parametrize("weights", [symbolic_weights, unit_weights])
+def test_z6_bouquet_certifies_artin_and_cor2(weights):
+    # sixth roots of unity: every character over Q(ζ_6)
+    with open(Z6, encoding="utf-8") as fh:
+        doc = parse_input(fh.read())
+    g = doc.graph
+    pres = fundamental_presentation(g, 0)
+    p = build_cover(pres, doc.voltage)
+    x = weights(g)
+    res = artin_axioms(p, pres, doc.subgroup, x)
+    assert (res.identity_axiom and res.additivity_axiom
+            and res.inflation_axiom and res.induction_axiom)
+    assert (res.group_order, res.subgroup_order) == (6, 2)
+    cor2 = cor2_certificate(p, pres, x)
+    assert cor2.ok
+    assert cor2.lhs == cor2.rhs == direct_charpoly(p, x, twisted_adjacency)
+
+
+def test_cor2_on_dimer_c4_matches_the_direct_route():
+    # the ℤ/3 cover of the 4-cycle with symbolic weights, over Q(ζ_3)[x]
+    with open(DIMER, encoding="utf-8") as fh:
+        doc = parse_input(fh.read())
+    g = doc.graph
+    p = edge_voltage_cover(g, tuple((b,) for b in doc.zd_voltages),
+                           (doc.zd_modulus,))
+    x = symbolic_weights(g)
+    res = cor2_certificate(p, fundamental_presentation(g, 0), x)
+    assert res.ok
+    assert res.lhs == res.rhs == direct_charpoly(p, x, twisted_adjacency)
 
 
 # ---------------------------------------------------------------------------

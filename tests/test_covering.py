@@ -31,7 +31,6 @@ from covertwist.graphs import build_graph, is_connected, validate_graph
 from covertwist.homotopy import (
     concat_words,
     fundamental_presentation,
-    invert_word,
     reduce_word,
     spanning_tree,
 )

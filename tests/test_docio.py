@@ -14,7 +14,7 @@ from covertwist.docio import (
     render_report,
     serialize_input,
 )
-from covertwist.domains import GaussianRational
+from covertwist.domains import GaussianRational, root_of_unity
 from covertwist.errors import ParseError, SemanticError
 
 C3_DOC = """\
@@ -210,7 +210,20 @@ def test_parse_scalar_table():
     assert parse_scalar("-i", 1) == GaussianRational(0, -1)
     assert parse_scalar("1/2-1/3i", 1) == GaussianRational(
         Fraction(1, 2), Fraction(-1, 3))
-    assert parse_scalar("2.5+0.5j", 1) == complex(2.5, 0.5)
+    # decimals read exactly, and j reads as i
+    assert parse_scalar("2.5+0.5j", 1) == GaussianRational(
+        Fraction(5, 2), Fraction(1, 2))
+    assert parse_scalar("0.1", 1) == Fraction(1, 10)
+    assert parse_scalar("1e999", 1) == 10 ** 999
+    assert parse_scalar("-2.5E-1", 1) == Fraction(-1, 4)
+    z5 = root_of_unity(5)
+    assert parse_scalar("1/2*zeta_5^2-zeta_5^3", 1) == (
+        Fraction(1, 2) * z5 ** 2 - z5 ** 3)
+    assert parse_scalar("zeta_5^-1", 1) == z5 ** 4
+    assert parse_scalar("zeta_6^3", 1) == -1
+    assert parse_scalar("zeta_4", 1) == GaussianRational(0, 1)
+    assert parse_scalar("1+i+zeta_3", 1) == 1 + GaussianRational(0, 1) + (
+        root_of_unity(3))
 
 
 def test_parse_scalar_rejects_garbage():
@@ -218,12 +231,21 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("spam", 3)
     with pytest.raises(ParseError):
         parse_scalar("1/0", 3)
+    for text in ("nan", "inf", "-inf", "nanj", "1+infj", "Infinity",
+                 "1e5000", "*i", "zeta_0", "zeta_5^", "2*-zeta_5"):
+        with pytest.raises(ParseError):
+            parse_scalar(text, 3)
 
 
 def test_format_scalar_round_trips():
+    z = root_of_unity(12)
     for v in (5, Fraction(-2, 3), GaussianRational(1, -1),
-              GaussianRational(0, 1), GaussianRational(Fraction(1, 2), 3)):
-        assert parse_scalar(format_scalar(v), 1) == v
+              GaussianRational(0, 1), GaussianRational(Fraction(1, 2), 3),
+              root_of_unity(5), -Fraction(1, 3) * z ** 3 + 2 * z - 7,
+              root_of_unity(7, 3) - Fraction(5, 2)):
+        text = format_scalar(v)
+        assert " " not in text   # matrix entries split at spaces
+        assert parse_scalar(text, 1) == v
 
 
 # ---------------------------------------------------------------------------

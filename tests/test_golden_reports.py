@@ -1,10 +1,9 @@
 """Golden reports: stdout and exit code of every subcommand on every
 sample input, and of the seeded suites, pinned byte for byte.
 
-A report with a floating data line (the kos determinants, verify-main's
-max deficit) pins only its exit code and its check lines, since the last
-digits of a float move with the order of its arithmetic.  After a
-deliberate report change, regenerate from the repository root with
+Every value in a report is exact, so every report is pinned in full.
+After a deliberate report change, regenerate from the repository root
+with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -23,8 +22,6 @@ from covertwist.cli import _HANDLERS, _SUITE_COMMANDS, main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SAMPLES = sorted((ROOT / "sample_inputs").glob("*.txt"))
-FLOATING_DATA = ("  cover determinant = ", "  character product = ",
-                 "  max deficit = ")
 
 
 def cases() -> dict[str, list[str]]:
@@ -41,11 +38,7 @@ def cases() -> dict[str, list[str]]:
 
 
 def pinned(code: int, out: str) -> str:
-    """The exit code, then the report, or only its check lines when a
-    data line is floating."""
-    lines = out.splitlines(keepends=True)
-    if any(line.startswith(FLOATING_DATA) for line in lines):
-        out = "".join(line for line in lines if line.startswith("check "))
+    """The exit code, then the report."""
     return f"exit {code}\n{out}"
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from covertwist.errors import NotAPathError, NotPlanarError
+from covertwist.errors import NotAPathError
 from covertwist.graphs import (
     DirectedGraph,
     Graph,

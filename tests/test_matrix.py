@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from covertwist.domains import CC, QQ
+from covertwist.domains import QQ
 from covertwist.errors import (
-    DomainMismatchError,
     NotSkewSymmetricError,
     NotSquareError,
     OddDimensionError,
@@ -135,12 +134,6 @@ def test_pfaffian_rejects_odd_and_nonskew():
         pfaffian(Matrix(QQ, [[0]]))
     with pytest.raises(NotSkewSymmetricError):
         pfaffian(Matrix(QQ, [[0, 1], [1, 0]]))
-
-
-def test_pfaffian_refuses_floating_matrices():
-    # LU in det is the only floating kernel
-    with pytest.raises(DomainMismatchError):
-        pfaffian(Matrix(CC, [[0j, 2 + 0j], [-2 + 0j, 0j]]))
 
 
 def test_submatrix():

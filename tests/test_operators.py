@@ -1,31 +1,21 @@
 """Twisted adjacency and Laplacian operators, line digraphs, Kasteleyn
 orientations."""
 
-import random
-from fractions import Fraction
-
 import pytest
 
 from covertwist.covering import VoltageAssignment, build_cover
 from covertwist.domains import QQ
-from covertwist.errors import MissingWeightError, NotPlanarError
-from covertwist.graphs import (
-    DirectedGraph,
-    build_graph,
-    default_rotation,
-    faces,
-)
+from covertwist.errors import NotPlanarError
+from covertwist.graphs import build_graph, default_rotation
 from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix, det
 from covertwist.operators import (
-    EdgeWeights,
     check_clockwise_odd,
     kasteleyn_orientation,
     kasteleyn_weights,
     laplacian,
     lift_weights,
     line_digraph,
-    outer_face_index,
     symbolic_weights,
     twisted_adjacency,
     unit_weights,
@@ -33,7 +23,6 @@ from covertwist.operators import (
 )
 from covertwist.poly import MultiPoly, PolyDomain
 from covertwist.representation import (
-    Connection,
     connection_from_rep,
     trivial_connection,
     trivial_representation,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from covertwist.certificates import unoriented_values
-from covertwist.errors import BudgetExceededError, TooLargeError
+from covertwist.errors import BudgetExceededError
 from covertwist.graphs import build_graph
 from covertwist.matrix import Matrix
 from covertwist.operators import symbolic_weights
@@ -132,7 +132,7 @@ def test_matching_budget():
 def test_leibniz_budget():
     from covertwist.domains import QQ
     m = Matrix.identity(QQ, 8)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(BudgetExceededError):
         det_leibniz(m)
 
 
