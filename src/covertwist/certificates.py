@@ -64,6 +64,7 @@ from .homotopy import spanning_tree
 from .matrix import (
     Matrix,
     charpoly,
+    check_pfaffian_order,
     det,
     direct_sum_matrices,
     pfaffian,
@@ -76,7 +77,11 @@ from .operators import (
     lift_weights,
     twisted_adjacency,
 )
-from .oracles import matching_sum, rooted_forest_sum_by_components
+from .oracles import (
+    check_matching_budget,
+    matching_sum,
+    rooted_forest_sum_by_components,
+)
 from .poly import MultiPoly, PolyDomain, VarRegistry
 from .representation import (
     Connection,
@@ -87,7 +92,6 @@ from .representation import (
     connection_from_rep,
     induce,
     permutation_complement,
-    rep_of_word,
     trivial_connection,
     trivial_representation,
 )
@@ -132,7 +136,8 @@ def build_psi(p: CoveringMap, cd: CosetData, rho: Representation,
 
     The column of ṽ places the first block column of ρ#(g_ṽ) (the block
     of the trivial-coset representative) into the row block of p(ṽ), so
-    ψ splits as one square block per base vertex.
+    ψ splits as one square block per base vertex.  That block column has
+    one nonzero m×m block, read off the generators' blocks along g_ṽ.
     """
     if not is_connected(p.cover):
         raise CoverNotConnectedError("psi needs a connected cover")
@@ -143,12 +148,10 @@ def build_psi(p: CoveringMap, cd: CosetData, rho: Representation,
     nb = p.base.num_vertices
     data = [[dom.zero] * (nc * m) for _ in range(nb * md)]
     for vt in range(nc):
-        mat = rep_of_word(irho.rep, cd.g_word[vt])
-        v = p.p_vertex[vt]
-        for i in range(md):
-            row = data[v * md + i]
-            for j in range(m):
-                row[vt * m + j] = mat[i, j]
+        jb, blk = irho.first_block_column(cd.g_word[vt])
+        top = p.p_vertex[vt] * md + jb * m
+        for i in range(m):
+            data[top + i][vt * m:(vt + 1) * m] = blk.data[i]
     return Matrix(dom, data)
 
 
@@ -585,6 +588,14 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     if chi != 2:
         raise NotPlanarError(
             f"cover embedding has Euler characteristic {chi}")
+    # the matching oracle and the Pfaffians refuse past their budgets;
+    # refuse here, before the split, in the order they would.  An odd
+    # base has no perfect matching and stops before the Pfaffians.
+    for graph in (g, p.cover):
+        check_matching_budget(graph.num_vertices)
+    if g.num_vertices % 2 == 0:
+        for graph in (g, p.cover):
+            check_pfaffian_order(graph.num_vertices)
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
     split = split_cover_charpoly(

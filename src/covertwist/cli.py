@@ -57,7 +57,7 @@ from .oracles import (
     enum_perfect_matchings,
     enum_spanning_trees,
     matching_sum,
-    rooted_forest_sum,
+    pairwise_sum,
     rooted_forest_sum_by_components,
     tree_sum,
 )
@@ -395,8 +395,10 @@ def _cmd_oracle_trees(args, doc: InputDocument) -> Report:
 def _cmd_oracle_forests(args, doc: InputDocument) -> Report:
     r, g, dom, vals = _oracle_report("oracle-forests", doc)
     r.datum("spanning forests", len(enum_forests(g)))
-    r.datum("rooted forest sum", _datum_value(rooted_forest_sum(g, dom, vals)))
-    for k, v in sorted(rooted_forest_sum_by_components(g, dom, vals).items()):
+    by_k = rooted_forest_sum_by_components(g, dom, vals)
+    r.datum("rooted forest sum",
+            _datum_value(pairwise_sum(dom, list(by_k.values()))))
+    for k, v in sorted(by_k.items()):
         r.datum(f"rooted forest sum, {k} components", _datum_value(v))
     return r
 

@@ -618,8 +618,14 @@ def pfaffian(m: Matrix):
         raise OddDimensionError("pfaffian needs even dimension")
     if not m.is_skew_symmetric():
         raise NotSkewSymmetricError("pfaffian needs a skew-symmetric matrix")
-    if m.nrows > PFAFFIAN_EXACT_CAP:
+    check_pfaffian_order(m.nrows)
+    return _pfaffian_exact(m)
+
+
+def check_pfaffian_order(n: int) -> None:
+    """TooLargeForExactExpansionError when an order-n Pfaffian is past
+    the cap of the exact expansion."""
+    if n > PFAFFIAN_EXACT_CAP:
         raise TooLargeForExactExpansionError(
             f"exact pfaffian capped at "
             f"{PFAFFIAN_EXACT_CAP}x{PFAFFIAN_EXACT_CAP}")
-    return _pfaffian_exact(m)

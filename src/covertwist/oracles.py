@@ -1,10 +1,16 @@
 """Brute-force reference counts for the certificate machinery.
 
-Everything here enumerates structures directly: subsets are walked one
-edge at a time with a union-find carried along, and matchings are grown
-vertex by vertex.  None of it shares logic with the linear-algebra
-routes it is used to check, and all of it is intentionally naive, so
-the budgets are small and hard.
+Everything here enumerates structures directly.  One walk grows every
+acyclic edge subset one unoriented edge at a time, in index order, and
+carries its state along: a component label per vertex (an edge merges
+the smaller component into the larger going down, and the labels are
+restored coming back), the component count, the product of the
+component sizes and, when a sum asks for it, the running product of the
+edge values, one domain.mul per grown edge.  Spanning trees are the
+walk's subsets of n − 1 edges.  Matchings are grown vertex by vertex.
+Every sum collects its terms and adds them in pairwise rounds.  None of
+it shares logic with the linear-algebra routes it is used to check, and
+all of it is intentionally naive, so the budgets are small and hard.
 """
 
 from __future__ import annotations
@@ -17,67 +23,86 @@ FOREST_EDGE_BUDGET = 20
 MATCHING_VERTEX_BUDGET = 20
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def _edge_endpoints(g: Graph) -> list[tuple[int, int]]:
     return [(g.src[e], g.tgt[e]) for e, _ in g.unoriented]
 
 
-def enum_spanning_trees(g: Graph) -> list[frozenset[int]]:
-    """All spanning trees as sets of unoriented edge indices."""
+def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
+                  values=None) -> None:
+    """Grow every acyclic set of unoriented edges in ascending index
+    order and call visit(chosen, components, phi, weight) on each, or,
+    when spanning, on each spanning tree only.
+
+    chosen is the walk's own list of edge indices, in ascending order;
+    phi is the product of the component sizes over the full vertex set;
+    weight is the product of the chosen edges' values, or None when no
+    domain is given.  Loops never enter a subset.
+    """
     ne = g.num_unoriented
-    if ne > TREE_EDGE_BUDGET:
+    budget, kind = ((TREE_EDGE_BUDGET, "tree") if spanning
+                    else (FOREST_EDGE_BUDGET, "forest"))
+    if ne > budget:
         raise BudgetExceededError(
-            f"{ne} edges exceeds the {TREE_EDGE_BUDGET}-edge tree budget")
+            f"{ne} edges exceeds the {budget}-edge {kind} budget")
     n = g.num_vertices
     ends = _edge_endpoints(g)
+    mul = domain.mul if domain is not None else None
+    label = list(range(n))            # vertex -> label of its component
+    members = [[v] for v in range(n)]  # label -> its vertices, while in use
+    chosen: list[int] = []
     need = n - 1
-    out: list[frozenset[int]] = []
 
-    def grow(k: int, chosen: list[int], uf_pairs: list[tuple[int, int]]):
-        if len(chosen) == need:
-            out.append(frozenset(chosen))
+    def grow(k: int, ncomp: int, phi: int, w) -> None:
+        if not spanning:
+            visit(chosen, ncomp, phi, w)
+        elif len(chosen) == need:
+            visit(chosen, ncomp, phi, w)
             return
-        if ne - k < need - len(chosen):
+        elif ne - k < need - len(chosen):
             return
         for u in range(k, ne):
             a, b = ends[u]
-            if a == b:
+            keep, gone = label[a], label[b]
+            if keep == gone:
                 continue
-            uf = _UnionFind(n)
-            for x, y in uf_pairs:
-                uf.union(x, y)
-            if uf.union(a, b):
-                chosen.append(u)
-                uf_pairs.append((a, b))
-                grow(u + 1, chosen, uf_pairs)
-                chosen.pop()
-                uf_pairs.pop()
+            big, small = members[keep], members[gone]
+            if len(big) < len(small):
+                keep, gone, big, small = gone, keep, small, big
+            nb, ns = len(big), len(small)
+            for v in small:
+                label[v] = keep
+            big.extend(small)
+            chosen.append(u)
+            grow(u + 1, ncomp - 1, phi // (nb * ns) * (nb + ns),
+                 None if mul is None else mul(w, values[u]))
+            chosen.pop()
+            del big[nb:]
+            for v in small:
+                label[v] = gone
 
-    grow(0, [], [])
+    grow(0, n, 1, None if domain is None else domain.one)
+
+
+def pairwise_sum(domain, terms: list):
+    """The total of terms, added in pairwise rounds, so that a growing
+    polynomial total is not copied once per term."""
+    if not terms:
+        return domain.zero
+    add = domain.add
+    while len(terms) > 1:
+        paired = [add(terms[i], terms[i + 1])
+                  for i in range(0, len(terms) - 1, 2)]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return terms[0]
+
+
+def enum_spanning_trees(g: Graph) -> list[frozenset[int]]:
+    """All spanning trees as sets of unoriented edge indices."""
+    out: list[frozenset[int]] = []
+    _acyclic_walk(g, True, lambda chosen, _k, _phi, _w:
+                  out.append(frozenset(chosen)))
     return out
 
 
@@ -88,55 +113,24 @@ def enum_forests(g: Graph) -> list[tuple[frozenset[int], int, int]]:
     Returns (edges, number of components on the full vertex set, product
     of component sizes).  The empty forest is included.
     """
-    ne = g.num_unoriented
-    if ne > FOREST_EDGE_BUDGET:
-        raise BudgetExceededError(
-            f"{ne} edges exceeds the {FOREST_EDGE_BUDGET}-edge forest budget")
-    n = g.num_vertices
-    ends = _edge_endpoints(g)
     out: list[tuple[frozenset[int], int, int]] = []
-
-    def components(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-        uf = _UnionFind(n)
-        for a, b in pairs:
-            uf.union(a, b)
-        roots = {uf.find(v) for v in range(n)}
-        phi = 1
-        for r in roots:
-            phi *= uf.size[r]
-        return len(roots), phi
-
-    def grow(k: int, chosen: list[int], pairs: list[tuple[int, int]]):
-        ncomp, phi = components(pairs)
-        out.append((frozenset(chosen), ncomp, phi))
-        for u in range(k, ne):
-            a, b = ends[u]
-            if a == b:
-                continue
-            uf = _UnionFind(n)
-            ok = True
-            for x, y in pairs:
-                uf.union(x, y)
-            if uf.find(a) == uf.find(b):
-                ok = False
-            if ok:
-                chosen.append(u)
-                pairs.append((a, b))
-                grow(u + 1, chosen, pairs)
-                chosen.pop()
-                pairs.pop()
-
-    grow(0, [], [])
+    _acyclic_walk(g, False, lambda chosen, ncomp, phi, _w:
+                  out.append((frozenset(chosen), ncomp, phi)))
     return out
+
+
+def check_matching_budget(n: int) -> None:
+    """BudgetExceededError when n vertices exceed the matching budget."""
+    if n > MATCHING_VERTEX_BUDGET:
+        raise BudgetExceededError(
+            f"{n} vertices exceeds the {MATCHING_VERTEX_BUDGET}-vertex "
+            "matching budget")
 
 
 def enum_perfect_matchings(g: Graph) -> list[frozenset[int]]:
     """All perfect matchings as sets of unoriented edge indices."""
     n = g.num_vertices
-    if n > MATCHING_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"{n} vertices exceeds the {MATCHING_VERTEX_BUDGET}-vertex "
-            "matching budget")
+    check_matching_budget(n)
     if n % 2 != 0:
         return []
     ends = _edge_endpoints(g)
@@ -172,43 +166,43 @@ def enum_perfect_matchings(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def _subset_weight(domain, values, subset):
-    acc = domain.one
-    for u in sorted(subset):
-        acc = domain.mul(acc, values[u])
-    return acc
-
-
 def tree_sum(g: Graph, domain, per_unoriented) -> object:
     """Sum over spanning trees of the product of edge values."""
-    acc = domain.zero
-    for t in enum_spanning_trees(g):
-        acc = domain.add(acc, _subset_weight(domain, per_unoriented, t))
-    return acc
+    terms: list = []
+    _acyclic_walk(g, True, lambda _c, _k, _phi, w: terms.append(w),
+                  domain, per_unoriented)
+    return pairwise_sum(domain, terms)
 
 
 def rooted_forest_sum(g: Graph, domain, per_unoriented) -> object:
     """Sum over forests of (product of component sizes) * (edge product)."""
-    acc = domain.zero
-    for edges, _ncomp, phi in enum_forests(g):
-        w = _subset_weight(domain, per_unoriented, edges)
-        acc = domain.add(acc, domain.mul(domain.coerce(phi), w))
-    return acc
+    by_k = rooted_forest_sum_by_components(g, domain, per_unoriented)
+    return pairwise_sum(domain, list(by_k.values()))
 
 
 def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> dict[int, object]:
-    """Same sum, split by number of components."""
-    acc: dict[int, object] = {}
-    for edges, ncomp, phi in enum_forests(g):
-        w = _subset_weight(domain, per_unoriented, edges)
-        term = domain.mul(domain.coerce(phi), w)
-        acc[ncomp] = domain.add(acc.get(ncomp, domain.zero), term)
-    return acc
+    """Same sum, split by number of components, fewest components last.
+
+    Edge products are summed per (components, phi) first, so each phi
+    multiplies once."""
+    groups: dict[tuple[int, int], list] = {}
+    _acyclic_walk(g, False, lambda _c, ncomp, phi, w:
+                  groups.setdefault((ncomp, phi), []).append(w),
+                  domain, per_unoriented)
+    by_k: dict[int, list] = {}
+    for (ncomp, phi), terms in sorted(groups.items(), reverse=True):
+        by_k.setdefault(ncomp, []).append(
+            domain.mul(domain.coerce(phi), pairwise_sum(domain, terms)))
+    return {k: pairwise_sum(domain, terms) for k, terms in by_k.items()}
 
 
 def matching_sum(g: Graph, domain, per_unoriented) -> object:
     """Sum over perfect matchings of the product of edge values."""
-    acc = domain.zero
+    mul = domain.mul
+    terms = []
     for mset in enum_perfect_matchings(g):
-        acc = domain.add(acc, _subset_weight(domain, per_unoriented, mset))
-    return acc
+        w = domain.one
+        for u in sorted(mset):
+            w = mul(w, per_unoriented[u])
+        terms.append(w)
+    return pairwise_sum(domain, terms)

@@ -137,16 +137,40 @@ def monodromy(g, c: Connection, loop: Path) -> Matrix:
 # induction along a covering
 
 
+# (target block, m×m block) for each source block of one generator image
+Blocks = tuple[tuple[int, Matrix], ...]
+
+
 @dataclass(frozen=True)
 class InducedRep:
     """Representation of the base presentation built from a cover
-    representation; generator images permute coset blocks."""
+    representation; generator images permute coset blocks.
+
+    gen_blocks[k][j] (inv_blocks[k][j] for the inverse) is the one
+    nonzero block of block column j of generator k's image, as its row
+    block and its m×m value."""
 
     rep: Representation
     cover_rep: Representation
     coset: CosetData
     block_degree: int
     sheet_count: int
+    gen_blocks: tuple[Blocks, ...]
+    inv_blocks: tuple[Blocks, ...]
+
+    def first_block_column(self, w: FreeWord) -> tuple[int, Matrix]:
+        """The one nonzero block of the first block column of ρ#(w), as
+        its row block and its m×m value: the letters act on block 0 from
+        right to left, one m×m product each."""
+        j = 0
+        blk = None
+        for k, s in reversed(w):
+            jp, b = (self.gen_blocks if s == 1 else self.inv_blocks)[k][j]
+            blk = b if blk is None else b * blk
+            j = jp
+        if blk is None:
+            blk = Matrix.identity(self.rep.domain, self.block_degree)
+        return j, blk
 
 
 def _blocks_to_matrix(domain, d: int, m: int,
@@ -162,19 +186,18 @@ def _blocks_to_matrix(domain, d: int, m: int,
 
 
 def _induced_generator(cd: CosetData, rho: Representation,
-                       gen_word: FreeWord) -> Matrix:
+                       gen_word: FreeWord) -> Blocks:
     p = cd.covering
     pres = cd.base_pres
     fiber = cd.fiber
     pos = {vt: j for j, vt in enumerate(fiber)}
-    d = len(fiber)
-    blocks: dict[tuple[int, int], Matrix] = {}
+    blocks = []
     for j, r in enumerate(cd.transversal):
         target = fiber_action(p, pres, gen_word, fiber[j])
         jp = pos[target]
         h = concat_words(invert_word(cd.transversal[jp]), gen_word, r)
-        blocks[(jp, j)] = rep_of_word(rho, express_in_subgroup(cd, h))
-    return _blocks_to_matrix(rho.domain, d, rho.degree, blocks)
+        blocks.append((jp, rep_of_word(rho, express_in_subgroup(cd, h))))
+    return tuple(blocks)
 
 
 def induce(cd: CosetData, rho: Representation) -> InducedRep:
@@ -183,18 +206,22 @@ def induce(cd: CosetData, rho: Representation) -> InducedRep:
     (r', r) the cover image of r'⁻¹·g·r."""
     if rho.rank != cd.cover_pres.rank:
         raise ValueError("representation does not match the cover presentation")
-    mats = []
-    invs = []
-    for k in range(cd.base_pres.rank):
-        mats.append(_induced_generator(cd, rho, ((k, 1),)))
-        invs.append(_induced_generator(cd, rho, ((k, -1),)))
     d = len(cd.fiber)
+    gens = tuple(_induced_generator(cd, rho, ((k, 1),))
+                 for k in range(cd.base_pres.rank))
+    invs = tuple(_induced_generator(cd, rho, ((k, -1),))
+                 for k in range(cd.base_pres.rank))
+
+    def image(blocks: Blocks) -> Matrix:
+        return _blocks_to_matrix(rho.domain, d, rho.degree,
+                                 {(jp, j): b for j, (jp, b) in enumerate(blocks)})
+
     try:
         rep = Representation(rho.domain, rho.degree * d,
-                             tuple(mats), tuple(invs))
+                             tuple(map(image, gens)), tuple(map(image, invs)))
     except ValueError as exc:
         raise InternalCosetError(f"induced blocks are inconsistent: {exc}")
-    return InducedRep(rep, rho, cd, rho.degree, d)
+    return InducedRep(rep, rho, cd, rho.degree, d, gens, invs)
 
 
 def permutation_complement(rep: Representation,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -106,6 +107,41 @@ def test_zeta_amitsur_pass(capsys):
                        "--max-length", "4")
     assert code == 0
     assert "prime count = 2" in out
+
+
+THETA_DIMER = """graph:
+  vertices = 2
+  edge 0 1
+  edge 0 1
+  edge 0 1
+weights:
+  kind = symbolic
+rotation:
+  at 0 = 0 2 4
+  at 1 = 5 3 1
+zdvoltage:
+  modulus = {d}
+  edge 0 = 0
+  edge 1 = 1
+  edge 2 = 0
+"""
+
+
+@pytest.mark.parametrize("d, message", [
+    (9, "exact pfaffian capped at 16x16"),
+    (21, "42 vertices exceeds the 20-vertex matching budget"),
+])
+def test_dimer_budgets_fire_before_the_split(tmp_path, capsys, d, message):
+    # odd cyclic covers of the 3-edge theta graph with 18 and 42
+    # vertices: past the Pfaffian cap and the matching budget, so they
+    # stop as soon as the cover is built
+    path = tmp_path / f"theta_{d}.txt"
+    path.write_text(THETA_DIMER.format(d=d))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "dimer", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert message in err
 
 
 def test_oracle_commands(capsys):

@@ -19,10 +19,20 @@ from covertwist.oracles import (
     rooted_forest_sum_by_components,
     tree_sum,
 )
+from covertwist.domains import QI, QQ, GaussianRational
 from covertwist.poly import MultiPoly
 from bareiss_reference import det_bareiss
 from builders import random_int_matrix
 from leibniz_reference import det_leibniz
+from oracle_reference import (
+    ref_forests,
+    ref_matching_sum,
+    ref_perfect_matchings,
+    ref_rooted_forest_sum,
+    ref_rooted_forest_sum_by_components,
+    ref_spanning_trees,
+    ref_tree_sum,
+)
 
 
 def c3():
@@ -70,14 +80,12 @@ def test_forests_include_empty_set():
 
 def test_c3_rooted_forest_value():
     g = c3()
-    from covertwist.domains import QQ
     ones = tuple(Fraction(1) for _ in range(3))
     assert rooted_forest_sum(g, QQ, ones) == 16
 
 
 def test_c6_frozen_forest_values():
     g = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    from covertwist.domains import QQ
     ones = tuple(Fraction(1) for _ in range(6))
     assert tree_sum(g, QQ, ones) == 6
     assert rooted_forest_sum(g, QQ, ones) == 320
@@ -85,7 +93,6 @@ def test_c6_frozen_forest_values():
 
 def test_forest_sum_by_components():
     g = c3()
-    from covertwist.domains import QQ
     ones = tuple(Fraction(1) for _ in range(3))
     by_k = rooted_forest_sum_by_components(g, QQ, ones)
     # k components of a 3-vertex graph: spanning trees contribute at k=1
@@ -97,7 +104,6 @@ def test_matchings_q4():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     ms = enum_perfect_matchings(g)
     assert len(ms) == 2
-    from covertwist.domains import QQ
     ones = tuple(Fraction(1) for _ in range(4))
     assert matching_sum(g, QQ, ones) == 2
 
@@ -130,7 +136,6 @@ def test_matching_budget():
 
 
 def test_leibniz_budget():
-    from covertwist.domains import QQ
     m = Matrix.identity(QQ, 8)
     with pytest.raises(BudgetExceededError):
         det_leibniz(m)
@@ -142,3 +147,68 @@ def test_leibniz_matches_bareiss():
         n = rng.randrange(1, 6)
         m = random_int_matrix(rng, n, bound=4)
         assert det_leibniz(m) == det_bareiss(m)
+
+
+# ---------------------------------------------------------------------------
+# the walk against the reference enumeration (tests/oracle_reference.py)
+
+
+def random_multigraph(rng):
+    """Up to 8 vertices and 12 edges, loops and parallel edges allowed."""
+    n = rng.randrange(2, 9)
+    pairs = []
+    for _ in range(rng.randrange(n - 1, 12)):
+        a = rng.randrange(n)
+        b = a if rng.random() < 0.15 else rng.choice(
+            [v for v in range(n) if v != a])
+        pairs.append((a, b))
+    pairs.append(rng.choice(pairs))   # a parallel edge or a second loop
+    return build_graph(n, pairs)
+
+
+def random_values(rng, g, kind):
+    ne = g.num_unoriented
+    if kind == "QQ":
+        return QQ, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(ne)]
+    if kind == "QQ(i)":
+        return QI, [QI.coerce(GaussianRational(rng.randint(-3, 3),
+                                               rng.randint(-3, 3)))
+                    for _ in range(ne)]
+    x = symbolic_weights(g)
+    return x.domain, unoriented_values(g, x)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_enumerations_match_reference(seed):
+    g = random_multigraph(random.Random(seed))
+    assert enum_spanning_trees(g) == ref_spanning_trees(g)
+    assert enum_forests(g) == ref_forests(g)
+    assert enum_perfect_matchings(g) == ref_perfect_matchings(g)
+
+
+@pytest.mark.parametrize("kind", ["QQ", "QQ(i)", "symbolic"])
+@pytest.mark.parametrize("seed", range(8))
+def test_sums_match_reference(seed, kind):
+    rng = random.Random(f"sums:{seed}:{kind}")
+    g = random_multigraph(rng)
+    dom, vals = random_values(rng, g, kind)
+    assert tree_sum(g, dom, vals) == ref_tree_sum(g, dom, vals)
+    assert rooted_forest_sum(g, dom, vals) == \
+        ref_rooted_forest_sum(g, dom, vals)
+    assert rooted_forest_sum_by_components(g, dom, vals) == \
+        ref_rooted_forest_sum_by_components(g, dom, vals)
+    assert matching_sum(g, dom, vals) == ref_matching_sum(g, dom, vals)
+
+
+def test_dense_multigraph_matches_reference():
+    # every vertex pair joined, one pair doubled and a loop: the walk
+    # merges and restores components of every size
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    g = build_graph(5, pairs + [(1, 3), (2, 2)])
+    assert enum_spanning_trees(g) == ref_spanning_trees(g)
+    assert enum_forests(g) == ref_forests(g)
+    x = symbolic_weights(g)
+    vals = unoriented_values(g, x)
+    assert rooted_forest_sum_by_components(g, x.domain, vals) == \
+        ref_rooted_forest_sum_by_components(g, x.domain, vals)
