@@ -47,8 +47,8 @@ from .covering import (
     quotient_by_subgroup,
     validate_covering,
 )
-from .domains import (QI, QQ, Cyclotomic, CyclotomicDomain, GaussianRational,
-                      cyclotomic_field, root_of_unity)
+from .domains import (QI, QQ, Cyclotomic, CyclotomicDomain, cyclotomic_field,
+                      root_of_unity)
 from .graphs import (
     DirectedGraph,
     Graph,

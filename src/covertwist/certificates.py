@@ -58,6 +58,7 @@ from .errors import (
     NotNormalError,
     NotPlanarError,
     NotPlanarQuotientError,
+    OddDimensionError,
 )
 from .graphs import Graph, RotationSystem, faces, is_connected
 from .homotopy import spanning_tree
@@ -569,7 +570,9 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     det(K_cover) and det(K_base) are read off split_cover_charpoly with
     the Kasteleyn weights, so "determinant factorizes" is its whole
     witness and no determinant of order d·n is taken; the Pfaffians are
-    checked against both."""
+    checked against both.  A planar base with an odd number of vertices
+    has no perfect matching, and neither has its cover of odd degree d:
+    OddDimensionError, before the cover is built."""
     if d < 1 or d % 2 == 0:
         raise EvenDegreeError(f"cyclic symmetry order must be odd, got {d}")
     fc = faces(g, rot)
@@ -577,6 +580,10 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
         raise NotPlanarQuotientError(
             f"quotient embedding has Euler characteristic "
             f"{fc.euler_characteristic}")
+    if g.num_vertices % 2:
+        raise OddDimensionError(
+            f"the base has {g.num_vertices} vertices: an odd vertex count "
+            f"has no perfect matching")
     p = edge_voltage_cover(g, tuple((b,) for b in zd_volt), (d,))
     if not is_connected(p.cover):
         raise CoverNotConnectedError("dimer cover is disconnected")
@@ -589,13 +596,11 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
         raise NotPlanarError(
             f"cover embedding has Euler characteristic {chi}")
     # the matching oracle and the Pfaffians refuse past their budgets;
-    # refuse here, before the split, in the order they would.  An odd
-    # base has no perfect matching and stops before the Pfaffians.
+    # refuse here, before the split, in the order they would
     for graph in (g, p.cover):
         check_matching_budget(graph.num_vertices)
-    if g.num_vertices % 2 == 0:
-        for graph in (g, p.cover):
-            check_pfaffian_order(graph.num_vertices)
+    for graph in (g, p.cover):
+        check_pfaffian_order(graph.num_vertices)
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
     split = split_cover_charpoly(

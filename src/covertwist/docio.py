@@ -17,11 +17,11 @@ lines until the next header.  `#` starts a comment anywhere.  Example:
 
 Graphs may also be given as explicit `directed src tgt inv` triples.
 Numbers are exact: integers, fractions `p/q`, decimals `2.5` and `1e-3`
-(read as the fractions they name), gaussian values `a+b*i` (or `a+b*j`)
-and cyclotomic values `1/2*zeta_5^2-zeta_5^3`, sums of rational
-multiples of the roots of unity zeta_N = e^(2*pi*i/N).  Serialization
-normalizes every section, and parsing its own output reproduces the
-document.
+(read as the fractions they name), and cyclotomic values, sums of
+rational multiples of the roots of unity zeta_N = e^(2*pi*i/N):
+`1/2*zeta_5^2-zeta_5^3`, or for N = 4 the gaussian `a+b*i` (or `a+b*j`),
+which is also how they print.  Serialization normalizes every section,
+and parsing its own output reproduces the document.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covering import VoltageAssignment
-from .domains import (QQ, GaussianRational, _norm_rat, domain_of,
-                      format_gaussian, root_of_unity)
+from .domains import QQ, _norm_rat, domain_of, root_of_unity
 from .errors import InvalidRotationError, ParseError, SemanticError
 from .graphs import (
     DirectedGraph,
@@ -86,7 +85,7 @@ MAX_DECIMAL_EXPONENT = 4300
 
 
 def parse_scalar(tok: str, line: int):
-    """An exact scalar: int, Fraction, GaussianRational or Cyclotomic.
+    """An exact scalar: int, Fraction or Cyclotomic.
 
     Accepted forms: `3`, `-3/2`, `2.5`, `1e-3`, `3+1/2*i`, `2-i`,
     `1.5+0.5*j` (j reads as i), `1/2*zeta_5^2-zeta_5^3`: a sum of terms,
@@ -127,7 +126,7 @@ def _parse_term(t: str):
     if t[0] in "+-":
         t = t[1:]
     if t.endswith(("i", "j")):
-        coef, unit = t[:-1], GaussianRational(0, 1)
+        coef, unit = t[:-1], root_of_unity(4)
     elif "zeta_" in t:
         coef, _, atom = t.partition("zeta_")
         order, hat, power = atom.partition("^")
@@ -151,9 +150,6 @@ def _parse_decimal(t: str):
 
 def format_scalar(v) -> str:
     """Text that parse_scalar reads back as v, with no spaces."""
-    if isinstance(v, GaussianRational):
-        s = format_gaussian(v)
-        return s[1:-1] if s.startswith("(") else s
     return str(v)   # int, Fraction and Cyclotomic print without spaces
 
 

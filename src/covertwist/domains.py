@@ -1,14 +1,15 @@
-"""Scalar domains: rationals, Gaussian rationals and cyclotomic fields.
+"""Scalar domains: the cyclotomic fields Q(ζ_N), rationals included.
 
 Matrix and polynomial routines are generic over a small domain object
 providing ring operations plus an equality predicate.  Every domain is
-exact and compares with ==.  QQ holds int and Fraction, QQ(i) adds
-GaussianRational and Q(ζ_N) adds Cyclotomic.  The fields nest: QQ(i)
-lies in Q(ζ_L) when 4 | L and Q(ζ_M) when M | L, so
-unify_scalar_domains follows QQ ⊂ QQ(i) ⊂ Q(ζ_lcm).  A value that is
-rational is always kept as a plain int or Fraction, whatever field it
-was computed in (int arithmetic is much cheaper than Fraction
-arithmetic and the mix is exact either way).
+exact and compares with ==.  One domain class, CyclotomicDomain(N),
+serves every field: QQ is N = 1 and holds int and Fraction, QQ(i) is
+N = 4, and Q(ζ_N) adds the Cyclotomic elements of order N.  The fields
+nest: Q(ζ_M) lies in Q(ζ_L) when M | L, so unify_scalar_domains follows
+QQ ⊂ QQ(i) ⊂ Q(ζ_lcm).  A value that is rational is always kept as a
+plain int or Fraction, whatever field it was computed in (int
+arithmetic is much cheaper than Fraction arithmetic and the mix is
+exact either way).
 """
 
 from __future__ import annotations
@@ -49,108 +50,6 @@ def _power(x, k: int):
         if k:
             x = x * x
     return out
-
-
-class GaussianRational:
-    """Exact complex number re + im*i with rational parts: the type of
-    Q(ζ_4) = QQ(i).
-
-    Mixes freely with int and Fraction in arithmetic, and with Cyclotomic
-    through Cyclotomic's own operators.  A rational result comes back
-    an int or Fraction.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _make(4, [self.re + o.re, self.im + o.im])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _make(4, [self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in QQ(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else o * self.inverse()
-
-    __pow__ = _power
-
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        # the mean of the conjugates, as Cyclotomic hashes, so that equal
-        # values of Q(i) and Q(ζ_L) hash alike
-        return hash(self.re)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return format_gaussian(self)
-
-
-def format_gaussian(g: GaussianRational) -> str:
-    """Canonical text form: 2, -1/2, (1+2i), (1/2-i), (3i), (-i)."""
-    if g.im == 0:
-        return str(_norm_rat(g.re))
-    if g.im > 0:
-        sign = "+"
-        mag = g.im
-    else:
-        sign = "-"
-        mag = -g.im
-    istr = "i" if mag == 1 else f"{_norm_rat(mag)}i"
-    if g.re == 0:
-        return f"({istr})" if sign == "+" else f"(-{istr})"
-    return f"({_norm_rat(g.re)}{sign}{istr})"
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +117,24 @@ def _spread(terms, step: int, n: int) -> list:
 
 def _conductor(x) -> int:
     """The order n of the field Q(ζ_n) that holds x, a Cyclotomic of
-    order n, a nonreal GaussianRational (4) or a rational (1)."""
-    if isinstance(x, Cyclotomic):
-        return x.n
-    return 4 if isinstance(x, GaussianRational) and x.im else 1
+    order n or a rational (1)."""
+    return x.n if isinstance(x, Cyclotomic) else 1
 
 
 def _coords(x, n: int) -> list:
     """Coordinates of x in Q(ζ_n), for _conductor(x) dividing n."""
     if isinstance(x, Cyclotomic):
         return list(x.c) if x.n == n else _spread(enumerate(x.c), n // x.n, n)
-    if isinstance(x, GaussianRational):
-        return _spread(((0, x.re), (1, x.im)), n // 4, n)
     return _spread(((0, x),), 0, n)
 
 
 def _make(n: int, c: list):
     """The value with coordinates c in Q(ζ_n), in its normal form: an int
-    or Fraction when rational, a GaussianRational for n = 4."""
+    or Fraction when rational, else a Cyclotomic of order n."""
     c = [_norm_rat(a) for a in c]
     if not any(c[1:]):
         return c[0]
-    return GaussianRational(*c) if n == 4 else Cyclotomic(n, tuple(c))
+    return Cyclotomic(n, tuple(c))
 
 
 def root_of_unity(n: int, k: int = 1):
@@ -254,9 +149,10 @@ class Cyclotomic:
     coordinates c_0, ..., c_(φ(n)−1) in the power basis 1, ζ, ...,
     ζ^(φ(n)−1) modulo Φ_n.
 
-    Never rational and never of order 1, 2 or 4: arithmetic hands such
-    values back as int, Fraction or GaussianRational.  Mixes with those
-    and with Cyclotomic of any order through Q(ζ_lcm) of both orders.
+    Never rational, so never of order 1 or 2: arithmetic hands rational
+    values back as int or Fraction.  Order 4 is QQ(i), whose elements
+    print as a+bi.  Mixes with int, Fraction and Cyclotomic of any order
+    through Q(ζ_lcm) of both orders.
     Build one with root_of_unity, arithmetic or CyclotomicDomain.coerce;
     the constructor trusts its arguments."""
 
@@ -269,8 +165,7 @@ class Cyclotomic:
     def _pair(self, other):
         """(n, a, b): the order of a field holding both operands, and
         their coordinates there; None for an unknown operand."""
-        if not isinstance(other, (Cyclotomic, int, GaussianRational,
-                                  Fraction)):
+        if not isinstance(other, (Cyclotomic, int, Fraction)):
             return None
         n = lcm(self.n, _conductor(other))
         return n, _coords(self, n), _coords(other, n)
@@ -322,7 +217,7 @@ class Cyclotomic:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * _rat_div(1, other)
-        if isinstance(other, (GaussianRational, Cyclotomic)):
+        if isinstance(other, Cyclotomic):
             return self * other.inverse()
         return NotImplemented
 
@@ -345,21 +240,25 @@ class Cyclotomic:
 
     def __str__(self):
         """Text form in the power basis, lowest power first, with no
-        spaces: 1/2*zeta_5^2-zeta_5^3."""
+        spaces: 1/2*zeta_5^2-zeta_5^3, and for order 4 a+bi: 1-i, 1/2i."""
         parts = []
         for k, a in enumerate(self.c):
             if a:
-                atom = f"zeta_{self.n}" + (f"^{k}" if k > 1 else "")
+                if self.n == 4:
+                    atom, times = "i", ""
+                else:
+                    atom = f"zeta_{self.n}" + (f"^{k}" if k > 1 else "")
+                    times = "*"
                 mag = abs(a)
                 body = (str(mag) if not k else atom if mag == 1
-                        else f"{mag}*{atom}")
+                        else f"{mag}{times}{atom}")
                 parts.append(("-" if a < 0 else "+") + body)
         return "".join(parts).removeprefix("+")
 
 
 class _Field:
     """A scalar domain Q(ζ_n), n = conductor: Python's own operators,
-    exact on int, Fraction, GaussianRational and Cyclotomic."""
+    exact on int, Fraction and Cyclotomic."""
 
     zero = 0
     one = 1
@@ -370,9 +269,8 @@ class _Field:
         if isinstance(x, (int, Fraction)):
             return _norm_rat(x)
         n = self.conductor
-        if isinstance(x, (GaussianRational, Cyclotomic)) and \
-                n % _conductor(x) == 0:
-            return _make(n, _coords(x, n))
+        if isinstance(x, Cyclotomic) and n % x.n == 0:
+            return x if x.n == n else _make(n, _coords(x, n))
         raise DomainMismatchError(f"cannot coerce {x!r} into {self.name}")
 
     def add(self, a, b):
@@ -404,25 +302,10 @@ class _Field:
         return self.name
 
 
-class RationalDomain(_Field):
-    """Exact rationals; elements are int or Fraction."""
-
-    name = "QQ"
-    conductor = 1
-
-
-class GaussianRationalDomain(_Field):
-    """Exact rationals with i adjoined; elements int, Fraction or
-    GaussianRational."""
-
-    name = "QQ(i)"
-    conductor = 4
-
-
 class CyclotomicDomain(_Field):
-    """Q(ζ_n), elements int, Fraction or Cyclotomic of order n; for n of
-    1, 2 and 4 cyclotomic_field gives QQ and QQ(i) instead.  Built once
-    per n, so domains compare by identity as well as by name."""
+    """Q(ζ_n), elements int, Fraction or Cyclotomic of order n: QQ for
+    n = 1 and QQ(i) for n = 4.  Built once per n, so domains compare by
+    identity as well as by name."""
 
     _built: dict = {}
 
@@ -431,17 +314,17 @@ class CyclotomicDomain(_Field):
         if dom is None:
             dom = cls._built[n] = super().__new__(cls)
             dom.conductor = n
-            dom.name = f"QQ(zeta_{n})"
+            dom.name = {1: "QQ", 4: "QQ(i)"}.get(n, f"QQ(zeta_{n})")
         return dom
 
 
-QQ = RationalDomain()
-QI = GaussianRationalDomain()
+QQ = CyclotomicDomain(1)
+QI = CyclotomicDomain(4)
 
 
 def cyclotomic_field(n: int):
-    """Q(ζ_n) as its domain: QQ for n <= 2, QQ(i) for n = 4."""
-    return QQ if n <= 2 else QI if n == 4 else CyclotomicDomain(n)
+    """Q(ζ_n) as its domain; Q(ζ_2) is QQ."""
+    return CyclotomicDomain(n if n > 2 else 1)
 
 
 def unify_scalar_domains(a, b):
@@ -457,10 +340,4 @@ def domain_of(values):
 
 def coeff_is_integer(c) -> bool:
     """True when c is a plain rational integer."""
-    if isinstance(c, int):
-        return True
-    if isinstance(c, Fraction):
-        return c.denominator == 1
-    if isinstance(c, GaussianRational):
-        return c.im == 0 and c.re.denominator == 1
-    return False
+    return isinstance(c, int) or isinstance(c, Fraction) and c.denominator == 1

@@ -3,14 +3,15 @@
 One exact kernel serves each kind of domain, for determinants and
 characteristic polynomials alike:
 
-* Characteristic polynomials of QQ and QQ(i) matrices are computed
-  multi-modularly: denominators are cleared, the integer (or Gaussian
-  integer) matrix is reduced to Hessenberg form modulo a prime, and the
-  Hessenberg recurrence gives the charpoly modulo that prime.  A
-  Hadamard bound B on every coefficient fixes the primes in advance:
-  their product exceeds 2B + 1, so the result is proved exact, not
-  guessed, since no coefficient of absolute value at most B can be
-  confused with another.  The primes are Proth primes, proved prime by
+* Characteristic polynomials of QQ and QQ(i) matrices, the cyclotomic
+  fields of order 1 and 4, are computed multi-modularly: denominators
+  are cleared, the integer (or Gaussian integer, read off the two
+  coordinates of each QQ(i) entry) matrix is reduced to Hessenberg
+  form modulo a prime, and the Hessenberg recurrence gives the
+  charpoly modulo that prime.  A Hadamard bound B on every coefficient
+  fixes the primes in advance: their product exceeds 2B + 1, so the
+  result is proved exact, not guessed, since no coefficient of absolute
+  value at most B can be confused with another.  The primes are Proth primes, proved prime by
   Proth's theorem, sized to the bound: a bound up to 240 bits takes one
   prime and one Hessenberg run, and only a larger one splits over
   several primes whose residues the Chinese remainder theorem combines.
@@ -21,8 +22,8 @@ characteristic polynomials alike:
   QQ(i)[x] or Q(zeta_N)[x]): inner products and convolutions only, no
   division, and the charpoly variable is adjoined only to the finished
   coefficients.  Berkowitz works over any commutative ring, so a
-  matrix over a cyclotomic field Q(zeta_N) takes it too, as constant
-  polynomials in no variable.
+  matrix over any other cyclotomic field Q(zeta_N) takes it too, as
+  constant polynomials in no variable.
 * Exact determinants are read off those kernels: det(m) = (-1)^n * c_0
   for the constant coefficient c_0 of det(x*I - m), so they carry the
   same proved bound, and the polynomial kernel adjoins no variable.
@@ -39,8 +40,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
-from .domains import (CyclotomicDomain, GaussianRational,
-                      GaussianRationalDomain, RationalDomain, _norm_rat)
+from .domains import Cyclotomic, CyclotomicDomain, _make, _norm_rat
 from .errors import (
     DomainMismatchError,
     NotSkewSymmetricError,
@@ -359,19 +359,14 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     return coeffs
 
 
-def _split_parts(x):
-    if isinstance(x, GaussianRational):
-        return x.re, x.im
-    return x, 0
-
-
 def _cleared(m: Matrix) -> tuple[int, list[list[int]], list[list[int]] | None]:
     """(D, re, im): D the lcm of the entry denominators and D*m split into
     integer real and imaginary parts; im is None when every entry is
     real.  A QQ matrix is read as it is: no pair per entry, and with
     integer entries (D = 1) no rescaling."""
-    if isinstance(m.domain, GaussianRationalDomain):
-        parts = [[_split_parts(x) for x in row] for row in m.data]
+    if m.domain.conductor == 4:
+        parts = [[x.c if isinstance(x, Cyclotomic) else (x, 0) for x in row]
+                 for row in m.data]
         d = lcm(1, *(q.denominator for row in parts for pair in row
                      for q in pair))
         im = [[int(b * d) for _, b in row] for row in parts]
@@ -457,7 +452,7 @@ def _charpoly_multimodular(m: Matrix) -> list:
         x = x - modulus if x > half_m else x
         y = y - modulus if y > half_m else y
         c = x if scale == 1 else _norm_rat(Fraction(x, scale))
-        coeffs[power] = GaussianRational(c, Fraction(y, scale)) if y else c
+        coeffs[power] = _make(4, [c, Fraction(y, scale)]) if y else c
         scale *= d
     return coeffs
 
@@ -502,11 +497,11 @@ def _charpoly_coeffs(m: Matrix) -> list:
     """Coefficients c_0, ..., c_n of det(x*I - m), ascending, in m's own
     domain, from the exact kernel of that domain."""
     dom = m.domain
-    if isinstance(dom, (RationalDomain, GaussianRationalDomain)):
-        return _charpoly_multimodular(m)
     if isinstance(dom, PolyDomain):
         return _charpoly_berkowitz(m)
     if isinstance(dom, CyclotomicDomain):
+        if dom.conductor in (1, 4):
+            return _charpoly_multimodular(m)
         consts = PolyDomain(VarRegistry(()), dom)
         return [c.constant_value()
                 for c in _charpoly_berkowitz(Matrix(consts, m.data))]

@@ -6,9 +6,10 @@ integer addition and graded-lex comparison is integer comparison, which
 keeps fraction-free elimination over these rings fast enough for the
 symbolic covers handled here.
 
-Coefficients are int, Fraction, GaussianRational or Cyclotomic; zero
-coefficients are never stored, so the zero polynomial has an empty term
-dict and equality is plain dict comparison.
+Coefficients are int, Fraction or Cyclotomic (QQ(i) is the order 4);
+zero coefficients are never stored, so the zero polynomial has an empty
+term dict and equality is plain dict comparison.  The text form wraps
+every Cyclotomic coefficient in parentheses: (1-i)*x + (zeta_5).
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from .domains import (QQ, Cyclotomic, GaussianRational, _Field, _rat_div,
-                      coeff_is_integer, format_gaussian)
+from .domains import QQ, Cyclotomic, _Field, _rat_div, coeff_is_integer
 from .errors import DivisionByZeroPolyError, RegistryMismatchError
 
 VAR_BITS = 16
@@ -116,7 +116,7 @@ class VarRegistry:
 
 
 # Fraction last: isinstance against its ABC is slow
-_SCALARS = (int, GaussianRational, Cyclotomic, Fraction)
+_SCALARS = (int, Cyclotomic, Fraction)
 
 
 def _same_registry(a: "MultiPoly", b: "MultiPoly") -> None:
@@ -476,12 +476,8 @@ class MultiPoly:
                     text = factor[field] = name if e == 1 else f"{name}^{e}"
                 factors.append(text)
             mono = "*".join(factors)
-            if isinstance(c, GaussianRational) and not c.im:
-                c = c.re
-            elif not isinstance(c, (int, Fraction)):   # nonreal or irrational
-                cs = (format_gaussian(c) if isinstance(c, GaussianRational)
-                      else f"({c})")
-                parts.append(f" + {cs}*{mono}" if mono else f" + {cs}")
+            if isinstance(c, Cyclotomic):   # nonreal or irrational
+                parts.append(f" + ({c})*{mono}" if mono else f" + ({c})")
                 continue
             neg = c < 0
             ms = str(-c if neg else c)   # a Fraction n/1 prints as n

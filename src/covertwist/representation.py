@@ -4,8 +4,8 @@ A representation assigns an invertible matrix to each free generator of
 a presentation.  Connections realize representations edgewise, induced
 representations push a cover representation down to the base through
 coset words, and abelian fiber groups get their full character family
-over Q(zeta_N), N the group exponent: QQ for N <= 2, QQ(i) for N = 4
-and the cyclotomic field otherwise, so every character value is exact.
+over Q(zeta_N), N the group exponent (QQ for N <= 2, QQ(i) for N = 4),
+so every character value is exact.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the domains no longer carry them.
 from fractions import Fraction
 from functools import partial
 
-from covertwist.domains import Cyclotomic, GaussianRational, _rat_div
+from covertwist.domains import Cyclotomic, _rat_div
 from covertwist.matrix import Matrix
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
@@ -25,8 +25,7 @@ def _exact_div(dom, a, b):
         if q is None:
             raise ArithmeticError("division expected to be exact left a remainder")
         return q
-    if isinstance(a, (GaussianRational, Cyclotomic)) or \
-            isinstance(b, (GaussianRational, Cyclotomic)):
+    if isinstance(a, Cyclotomic) or isinstance(b, Cyclotomic):
         return dom.coerce(a / b)
     if not b:
         raise ZeroDivisionError(f"division by 0 in {dom!r}")
@@ -37,8 +36,6 @@ def _size(dom, a):
     """Pivot-selection hint; smaller is preferred."""
     if isinstance(dom, PolyDomain):
         return len(a.terms)
-    if isinstance(a, GaussianRational):
-        return (abs(a.re.numerator) + abs(a.im.numerator)).bit_length()
     if isinstance(a, Cyclotomic):
         return sum(_size(dom, c) for c in a.c)
     n = a.numerator if isinstance(a, Fraction) else a

@@ -1,8 +1,9 @@
 """Constructors and views that only the tests use.
 
-Random integer and skew-symmetric matrices, matrices from rows of plain
-values, polynomials from exponent lists and their coefficients in one
-variable, relabelled graphs and the text of a free-group word.  The
+Gaussian rationals, random integer and skew-symmetric matrices,
+matrices from rows of plain values, polynomials from exponent lists
+and their coefficients in one variable, relabelled graphs and the text
+of a free-group word.  The
 program builds none of these, so they live here rather than in
 `covertwist`.
 """
@@ -10,11 +11,17 @@ program builds none of these, so they live here rather than in
 import random
 from typing import Iterable, Sequence
 
-from covertwist.domains import QQ
+from covertwist.domains import QI, QQ, root_of_unity
 from covertwist.graphs import DirectedGraph, Graph
 from covertwist.homotopy import FreeWord
 from covertwist.matrix import Matrix
 from covertwist.poly import MultiPoly, VarRegistry
+
+
+def gaussian(re, im):
+    """re + im*i in QQ(i): a Cyclotomic of order 4, or an int or
+    Fraction when im is 0."""
+    return QI.coerce(re + im * root_of_unity(4))
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> Matrix:

@@ -12,12 +12,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from covertwist.domains import QI, QQ, GaussianRational
+from covertwist.domains import QI, QQ, Cyclotomic
 from covertwist.matrix import Matrix, charpoly
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import bareiss_charpoly
-from builders import matrix_from_rows, poly_from_exponents
+from builders import gaussian, matrix_from_rows, poly_from_exponents
 
 REG = VarRegistry(("x", "y", "z"))
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -27,8 +27,9 @@ def sympy_charpoly_matches(m: Matrix, cp: MultiPoly) -> bool:
     sympy = pytest.importorskip("sympy")
 
     def scalar(c):
-        if isinstance(c, GaussianRational):
-            return scalar(c.re) + sympy.I * scalar(c.im)
+        if isinstance(c, Cyclotomic):   # of order 4: re + im*i
+            re, im = c.c
+            return scalar(re) + sympy.I * scalar(im)
         c = Fraction(c)
         return sympy.Rational(c.numerator, c.denominator)
 
@@ -48,7 +49,7 @@ def sympy_charpoly_matches(m: Matrix, cp: MultiPoly) -> bool:
 
 integers = st.integers(-4, 4)
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((2, 3, 5)))
-gaussians = st.builds(GaussianRational, integers, rationals)
+gaussians = st.builds(gaussian, integers, rationals)
 exponents = st.tuples(*[st.integers(0, 2)] * 3)
 
 

@@ -19,7 +19,8 @@ import pytest
 
 from hypothesis import Phase, given, settings, strategies as st
 
-from covertwist.domains import QI, QQ, GaussianRational
+from covertwist.domains import (QI, QQ, Cyclotomic, CyclotomicDomain,
+                                root_of_unity)
 from covertwist.graphs import build_graph
 from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import (
@@ -30,6 +31,7 @@ from covertwist.matrix import (
     _proth_prime,
     _proth_witness,
     charpoly,
+    det,
 )
 from covertwist.operators import (
     line_digraph,
@@ -37,11 +39,11 @@ from covertwist.operators import (
     twisted_adjacency,
     weights_from_unoriented,
 )
-from covertwist.poly import MultiPoly, VarRegistry
+from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 from covertwist.representation import connection_from_rep, representation
 
 from bareiss_reference import bareiss_charpoly, det_bareiss
-from builders import evaluate
+from builders import evaluate, gaussian
 from miller_rabin_reference import MR_LIMIT, is_prime
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True,
@@ -52,10 +54,9 @@ def sympy_charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
     sympy = pytest.importorskip("sympy")
 
     def to_sympy(x):
-        if isinstance(x, GaussianRational):
-            return (sympy.Rational(x.re.numerator, x.re.denominator)
-                    + sympy.I * sympy.Rational(x.im.numerator,
-                                               x.im.denominator))
+        if isinstance(x, Cyclotomic):   # of order 4: re + im*i
+            re, im = x.c
+            return to_sympy(re) + sympy.I * to_sympy(im)
         x = Fraction(x)
         return sympy.Rational(x.numerator, x.denominator)
 
@@ -68,7 +69,7 @@ def sympy_charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
     terms = {}
     for k, c in enumerate(coeffs):
         re, im = sympy.expand(c).as_real_imag()
-        v = QI.coerce(GaussianRational(Fraction(str(re)), Fraction(str(im))))
+        v = gaussian(Fraction(str(re)), Fraction(str(im)))
         if v:
             terms[reg.pack((n - k,))] = v
     return MultiPoly(reg, terms)
@@ -104,8 +105,7 @@ def hessenberg_runs():
 
 
 def gaussians():
-    return st.builds(lambda a, b: QI.coerce(GaussianRational(a, b)),
-                     rationals(4, (1, 2, 7)), rationals(4, (1, 3)))
+    return st.builds(gaussian, rationals(4, (1, 2, 7)), rationals(4, (1, 3)))
 
 
 @SETTINGS
@@ -247,12 +247,31 @@ def test_one_run_for_a_bound_under_the_cap():
 
 
 def test_two_runs_for_a_gaussian_matrix():
-    i = GaussianRational(0, 1)
-    m = Matrix(QI, [[QI.coerce(i), 1], [2, 0]])
+    m = Matrix(QI, [[gaussian(0, 1), 1], [2, 0]])
     with hessenberg_runs() as primes:
         cp = charpoly(m)
     assert len(primes) == 2 and primes[0] == primes[1]
     assert cp == bareiss_charpoly(m)
+
+
+def test_kernel_routes():
+    # QQ and QQ(i) take the multi-modular kernel for charpoly and det;
+    # Q(zeta_5) and QQ[x] take Berkowitz
+    def berkowitz(m):
+        raise AssertionError(f"Berkowitz reached over {m.domain!r}")
+
+    x = MultiPoly.variable(VarRegistry(("x",)), "x")
+    z = root_of_unity(5)
+    with mock.patch("covertwist.matrix._charpoly_berkowitz", berkowitz):
+        for m in (Matrix(QQ, [[1, Fraction(1, 2)], [3, 0]]),
+                  Matrix(QI, [[gaussian(0, 1), 1], [2, gaussian(1, -1)]])):
+            assert charpoly(m) == bareiss_charpoly(m)
+            assert det(m) == det_bareiss(m)
+        for m in (Matrix(CyclotomicDomain(5), [[z, 1], [2, z * z]]),
+                  Matrix(PolyDomain(x.reg, QQ), [[x, x + 1], [x * x, x - 2]])):
+            for kernel in (charpoly, det):
+                with pytest.raises(AssertionError, match="Berkowitz reached"):
+                    kernel(m)
 
 
 def test_runs_for_a_bound_over_the_cap():
@@ -272,8 +291,7 @@ def near_power(e, domain):
                      st.sampled_from((-1, 1)), st.integers(-2 ** 16, 2 ** 16))
     if domain is QQ:
         return real
-    return st.builds(lambda a, b: QI.coerce(GaussianRational(a, b)),
-                     real, real)
+    return st.builds(gaussian, real, real)
 
 
 @pytest.mark.parametrize("domain, e, runs",

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import covertwist
-from covertwist import cli
+from covertwist import certificates, cli
 from covertwist.cli import main
 
 SAMPLES = "sample_inputs"
@@ -142,6 +142,44 @@ def test_dimer_budgets_fire_before_the_split(tmp_path, capsys, d, message):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
+
+
+ODD_DIMER = """graph:
+  vertices = 3
+  edge 0 1
+  edge 1 2
+  edge 2 0
+weights:
+  kind = symbolic
+rotation:
+  at 0 = 0 5
+  at 1 = 1 2
+  at 2 = 3 4
+zdvoltage:
+  modulus = 3
+  edge 0 = 1
+  edge 1 = 0
+  edge 2 = 0
+"""
+
+
+def test_dimer_odd_base_is_refused_before_the_split(tmp_path, capsys,
+                                                     monkeypatch):
+    # a triangle has no perfect matching, and neither has its 9-vertex
+    # cover: refused before any cover or charpoly, not by a division by
+    # the zero matching sum after the split
+    def no_split(*args, **kwargs):
+        raise AssertionError("split_cover_charpoly reached")
+
+    monkeypatch.setattr(certificates, "split_cover_charpoly", no_split)
+    path = tmp_path / "triangle.txt"
+    path.write_text(ODD_DIMER)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "dimer", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "an odd vertex count has no perfect matching" in err
+    assert "division by zero" not in err
 
 
 def test_oracle_commands(capsys):

@@ -18,7 +18,6 @@ from covertwist.domains import (
     QQ,
     Cyclotomic,
     CyclotomicDomain,
-    GaussianRational,
     cyclotomic_field,
     cyclotomic_polynomial,
     domain_of,
@@ -29,6 +28,7 @@ from covertwist.errors import BudgetExceededError
 from covertwist.matrix import Matrix, charpoly, det, inverse
 
 from bareiss_reference import bareiss_charpoly, det_bareiss
+from builders import gaussian
 
 ORDERS = [n for n in range(3, 31) if n != 4]
 
@@ -108,14 +108,15 @@ def test_normal_forms():
     z5 = root_of_unity(5)
     assert z5 ** 5 == 1 and type(z5 ** 5) is int
     assert root_of_unity(6, 3) == -1 and type(root_of_unity(6, 3)) is int
-    assert root_of_unity(4) == GaussianRational(0, 1)
-    assert root_of_unity(12, 3) == GaussianRational(0, 1)   # in Q(ζ_12)
+    i = root_of_unity(4)
+    assert isinstance(i, Cyclotomic) and (i.n, i.c) == (4, (0, 1))
+    assert root_of_unity(12, 3) == i   # in Q(ζ_12)
+    assert (1 + i) * (1 - i) == 2 and type((1 + i) * (1 - i)) is int
     # ζ_5 + ζ_5^4 = (√5 − 1)/2 is real but irrational: still cyclotomic
     g = z5 + z5 ** 4
     assert isinstance(g, Cyclotomic) and g * g + g == 1
     assert z5 - z5 == 0 and type(z5 - z5) is int
     assert z5 * 0 == 0 and (z5 * Fraction(2, 4)) * 2 == z5
-    i = GaussianRational(0, 1)
     w = root_of_unity(3)
     assert isinstance(w * i, Cyclotomic) and (w * i).n == 12
     assert (w * i) ** 12 == 1
@@ -133,7 +134,7 @@ def test_field_nesting():
     assert unify_scalar_domains(q3, CyclotomicDomain(6)).name == \
         "QQ(zeta_6)"
     assert domain_of([1, Fraction(1, 2)]) is QQ
-    assert domain_of([GaussianRational(0, 1), root_of_unity(3)]) is q12
+    assert domain_of([gaussian(0, 1), root_of_unity(3)]) is q12
 
 
 def test_hash_agrees_across_fields():
@@ -141,9 +142,9 @@ def test_hash_agrees_across_fields():
     for n in (6, 9, 12, 15):
         lifted = CyclotomicDomain(n).coerce(w)
         assert lifted == w and hash(lifted) == hash(w)
-    i8 = CyclotomicDomain(8).coerce(GaussianRational(0, 1))
-    assert i8 == GaussianRational(0, 1)
-    assert hash(i8) == hash(GaussianRational(0, 1))
+    i8 = CyclotomicDomain(8).coerce(gaussian(0, 1))
+    assert i8 == gaussian(0, 1)
+    assert hash(i8) == hash(gaussian(0, 1))
 
 
 def test_order_budget():

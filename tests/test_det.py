@@ -10,13 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covertwist.domains import QI, QQ, GaussianRational
+from covertwist.domains import QI, QQ, Cyclotomic
 from covertwist.errors import RegistryMismatchError
 from covertwist.matrix import Matrix, charpoly, det
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import det_bareiss
-from builders import matrix_from_rows, poly_from_exponents
+from builders import gaussian, matrix_from_rows, poly_from_exponents
 from leibniz_reference import LEIBNIZ_BUDGET, det_leibniz
 
 REG = VarRegistry(("x", "y"))
@@ -26,8 +26,7 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 integers = st.integers(-3, 3)
 rationals = st.one_of(integers, st.builds(Fraction, st.integers(-5, 5),
                                           st.sampled_from((2, 3, 7))))
-gaussians = st.one_of(rationals, st.builds(GaussianRational, rationals,
-                                           rationals))
+gaussians = st.one_of(rationals, st.builds(gaussian, rationals, rationals))
 polys = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 1)),
                            rationals), min_size=1, max_size=2).map(
     lambda terms: poly_from_exponents(REG, terms))
@@ -49,7 +48,7 @@ def test_scalar_det_against_bareiss_and_leibniz(m):
     assert d == det_bareiss(m) == det_leibniz(m)
     # the domain's normal form: an int when integral, real when real
     assert not (isinstance(d, Fraction) and d.denominator == 1)
-    assert not (isinstance(d, GaussianRational) and d.im == 0)
+    assert not (isinstance(d, Cyclotomic) and not d.c[1])
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -72,8 +71,7 @@ X, Y = (MultiPoly.variable(REG, v) for v in REG.names)
 @pytest.mark.parametrize("domain, rows", [
     (QQ, [[1, 2], [2, 4]]),
     (QQ, [[Fraction(1, 2), 3, 1], [1, 6, 2], [0, 5, 7]]),
-    (QI, [[GaussianRational(1, 1), 2], [GaussianRational(0, 1),
-                                        GaussianRational(1, 1)]]),
+    (QI, [[gaussian(1, 1), 2], [gaussian(0, 1), gaussian(1, 1)]]),
     (PQ, [[X, Y, 0], [X * Y, Y ** 2, 0], [1, 2, 3]]),
     (PQ, [[0, 0], [X, 1]]),
 ])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from covertwist.docio import (
+    InputDocument,
     Report,
     format_cycles,
     format_scalar,
@@ -14,8 +15,12 @@ from covertwist.docio import (
     render_report,
     serialize_input,
 )
-from covertwist.domains import GaussianRational, root_of_unity
+from covertwist.domains import root_of_unity
 from covertwist.errors import ParseError, SemanticError
+from covertwist.graphs import build_graph
+from covertwist.poly import MultiPoly, VarRegistry
+
+from builders import gaussian
 
 C3_DOC = """\
 graph:
@@ -174,7 +179,7 @@ representation rho:
     rho = doc.representations["rho"]
     assert rho.degree == 2
     m = rho.gen_mats[0]
-    assert m[0, 1] == GaussianRational(0, -1)
+    assert m[0, 1] == gaussian(0, -1)
 
 
 def test_representation_must_be_invertible():
@@ -206,13 +211,13 @@ subgroup:
 def test_parse_scalar_table():
     assert parse_scalar("5", 1) == 5
     assert parse_scalar("-2/3", 1) == Fraction(-2, 3)
-    assert parse_scalar("1+2i", 1) == GaussianRational(1, 2)
-    assert parse_scalar("-i", 1) == GaussianRational(0, -1)
-    assert parse_scalar("1/2-1/3i", 1) == GaussianRational(
-        Fraction(1, 2), Fraction(-1, 3))
+    assert parse_scalar("1+2i", 1) == gaussian(1, 2)
+    assert parse_scalar("-i", 1) == gaussian(0, -1)
+    assert parse_scalar("1/2-1/3i", 1) == gaussian(Fraction(1, 2),
+                                                   Fraction(-1, 3))
     # decimals read exactly, and j reads as i
-    assert parse_scalar("2.5+0.5j", 1) == GaussianRational(
-        Fraction(5, 2), Fraction(1, 2))
+    assert parse_scalar("2.5+0.5j", 1) == gaussian(Fraction(5, 2),
+                                                   Fraction(1, 2))
     assert parse_scalar("0.1", 1) == Fraction(1, 10)
     assert parse_scalar("1e999", 1) == 10 ** 999
     assert parse_scalar("-2.5E-1", 1) == Fraction(-1, 4)
@@ -221,8 +226,8 @@ def test_parse_scalar_table():
         Fraction(1, 2) * z5 ** 2 - z5 ** 3)
     assert parse_scalar("zeta_5^-1", 1) == z5 ** 4
     assert parse_scalar("zeta_6^3", 1) == -1
-    assert parse_scalar("zeta_4", 1) == GaussianRational(0, 1)
-    assert parse_scalar("1+i+zeta_3", 1) == 1 + GaussianRational(0, 1) + (
+    assert parse_scalar("zeta_4", 1) == gaussian(0, 1)
+    assert parse_scalar("1+i+zeta_3", 1) == 1 + gaussian(0, 1) + (
         root_of_unity(3))
 
 
@@ -239,13 +244,56 @@ def test_parse_scalar_rejects_garbage():
 
 def test_format_scalar_round_trips():
     z = root_of_unity(12)
-    for v in (5, Fraction(-2, 3), GaussianRational(1, -1),
-              GaussianRational(0, 1), GaussianRational(Fraction(1, 2), 3),
+    for v in (5, Fraction(-2, 3), gaussian(1, -1),
+              gaussian(0, 1), gaussian(Fraction(1, 2), 3),
               root_of_unity(5), -Fraction(1, 3) * z ** 3 + 2 * z - 7,
               root_of_unity(7, 3) - Fraction(5, 2)):
         text = format_scalar(v)
         assert " " not in text   # matrix entries split at spaces
         assert parse_scalar(text, 1) == v
+
+
+# The QQ(i) text of every report: no golden report holds a nonreal
+# value, so this table is what pins it.  Each row is (re, im, text).
+GAUSSIAN_TEXT = [
+    (0, 1, "i"), (0, -1, "-i"), (0, Fraction(1, 2), "1/2i"),
+    (0, Fraction(-1, 2), "-1/2i"), (0, 2, "2i"),
+    (1, 1, "1+i"), (1, -1, "1-i"), (1, Fraction(1, 2), "1+1/2i"),
+    (1, Fraction(-1, 2), "1-1/2i"), (1, 2, "1+2i"),
+    (-1, 1, "-1+i"), (-1, -1, "-1-i"), (-1, Fraction(1, 2), "-1+1/2i"),
+    (-1, Fraction(-1, 2), "-1-1/2i"), (-1, 2, "-1+2i"),
+    (Fraction(1, 2), 1, "1/2+i"), (Fraction(1, 2), -1, "1/2-i"),
+    (Fraction(1, 2), Fraction(1, 2), "1/2+1/2i"),
+    (Fraction(1, 2), Fraction(-1, 2), "1/2-1/2i"),
+    (Fraction(1, 2), 2, "1/2+2i"),
+    (3, 1, "3+i"), (3, -1, "3-i"), (3, Fraction(1, 2), "3+1/2i"),
+    (3, Fraction(-1, 2), "3-1/2i"), (3, 2, "3+2i"),
+]
+
+
+def test_gaussian_text_table():
+    reg = VarRegistry(("x",))
+    x = MultiPoly.variable(reg, "x")
+    values = [gaussian(re, im) for re, im, _ in GAUSSIAN_TEXT]
+    for v, (_, _, text) in zip(values, GAUSSIAN_TEXT):
+        assert str(v) == text
+        assert format_scalar(v) == text
+        # polynomial text parenthesizes every nonreal coefficient
+        assert MultiPoly.const(reg, v).to_text() == f"({text})"
+        assert (v * x).to_text() == f"({text})*x"
+    # a real value of QQ(i) is a rational, and prints as one
+    assert format_scalar(gaussian(2, 0)) == "2"
+    assert MultiPoly.const(reg, gaussian(2, 0)).to_text() == "2"
+    # the normalized document writes each weight as its text, and
+    # parse_scalar reads it back
+    doc = InputDocument(build_graph(2, [(0, 1)] * len(values)),
+                        weights_kind="complex", weight_values=tuple(values))
+    lines = [line for line in serialize_input(doc).splitlines()
+             if line.startswith("  value ")]
+    assert lines == [f"  value {k} = {text}"
+                     for k, (_, _, text) in enumerate(GAUSSIAN_TEXT)]
+    for line, v in zip(lines, values):
+        assert parse_scalar(line.split(" = ")[1], 1) == v
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from covertwist.domains import (
     QI,
     QQ,
+    Cyclotomic,
     CyclotomicDomain,
-    GaussianRational,
     coeff_is_integer,
-    format_gaussian,
     root_of_unity,
     unify_scalar_domains,
 )
@@ -21,59 +20,59 @@ from covertwist.errors import (
 )
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
-from builders import by_var, evaluate, poly_from_exponents
+from builders import by_var, evaluate, gaussian, poly_from_exponents
 
 
 # gaussian rationals -------------------------------------------------------
 
 def test_gaussian_arithmetic():
-    i = GaussianRational(0, 1)
+    i = gaussian(0, 1)
+    assert isinstance(i, Cyclotomic) and i.n == 4 and i == root_of_unity(4)
     assert i * i == -1
-    a = GaussianRational(1, 2)
-    b = GaussianRational(3, Fraction(-1, 2))
-    assert a + b == GaussianRational(4, Fraction(3, 2))
-    assert a * b == GaussianRational(4, Fraction(11, 2))
+    a = gaussian(1, 2)
+    b = gaussian(3, Fraction(-1, 2))
+    assert a + b == gaussian(4, Fraction(3, 2))
+    assert a * b == gaussian(4, Fraction(11, 2))
     assert a - a == 0
-    assert -a == GaussianRational(-1, -2)
+    assert -a == gaussian(-1, -2)
 
 
 def test_gaussian_mixed_scalars():
-    a = GaussianRational(1, 2)
-    assert a + 1 == GaussianRational(2, 2)
-    assert 2 * a == GaussianRational(2, 4)
-    assert a * Fraction(1, 2) == GaussianRational(Fraction(1, 2), 1)
-    # real gaussians collapse onto rationals for eq and hash
-    assert GaussianRational(3, 0) == 3
-    assert hash(GaussianRational(3, 0)) == hash(3)
-    assert GaussianRational(Fraction(1, 2), 0) == Fraction(1, 2)
+    a = gaussian(1, 2)
+    assert a + 1 == gaussian(2, 2)
+    assert 2 * a == gaussian(2, 4)
+    assert a * Fraction(1, 2) == gaussian(Fraction(1, 2), 1)
+    # real values of QQ(i) collapse onto rationals, so eq and hash agree
+    real = gaussian(1, 1) * gaussian(1, -1)
+    assert real == 2 and type(real) is int and hash(real) == hash(2)
+    half = gaussian(Fraction(1, 2), 1) - gaussian(0, 1)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert hash(a) == hash(CyclotomicDomain(12).coerce(a))
 
 
 def test_gaussian_division():
-    a = GaussianRational(1, 1)
+    a = gaussian(1, 1)
     assert QI.invert(a) * a == 1
-    assert GaussianRational(2, 0) / a == GaussianRational(1, -1)
-
-
-def test_format_gaussian():
-    # nonreal values come parenthesized so they nest in polynomial text
-    assert format_gaussian(GaussianRational(0, 1)) == "(i)"
-    assert format_gaussian(GaussianRational(1, -1)) == "(1-i)"
-    assert format_gaussian(GaussianRational(0, Fraction(1, 2))) == "(1/2i)"
-    assert format_gaussian(GaussianRational(2, 0)) == "2"
+    assert 2 / a == gaussian(1, -1)
+    assert gaussian(2, 0) / a == gaussian(1, -1)
 
 
 def test_domain_protocol():
     assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
-    assert QI.coerce(2) == GaussianRational(2, 0)
+    assert QI.coerce(2) == 2
+    assert QQ is CyclotomicDomain(1) and QI is CyclotomicDomain(4)
+    assert (QQ.name, QI.name) == ("QQ", "QQ(i)")
     assert QQ.is_zero(QQ.zero)
     assert QQ.eq(QQ.one, 1)
+    with pytest.raises(DomainMismatchError):   # i is not in QQ
+        QQ.coerce(gaussian(0, 1))
     q5 = CyclotomicDomain(5)
     z = q5.coerce(root_of_unity(5))
     assert q5.eq(q5.mul(z, q5.invert(z)), q5.one)
     assert not q5.eq(z, q5.one)
     assert q5.is_zero(q5.sub(z, z))
     with pytest.raises(DomainMismatchError):   # i is not in Q(zeta_5)
-        q5.coerce(GaussianRational(0, 1))
+        q5.coerce(gaussian(0, 1))
 
 
 def test_unify_scalar_domains():
@@ -87,9 +86,9 @@ def test_coeff_is_integer():
     assert coeff_is_integer(Fraction(4, 2))
     assert not coeff_is_integer(Fraction(1, 2))
     # only real integer values count
-    assert coeff_is_integer(GaussianRational(2, 0))
-    assert not coeff_is_integer(GaussianRational(2, -1))
-    assert not coeff_is_integer(GaussianRational(Fraction(1, 2), 0))
+    assert coeff_is_integer(gaussian(2, 0))
+    assert not coeff_is_integer(gaussian(2, -1))
+    assert not coeff_is_integer(gaussian(Fraction(1, 2), 0))
 
 
 # registries ---------------------------------------------------------------
@@ -296,6 +295,6 @@ def test_gaussian_coefficients_mix():
     # (ix + 1)(-ix + 1) = x^2 + 1 over the gaussian rationals
     reg = VarRegistry(("x",))
     x = MultiPoly.variable(reg, "x")
-    p = x * GaussianRational(0, 1) + 1
-    conj = x * GaussianRational(0, -1) + 1
+    p = x * gaussian(0, 1) + 1
+    conj = x * gaussian(0, -1) + 1
     assert p * conj == x ** 2 + 1

@@ -19,10 +19,10 @@ from covertwist.oracles import (
     rooted_forest_sum_by_components,
     tree_sum,
 )
-from covertwist.domains import QI, QQ, GaussianRational
+from covertwist.domains import QI, QQ
 from covertwist.poly import MultiPoly
 from bareiss_reference import det_bareiss
-from builders import random_int_matrix
+from builders import gaussian, random_int_matrix
 from leibniz_reference import det_leibniz
 from oracle_reference import (
     ref_forests,
@@ -172,8 +172,7 @@ def random_values(rng, g, kind):
         return QQ, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                     for _ in range(ne)]
     if kind == "QQ(i)":
-        return QI, [QI.coerce(GaussianRational(rng.randint(-3, 3),
-                                               rng.randint(-3, 3)))
+        return QI, [gaussian(rng.randint(-3, 3), rng.randint(-3, 3))
                     for _ in range(ne)]
     x = symbolic_weights(g)
     return x.domain, unoriented_values(g, x)

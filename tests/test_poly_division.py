@@ -9,17 +9,22 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from covertwist.domains import GaussianRational
+from covertwist.domains import Cyclotomic
 from covertwist.poly import MultiPoly, VarRegistry, _coeff_div
 
-from builders import poly_from_exponents
+from builders import gaussian, poly_from_exponents
 
 REG = VarRegistry(("x", "y", "z"))
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
 
-def gaussian(c):
-    return c if isinstance(c, GaussianRational) else GaussianRational(c)
+def gaussian_div(a, b):
+    """a / b in QQ(i), from the coordinates re + im*i of both and the
+    conjugate of b; no inverse of the program's own."""
+    (ar, ai), (br, bi) = (map(Fraction, c.c if isinstance(c, Cyclotomic)
+                              else (c, 0)) for c in (a, b))
+    norm = br * br + bi * bi
+    return gaussian((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)
 
 
 def max_scan_div(a: MultiPoly, b: MultiPoly):
@@ -34,7 +39,7 @@ def max_scan_div(a: MultiPoly, b: MultiPoly):
         er = reg.unpack(kr)
         if any(x < y for x, y in zip(er, eb)):
             return None
-        cq = gaussian(rem[kr]) / gaussian(cb)
+        cq = gaussian_div(rem[kr], cb)
         eq = tuple(x - y for x, y in zip(er, eb))
         quotient.append((eq, cq))
         for e2, c2 in divisor:
@@ -49,7 +54,7 @@ def max_scan_div(a: MultiPoly, b: MultiPoly):
 
 integers = st.integers(-6, 6)
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 7)))
-gaussians = st.builds(GaussianRational, rationals, rationals)
+gaussians = st.builds(gaussian, rationals, rationals)
 coefficients = st.one_of(integers, rationals, gaussians)
 exponents = st.tuples(*[st.integers(0, 3)] * 3)
 

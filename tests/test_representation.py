@@ -13,7 +13,7 @@ from covertwist.covering import (
     perm_identity,
     permutation_closure,
 )
-from covertwist.domains import QI, QQ, GaussianRational
+from covertwist.domains import QI, QQ, root_of_unity
 from covertwist.graphs import build_graph
 from covertwist.homotopy import fundamental_presentation, spanning_tree
 from covertwist.matrix import Matrix, det
@@ -159,7 +159,7 @@ def test_abelian_character_table_z4():
     table = abelian_character_table(gens, 4)
     assert table.count == 4
     assert table.domain is QI
-    i = GaussianRational(0, 1)
+    i = root_of_unity(4)
     seen = {gv[0] for gv in table.gen_values}
     assert seen == {QI.one, QI.coerce(-1), i, -i}
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from covertwist.domains import QQ, QI, GaussianRational
+from covertwist.domains import QQ, QI
 from covertwist.graphs import build_graph
 from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix, det
@@ -26,7 +26,7 @@ from covertwist.representation import connection_from_rep, representation
 from covertwist.zeta import amitsur_check, l_series_inverse
 
 from bareiss_reference import det_bareiss
-from builders import by_var
+from builders import by_var, gaussian
 
 
 def small_graph(rng):
@@ -58,9 +58,9 @@ def rational_rep(rng, rank):
 
 
 def gaussian_rep(rng, rank):
-    i = GaussianRational(0, 1)
+    i = gaussian(0, 1)
     mats = [Matrix(QI, [[i]]) if rng.random() < 0.5
-            else Matrix(QI, [[GaussianRational(rng.randrange(1, 3), 1)]])
+            else Matrix(QI, [[gaussian(rng.randrange(1, 3), 1)]])
             for _ in range(rank)]
     return representation(QI, mats)
 
@@ -123,7 +123,7 @@ def test_series_determinant_matches_bareiss(name, weights, rep):
 def test_series_determinant_of_the_generator_i():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     pres = fundamental_presentation(g, 0)
-    rho = representation(QI, [Matrix(QI, [[GaussianRational(0, 1)]])])
+    rho = representation(QI, [Matrix(QI, [[gaussian(0, 1)]])])
     out = l_series_inverse(g, unit_weights(g), rho, pres)
     # (1 - i u^3)(1 + i u^3), one factor per orientation of the triangle
     assert out.to_text() == "u^6 + 1"
