@@ -23,7 +23,6 @@ from .certificates import (
     cor1_certificate,
     cor2_certificate,
     dimer_certificate,
-    forest_coefficient_checks,
     kos_certificate,
     rooted_forest_polynomial,
     spanning_tree_polynomial,
@@ -40,7 +39,6 @@ from .covering import (
     coset_data,
     deck_transformation,
     edge_voltage_cover,
-    express_in_subgroup,
     fiber_action,
     identity_cover,
     is_normal,
@@ -75,7 +73,6 @@ from .operators import (
     line_digraph,
     symbolic_weights,
     twisted_adjacency,
-    unit_weights,
     weights_from_unoriented,
 )
 from .poly import MultiPoly, PolyDomain, VarRegistry
@@ -92,7 +89,6 @@ from .representation import (
     monodromy,
     permutation_complement,
     representation,
-    rep_of_word,
     trivial_connection,
     trivial_representation,
 )

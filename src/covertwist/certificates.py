@@ -2,7 +2,10 @@
 
 verify_main checks the paper's identity ψ·M^ρ_cover = M^{ρ#}_base·ψ, ψ
 invertible, with an explicitly constructed ψ, for M the twisted
-adjacency operator or the twisted Laplacian.
+adjacency operator or the twisted Laplacian.  All of it is read off the
+d sheets of the cover, the lifts of the base tree: each block of ρ# is
+one edge lift, ψ is one m×m block per cover vertex, and both sides of
+the identity are formed from the operators' nonzero entries only.
 
 For the trivial twist ρ, ρ# is the permutation representation on the
 fiber, which splits as 1 ⊕ ρ_c, so
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .covering import (
@@ -81,7 +85,6 @@ from .operators import (
 from .oracles import (
     check_matching_budget,
     matching_sum,
-    rooted_forest_sum_by_components,
 )
 from .poly import MultiPoly, PolyDomain, VarRegistry
 from .representation import (
@@ -107,13 +110,16 @@ def unoriented_values(g: Graph, x: EdgeWeights) -> list:
 # the conjugation certificate
 
 
+PsiBlocks = tuple[tuple[int, Matrix], ...]
+
+
 @dataclass(frozen=True)
 class ConjugacyCertificate:
     """ψ together with the two operators it is claimed to intertwine
     (a_cover and a_base, twisted adjacency or twisted Laplacian) and the
     induced representation ρ# that twists the base one."""
 
-    psi: Matrix
+    psi: PsiBlocks
     a_cover: Matrix
     a_base: Matrix
     commutes: bool
@@ -122,7 +128,7 @@ class ConjugacyCertificate:
 
     @property
     def invertible(self) -> bool:
-        dom = self.psi.domain
+        dom = self.induced.rep.domain
         return all(not dom.is_zero(d) for d in self.vertex_dets)
 
     @property
@@ -131,40 +137,82 @@ class ConjugacyCertificate:
 
 
 def build_psi(p: CoveringMap, cd: CosetData, rho: Representation,
-              irho: InducedRep) -> Matrix:
-    """Block matrix sending a cover function f to
-    v ↦ Σ_{ṽ over v} ρ#(g_ṽ)(embedded f(ṽ)).
-
-    The column of ṽ places the first block column of ρ#(g_ṽ) (the block
-    of the trivial-coset representative) into the row block of p(ṽ), so
-    ψ splits as one square block per base vertex.  That block column has
-    one nonzero m×m block, read off the generators' blocks along g_ṽ.
-    """
+              irho: InducedRep) -> PsiBlocks:
+    """ψ: f ↦ (v ↦ Σ_{ṽ over v} ρ#(g_ṽ)(f(ṽ) in the marked sheet's block)),
+    as the one nonzero (row block, m×m block) of each cover vertex's
+    block column: the marked sheet's block column of ρ#(g_ṽ), read off
+    the generators' blocks once per sheet (g_ṽ is its sheet's word) and
+    put among the row blocks p(ṽ)·d + j of p(ṽ)."""
     if not is_connected(p.cover):
         raise CoverNotConnectedError("psi needs a connected cover")
-    m = rho.degree
-    md = irho.rep.degree
-    dom = irho.rep.domain
-    nc = p.cover.num_vertices
-    nb = p.base.num_vertices
-    data = [[dom.zero] * (nc * m) for _ in range(nb * md)]
-    for vt in range(nc):
-        jb, blk = irho.first_block_column(cd.g_word[vt])
-        top = p.p_vertex[vt] * md + jb * m
-        for i in range(m):
-            data[top + i][vt * m:(vt + 1) * m] = blk.data[i]
-    return Matrix(dom, data)
+    d = p.degree
+    columns = [irho.marked_block_column(w) for w in cd.transversal]
+    return tuple((p.p_vertex[vt] * d + columns[c][0], columns[c][1])
+                 for vt, c in enumerate(cd.sheet))
 
 
-def psi_vertex_determinants(p: CoveringMap, psi: Matrix, m: int) -> tuple:
-    """Determinant of each base vertex's square block of ψ."""
-    md = m * p.degree
+def psi_vertex_determinants(p: CoveringMap, psi: PsiBlocks, m: int) -> tuple:
+    """Determinant of each base vertex's square block of ψ, whose block
+    columns are the vertex's lifts.  When their row blocks permute the
+    vertex's d row blocks by σ, it is sign(σ)^m times the product of the
+    m×m block determinants (at m = 1, the blocks' entries); otherwise
+    two columns share a row block, or one leaves the vertex, and it is 0."""
+    d = p.degree
+    blocks = {id(b): b for _, b in psi}   # the sheets share their blocks
+    block_det = {k: b.data[0][0] if m == 1 else det(b)
+                 for k, b in blocks.items()}
     dets = []
-    for v in range(p.base.num_vertices):
-        rows = range(v * md, (v + 1) * md)
-        cols = [vt * m + j for vt in p.vertex_fibers[v] for j in range(m)]
-        dets.append(det(psi.submatrix(rows, cols)))
+    for v, lifts in enumerate(p.vertex_fibers):
+        rows = [psi[vt][0] - v * d for vt in lifts]
+        dom = psi[lifts[0]][1].domain
+        if sorted(rows) != list(range(d)):
+            dets.append(dom.zero)
+            continue
+        val = dom.one
+        for vt in lifts:
+            val = dom.mul(val, block_det[id(psi[vt][1])])
+        odd = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:]) % 2
+        dets.append(dom.neg(val) if odd and m % 2 else val)
     return tuple(dets)
+
+
+def _intertwines(psi: PsiBlocks, m: int, a_cover: Matrix,
+                 a_base: Matrix) -> bool:
+    """ψ·a_cover = a_base·ψ: both products are sparse maps formed from the
+    operators' nonzero entries, compared on the union of their nonzero
+    positions, so that every entry is compared."""
+    dom = a_cover.domain
+    mul, add, is_zero, zero = dom.mul, dom.add, dom.is_zero, dom.zero
+    by_col: dict[int, list] = {}   # cover index -> ψ's (row, value) in it
+    by_row: dict[int, list] = {}   # base index -> ψ's (column, value) in it
+    for vt, (rb, blk) in enumerate(psi):
+        for i, row in enumerate(blk.data):
+            for j, val in enumerate(row):
+                if not blk.domain.is_zero(val):
+                    val = dom.coerce(val)
+                    by_col.setdefault(vt * m + j, []).append((rb * m + i, val))
+                    by_row.setdefault(rb * m + i, []).append((vt * m + j, val))
+
+    def nonzeros(a: Matrix):
+        for r, arow in enumerate(a.data):
+            # a falsy entry is 0 in every domain; is_zero decides the rest
+            for c in compress(range(len(arow)), arow):
+                if not is_zero(arow[c]):
+                    yield r, c, arow[c]
+
+    def put(out: dict, key, term) -> None:
+        out[key] = add(out[key], term) if key in out else term
+
+    lhs: dict = {}
+    rhs: dict = {}
+    for r, c, val in nonzeros(a_cover):
+        for k, pv in by_col.get(r, ()):
+            put(lhs, (k, c), mul(pv, val))
+    for r, c, val in nonzeros(a_base):
+        for k, pv in by_row.get(c, ()):
+            put(rhs, (r, k), mul(val, pv))
+    return all(dom.eq(lhs.get(key, zero), rhs.get(key, zero))
+               for key in lhs.keys() | rhs.keys())
 
 
 def verify_main(p: CoveringMap, cd: CosetData, rho: Representation,
@@ -183,12 +231,9 @@ def verify_main(p: CoveringMap, cd: CosetData, rho: Representation,
     a_base = operator(p.base, x, conn_base)
     psi = build_psi(p, cd, rho, ind)
     dets = psi_vertex_determinants(p, psi, rho.degree)
-    dom = a_cover.domain
-    psi_op = psi if psi.domain is dom else Matrix(
-        dom, [[dom.coerce(v) for v in row] for row in psi.data])
-    lhs = psi_op * a_cover
-    rhs = a_base * psi_op
-    return ConjugacyCertificate(psi, a_cover, a_base, lhs.eq(rhs), dets, ind)
+    return ConjugacyCertificate(psi, a_cover, a_base,
+                                _intertwines(psi, rho.degree, a_cover, a_base),
+                                dets, ind)
 
 
 # ---------------------------------------------------------------------------
@@ -518,22 +563,6 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights,
     checks = (_coefficient_checks("base", p.base, x, P_base)
               + _coefficient_checks("cover", p.cover, xl, P_cover))
     return TreesResult(st, rsf, P_base, P_cover, tuple(checks), split)
-
-
-def forest_coefficient_checks(g: Graph, x: EdgeWeights) -> list[tuple[int, bool]]:
-    """Every Laplacian charpoly coefficient against the forest oracle:
-    (−1)^{n−i}·c_i must equal the i-component rooted-forest sum."""
-    P = charpoly(laplacian(g, x))
-    n = g.num_vertices
-    dom = x.domain
-    oracle = rooted_forest_sum_by_components(g, dom, unoriented_values(g, x))
-    out = []
-    for i in range(n + 1):
-        ci = P.coefficient_of("lambda", i)
-        lhs = ci if (n - i) % 2 == 0 else -ci
-        rhs = _as_poly(ci.reg, dom, oracle.get(i, dom.zero))
-        out.append((i, lhs == rhs))
-    return out
 
 
 # ---------------------------------------------------------------------------

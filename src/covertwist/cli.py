@@ -53,7 +53,6 @@ from .errors import (
 from .graphs import default_rotation, is_connected
 from .homotopy import fundamental_presentation, spanning_tree
 from .oracles import (
-    enum_forests,
     enum_perfect_matchings,
     enum_spanning_trees,
     matching_sum,
@@ -394,8 +393,8 @@ def _cmd_oracle_trees(args, doc: InputDocument) -> Report:
 
 def _cmd_oracle_forests(args, doc: InputDocument) -> Report:
     r, g, dom, vals = _oracle_report("oracle-forests", doc)
-    r.datum("spanning forests", len(enum_forests(g)))
     by_k = rooted_forest_sum_by_components(g, dom, vals)
+    r.datum("spanning forests", by_k.forests)
     r.datum("rooted forest sum",
             _datum_value(pairwise_sum(dom, list(by_k.values()))))
     for k, v in sorted(by_k.items()):

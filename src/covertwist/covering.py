@@ -2,9 +2,9 @@
 
 Covers are built from permutation voltages on the generators of a base
 presentation, validated structurally, and navigated by unique path
-lifting.  On top of lifting sit the fiber action of base loops, coset
-words per cover vertex, normality and the fiber permutation group, deck
-transformations, and quotients by subgroups of that group.
+lifting.  On top of lifting sit the fiber action of base loops, the
+sheets with one coset word each, normality and the fiber permutation
+group, deck transformations, and quotients by subgroups of that group.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     CoverNotConnectedError,
     InternalCosetError,
     NotASubgroupError,
-    NotInSubgroupError,
     QuotientConstructionFailedError,
     StartNotInFiberError,
     TransversalCheckFailedError,
@@ -30,7 +29,6 @@ from .graphs import (
     Path,
     ValidationReport,
     is_connected,
-    path_concat,
 )
 from .homotopy import (
     EMPTY_WORD,
@@ -39,7 +37,6 @@ from .homotopy import (
     SpanningTree,
     invert_word,
     presentation_from_tree,
-    reduce_word,
 )
 
 # ---------------------------------------------------------------------------
@@ -352,19 +349,19 @@ def is_normal(p: CoveringMap,
 class CosetData:
     """Tree-derived coset bookkeeping for a connected cover.
 
-    The cover tree contains every lift of the base tree; g_word[ṽ] is
-    the base loop class carrying the marked base lift to ṽ when ṽ lies
-    in the marked fiber, and in general the class of (base tree path
-    down) · (projected cover tree path up).  transversal collects the
-    g_word over the marked fiber in vertex order; its first entry (the
-    marked lift itself) is the empty word.
-    """
+    The cover tree contains every lift of the base tree; those lifts are
+    the d sheets, sheet[ṽ] being the marked-fiber position of ṽ's sheet.
+    transversal[c], the word of the projected cover tree path from that
+    fiber vertex to the root, carries the marked lift to it (the marked
+    lift's own is empty); g_word[ṽ] is the word of ṽ's sheet, the class
+    of (base tree path down) · (projected cover tree path up)."""
 
     covering: CoveringMap
     base_tree: SpanningTree
     base_pres: Pi1Presentation
     cover_tree: SpanningTree
     cover_pres: Pi1Presentation
+    sheet: tuple[int, ...]
     g_word: tuple[FreeWord, ...]
     transversal: tuple[FreeWord, ...]
 
@@ -399,11 +396,11 @@ def _spanning_tree_within(g: Graph, root: int,
 
 def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
     """Complete the lifted base tree to a cover spanning tree (adding
-    the lowest-index connecting lifts of generator edges), then read a
-    base word off every cover vertex.  The transversal property (the
-    words over the marked fiber reach each fiber point exactly once)
-    is re-verified through the fiber action and failure means a bug,
-    not bad input."""
+    the lowest-index connecting lifts of generator edges), label every
+    cover vertex with its sheet, and read one base word off each sheet.
+    The transversal property (the words over the marked fiber reach each
+    fiber point exactly once) is re-verified through the fiber action
+    and failure means a bug, not bad input."""
     if not is_connected(p.cover):
         raise CoverNotConnectedError("coset words need a connected cover")
     if base_tree.root != p.base_vertex:
@@ -429,6 +426,9 @@ def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
                 parent[ra] = rb
         else:
             deferred.append((u, e))
+    fiber = p.vertex_fibers[p.base_vertex]
+    sheet_of_root = {find(vt): c for c, vt in enumerate(fiber)}
+    sheet = tuple(sheet_of_root[find(vt)] for vt in range(cover.num_vertices))
     for u, e in deferred:
         ra, rb = find(cover.src[e]), find(cover.tgt[e])
         if ra != rb:
@@ -439,41 +439,17 @@ def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
                                        frozenset(chosen))
     cover_pres = presentation_from_tree(cover_tree)
 
-    g_word = []
-    for vt in range(cover.num_vertices):
-        down = base_tree.path_from_root(p.p_vertex[vt])
-        up = p.project_path(cover_tree.path_to_root(vt))
-        g_word.append(base_pres.loop_to_word(path_concat(p.base, down, up)))
-
-    fiber = p.vertex_fibers[p.base_vertex]
-    transversal = tuple(g_word[vt] for vt in fiber)
-    if g_word[p.cover_base_vertex] != EMPTY_WORD:
+    transversal = tuple(
+        base_pres.loop_to_word(p.project_path(cover_tree.path_to_root(vt)))
+        for vt in fiber)
+    if transversal[sheet[p.cover_base_vertex]] != EMPTY_WORD:
         raise TransversalCheckFailedError("marked lift has a nonempty word")
-    for vt in fiber:
-        if fiber_action(p, base_pres, g_word[vt], p.cover_base_vertex) != vt:
+    for vt, w in zip(fiber, transversal):
+        if fiber_action(p, base_pres, w, p.cover_base_vertex) != vt:
             raise TransversalCheckFailedError(
                 f"coset word of {vt} does not carry the marked lift to it")
-    return CosetData(p, base_tree, base_pres, cover_tree, cover_pres,
-                     tuple(g_word), transversal)
-
-
-def express_in_subgroup(cd: CosetData, h: FreeWord) -> FreeWord:
-    """Rewrite a base word lying in the image of the cover's loop group
-    as a word in the cover presentation.  The base word belongs to the
-    subgroup exactly when its lift at the marked vertex closes up."""
-    p = cd.covering
-    loop = cd.base_pres.realize_word(h)
-    lifted = lift_path(p, loop, p.cover_base_vertex)
-    end = p.cover.tgt[lifted.edges[-1]] if lifted.edges else lifted.base
-    if end != p.cover_base_vertex:
-        raise NotInSubgroupError(
-            "word does not lift to a loop at the marked vertex")
-    out = cd.cover_pres.loop_to_word(lifted)
-    back = cd.base_pres.loop_to_word(
-        p.project_path(cd.cover_pres.realize_word(out)))
-    if back != reduce_word(h):
-        raise InternalCosetError("round trip through the cover changed the word")
-    return out
+    return CosetData(p, base_tree, base_pres, cover_tree, cover_pres, sheet,
+                     tuple(transversal[c] for c in sheet), transversal)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ class TransversalCheckFailedError(CovertwistError):
     """Computed coset words do not act as a transversal on the fiber."""
 
 
-class NotInSubgroupError(CovertwistError):
-    """The word does not lift to a loop, so it is not in the subgroup."""
-
-
 class InternalCosetError(CovertwistError):
     """Coset bookkeeping produced an inconsistent block (internal bug)."""
 

@@ -35,13 +35,6 @@ def invert_word(w: FreeWord) -> FreeWord:
     return tuple((g, -s) for (g, s) in reversed(w))
 
 
-def concat_words(*ws: FreeWord) -> FreeWord:
-    out: list[tuple[int, int]] = []
-    for w in ws:
-        out.extend(w)
-    return reduce_word(tuple(out))
-
-
 @dataclass(frozen=True)
 class SpanningTree:
     """BFS spanning tree rooted at `root`.

@@ -181,10 +181,6 @@ class Matrix:
                     return False
         return True
 
-    def submatrix(self, rows, cols) -> "Matrix":
-        return Matrix(self.domain,
-                      [[self.data[i][j] for j in cols] for i in rows])
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.domain!r})"
 

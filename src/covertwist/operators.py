@@ -67,11 +67,6 @@ def symbolic_weights(g: Graph, coeff=QQ,
     return EdgeWeights(dom, vals)
 
 
-def unit_weights(g: Union[Graph, DirectedGraph], domain=QQ) -> EdgeWeights:
-    m = g.num_edges
-    return EdgeWeights(domain, (domain.one,) * m)
-
-
 def weights_from_unoriented(g: Graph, domain, per_unoriented) -> EdgeWeights:
     if len(per_unoriented) != g.num_unoriented:
         raise MissingWeightError(

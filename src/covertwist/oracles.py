@@ -106,16 +106,18 @@ def enum_spanning_trees(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def enum_forests(g: Graph) -> list[tuple[frozenset[int], int, int]]:
+def enum_forests(g: Graph, domain=None,
+                 values=None) -> list[tuple[frozenset[int], int, int, object]]:
     """All forests (acyclic unoriented edge subsets) with their component
-    count and rooting multiplicity.
+    count, rooting multiplicity and edge-value product.
 
     Returns (edges, number of components on the full vertex set, product
-    of component sizes).  The empty forest is included.
-    """
-    out: list[tuple[frozenset[int], int, int]] = []
-    _acyclic_walk(g, False, lambda chosen, ncomp, phi, _w:
-                  out.append((frozenset(chosen), ncomp, phi)))
+    of component sizes, product of the edges' values, or None when no
+    domain is given).  The empty forest is included."""
+    out: list[tuple[frozenset[int], int, int, object]] = []
+    _acyclic_walk(g, False, lambda chosen, ncomp, phi, w:
+                  out.append((frozenset(chosen), ncomp, phi, w)),
+                  domain, values)
     return out
 
 
@@ -180,20 +182,30 @@ def rooted_forest_sum(g: Graph, domain, per_unoriented) -> object:
     return pairwise_sum(domain, list(by_k.values()))
 
 
-def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> dict[int, object]:
+class ForestSums(dict):
+    """Rooted forest sums keyed by component count, with the number of
+    forests they add up."""
+
+    forests = 0
+
+
+def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> ForestSums:
     """Same sum, split by number of components, fewest components last.
 
-    Edge products are summed per (components, phi) first, so each phi
-    multiplies once."""
+    One enum_forests walk carries the edge products; they are summed per
+    (components, phi) first, so each phi multiplies once."""
+    forests = enum_forests(g, domain, per_unoriented)
     groups: dict[tuple[int, int], list] = {}
-    _acyclic_walk(g, False, lambda _c, ncomp, phi, w:
-                  groups.setdefault((ncomp, phi), []).append(w),
-                  domain, per_unoriented)
+    for _, ncomp, phi, w in forests:
+        groups.setdefault((ncomp, phi), []).append(w)
     by_k: dict[int, list] = {}
     for (ncomp, phi), terms in sorted(groups.items(), reverse=True):
         by_k.setdefault(ncomp, []).append(
             domain.mul(domain.coerce(phi), pairwise_sum(domain, terms)))
-    return {k: pairwise_sum(domain, terms) for k, terms in by_k.items()}
+    out = ForestSums((k, pairwise_sum(domain, terms))
+                     for k, terms in by_k.items())
+    out.forests = len(forests)
+    return out
 
 
 def matching_sum(g: Graph, domain, per_unoriented) -> object:

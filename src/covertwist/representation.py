@@ -2,8 +2,8 @@
 
 A representation assigns an invertible matrix to each free generator of
 a presentation.  Connections realize representations edgewise, induced
-representations push a cover representation down to the base through
-coset words, and abelian fiber groups get their full character family
+representations push a cover representation down to the base one edge
+lift per block, and abelian fiber groups get their full character family
 over Q(zeta_N), N the group exponent (QQ for N <= 2, QQ(i) for N = 4),
 so every character value is exact.
 """
@@ -17,8 +17,6 @@ from .covering import (
     CosetData,
     GaloisGroup,
     Perm,
-    express_in_subgroup,
-    fiber_action,
     perm_compose,
     perm_identity,
     perm_inverse,
@@ -30,7 +28,7 @@ from .errors import (
     NotAbelianError,
 )
 from .graphs import Path, check_loop
-from .homotopy import FreeWord, Pi1Presentation, concat_words, invert_word
+from .homotopy import FreeWord, Pi1Presentation
 from .matrix import Matrix, direct_sum_matrices, inverse
 
 
@@ -44,12 +42,16 @@ class Representation:
     gen_invs: tuple[Matrix, ...]
 
     def __post_init__(self):
+        """Each generator is square with m·m⁻¹ = I, so that m⁻¹ is a
+        two-sided inverse; a pair met before is not multiplied again."""
         ident = Matrix.identity(self.domain, self.degree)
+        seen = set()
         for k, (m, mi) in enumerate(zip(self.gen_mats, self.gen_invs)):
             if m.shape != (self.degree, self.degree):
                 raise ValueError(f"generator {k} has shape {m.shape}")
-            if not (m * mi).eq(ident) or not (mi * m).eq(ident):
+            if (id(m), id(mi)) not in seen and not (m * mi).eq(ident):
                 raise ValueError(f"generator {k}: stored inverse is wrong")
+            seen.add((id(m), id(mi)))
 
     @property
     def rank(self) -> int:
@@ -71,13 +73,6 @@ def representation(domain, mats: list[Matrix]) -> Representation:
 def trivial_representation(domain, rank: int, degree: int = 1) -> Representation:
     ident = Matrix.identity(domain, degree)
     return Representation(domain, degree, (ident,) * rank, (ident,) * rank)
-
-
-def rep_of_word(rho: Representation, w: FreeWord) -> Matrix:
-    out = Matrix.identity(rho.domain, rho.degree)
-    for (k, s) in w:
-        out = out * (rho.gen_mats[k] if s == 1 else rho.gen_invs[k])
-    return out
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
@@ -137,14 +132,14 @@ def monodromy(g, c: Connection, loop: Path) -> Matrix:
 # induction along a covering
 
 
-# (target block, m×m block) for each source block of one generator image
+# (row block, m×m block) for each block column of one generator image
 Blocks = tuple[tuple[int, Matrix], ...]
 
 
 @dataclass(frozen=True)
 class InducedRep:
     """Representation of the base presentation built from a cover
-    representation; generator images permute coset blocks.
+    representation; generator images permute the sheets' blocks.
 
     gen_blocks[k][j] (inv_blocks[k][j] for the inverse) is the one
     nonzero block of block column j of generator k's image, as its row
@@ -158,11 +153,11 @@ class InducedRep:
     gen_blocks: tuple[Blocks, ...]
     inv_blocks: tuple[Blocks, ...]
 
-    def first_block_column(self, w: FreeWord) -> tuple[int, Matrix]:
-        """The one nonzero block of the first block column of ρ#(w), as
-        its row block and its m×m value: the letters act on block 0 from
-        right to left, one m×m product each."""
-        j = 0
+    def marked_block_column(self, w: FreeWord) -> tuple[int, Matrix]:
+        """The one nonzero block of the marked sheet's block column of
+        ρ#(w), as its row block and its m×m value: the letters act on
+        that block from right to left, one m×m product each."""
+        j = self.coset.sheet[self.coset.covering.cover_base_vertex]
         blk = None
         for k, s in reversed(w):
             jp, b = (self.gen_blocks if s == 1 else self.inv_blocks)[k][j]
@@ -185,42 +180,52 @@ def _blocks_to_matrix(domain, d: int, m: int,
     return Matrix(domain, data)
 
 
-def _induced_generator(cd: CosetData, rho: Representation,
-                       gen_word: FreeWord) -> Blocks:
-    p = cd.covering
-    pres = cd.base_pres
-    fiber = cd.fiber
-    pos = {vt: j for j, vt in enumerate(fiber)}
-    blocks = []
-    for j, r in enumerate(cd.transversal):
-        target = fiber_action(p, pres, gen_word, fiber[j])
-        jp = pos[target]
-        h = concat_words(invert_word(cd.transversal[jp]), gen_word, r)
-        blocks.append((jp, rep_of_word(rho, express_in_subgroup(cd, h))))
-    return tuple(blocks)
-
-
 def induce(cd: CosetData, rho: Representation) -> InducedRep:
-    """Push a representation of the cover's loop group down to the base:
-    generator images act blockwise through the transversal, with block
-    (r', r) the cover image of r'⁻¹·g·r."""
+    """Push a representation of the cover's loop group down to the base.
+
+    By Reidemeister–Schreier every block is one edge lift: for a letter
+    γ of the base and the lift ẽ of its edge from sheet c to sheet c′,
+    block column c′ of ρ#(γ) has row block c and value ρ of ẽ's letter
+    in the cover presentation (I when ẽ is a cover tree edge).  The
+    inverse images are checked blockwise, one m×m product per sheet and
+    generator."""
     if rho.rank != cd.cover_pres.rank:
         raise ValueError("representation does not match the cover presentation")
+    p = cd.covering
+    g = p.base
+    sheet = cd.sheet
+    letter_of = cd.cover_pres.gen_of_edge
     d = len(cd.fiber)
-    gens = tuple(_induced_generator(cd, rho, ((k, 1),))
-                 for k in range(cd.base_pres.rank))
-    invs = tuple(_induced_generator(cd, rho, ((k, -1),))
-                 for k in range(cd.base_pres.rank))
+    ident = Matrix.identity(rho.domain, rho.degree)
+
+    def blocks(e: int) -> Blocks:
+        out: list = [None] * d
+        for vt in p.vertex_fibers[g.src[e]]:
+            et = p.edge_lift_at[(e, vt)]
+            let = letter_of.get(et)
+            if let is None:
+                blk = ident
+            else:
+                blk = (rho.gen_mats if let[1] == 1 else rho.gen_invs)[let[0]]
+            out[sheet[p.cover.tgt[et]]] = (sheet[vt], blk)
+        return tuple(out)
+
+    gens = tuple(blocks(e) for e in cd.base_pres.gen_edge)
+    invs = tuple(blocks(g.inv[e]) for e in cd.base_pres.gen_edge)
+    for k, (gen, inv) in enumerate(zip(gens, invs)):
+        for j, col in enumerate(inv):
+            back = None if col is None else gen[col[0]]
+            if back is None or back[0] != j or not (back[1] * col[1]).eq(ident):
+                raise InternalCosetError(
+                    f"induced blocks are inconsistent: generator {k}, "
+                    f"block column {j}")
 
     def image(blocks: Blocks) -> Matrix:
         return _blocks_to_matrix(rho.domain, d, rho.degree,
                                  {(jp, j): b for j, (jp, b) in enumerate(blocks)})
 
-    try:
-        rep = Representation(rho.domain, rho.degree * d,
-                             tuple(map(image, gens)), tuple(map(image, invs)))
-    except ValueError as exc:
-        raise InternalCosetError(f"induced blocks are inconsistent: {exc}")
+    rep = Representation(rho.domain, rho.degree * d,
+                         tuple(map(image, gens)), tuple(map(image, invs)))
     return InducedRep(rep, rho, cd, rho.degree, d, gens, invs)
 
 

@@ -2,20 +2,27 @@
 
 Gaussian rationals, random integer and skew-symmetric matrices,
 matrices from rows of plain values, polynomials from exponent lists
-and their coefficients in one variable, relabelled graphs and the text
-of a free-group word.  The
-program builds none of these, so they live here rather than in
+and their coefficients in one variable, relabelled graphs, the text
+of a free-group word, words concatenated and reduced, a word's image
+under a representation, submatrices, unit edge weights and the
+coefficient-by-coefficient check of a Laplacian charpoly against the
+forest oracle.
+The program builds none of these, so they live here rather than in
 `covertwist`.
 """
 
 import random
 from typing import Iterable, Sequence
 
+from covertwist.certificates import unoriented_values
 from covertwist.domains import QI, QQ, root_of_unity
 from covertwist.graphs import DirectedGraph, Graph
-from covertwist.homotopy import FreeWord
-from covertwist.matrix import Matrix
+from covertwist.homotopy import FreeWord, reduce_word
+from covertwist.matrix import Matrix, charpoly
+from covertwist.operators import EdgeWeights, laplacian
+from covertwist.oracles import rooted_forest_sum_by_components
 from covertwist.poly import MultiPoly, VarRegistry
+from covertwist.representation import Representation
 
 
 def gaussian(re, im):
@@ -102,3 +109,47 @@ def word_to_text(w: FreeWord) -> str:
     if not w:
         return "1"
     return "*".join(f"g{g}" if s == 1 else f"g{g}^-1" for g, s in w)
+
+
+def unit_weights(g, domain=QQ) -> EdgeWeights:
+    """Weight one on every directed edge of g."""
+    return EdgeWeights(domain, (domain.one,) * g.num_edges)
+
+
+def forest_coefficient_checks(g: Graph, x: EdgeWeights) -> list[tuple[int, bool]]:
+    """Every Laplacian charpoly coefficient against the forest oracle:
+    (−1)^{n−i}·c_i must equal the i-component rooted-forest sum."""
+    P = charpoly(laplacian(g, x))
+    n = g.num_vertices
+    dom = x.domain
+    oracle = rooted_forest_sum_by_components(g, dom, unoriented_values(g, x))
+    out = []
+    for i in range(n + 1):
+        ci = P.coefficient_of("lambda", i)
+        lhs = ci if (n - i) % 2 == 0 else -ci
+        rhs = oracle.get(i, dom.zero)
+        rhs = (rhs.lift(ci.reg) if isinstance(rhs, MultiPoly)
+               else MultiPoly.const(ci.reg, rhs))
+        out.append((i, lhs == rhs))
+    return out
+
+
+def concat_words(*ws: FreeWord) -> FreeWord:
+    """The words one after another, reduced."""
+    out: list[tuple[int, int]] = []
+    for w in ws:
+        out.extend(w)
+    return reduce_word(tuple(out))
+
+
+def rep_of_word(rho: Representation, w: FreeWord) -> Matrix:
+    """ρ(w), one generator image or inverse per letter, left to right."""
+    out = Matrix.identity(rho.domain, rho.degree)
+    for (k, s) in w:
+        out = out * (rho.gen_mats[k] if s == 1 else rho.gen_invs[k])
+    return out
+
+
+def submatrix(m: Matrix, rows, cols) -> Matrix:
+    """The entries of m in the given rows and columns, in that order."""
+    return Matrix(m.domain, [[m.data[i][j] for j in cols] for i in rows])

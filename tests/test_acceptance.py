@@ -12,7 +12,6 @@ from itertools import combinations, permutations
 from covertwist.certificates import (
     cor1_certificate,
     dimer_certificate,
-    forest_coefficient_checks,
     kos_certificate,
     tree_certificates,
     verify_main,
@@ -34,7 +33,6 @@ from covertwist.operators import (
     symbolic_weights,
     trivial_connection,
     twisted_adjacency,
-    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.oracles import enum_perfect_matchings
@@ -43,7 +41,13 @@ from covertwist.randinst import random_cover_instance
 from covertwist.representation import trivial_representation
 from covertwist.zeta import amitsur_check, artin_axioms, untwisted_l_series_inverse
 
-from builders import evaluate, random_int_matrix, random_skew_matrix
+from builders import (
+    evaluate,
+    forest_coefficient_checks,
+    random_int_matrix,
+    random_skew_matrix,
+    unit_weights,
+)
 from leibniz_reference import det_leibniz
 
 

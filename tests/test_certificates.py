@@ -8,7 +8,6 @@ from covertwist.certificates import (
     cor1_certificate,
     cor2_certificate,
     dimer_certificate,
-    forest_coefficient_checks,
     kos_certificate,
     tree_certificates,
     verify_main,
@@ -28,12 +27,11 @@ from covertwist.operators import (
     lift_weights,
     symbolic_weights,
     twisted_adjacency,
-    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.representation import representation, trivial_connection
 
-from builders import evaluate
+from builders import evaluate, forest_coefficient_checks, unit_weights
 
 
 def c3():

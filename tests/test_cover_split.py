@@ -11,6 +11,8 @@ no certificate may take a charpoly or determinant at the cover's order.
 Broken witness parts must turn the documented report lines to FAIL.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from covertwist.certificates import (
     spanning_tree_polynomial,
     split_cover_charpoly,
     tree_certificates,
+    verify_main,
 )
 from covertwist.cli import main
 from covertwist.covering import (
@@ -52,17 +55,21 @@ from covertwist.operators import (
     lift_weights,
     symbolic_weights,
     twisted_adjacency,
-    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.poly import MultiPoly
+from covertwist.randinst import random_representation
 from covertwist.representation import (
+    Representation,
     permutation_complement,
     representation,
     trivial_connection,
     trivial_representation,
 )
 from covertwist.zeta import artin_axioms
+
+from builders import unit_weights
+from induce_reference import blocks_image
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 DEGREES = pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -425,19 +432,19 @@ def test_cor2_on_dimer_c4_matches_the_direct_route():
 
 
 def swap_two_columns(build):
-    def broken(*args):
-        psi = build(*args)
-        data = [row[:] for row in psi.data]
-        for row in data:   # two lifts of base vertex 0: ψ stays invertible
-            row[0], row[1] = row[1], row[0]
-        return Matrix(psi.domain, data)
+    def broken(p, *args):
+        psi = list(build(p, *args))
+        # the blocks of two lifts of base vertex 0: ψ stays invertible
+        a, b = p.vertex_fibers[0][:2]
+        psi[a], psi[b] = psi[b], psi[a]
+        return tuple(psi)
     return broken
 
 
 def zero_psi(build):
     def broken(*args):
-        psi = build(*args)
-        return Matrix.zeros(psi.domain, psi.nrows, psi.ncols)
+        return tuple((rb, Matrix.zeros(blk.domain, blk.nrows, blk.ncols))
+                     for rb, blk in build(*args))
     return broken
 
 
@@ -528,3 +535,106 @@ def test_broken_witness_fails(capsys, monkeypatch, command, broken):
     for line in lines:
         assert found[line] == "FAIL", (line, captured.out)
     assert "result: FAIL" in captured.out
+
+
+def permute_rho_sharp(induce):
+    """Swaps the row blocks (target sheets) of block columns 0 and 1 of
+    ρ#(γ_0) and the matching inverse columns, so that ρ# stays a
+    representation and its blockwise inverse check still holds."""
+    def broken(cd, rho):
+        ind = induce(cd, rho)
+        gen, inv = list(ind.gen_blocks[0]), list(ind.inv_blocks[0])
+        (r0, b0), (r1, b1) = gen[0], gen[1]
+        gen[0], gen[1] = (r1, b0), (r0, b1)
+        inv[r0], inv[r1] = inv[r1], inv[r0]
+        gens = (tuple(gen),) + ind.gen_blocks[1:]
+        invs = (tuple(inv),) + ind.inv_blocks[1:]
+        m, dom = ind.block_degree, ind.rep.domain
+        rep = Representation(
+            dom, ind.rep.degree,
+            (blocks_image(gens[0], m, dom),) + ind.rep.gen_mats[1:],
+            (blocks_image(invs[0], m, dom),) + ind.rep.gen_invs[1:])
+        return dataclasses.replace(ind, rep=rep, gen_blocks=gens,
+                                   inv_blocks=invs)
+    return broken
+
+
+def z6_with_cover_representation(tmp_path):
+    """z6_bouquet.txt with its base representation replaced by one of
+    degree 2 over Q(ζ_6) on the 7 generators of the cover's loop group,
+    the two given matrices in turn."""
+    with open(Z6, encoding="utf-8") as fh:
+        text = fh.read()
+    head, _, rep = text.partition("representation rho:\n")
+    mats = [line.split("=", 1)[1].strip() for line in rep.splitlines()
+            if line.strip().startswith("generator")]
+    lines = [f"  generator {k} = {mats[k % 2]}" for k in range(7)]
+    path = tmp_path / "z6_cover_rep.txt"
+    path.write_text(head + "representation rho:\n" + "\n".join(lines) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("cor1", ["charpoly divisible", *QUOTIENT_LINES]),
+    ("verify-main", ["operators intertwine"])])
+def test_permuted_rho_sharp_block_fails(capsys, monkeypatch, tmp_path,
+                                        command, lines):
+    path = z6_with_cover_representation(tmp_path)
+    assert main([command, "--input", path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    monkeypatch.setattr(certificates, "induce",
+                        permute_rho_sharp(certificates.induce))
+    code = main([command, "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    found = checks(captured.out)
+    for line in lines:
+        assert found[line] == "FAIL", (line, captured.out)
+
+
+# ---------------------------------------------------------------------------
+# the witness takes no product at the cover's order
+
+
+def test_witness_takes_no_cover_order_product(monkeypatch):
+    # a scalar-shaped cover: an 8-cycle with two chords at degree 5
+    rng = random.Random(17)
+    g = build_graph(8, [(v, (v + 1) % 8) for v in range(8)] + [(0, 4), (2, 6)])
+    pres = fundamental_presentation(g, 0)
+    perms = [tuple(rng.sample(range(5), 5)) for _ in range(pres.rank)]
+    perms[0] = (1, 2, 3, 4, 0)
+    p = build_cover(pres, VoltageAssignment(5, tuple(perms)))
+    assert p.cover.num_vertices == 40
+    x = weights_from_unoriented(g, QQ, [rng.randint(1, 5)
+                                        for _ in range(g.num_unoriented)])
+    cd = coset_data(p, spanning_tree(g, 0))
+    rho = random_representation(rng, cd.cover_pres.rank, 2)
+
+    mul, eq = Matrix.__mul__, Matrix.eq
+
+    def guarded(op):
+        def run(a, b):
+            if max(a.nrows, a.ncols, b.nrows, b.ncols) >= 40:
+                raise AssertionError(f"product with an operand of order "
+                                     f"{max(a.shape + b.shape)}")
+            return op(a, b)
+        return run
+
+    monkeypatch.setattr(Matrix, "__mul__", guarded(mul))
+    monkeypatch.setattr(Matrix, "eq", guarded(eq))
+    det_orders = []
+
+    def recording_det(m):
+        det_orders.append(m.nrows)
+        return det(m)
+
+    monkeypatch.setattr(certificates, "det", recording_det)
+    assert cor1_certificate(p, x, cd).ok
+    assert tree_certificates(p, x, cd).ok
+    # det Q of each split; at m = 1 ψ's blocks are their own determinants
+    assert det_orders == [5, 5]
+    del det_orders[:]
+    assert verify_main(p, cd, rho, x).ok
+    assert det_orders and set(det_orders) == {2}

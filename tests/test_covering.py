@@ -12,7 +12,6 @@ from covertwist.covering import (
     check_subgroup,
     deck_transformation,
     edge_voltage_cover,
-    express_in_subgroup,
     fiber_action,
     identity_cover,
     is_normal,
@@ -24,16 +23,17 @@ from covertwist.covering import (
 )
 from covertwist.errors import (
     NotASubgroupError,
-    NotInSubgroupError,
     VoltageNotAntisymmetricError,
 )
 from covertwist.graphs import build_graph, is_connected, validate_graph
 from covertwist.homotopy import (
-    concat_words,
     fundamental_presentation,
     reduce_word,
     spanning_tree,
 )
+
+from builders import concat_words
+from induce_reference import NotInSubgroupError, express_in_subgroup
 
 
 def triangle():

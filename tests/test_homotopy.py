@@ -7,7 +7,6 @@ import pytest
 from covertwist.errors import NotALoopError
 from covertwist.graphs import Path, build_graph, path_target
 from covertwist.homotopy import (
-    concat_words,
     fundamental_presentation,
     invert_word,
     presentation_from_tree,
@@ -15,7 +14,7 @@ from covertwist.homotopy import (
     spanning_tree,
 )
 
-from builders import word_to_text
+from builders import concat_words, word_to_text
 
 
 def test_reduce_word_cancels():

@@ -23,7 +23,12 @@ import covertwist.matrix as matrix_module
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import det_bareiss
-from builders import matrix_from_rows, random_int_matrix, random_skew_matrix
+from builders import (
+    matrix_from_rows,
+    random_int_matrix,
+    random_skew_matrix,
+    submatrix,
+)
 from leibniz_reference import det_leibniz
 
 
@@ -138,7 +143,7 @@ def test_pfaffian_rejects_odd_and_nonskew():
 
 def test_submatrix():
     m = Matrix(QQ, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    s = m.submatrix([0, 2], [1, 2])
+    s = submatrix(m, [0, 2], [1, 2])
     assert s.nrows == 2 and s.ncols == 2
     assert s[0, 0] == 2 and s[1, 1] == 9
 

@@ -18,7 +18,6 @@ from covertwist.operators import (
     line_digraph,
     symbolic_weights,
     twisted_adjacency,
-    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.poly import MultiPoly, PolyDomain
@@ -27,6 +26,8 @@ from covertwist.representation import (
     trivial_connection,
     trivial_representation,
 )
+
+from builders import unit_weights
 
 
 def triangle():

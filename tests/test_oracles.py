@@ -73,7 +73,7 @@ def test_loop_never_in_tree():
 def test_forests_include_empty_set():
     g = c3()
     forests = enum_forests(g)
-    sizes = sorted(len(f) for f, _, _ in forests)
+    sizes = sorted(len(f) for f, _, _, _ in forests)
     assert sizes[0] == 0
     assert len(forests) == 7  # empty, three 1-edge, three 2-edge
 
@@ -182,7 +182,7 @@ def random_values(rng, g, kind):
 def test_enumerations_match_reference(seed):
     g = random_multigraph(random.Random(seed))
     assert enum_spanning_trees(g) == ref_spanning_trees(g)
-    assert enum_forests(g) == ref_forests(g)
+    assert [f[:3] for f in enum_forests(g)] == ref_forests(g)
     assert enum_perfect_matchings(g) == ref_perfect_matchings(g)
 
 
@@ -206,7 +206,7 @@ def test_dense_multigraph_matches_reference():
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     g = build_graph(5, pairs + [(1, 3), (2, 2)])
     assert enum_spanning_trees(g) == ref_spanning_trees(g)
-    assert enum_forests(g) == ref_forests(g)
+    assert [f[:3] for f in enum_forests(g)] == ref_forests(g)
     x = symbolic_weights(g)
     vals = unoriented_values(g, x)
     assert rooted_forest_sum_by_components(g, x.domain, vals) == \

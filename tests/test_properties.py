@@ -12,18 +12,18 @@ from covertwist.operators import (
     lift_weights,
     symbolic_weights,
     twisted_adjacency,
-    unit_weights,
 )
 from covertwist.randinst import random_cover_instance
 from covertwist.representation import (
     connection_from_rep,
     direct_sum,
     induce,
-    rep_of_word,
     representation,
     trivial_representation,
 )
 from covertwist.zeta import amitsur_check, l_series_inverse
+
+from builders import rep_of_word, unit_weights
 
 
 def random_word(rng, rank, n):

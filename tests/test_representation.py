@@ -19,6 +19,7 @@ from covertwist.homotopy import fundamental_presentation, spanning_tree
 from covertwist.matrix import Matrix, det
 from covertwist.randinst import random_representation
 from covertwist.representation import (
+    Representation,
     abelian_character_table,
     abelian_characters,
     connection_from_rep,
@@ -27,14 +28,27 @@ from covertwist.representation import (
     induce,
     monodromy,
     permutation_complement,
-    rep_of_word,
     representation,
     trivial_representation,
 )
 
+from builders import rep_of_word
+
 
 def bouquet2():
     return build_graph(1, [(0, 0), (0, 0)])
+
+
+def test_representation_rejects_a_wrong_stored_inverse():
+    m = Matrix(QQ, [[1, 1], [0, 1]])
+    inv = Matrix(QQ, [[1, -1], [0, 1]])
+    assert Representation(QQ, 2, (m, m), (inv, inv)).rank == 2
+    with pytest.raises(ValueError):
+        Representation(QQ, 2, (m,), (m,))
+    # a pair met before is not multiplied again, and a wrong one later on
+    # is still caught
+    with pytest.raises(ValueError):
+        Representation(QQ, 2, (m, m, inv), (inv, inv, inv))
 
 
 def test_representation_checks_invertibility():

@@ -17,7 +17,6 @@ from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix
 from covertwist.operators import (
     symbolic_weights,
-    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.representation import representation, trivial_representation
@@ -28,6 +27,8 @@ from covertwist.zeta import (
     prime_cycles,
     untwisted_l_series_inverse,
 )
+
+from builders import unit_weights
 
 
 def c3():

@@ -18,7 +18,6 @@ from covertwist.operators import (
     pullback_connection,
     symbolic_weights,
     twisted_adjacency,
-    unit_weights,
     weights_from_unoriented,
 )
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
@@ -26,7 +25,7 @@ from covertwist.representation import connection_from_rep, representation
 from covertwist.zeta import amitsur_check, l_series_inverse
 
 from bareiss_reference import det_bareiss
-from builders import by_var, gaussian
+from builders import by_var, gaussian, unit_weights
 
 
 def small_graph(rng):
