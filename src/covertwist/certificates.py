@@ -59,6 +59,7 @@ from .errors import (
     EvenDegreeError,
     IrreducibleCountMismatchError,
     NotAbelianError,
+    NotConnectedError,
     NotNormalError,
     NotPlanarError,
     NotPlanarQuotientError,
@@ -142,9 +143,8 @@ def build_psi(p: CoveringMap, cd: CosetData, rho: Representation,
     as the one nonzero (row block, m×m block) of each cover vertex's
     block column: the marked sheet's block column of ρ#(g_ṽ), read off
     the generators' blocks once per sheet (g_ṽ is its sheet's word) and
-    put among the row blocks p(ṽ)·d + j of p(ṽ)."""
-    if not is_connected(p.cover):
-        raise CoverNotConnectedError("psi needs a connected cover")
+    put among the row blocks p(ṽ)·d + j of p(ṽ).  cd comes from
+    coset_data, which refuses a disconnected cover."""
     d = p.degree
     columns = [irho.marked_block_column(w) for w in cd.transversal]
     return tuple((p.p_vertex[vt] * d + columns[c][0], columns[c][1])
@@ -359,6 +359,21 @@ class Cor1Result:
                 and self.quotient_monic and self.complement_matches)
 
 
+def _coset_data_of(p: CoveringMap, cd: CosetData | None,
+                   refusal: str) -> CosetData:
+    """cd, or when it is None the coset data of p over the base's
+    breadth-first tree.  Coset data exist only for a connected cover (a
+    connected cover has a connected base), so a given cd vouches for
+    connectivity, and a disconnected cover is refused here once, with
+    the caller's message."""
+    if cd is not None:
+        return cd
+    try:
+        return coset_data(p, spanning_tree(p.base, p.base_vertex))
+    except NotConnectedError:
+        raise CoverNotConnectedError(refusal) from None
+
+
 def cor1_certificate(p: CoveringMap, x: EdgeWeights,
                      cd: CosetData | None = None) -> Cor1Result:
     """charpoly(A_base) divides charpoly(A_cover), with quotient
@@ -371,10 +386,7 @@ def cor1_certificate(p: CoveringMap, x: EdgeWeights,
     ψ invertible and the trace tie, "quotient matches complement twist"
     the Q check; "quotient integer coefficients" and "quotient monic"
     hold only with the whole witness."""
-    if not is_connected(p.cover):
-        raise CoverNotConnectedError("divisibility needs a connected cover")
-    if cd is None:
-        cd = coset_data(p, spanning_tree(p.base, p.base_vertex))
+    cd = _coset_data_of(p, cd, "divisibility needs a connected cover")
     split = split_cover_charpoly(p, cd, x, twisted_adjacency)
     q = split.complement
     cert = DivisibilityCertificate(split.cover, split.base, q,
@@ -524,12 +536,7 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights,
     divisible" and "forest sum divisible" each carry the whole witness
     (ψ-conjugacy, ψ invertible, the Q check, the trace tie), and so do
     the integrality flags of both quotients, as in cor1."""
-    if not is_connected(p.cover):
-        raise CoverNotConnectedError("tree counts need a connected cover")
-    if not is_connected(p.base):
-        raise CoverNotConnectedError("tree counts need a connected base")
-    if cd is None:
-        cd = coset_data(p, spanning_tree(p.base, p.base_vertex))
+    cd = _coset_data_of(p, cd, "tree counts need a connected cover")
     xl = lift_weights(p, x)
     split = split_cover_charpoly(p, cd, x, laplacian)
     P_base = split.base

@@ -15,8 +15,12 @@ characteristic polynomials alike:
   Proth's theorem, sized to the bound: a bound up to 240 bits takes one
   prime and one Hessenberg run, and only a larger one splits over
   several primes whose residues the Chinese remainder theorem combines.
-  The Hessenberg kernel skips zero entries in its reduction and runs
-  its recurrence on packed integers, one coefficient per bit field.
+  The cleared matrix is first put into a fill-reducing symmetric order,
+  reverse Cuthill-McKee on its nonzero pattern, once for every prime.
+  The Hessenberg kernel skips zero entries in its reduction, leaves an
+  eliminated row's entries unreduced until a zero test, the pivot row
+  or the recurrence reads them, and runs its recurrence on packed
+  integers, one coefficient per bit field.
 * Characteristic polynomials of matrices with polynomial entries take
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x],
   QQ(i)[x] or Q(zeta_N)[x]): inner products and convolutions only, no
@@ -276,6 +280,19 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     column update adds only the nonzero entries of the eliminated
     columns.
 
+    The row updates reduce nothing: with u = -x/pivot mod p, in [0, p),
+    an eliminated row gains u*y on each column of a pivot-row entry y,
+    so its entries stay nonnegative and congruent to their residues.
+    An entry gains at most one product of two residues per step, and
+    the column update of step j reduces column j + 1 in full, so every
+    entry stays below p + n*(p - 1)^2.  An entry is reduced mod p
+    before each zero test that decides a pivot or an elimination, when
+    it is taken into the pivot row, and where the recurrence reads it;
+    the column update may skip an entry that is 0 but not one that is
+    a nonzero multiple of p, which only costs a product.  The entries
+    of column j below the subdiagonal are left as they are after step
+    j: nothing reads them again.
+
     The recurrence p_m = (x - h[m-1][m-1]) * p_(m-1)
     - sum_i h[i-1][m-1] * t_i * p_(i-1), with t_i the product of the
     subdiagonal entries h[i][i-1] ... h[m-1][m-2], runs on packed
@@ -298,7 +315,7 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
     n = len(h)
     for j in range(n - 2):
         for piv in range(j + 1, n):
-            if h[piv][j]:
+            if h[piv][j] % p:
                 break
         else:
             continue
@@ -307,16 +324,17 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
         prow = h[j + 1]
-        inv = pow(prow[j], -1, p)
-        terms = [(c, y) for c, y in enumerate(prow[j:], j) if y]
+        prow[j:] = [y % p for y in prow[j:]]
+        neg_inv = p - pow(prow[j], -1, p)
+        terms = [(c, y) for c, y in enumerate(prow[j + 1:], j + 1) if y]
         elim = []
         for r in range(j + 2, n):
             row = h[r]
-            x = row[j]
+            x = row[j] % p
             if x:
-                u = x * inv % p
+                u = x * neg_inv % p
                 for c, y in terms:
-                    row[c] = (row[c] - u * y) % p
+                    row[c] += u * y
                 elim.append((r, u))
         if elim:
             for row in h:
@@ -324,7 +342,7 @@ def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
                 for r, u in elim:
                     x = row[r]
                     if x:
-                        acc += u * x
+                        acc -= u * x
                 row[j + 1] = acc % p
     w = 2 * p.bit_length() + (n + 1).bit_length()
     mask = (1 << w) - 1
@@ -374,6 +392,47 @@ def _cleared(m: Matrix) -> tuple[int, list[list[int]], list[list[int]] | None]:
     return d, [[int(x * d) for x in row] for row in m.data], None
 
 
+def _fill_reducing_order(parts: list[list[list[int]]]) -> list[int]:
+    """The reverse Cuthill-McKee order (Cuthill & McKee 1969) of the
+    symmetric nonzero pattern of the square matrices in parts: i and j
+    are adjacent when entry (i, j) or (j, i) of any part is nonzero.
+
+    Each connected piece is searched breadth-first from its vertex of
+    least degree, taking the unvisited neighbours of each vertex by
+    ascending degree, ties by index, and the whole order is reversed.
+    Nonzeros then cluster near the diagonal, where the Hessenberg
+    reduction's fill stays confined."""
+    n = len(parts[0])
+    adj = [set() for _ in range(n)]
+    for part in parts:
+        for i, row in enumerate(part):
+            for j, x in enumerate(row):
+                if x and i != j:
+                    adj[i].add(j)
+                    adj[j].add(i)
+    degree = [len(a) for a in adj]
+
+    def by_degree(v):
+        return degree[v], v
+
+    seen = [False] * n
+    order = []
+    k = 0   # order[k:] are reached but not yet searched
+    for start in sorted(range(n), key=by_degree):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        while k < len(order):
+            fresh = sorted((w for w in adj[order[k]] if not seen[w]),
+                           key=by_degree)
+            for w in fresh:
+                seen[w] = True
+            order += fresh
+            k += 1
+    return order[::-1]
+
+
 def _charpoly_multimodular(m: Matrix) -> list:
     """Coefficients c_0, ..., c_n of det(x*I - m), ascending, for a
     matrix over QQ or QQ(i), exactly.
@@ -390,9 +449,18 @@ def _charpoly_multimodular(m: Matrix) -> list:
     (for QQ(i), its real and imaginary parts, each at most |c_k|), and
     the charpoly of m has coefficients c_k / D^k.  One prime needs no
     recombination; several are combined by Garner's form of the Chinese
-    remainder theorem."""
+    remainder theorem.
+
+    Before the first run, D*m is put into the fill-reducing order of
+    its nonzero pattern (for QQ(i), the union of both parts' patterns),
+    once for every prime: a symmetric permutation is a similarity, so
+    the charpoly and the row norms are unchanged."""
     n = m.nrows
     d, re, im = _cleared(m)
+    order = _fill_reducing_order([re] if im is None else [re, im])
+    re = [[re[i][j] for j in order] for i in order]
+    if im is not None:
+        im = [[im[i][j] for j in order] for i in order]
     bound = 1
     for k, r_re in enumerate(re):
         sq = sum(map(operator.mul, r_re, r_re))

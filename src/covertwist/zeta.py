@@ -14,7 +14,11 @@ weights with a QQ or QQ(i) representation take the multi-modular
 charpoly, polynomial weights or a representation over any other
 Q(zeta_N) the division-free Berkowitz charpoly over their own ring.
 The log-derivative check likewise takes traces of powers of B over the
-weights' domain and attaches u^k only when it sums the two sides.
+weights' domain and attaches u^k only when it sums the two sides.  For
+series length L it forms only B, ..., B^h with h = ceil(L/2) and reads
+tr(B^k) for h < k <= L as the sum of (B^h)_ij * (B^(k-h))_ji over the
+nonzero entries of B^h, so a length-8 check takes 3 matrix products
+instead of 7.
 """
 
 from __future__ import annotations
@@ -212,7 +216,9 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
     Traces and cycle weights are taken over the weights' own domain; each
     term is multiplied by its power of u only when the two sides are
     summed, so degrees up to max_length are complete without truncation
-    bookkeeping."""
+    bookkeeping.  Only the powers B, ..., B^h with h = ceil(max_length/2)
+    are formed; tr(B^k) for h < k <= max_length is read off them as
+    tr(B^h * B^(k-h))."""
     if max_length > AMITSUR_LENGTH_BUDGET:
         raise BudgetExceededError(
             f"series length {max_length} exceeds {AMITSUR_LENGTH_BUDGET}")
@@ -227,12 +233,17 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
     def term(c, k: int) -> MultiPoly:
         return pd.coerce(c) * u ** k
 
+    half = (max_length + 1) // 2
+    powers = [b]   # B^1, ..., B^half
+    while len(powers) < half:
+        powers.append(powers[-1] * b)
     lhs = pd.zero
-    power = b
     for k in range(1, max_length + 1):
-        if k > 1:
-            power = power * b
-        lhs = lhs + term(power.trace() * Fraction(1, k), k)
+        if k <= half:
+            tr = powers[k - 1].trace()
+        else:
+            tr = _trace_of_product(powers[half - 1], powers[k - half - 1])
+        lhs = lhs + term(tr * Fraction(1, k), k)
 
     primes = prime_cycles(g, max_length)
     rhs = pd.zero
@@ -249,6 +260,20 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
             acc_m = acc_m * mono
             acc_w = acc_w * w
     return AmitsurResult(lhs, rhs, lhs == rhs, max_length, len(primes))
+
+
+def _trace_of_product(a: Matrix, b: Matrix):
+    """tr(a*b) = sum of a_ij * b_ji over the nonzero entries a_ij, with
+    no product matrix formed."""
+    dom = a.domain
+    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    b_rows = b.data
+    acc = dom.zero
+    for i, row in enumerate(a.data):
+        for j, x in enumerate(row):
+            if not is_zero(x):
+                acc = add(acc, mul(x, b_rows[j][i]))
+    return acc
 
 
 def src_of_cycle(g: Graph, pc: PrimeCycle) -> int:

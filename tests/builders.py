@@ -4,7 +4,8 @@ Gaussian rationals, random integer and skew-symmetric matrices,
 matrices from rows of plain values, polynomials from exponent lists
 and their coefficients in one variable, relabelled graphs, the text
 of a free-group word, words concatenated and reduced, a word's image
-under a representation, submatrices, unit edge weights and the
+under a representation, random unimodular representations and cyclic
+characters, submatrices, unit edge weights and the
 coefficient-by-coefficient check of a Laplacian charpoly against the
 forest oracle.
 The program builds none of these, so they live here rather than in
@@ -15,20 +16,39 @@ import random
 from typing import Iterable, Sequence
 
 from covertwist.certificates import unoriented_values
-from covertwist.domains import QI, QQ, root_of_unity
+from covertwist.domains import QI, QQ, cyclotomic_field, root_of_unity
 from covertwist.graphs import DirectedGraph, Graph
 from covertwist.homotopy import FreeWord, reduce_word
 from covertwist.matrix import Matrix, charpoly
 from covertwist.operators import EdgeWeights, laplacian
 from covertwist.oracles import rooted_forest_sum_by_components
 from covertwist.poly import MultiPoly, VarRegistry
-from covertwist.representation import Representation
+from covertwist.representation import Representation, representation
 
 
 def gaussian(re, im):
     """re + im*i in QQ(i): a Cyclotomic of order 4, or an int or
     Fraction when im is 0."""
     return QI.coerce(re + im * root_of_unity(4))
+
+
+def unimodular_rep(rng: random.Random, rank: int) -> Representation:
+    """One unimodular 2 x 2 integer matrix [[1 + ab, a], [b, 1]] per
+    generator, a and b drawn from -2 .. 2."""
+    mats = []
+    for _ in range(rank):
+        a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+        mats.append(Matrix(QQ, [[1 + a * b, a], [b, 1]]))
+    return representation(QQ, mats)
+
+
+def cyclic_character(rng: random.Random, rank: int, n: int) -> Representation:
+    """A character into the n-th roots of unity over Q(zeta_n): each
+    generator goes to a power zeta_n^k, k drawn from 1 .. n - 1."""
+    dom = cyclotomic_field(n)
+    return representation(
+        dom, [Matrix(dom, [[root_of_unity(n, rng.randrange(1, n))]])
+              for _ in range(rank)])
 
 
 def random_int_matrix(rng: random.Random, n: int, bound: int = 9) -> Matrix:

@@ -27,6 +27,8 @@ from covertwist.matrix import (
     _DIGIT_BITS,
     _RUN_BITS,
     Matrix,
+    _charpoly_multimodular,
+    _fill_reducing_order,
     _hessenberg_charpoly,
     _proth_prime,
     _proth_witness,
@@ -252,6 +254,55 @@ def test_two_runs_for_a_gaussian_matrix():
         cp = charpoly(m)
     assert len(primes) == 2 and primes[0] == primes[1]
     assert cp == bareiss_charpoly(m)
+
+
+def permuted(m: Matrix, order) -> Matrix:
+    """P*m*P^T: row and column order[k] of m become row and column k."""
+    return Matrix(m.domain, [[m.data[i][j] for j in order] for i in order])
+
+
+@SETTINGS
+@given(m=st.one_of(matrices(1, 16, sparse(rationals()), QQ),
+                   matrices(1, 12, sparse(gaussians()), QI)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_permutations_keep_the_coefficients(m, seed):
+    # the kernel reorders the cleared matrix itself, so any symmetric
+    # permutation of its input must reach the same coefficients
+    want = _charpoly_multimodular(m)
+    rng = random.Random(seed)
+    for _ in range(3):
+        order = list(range(m.nrows))
+        rng.shuffle(order)
+        assert _charpoly_multimodular(permuted(m, order)) == want
+
+
+def bandwidth(rows) -> int:
+    return max((abs(i - j) for i, row in enumerate(rows)
+                for j, x in enumerate(row) if x), default=0)
+
+
+def test_fill_reducing_order_on_the_edge_operator():
+    b = zeta_edge_operator()
+    rows = [[int(x) for x in row] for row in b.data]
+    order = _fill_reducing_order([rows])
+    assert sorted(order) == list(range(60))
+    assert 2 * bandwidth(permuted(b, order).data) <= bandwidth(rows)
+
+
+def test_fill_reducing_order_joins_both_parts_and_every_piece():
+    # a real path 0-1-2 and an imaginary edge 3-4, with 5 isolated: the
+    # order covers every index, and each piece stays contiguous
+    re = [[0] * 6 for _ in range(6)]
+    im = [[0] * 6 for _ in range(6)]
+    re[0][1] = re[2][1] = 1
+    im[4][3] = 1
+    order = _fill_reducing_order([re, im])
+    assert sorted(order) == list(range(6))
+    pos = {v: k for k, v in enumerate(order)}
+    for piece in ({0, 1, 2}, {3, 4}, {5}):
+        spots = sorted(pos[v] for v in piece)
+        assert spots == list(range(spots[0], spots[0] + len(piece)))
+    assert abs(pos[0] - pos[2]) == 2   # the path's ends flank its middle
 
 
 def test_kernel_routes():

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import covertwist
-from covertwist import certificates, cli
+from covertwist import certificates, cli, covering, graphs
 from covertwist.cli import main
 
 SAMPLES = "sample_inputs"
@@ -96,12 +96,6 @@ def test_zeta_lseries(capsys):
     assert code == 0
 
 
-def test_zeta_amitsur_budget(capsys):
-    code, out, err = run(capsys, "zeta-amitsur", "--input",
-                         f"{SAMPLES}/c3.txt", "--max-length", "13")
-    assert code == 3
-
-
 def test_zeta_amitsur_pass(capsys):
     code, out, _ = run(capsys, "zeta-amitsur", "--input", f"{SAMPLES}/c3.txt",
                        "--max-length", "4")
@@ -127,21 +121,117 @@ zdvoltage:
 """
 
 
-@pytest.mark.parametrize("d, message", [
-    (9, "exact pfaffian capped at 16x16"),
-    (21, "42 vertices exceeds the 20-vertex matching budget"),
-])
-def test_dimer_budgets_fire_before_the_split(tmp_path, capsys, d, message):
-    # odd cyclic covers of the 3-edge theta graph with 18 and 42
-    # vertices: past the Pfaffian cap and the matching budget, so they
-    # stop as soon as the cover is built
-    path = tmp_path / f"theta_{d}.txt"
-    path.write_text(THETA_DIMER.format(d=d))
+def cycle_document(n: int) -> str:
+    """An n-cycle with unit weights."""
+    edges = "".join(f"  edge {v} {(v + 1) % n}\n" for v in range(n))
+    return (f"graph:\n  vertices = {n}\n{edges}"
+            "weights:\n  kind = unit\n")
+
+
+BOUQUET_Z101 = """graph:
+  vertices = 1
+  edge 0 0
+  edge 0 0
+weights:
+  kind = unit
+zdvoltage:
+  modulus = 101
+  edge 0 = 1
+  edge 1 = 0
+"""
+
+# (id, argv after the input, the document or a sample, what stderr names)
+OVERSIZED = [
+    ("bouquet-z101", ("cor2",), BOUQUET_Z101,
+     "Q(zeta_101) exceeds the cyclotomic order budget of 100"),
+    ("kos-21x20", ("kos", "--m", "21", "--n", "20"), "kos_b2.txt",
+     "torus cover determinant of order 420 exceeds the budget of 400"),
+    ("trees-25-edges", ("oracle-trees",), cycle_document(25),
+     "25 edges exceeds the 24-edge tree budget"),
+    ("forests-21-edges", ("oracle-forests",), cycle_document(21),
+     "21 edges exceeds the 20-edge forest budget"),
+    ("matchings-22-vertices", ("oracle-matchings",), cycle_document(22),
+     "22 vertices exceeds the 20-vertex matching budget"),
+    ("dimer-theta-z9", ("dimer",), THETA_DIMER.format(d=9),
+     "exact pfaffian capped at 16x16"),
+    ("dimer-theta-z21", ("dimer",), THETA_DIMER.format(d=21),
+     "42 vertices exceeds the 20-vertex matching budget"),
+    ("amitsur-length-13", ("zeta-amitsur", "--max-length", "13"), "c3.txt",
+     "series length 13 exceeds 12"),
+]
+
+
+@pytest.mark.parametrize("argv, document, message",
+                         [row[1:] for row in OVERSIZED],
+                         ids=[row[0] for row in OVERSIZED])
+def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
+                                      message):
+    # every oversized input stops at its budget, exit 3 with no report,
+    # before the work the budget guards: the Q(zeta_101) characters, the
+    # order-420 torus determinant, the oracle walks, and for the odd
+    # cyclic covers of the 3-edge theta graph (18 and 42 vertices) the
+    # split, as soon as the cover is built
+    if document.endswith(".txt"):
+        path = f"{SAMPLES}/{document}"
+    else:
+        path = tmp_path / "oversized.txt"
+        path.write_text(document)
     t0 = time.perf_counter()
-    code, out, err = run(capsys, "dimer", "--input", str(path))
+    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
+
+
+# the 4-cycle of dimer_c4.txt with every Z/3 voltage 0: three disjoint
+# copies of the base, a cover that no command certifies
+DISCONNECTED_COVER = """graph:
+  vertices = 4
+  edge 0 1
+  edge 1 2
+  edge 2 3
+  edge 3 0
+weights:
+  kind = symbolic
+zdvoltage:
+  modulus = 3
+  edge 0 = 0
+  edge 1 = 0
+  edge 2 = 0
+  edge 3 = 0
+"""
+
+
+@pytest.mark.parametrize("command, message", [
+    ("cor1", "coset words need a connected cover"),
+    ("trees", "tree counts need a connected cover"),
+    ("verify-main", "coset words need a connected cover"),
+    ("cor2", "normality is defined for connected covers"),
+    ("dimer", "dimer cover is disconnected"),
+])
+def test_disconnected_cover_is_refused(tmp_path, capsys, command, message):
+    path = tmp_path / "disconnected.txt"
+    path.write_text(DISCONNECTED_COVER)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["cor1", "trees", "verify-main"])
+def test_cover_connectivity_is_tested_once(monkeypatch, capsys, command):
+    # coset_data refuses a disconnected cover, and every later step of
+    # these commands takes its coset data as the proof of connectivity
+    sizes = []
+
+    def recording(g):
+        sizes.append(g.num_vertices)
+        return graphs.is_connected(g)
+
+    for module in (cli, certificates, covering):
+        monkeypatch.setattr(module, "is_connected", recording)
+    code, _, _ = run(capsys, command, "--input", f"{SAMPLES}/c3.txt")
+    assert code == 0
+    assert sorted(sizes) == [3, 6]   # the triangle once, its hexagon once
 
 
 ODD_DIMER = """graph:

@@ -14,6 +14,12 @@ program itself takes, just above 2^30, 2^120 and 2^240, and the
 greatest, just under 2^31, 2^121 and 2^241.  Only the latter bring p^2
 close to 2^(2*bitlen(p)), where the packed recurrence's field width is
 tight.
+
+The reduction leaves eliminated rows unreduced: their entries stay
+nonnegative and congruent to their residues, below p + n*(p - 1)^2.
+Repeated and proportional rows make those entries nonzero multiples of
+p, which every zero test must still read as zero; a recording row type
+checks the bound on every value the kernel stores.
 """
 
 import random
@@ -196,3 +202,60 @@ def test_companion_matrix(p, coeffs):
     for i in range(n):
         h[i][n - 1] = -c[i] % p
     assert agree(h, p) == c + [1]
+
+
+def proportional_rows(rng, n, p, pool):
+    """n x n residues mod p whose rows are residue multiples of `pool`
+    base rows: after a row is eliminated by a proportional pivot row,
+    its entries are nonzero multiples of p until they are reduced.
+    Base entries are 0, 1, p - 1 or uniform, and multipliers 1, p - 1
+    or uniform."""
+    def entry():
+        return rng.choice((0, 0, 1, p - 1, rng.randrange(1, p)))
+    base = [[entry() for _ in range(n)] for _ in range(pool)]
+    return [[c * y % p for y in rng.choice(base)]
+            for c in (rng.choice((1, p - 1, rng.randrange(1, p)))
+                      for _ in range(n))]
+
+
+class RecordingRow(list):
+    """A matrix row that records every value stored into it."""
+
+    stored: list
+
+    def __setitem__(self, key, value):
+        RecordingRow.stored += value if isinstance(key, slice) else [value]
+        super().__setitem__(key, value)
+
+
+def stored_values(h, p):
+    """Every value the kernel stores while it runs on h, which must
+    give the reference's residues."""
+    RecordingRow.stored = []
+    rows = [RecordingRow(row) for row in h]
+    assert _hessenberg_charpoly(rows, p) == \
+        hessenberg_charpoly_dense([row[:] for row in h], p)
+    return RecordingRow.stored
+
+
+@SETTINGS
+@given(p=primes, n=st.integers(3, 64), pool=st.integers(1, 4), seed=seeds)
+def test_proportional_rows(p, n, pool, seed):
+    h = proportional_rows(random.Random(seed), n, p, pool)
+    agree(h, p)
+    bound = p + n * (p - 1) ** 2
+    assert all(0 <= v < bound for v in stored_values(h, p))
+
+
+@pytest.mark.parametrize("n", [3, 8, 33, 64])
+@pytest.mark.parametrize("p", PRIMES, ids=PRIME_IDS)
+def test_eliminated_entries_are_multiples_of_p(p, n):
+    # rows 1 .. n - 1 all equal row 1, with every entry p - 1 or 1: the
+    # first step eliminates each of them with multiplier -1, leaving p
+    # or p*(p - 1) in every eliminated entry, none reduced
+    row = [p - 1 if j % 3 else 1 for j in range(n)]
+    h = [[(j + 1) % p for j in range(n)]] + [row[:] for _ in range(n - 1)]
+    agree(h, p)
+    stored = stored_values(h, p)
+    assert any(v and v % p == 0 for v in stored)
+    assert all(0 <= v < p + n * (p - 1) ** 2 for v in stored)

@@ -1,6 +1,9 @@
 """Prime cycles, L-series determinants, log-derivative identity, axioms."""
 
+import random
 from fractions import Fraction
+from math import ceil
+from unittest import mock
 
 import pytest
 
@@ -21,6 +24,7 @@ from covertwist.operators import (
 )
 from covertwist.representation import representation, trivial_representation
 from covertwist.zeta import (
+    AMITSUR_LENGTH_BUDGET,
     amitsur_check,
     artin_axioms,
     l_series_inverse,
@@ -28,7 +32,8 @@ from covertwist.zeta import (
     untwisted_l_series_inverse,
 )
 
-from builders import unit_weights
+from amitsur_reference import amitsur_lhs_reference
+from builders import cyclic_character, unimodular_rep, unit_weights
 
 
 def c3():
@@ -148,6 +153,66 @@ def test_amitsur_series_variable_collision():
     with pytest.raises(RegistryMismatchError):
         amitsur_check(g, x, trivial_representation(QQ, pres.rank), pres,
                       max_length=2, series_var="u_0")
+
+
+def rank3_graph():
+    """A 5-cycle with two chords: loop rank 3, and 290 primes of length
+    at most 12."""
+    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                           (0, 2), (1, 3)])
+
+
+def small_integer_weights(rng, g):
+    return weights_from_unoriented(
+        g, QQ, [rng.randrange(1, 3) for _ in range(g.num_unoriented)])
+
+
+AMITSUR_CASES = [
+    ("QQ", small_integer_weights, unimodular_rep),
+    ("QQ(i)", small_integer_weights,
+     lambda rng, rank: cyclic_character(rng, rank, 4)),
+    ("Q(zeta_5)", small_integer_weights,
+     lambda rng, rank: cyclic_character(rng, rank, 5)),
+    ("symbolic", lambda rng, g: symbolic_weights(g), unimodular_rep),
+]
+
+
+@pytest.mark.parametrize("name, weights, rep", AMITSUR_CASES,
+                         ids=[c[0] for c in AMITSUR_CASES])
+def test_amitsur_traces_match_one_product_per_length(name, weights, rep):
+    # the half-length powers give the same trace series as B^k = B^(k-1)*B
+    # at every length up to the budget
+    rng = random.Random(f"amitsur:{name}")
+    g = rank3_graph()
+    pres = fundamental_presentation(g, 0)
+    x = weights(rng, g)
+    rho = rep(rng, pres.rank)
+    for length in range(1, AMITSUR_LENGTH_BUDGET + 1):
+        res = amitsur_check(g, x, rho, pres, max_length=length)
+        assert res.lhs == amitsur_lhs_reference(g, x, rho, pres, length)
+        assert res.ok
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 12])
+def test_amitsur_forms_half_the_powers(length):
+    # a length-L check multiplies operator-sized matrices ceil(L/2) - 1
+    # times: B^2, ..., B^ceil(L/2)
+    g = rank3_graph()
+    pres = fundamental_presentation(g, 0)
+    rho = unimodular_rep(random.Random(length), pres.rank)
+    order = 2 * g.num_unoriented * rho.degree
+    products = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        if a.nrows == order:
+            products.append(b.ncols)
+        return real_mul(a, b)
+
+    with mock.patch.object(Matrix, "__mul__", counting_mul):
+        res = amitsur_check(g, unit_weights(g), rho, pres, max_length=length)
+    assert res.ok
+    assert products == [order] * (ceil(length / 2) - 1)
 
 
 # ---------------------------------------------------------------------------
