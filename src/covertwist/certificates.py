@@ -46,9 +46,9 @@ from math import lcm
 from .covering import (
     CosetData,
     CoveringMap,
+    _regular_fiber_group,
     coset_data,
     edge_voltage_cover,
-    is_normal,
 )
 from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
@@ -65,7 +65,7 @@ from .errors import (
     NotPlanarQuotientError,
     OddDimensionError,
 )
-from .graphs import Graph, RotationSystem, faces, is_connected
+from .graphs import Graph, RotationSystem, faces
 from .homotopy import spanning_tree
 from .matrix import (
     Matrix,
@@ -435,7 +435,8 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     conjugacy-class worth, Σ deg² = group order).  The cover charpoly is
     split_cover_charpoly's, so the factorization holds only with its
     whole witness; no charpoly of order d·n is taken."""
-    normal, galois = is_normal(p, pres)
+    cd = _coset_data_of(p, None, "normality is defined for connected covers")
+    normal, galois = _regular_fiber_group(p, pres)
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
     if irreducibles is None:
@@ -447,9 +448,7 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     if total != galois.order:
         raise IrreducibleCountMismatchError(
             f"sum of squared degrees {total} != group order {galois.order}")
-    split = split_cover_charpoly(
-        p, coset_data(p, spanning_tree(p.base, p.base_vertex)), x,
-        twisted_adjacency)
+    split = split_cover_charpoly(p, cd, x, twisted_adjacency)
     prod = None
     for r in irreducibles:
         a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
@@ -621,8 +620,7 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
             f"the base has {g.num_vertices} vertices: an odd vertex count "
             f"has no perfect matching")
     p = edge_voltage_cover(g, tuple((b,) for b in zd_volt), (d,))
-    if not is_connected(p.cover):
-        raise CoverNotConnectedError("dimer cover is disconnected")
+    cd = _coset_data_of(p, None, "dimer cover is disconnected")
     # the rotation lifted to the cover: at v·d+s, the edges e·d+s
     lifted = RotationSystem(tuple(tuple(e * d + s for e in rot.orders[v])
                                   for v in range(g.num_vertices)
@@ -639,9 +637,7 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
         check_pfaffian_order(graph.num_vertices)
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
-    split = split_cover_charpoly(
-        p, coset_data(p, spanning_tree(p.base, p.base_vertex)), kw,
-        twisted_adjacency)
+    split = split_cover_charpoly(p, cd, kw, twisted_adjacency)
     # K is skew-symmetric, so det K = det(−K) = c_0 of its charpoly
     det_cover = split.cover.coefficient_of("lambda", 0)
     det_base = split.base.coefficient_of("lambda", 0)

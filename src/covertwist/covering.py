@@ -329,6 +329,12 @@ def is_normal(p: CoveringMap,
     group is regular, i.e. has as many elements as the fiber."""
     if not is_connected(p.cover):
         raise CoverNotConnectedError("normality is defined for connected covers")
+    return _regular_fiber_group(p, pres)
+
+
+def _regular_fiber_group(p: CoveringMap, pres: Pi1Presentation
+                         ) -> tuple[bool, GaloisGroup | None]:
+    """is_normal for a cover already known to be connected."""
     fiber = p.vertex_fibers[p.base_vertex]
     d = len(fiber)
     gens = fiber_generator_permutations(p, pres)

@@ -5,21 +5,20 @@ characteristic polynomials alike:
 
 * Characteristic polynomials of QQ and QQ(i) matrices, the cyclotomic
   fields of order 1 and 4, are computed multi-modularly: denominators
-  are cleared, the integer (or Gaussian integer, read off the two
-  coordinates of each QQ(i) entry) matrix is reduced to Hessenberg
-  form modulo a prime, and the Hessenberg recurrence gives the
-  charpoly modulo that prime.  A Hadamard bound B on every coefficient
-  fixes the primes in advance: their product exceeds 2B + 1, so the
-  result is proved exact, not guessed, since no coefficient of absolute
-  value at most B can be confused with another.  The primes are Proth primes, proved prime by
-  Proth's theorem, sized to the bound: a bound up to 240 bits takes one
-  prime and one Hessenberg run, and only a larger one splits over
-  several primes whose residues the Chinese remainder theorem combines.
-  The cleared matrix is first put into a fill-reducing symmetric order,
-  reverse Cuthill-McKee on its nonzero pattern, once for every prime.
-  The Hessenberg kernel skips zero entries in its reduction, leaves an
-  eliminated row's entries unreduced until a zero test, the pivot row
-  or the recurrence reads them, and runs its recurrence on packed
+  are cleared, and modulo a prime the integer (or Gaussian integer,
+  read off the two coordinates of each QQ(i) entry) matrix A gets a
+  Krylov basis Q with A*Q = Q*H, H block upper Hessenberg with unit
+  subdiagonal, whose recurrence gives the charpoly of A modulo that
+  prime.  A Hadamard bound B on every coefficient fixes the
+  primes in advance: their product exceeds 2B + 1, so the result is
+  proved exact, not guessed, since no coefficient of absolute value at
+  most B can be confused with another.  The primes are Proth primes,
+  proved prime by Proth's theorem, sized to the bound: a bound up to
+  240 bits takes one prime and one Krylov run, and only a larger one
+  splits over several primes whose residues the Chinese remainder
+  theorem combines.  The cleared matrix is first put into reverse
+  Cuthill-McKee order on its nonzero pattern, once for every prime,
+  which keeps the Krylov vectors sparse.  The recurrence runs on packed
   integers, one coefficient per bit field.
 * Characteristic polynomials of matrices with polynomial entries take
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x],
@@ -265,105 +264,88 @@ def _proth_prime(bits: int, index: int) -> tuple[int, int]:
     return found[index]
 
 
-def _hessenberg_charpoly(h: list[list[int]], p: int) -> list[int]:
-    """Coefficients, ascending, of det(x*I - h) modulo the prime p.
+def _hessenberg_charpoly(a: list[list[int]], p: int) -> list[int]:
+    """Coefficients, ascending, of det(x*I - a) modulo the prime p, for
+    a holding residues in [0, p); a is not modified.
 
-    h holds residues in [0, p) and is overwritten.  It is first brought
-    to upper Hessenberg form by similarity transforms (a column with no
-    nonzero entry below the subdiagonal is already reduced and is
-    skipped), then the recurrence of Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9, expands the determinant.
+    A Krylov basis (Keller-Gehrig 1985; Dumas, Pernet & Wan 2005) gives
+    a Hessenberg form H of a with no similarity sweep.  The basis
+    q_0, q_1, ... is kept in echelon form: each vector's pivot is its
+    first nonzero entry, and it is zero at the pivots of all earlier
+    vectors.  Each v = a*q_(k-1), the product taking a's nonzeros by
+    column, is reduced against the basis in insertion order, with
+    coefficient -v[pivot]/q_b[pivot] for q_b: that zeroes v at q_b's
+    pivot, where every later vector is zero too.  The rest is stored as
+    q_k unnormalised, so a*q_(k-1) = q_k + sum_b h_b,k-1 * q_b and H has
+    a unit subdiagonal.  When v reduces to 0 the block ends, and the
+    next starts at e_s, s the least index that is no pivot: e_s is zero
+    at every pivot, and a nonzero vector of the span is not (at the
+    pivot of its earliest basis vector), so e_s is not in the span.
+    After n vectors a*Q = Q*H with Q invertible and H block upper
+    triangular, its diagonal blocks upper Hessenberg with unit
+    subdiagonal, so charpoly(a) = charpoly(H) mod p exactly.  Entries
+    of v are reduced only where a pivot test or the stored q_k reads
+    them.
 
-    Both stages skip zeros.  Step j of the reduction takes the pivot
-    row's nonzero (column, value) pairs once, after the row swap, and
-    updates each eliminated row on those columns only; the matching
-    column update adds only the nonzero entries of the eliminated
-    columns.
-
-    The row updates reduce nothing: with u = -x/pivot mod p, in [0, p),
-    an eliminated row gains u*y on each column of a pivot-row entry y,
-    so its entries stay nonnegative and congruent to their residues.
-    An entry gains at most one product of two residues per step, and
-    the column update of step j reduces column j + 1 in full, so every
-    entry stays below p + n*(p - 1)^2.  An entry is reduced mod p
-    before each zero test that decides a pivot or an elimination, when
-    it is taken into the pivot row, and where the recurrence reads it;
-    the column update may skip an entry that is 0 but not one that is
-    a nonzero multiple of p, which only costs a product.  The entries
-    of column j below the subdiagonal are left as they are after step
-    j: nothing reads them again.
-
-    The recurrence p_m = (x - h[m-1][m-1]) * p_(m-1)
-    - sum_i h[i-1][m-1] * t_i * p_(i-1), with t_i the product of the
-    subdiagonal entries h[i][i-1] ... h[m-1][m-2], runs on packed
-    integers: p_m is the single int sum_k c_k * 2^(k*w), with every
-    c_k in [0, p) and w = 2*bitlen(p) + bitlen(n + 1).  Then x * p_(m-1)
-    is a shift by w, and each product by a residue -h[m-1][m-1] or
-    -h[i-1][m-1] * t_i mod p, in [0, p), is one multiply-add of ints.
-    No carry crosses a field: field k of the sum is c_(k-1) of
-    p_(m-1), at most p - 1, plus at most m products of two residues,
-    one for the diagonal and one for each i < m, each at most (p - 1)^2.
-    So every field stays at most
-        (p - 1) + m*(p - 1)^2 <= (m + 1)*(p - 1)^2 < (n + 1)*p^2
-        < 2^bitlen(n + 1) * 2^(2*bitlen(p)) = 2^w
-    (using p - 1 <= (p - 1)^2 and m <= n).  Each field of the sum is
-    then a nonnegative integer congruent to its coefficient of p_m, and
-    reducing each field mod p, once per m, gives p_m packed again.  The
-    products have degree below m, so the top field m is the leading 1
-    of p_(m-1): the fields are peeled off from the bottom until nothing
-    is left, and every p_m, monic, has exactly m + 1 fields."""
-    n = len(h)
-    for j in range(n - 2):
-        for piv in range(j + 1, n):
-            if h[piv][j] % p:
-                break
-        else:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        prow = h[j + 1]
-        prow[j:] = [y % p for y in prow[j:]]
-        neg_inv = p - pow(prow[j], -1, p)
-        terms = [(c, y) for c, y in enumerate(prow[j + 1:], j + 1) if y]
-        elim = []
-        for r in range(j + 2, n):
-            row = h[r]
-            x = row[j] % p
-            if x:
-                u = x * neg_inv % p
-                for c, y in terms:
-                    row[c] += u * y
-                elim.append((r, u))
-        if elim:
-            for row in h:
-                acc = row[j + 1]
-                for r, u in elim:
-                    x = row[r]
-                    if x:
-                        acc -= u * x
-                row[j + 1] = acc % p
+    With a unit subdiagonal the recurrence of Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9, reads
+        p_(k+1) = x*p_k - sum_b h_b,k * p_b
+    over the rows b of column k in its block (subdiagonal products are
+    1 within a block, 0 across one), so p_(k+1) is built as soon as
+    column k is known.  p_k is packed into the int sum_j c_j * 2^(j*w),
+    every c_j in [0, p), w = 2*bitlen(p) + bitlen(n + 1).  Then x*p_k is
+    a shift by w, and each product by -h_b,k mod p, in [0, p), is one
+    multiply-add of ints.  No carry crosses a field: field j of the sum
+    is c_(j-1) of p_k, at most p - 1, plus at most k + 1 <= n products
+    of two residues, so it stays at most
+        (p - 1) + n*(p - 1)^2 <= (n + 1)*(p - 1)^2 < (n + 1)*p^2
+        < 2^bitlen(n + 1) * 2^(2*bitlen(p)) = 2^w.
+    Reducing each field mod p, once per k, gives p_(k+1) packed again.
+    The products have degree at most k, so the top field k + 1 is the
+    leading 1 of p_k: the fields are peeled off from the bottom until
+    nothing is left."""
+    n = len(a)
+    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*a)]
     w = 2 * p.bit_length() + (n + 1).bit_length()
     mask = (1 << w) - 1
     polys = [1]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        acc = (prev << w) + (-h[m - 1][m - 1] % p) * prev
-        t = 1
-        for i in range(m - 1, 0, -1):
-            t = t * h[i][i - 1] % p
-            if not t:
-                break
-            f = h[i - 1][m - 1] * t % p
-            if f:
-                acc += (p - f) * polys[i - 1]
+    basis = []   # per vector: its pivot, -1/(its pivot entry), its nonzeros
+    pivoted = [False] * n
+    free = 0   # every index below free is a pivot
+    q = None   # the last basis vector, while its block goes on
+    for k in range(n):
+        if q is None:
+            while pivoted[free]:
+                free += 1
+            pivoted[free] = True
+            start = k
+            q = [(free, 1)]
+            basis.append((free, p - 1, q))
+        v = [0] * n
+        for j, y in q:
+            for i, x in cols[j]:
+                v[i] += x * y
+        acc = polys[k] << w
+        for b, (piv, neg_inv, terms) in enumerate(basis):
+            x = v[piv]
+            if x:
+                u = x * neg_inv % p
+                if u:
+                    for i, y in terms:
+                        v[i] += u * y
+                    if b >= start:
+                        acc += u * polys[b]
+        q = [(i, y) for i, x in enumerate(v) if x and (y := x % p)] or None
+        if q:
+            piv, y = q[0]
+            pivoted[piv] = True
+            basis.append((piv, p - pow(y, -1, p), q))
         packed = 0
-        k = 0
-        while acc:   # the top field is 1, so this ends after field m
-            packed |= (acc & mask) % p << k
+        j = 0
+        while acc:   # the top field is 1, so this ends after field k + 1
+            packed |= (acc & mask) % p << j
             acc >>= w
-            k += w
+            j += w
         polys.append(packed)
     coeffs = []
     acc = polys[n]
@@ -400,8 +382,10 @@ def _fill_reducing_order(parts: list[list[list[int]]]) -> list[int]:
     Each connected piece is searched breadth-first from its vertex of
     least degree, taking the unvisited neighbours of each vertex by
     ascending degree, ties by index, and the whole order is reversed.
-    Nonzeros then cluster near the diagonal, where the Hessenberg
-    reduction's fill stays confined."""
+    Nonzeros then cluster near the diagonal, so a Krylov vector grown
+    from a unit vector spreads over a band of neighbouring indices, and
+    the echelon reduction of each new vector against the basis meets
+    fewer nonzeros than in an arbitrary order."""
     n = len(parts[0])
     adj = [set() for _ in range(n)]
     for part in parts:
@@ -442,19 +426,22 @@ def _charpoly_multimodular(m: Matrix) -> list:
     signed sum of k x k principal minors, so Hadamard's inequality gives
     |c_k| <= e_k(|r_1|, ..., |r_n|) <= prod(1 + ceil|r_i|) = B over the
     row norms |r_i|.  With L the bit length of 2B + 1, the kernel runs
-    ceil(L / 240) Hessenberg reductions, each modulo its own prime of
-    at least L / runs bits rounded up to a multiple of 30, so that the
-    product M of the primes exceeds 2B + 1; the count is fixed before
-    the first run.  The symmetric residue modulo M is then c_k itself
-    (for QQ(i), its real and imaginary parts, each at most |c_k|), and
-    the charpoly of m has coefficients c_k / D^k.  One prime needs no
+    ceil(L / 240) times, each modulo its own prime of at least L / runs
+    bits rounded up to a multiple of 30, so that the product M of the
+    primes exceeds 2B + 1; the count is fixed before the first run.
+    Each run gives the charpoly of D*m modulo its prime exactly, from
+    the Hessenberg matrix of a Krylov basis, similar to D*m mod p.  The
+    symmetric residue modulo M is then c_k itself (for QQ(i), its real
+    and imaginary parts, each at most |c_k|), and the charpoly of m has
+    coefficients c_k / D^k.  One prime needs no
     recombination; several are combined by Garner's form of the Chinese
     remainder theorem.
 
-    Before the first run, D*m is put into the fill-reducing order of
-    its nonzero pattern (for QQ(i), the union of both parts' patterns),
-    once for every prime: a symmetric permutation is a similarity, so
-    the charpoly and the row norms are unchanged."""
+    Before the first run, D*m is put into the reverse Cuthill-McKee
+    order of its nonzero pattern (for QQ(i), the union of both parts'
+    patterns), once for every prime, which keeps the Krylov vectors
+    sparse: a symmetric permutation is a similarity, so the charpoly and
+    the row norms are unchanged."""
     n = m.nrows
     d, re, im = _cleared(m)
     order = _fill_reducing_order([re] if im is None else [re, im])

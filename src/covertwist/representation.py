@@ -453,14 +453,15 @@ def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
 
 def abelian_characters(galois: GaloisGroup) -> list[Representation]:
     """Degree-1 representations of the base presentation: each character
-    of the abelian fiber group composed with the generator action."""
+    of the abelian fiber group composed with the generator action; the
+    inverse images are the values on the generators' inverses."""
     table = abelian_character_table(list(galois.gen_perms),
                                     len(galois.fiber))
-    out = []
-    for gv in table.gen_values:
-        mats = [Matrix(table.domain, [[v]]) for v in gv]
-        out.append(representation(table.domain, mats))
-    return out
+    dom = table.domain
+    return [Representation(dom, 1, tuple(Matrix(dom, [[v]]) for v in gv),
+                           tuple(Matrix(dom, [[ev[perm_inverse(g)]]])
+                                 for g in table.gens))
+            for gv, ev in zip(table.gen_values, table.elem_values)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""The dense Hessenberg charpoly modulo a prime, kept as a reference for
-tests.
+"""The dense Hessenberg charpoly modulo a prime by similarity transforms,
+kept as a reference for tests.
 
-The program's kernel (`covertwist.matrix._hessenberg_charpoly`) skips
-zero entries in its reduction and runs the recurrence on packed
-integers.  This is the same algorithm written plainly: every row and
-column update runs over the whole row, and each Hessenberg polynomial
-is a list of residues.  Both compute the same similarity transforms
-modulo p, so they must return the same residues on every input.
+The program's kernel (`covertwist.matrix._hessenberg_charpoly`) never
+transforms its input: it builds a Hessenberg matrix with unit
+subdiagonal from a Krylov basis and runs the recurrence on packed
+integers.  This reference reduces the matrix itself to upper Hessenberg
+form by elementary similarity transforms, row and column swaps
+included, every update over the whole row and column, and keeps each
+Hessenberg polynomial as a list of residues.  The two share no step
+but the recurrence's formula, and the charpoly modulo p is the same
+for similar matrices, so they must return the same residues on every
+input.
 """
 
 

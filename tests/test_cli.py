@@ -217,21 +217,30 @@ def test_disconnected_cover_is_refused(tmp_path, capsys, command, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["cor1", "trees", "verify-main"])
-def test_cover_connectivity_is_tested_once(monkeypatch, capsys, command):
+@pytest.mark.parametrize("command, sample, sizes", [
+    pytest.param(command, sample, sizes, id=command)
+    for command, sample, sizes in [
+        ("cor1", "c3.txt", [3, 6]),   # the triangle once, its hexagon once
+        ("trees", "c3.txt", [3, 6]),
+        ("verify-main", "c3.txt", [3, 6]),
+        ("cor2", "c3.txt", [3, 6]),
+        ("dimer", "dimer_c4.txt", [12]),   # the square's 12-vertex cover
+    ]])
+def test_cover_connectivity_is_tested_once(monkeypatch, capsys, command,
+                                           sample, sizes):
     # coset_data refuses a disconnected cover, and every later step of
     # these commands takes its coset data as the proof of connectivity
-    sizes = []
+    seen = []
 
     def recording(g):
-        sizes.append(g.num_vertices)
+        seen.append(g.num_vertices)
         return graphs.is_connected(g)
 
     for module in (cli, certificates, covering):
-        monkeypatch.setattr(module, "is_connected", recording)
-    code, _, _ = run(capsys, command, "--input", f"{SAMPLES}/c3.txt")
+        monkeypatch.setattr(module, "is_connected", recording, raising=False)
+    code, _, _ = run(capsys, command, "--input", f"{SAMPLES}/{sample}")
     assert code == 0
-    assert sorted(sizes) == [3, 6]   # the triangle once, its hexagon once
+    assert sorted(seen) == sizes
 
 
 ODD_DIMER = """graph:

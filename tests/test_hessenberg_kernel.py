@@ -1,11 +1,12 @@
-"""The sparse, packed Hessenberg kernel against the dense reference.
+"""The Krylov charpoly kernel against the dense similarity reference.
 
-`_hessenberg_charpoly` must return the same residues as the plain dense
-kernel (hessenberg_reference.py) on every matrix and prime: both compute
-the same similarity transforms modulo p.  Each matrix is built from a
+`_hessenberg_charpoly` builds its Hessenberg matrix from a Krylov basis;
+hessenberg_reference.py reduces the matrix by similarity transforms.
+The two are independent algorithms for the same residues, so they must
+agree on every matrix and prime.  Each drawn matrix is built from a
 drawn prime, order, density and seed, and a failing draw is reported as
 it is found, with no shrinking: each shrink candidate would cost up to
-two order-64 reductions, and those four values already reproduce the
+two order-64 charpolys, and those four values already reproduce the
 failure.  A wrong kernel fails within seconds.
 
 The primes are Proth primes k*2^m + 1 of 31, 121 and 241 bits, with the
@@ -15,11 +16,11 @@ greatest, just under 2^31, 2^121 and 2^241.  Only the latter bring p^2
 close to 2^(2*bitlen(p)), where the packed recurrence's field width is
 tight.
 
-The reduction leaves eliminated rows unreduced: their entries stay
-nonnegative and congruent to their residues, below p + n*(p - 1)^2.
-Repeated and proportional rows make those entries nonzero multiples of
-p, which every zero test must still read as zero; a recording row type
-checks the bound on every value the kernel stores.
+The kernel must leave its input as it is.  A Krylov block ends when a
+vector falls into the span of the basis, and the next one starts at a
+unit vector: zero, identity, diagonal, permutation, direct-sum and
+nilpotent matrices force many blocks, and rows that are multiples of a
+few base rows force early ends.
 """
 
 import random
@@ -72,9 +73,12 @@ def random_matrix(rng, n, p, density):
 
 
 def agree(h, p):
-    """The kernel's residues on h, which must equal the reference's."""
+    """The kernel's residues on h, which must equal the reference's;
+    the kernel must leave h as it is."""
+    before = [row[:] for row in h]
     want = hessenberg_charpoly_dense([row[:] for row in h], p)
-    got = _hessenberg_charpoly([row[:] for row in h], p)
+    got = _hessenberg_charpoly(h, p)
+    assert h == before
     assert got == want
     assert len(got) == len(h) + 1 and got[-1] == 1
     assert all(0 <= c < p for c in got)
@@ -105,8 +109,8 @@ def test_against_dense_reference(p, n, density, seed):
 @given(p=primes, n=st.integers(3, 64), density=densities, seed=seeds)
 def test_forced_row_swaps(p, n, density, seed):
     # no subdiagonal entry, and column 0 nonzero only in its last row:
-    # step 0 swaps rows and columns 1 and n - 1, and later steps find
-    # their pivots below the subdiagonal wherever the fill leaves them
+    # the reference's step 0 swaps rows and columns 1 and n - 1, and the
+    # kernel's first Krylov vector has its pivot at n - 1
     h = random_matrix(random.Random(seed), n, p, density)
     for j in range(n - 1):
         h[j + 1][j] = 0
@@ -119,7 +123,8 @@ def test_forced_row_swaps(p, n, density, seed):
 @pytest.mark.parametrize("p", PRIMES, ids=PRIME_IDS)
 def test_reversal_swaps_at_every_step(p):
     # the anti-diagonal matrix: every column's one nonzero entry lies
-    # below the subdiagonal until the swaps bring it up
+    # below the subdiagonal until the reference's swaps bring it up, and
+    # every Krylov block has two vectors, e_s and e_(n-1-s)
     n = 33
     h = [[(i + 2) if i + j == n - 1 else 0 for j in range(n)]
          for i in range(n)]
@@ -130,9 +135,10 @@ def test_reversal_swaps_at_every_step(p):
 @given(p=primes, n=st.integers(2, 64), data=st.data(),
        density=densities, seed=seeds)
 def test_zero_subdiagonal_entry(p, n, data, density, seed):
-    # block upper triangular [[A, B], [0, C]]: the reduction leaves the
-    # subdiagonal entry at the block boundary zero, the recurrence stops
-    # its products there, and the charpoly is charpoly(A) * charpoly(C)
+    # block upper triangular [[A, B], [0, C]]: Krylov vectors from
+    # e_0 stay in the first k coordinates, the recurrence reads no
+    # entry across a block boundary, and the charpoly is
+    # charpoly(A) * charpoly(C)
     k = data.draw(st.integers(1, n - 1))
     h = random_matrix(random.Random(seed), n, p, density)
     for i in range(k, n):
@@ -206,10 +212,8 @@ def test_companion_matrix(p, coeffs):
 
 def proportional_rows(rng, n, p, pool):
     """n x n residues mod p whose rows are residue multiples of `pool`
-    base rows: after a row is eliminated by a proportional pivot row,
-    its entries are nonzero multiples of p until they are reduced.
-    Base entries are 0, 1, p - 1 or uniform, and multipliers 1, p - 1
-    or uniform."""
+    base rows, so that the rank is at most `pool`.  Base entries are 0,
+    1, p - 1 or uniform, and multipliers 1, p - 1 or uniform."""
     def entry():
         return rng.choice((0, 0, 1, p - 1, rng.randrange(1, p)))
     base = [[entry() for _ in range(n)] for _ in range(pool)]
@@ -218,44 +222,91 @@ def proportional_rows(rng, n, p, pool):
                       for _ in range(n))]
 
 
-class RecordingRow(list):
-    """A matrix row that records every value stored into it."""
-
-    stored: list
-
-    def __setitem__(self, key, value):
-        RecordingRow.stored += value if isinstance(key, slice) else [value]
-        super().__setitem__(key, value)
-
-
-def stored_values(h, p):
-    """Every value the kernel stores while it runs on h, which must
-    give the reference's residues."""
-    RecordingRow.stored = []
-    rows = [RecordingRow(row) for row in h]
-    assert _hessenberg_charpoly(rows, p) == \
-        hessenberg_charpoly_dense([row[:] for row in h], p)
-    return RecordingRow.stored
-
-
 @SETTINGS
 @given(p=primes, n=st.integers(3, 64), pool=st.integers(1, 4), seed=seeds)
 def test_proportional_rows(p, n, pool, seed):
-    h = proportional_rows(random.Random(seed), n, p, pool)
-    agree(h, p)
-    bound = p + n * (p - 1) ** 2
-    assert all(0 <= v < bound for v in stored_values(h, p))
+    agree(proportional_rows(random.Random(seed), n, p, pool), p)
 
 
-@pytest.mark.parametrize("n", [3, 8, 33, 64])
+def direct_sum(blocks):
+    """The block diagonal matrix of the square blocks."""
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def companion(c, p):
+    """The companion matrix of x^k + c_(k-1) x^(k-1) + ... + c_0."""
+    k = len(c)
+    return [[1 if i == j + 1 else -c[i] % p if j == k - 1 else 0
+             for j in range(k)] for i in range(k)]
+
+
+def permutation_matrix(perm):
+    return [[1 if perm[j] == i else 0 for j in range(len(perm))]
+            for i in range(len(perm))]
+
+
+def poly_product(factors, p):
+    out = [1]
+    for f in factors:
+        out = poly_mul(out, f, p)
+    return out
+
+
+def many_blocks(p):
+    """(name, matrix, charpoly) for inputs whose Krylov bases need many
+    blocks, each charpoly known in closed form."""
+    rng = random.Random(p)
+    diag = [rng.choice((1, 2, p - 1)) for _ in range(20)]
+    cycles = [1, 1, 2, 3, 1, 4, 2, 5, 1]
+    labels = list(range(sum(cycles)))
+    rng.shuffle(labels)
+    perm = [0] * len(labels)
+    at = 0
+    for c in cycles:
+        for i in range(c):
+            perm[labels[at + i]] = labels[at + (i + 1) % c]
+        at += c
+    comps = [[rng.randrange(p) for _ in range(k)] for k in (1, 3, 2, 5, 1)]
+    jordans = [[[int(j == i + 1) for j in range(k)] for i in range(k)]
+               for k in (4, 1, 3)]
+    return [
+        ("zero", [[0] * 17 for _ in range(17)], [0] * 17 + [1]),
+        ("identity", [[int(i == j) for j in range(17)] for i in range(17)],
+         poly_product([[p - 1, 1]] * 17, p)),
+        ("diagonal", [[diag[i] if i == j else 0 for j in range(20)]
+                      for i in range(20)],
+         poly_product([[p - d, 1] for d in diag], p)),
+        ("permutation", permutation_matrix(perm),
+         poly_product([[p - 1] + [0] * (c - 1) + [1] for c in cycles], p)),
+        ("companions", direct_sum([companion(c, p) for c in comps]),
+         poly_product([c + [1] for c in comps], p)),
+        ("jordan", direct_sum(jordans), [0] * 8 + [1]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6),
+                         ids=[name for name, _, _ in many_blocks(7)])
 @pytest.mark.parametrize("p", PRIMES, ids=PRIME_IDS)
-def test_eliminated_entries_are_multiples_of_p(p, n):
-    # rows 1 .. n - 1 all equal row 1, with every entry p - 1 or 1: the
-    # first step eliminates each of them with multiplier -1, leaving p
-    # or p*(p - 1) in every eliminated entry, none reduced
-    row = [p - 1 if j % 3 else 1 for j in range(n)]
-    h = [[(j + 1) % p for j in range(n)]] + [row[:] for _ in range(n - 1)]
-    agree(h, p)
-    stored = stored_values(h, p)
-    assert any(v and v % p == 0 for v in stored)
-    assert all(0 <= v < p + n * (p - 1) ** 2 for v in stored)
+def test_many_krylov_blocks(p, case):
+    _, h, want = many_blocks(p)[case]
+    assert agree(h, p) == want
+
+
+@SETTINGS
+@given(p=primes, n=orders, density=st.sampled_from((0.03, 0.1)),
+       seed=seeds)
+def test_symmetric_permutations(p, n, density, seed):
+    # P*h*P^-1 is similar to h, so both give the reference's residues
+    rng = random.Random(seed)
+    h = random_matrix(rng, n, p, density)
+    order = list(range(n))
+    rng.shuffle(order)
+    want = agree(h, p)
+    assert agree([[h[i][j] for j in order] for i in order], p) == want

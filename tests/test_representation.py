@@ -1,5 +1,6 @@
 """Representations, connections, induction and character tables."""
 
+import importlib
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from covertwist.covering import (
     perm_identity,
     permutation_closure,
 )
+from covertwist import matrix
+from covertwist.docio import parse_input
 from covertwist.domains import QI, QQ, root_of_unity
 from covertwist.graphs import build_graph
 from covertwist.homotopy import fundamental_presentation, spanning_tree
@@ -196,6 +199,31 @@ def test_abelian_characters_from_cover():
     assert len(chars) == 2
     assert all(c.degree == 1 for c in chars)
     assert all(c.rank == pres.rank for c in chars)
+
+
+def test_abelian_characters_invert_no_matrix(monkeypatch):
+    # each 1x1 inverse is the character's value on the generator's
+    # inverse, read off the table: no Gauss-Jordan elimination runs
+    with open("sample_inputs/z6_bouquet.txt", encoding="utf-8") as fh:
+        doc = parse_input(fh.read())
+    pres = fundamental_presentation(doc.graph, 0)
+    _, galois = is_normal(build_cover(pres, doc.voltage), pres)
+
+    def no_inverse(m):
+        raise AssertionError("matrix.inverse reached")
+
+    monkeypatch.setattr(matrix, "inverse", no_inverse)
+    monkeypatch.setattr(importlib.import_module("covertwist.representation"),
+                        "inverse", no_inverse)
+    chars = abelian_characters(galois)
+    monkeypatch.undo()
+    assert len(chars) == 6
+    values = set()
+    for c in chars:
+        for m, mi in zip(c.gen_mats, c.gen_invs):
+            assert mi.eq(matrix.inverse(m))
+            values.add(m[0, 0])
+    assert values == {root_of_unity(6, k) for k in range(6)}
 
 
 def test_finite_group_induction_blocks():
