@@ -4,8 +4,9 @@ verify_main checks the paper's identity ψ·M^ρ_cover = M^{ρ#}_base·ψ, ψ
 invertible, with an explicitly constructed ψ, for M the twisted
 adjacency operator or the twisted Laplacian.  All of it is read off the
 d sheets of the cover, the lifts of the base tree: each block of ρ# is
-one edge lift, ψ is one m×m block per cover vertex, and both sides of
-the identity are formed from the operators' nonzero entries only.
+one edge lift, and ψ is the sheet relabeling ṽ ↦ (p(ṽ), sheet(ṽ)) ⊗ I_m,
+so its vertex-block determinants are permutation signs and both sides
+of the identity are the operators' nonzero entries, moved by ψ.
 
 For the trivial twist ρ, ρ# is the permutation representation on the
 fiber, which splits as 1 ⊕ ρ_c, so
@@ -91,7 +92,6 @@ from .poly import MultiPoly, PolyDomain, VarRegistry
 from .representation import (
     Connection,
     Representation,
-    InducedRep,
     abelian_characters,
     complement_basis,
     connection_from_rep,
@@ -111,87 +111,77 @@ def unoriented_values(g: Graph, x: EdgeWeights) -> list:
 # the conjugation certificate
 
 
-PsiBlocks = tuple[tuple[int, Matrix], ...]
-
-
 @dataclass(frozen=True)
 class ConjugacyCertificate:
     """ψ together with the two operators it is claimed to intertwine
     (a_cover and a_base, twisted adjacency or twisted Laplacian) and the
-    induced representation ρ# that twists the base one."""
+    induced representation ρ# that twists the base one.  psi holds the
+    row block of each cover vertex; each of its blocks is I_m."""
 
-    psi: PsiBlocks
+    psi: tuple[int, ...]
     a_cover: Matrix
     a_base: Matrix
     commutes: bool
-    vertex_dets: tuple
-    induced: InducedRep
+    vertex_dets: tuple[int, ...]
+    induced: Representation
 
     @property
     def invertible(self) -> bool:
-        dom = self.induced.rep.domain
-        return all(not dom.is_zero(d) for d in self.vertex_dets)
+        return all(self.vertex_dets)
 
     @property
     def ok(self) -> bool:
         return self.commutes and self.invertible
 
 
-def build_psi(p: CoveringMap, cd: CosetData, rho: Representation,
-              irho: InducedRep) -> PsiBlocks:
+def build_psi(p: CoveringMap, cd: CosetData) -> tuple[int, ...]:
     """ψ: f ↦ (v ↦ Σ_{ṽ over v} ρ#(g_ṽ)(f(ṽ) in the marked sheet's block)),
-    as the one nonzero (row block, m×m block) of each cover vertex's
-    block column: the marked sheet's block column of ρ#(g_ṽ), read off
-    the generators' blocks once per sheet (g_ṽ is its sheet's word) and
-    put among the row blocks p(ṽ)·d + j of p(ṽ).  cd comes from
-    coset_data, which refuses a disconnected cover."""
+    as the row block p(ṽ)·d + sheet(ṽ) of each cover vertex ṽ, whose
+    block column of ψ is I_m there and 0 elsewhere.
+
+    g_ṽ is the word of ṽ's sheet, (base tree path down) · (projected
+    cover tree path up).  It lifts to a path in the cover tree, from the
+    marked lift to ṽ's sheet, and every edge lift in the cover tree
+    carries I; so the marked sheet's block column of ρ#(g_ṽ) is I_m in
+    row block sheet(ṽ), whatever ρ is.  cd comes from coset_data, which
+    refuses a disconnected cover."""
     d = p.degree
-    columns = [irho.marked_block_column(w) for w in cd.transversal]
-    return tuple((p.p_vertex[vt] * d + columns[c][0], columns[c][1])
-                 for vt, c in enumerate(cd.sheet))
+    return tuple(v * d + c for v, c in zip(p.p_vertex, cd.sheet))
 
 
-def psi_vertex_determinants(p: CoveringMap, psi: PsiBlocks, m: int) -> tuple:
+def psi_vertex_determinants(p: CoveringMap, psi: tuple[int, ...],
+                            m: int) -> tuple[int, ...]:
     """Determinant of each base vertex's square block of ψ, whose block
-    columns are the vertex's lifts.  When their row blocks permute the
-    vertex's d row blocks by σ, it is sign(σ)^m times the product of the
-    m×m block determinants (at m = 1, the blocks' entries); otherwise
-    two columns share a row block, or one leaves the vertex, and it is 0."""
+    columns are the vertex's lifts, each I_m in its row block.  When the
+    row blocks permute the vertex's d row blocks by σ, it is sign(σ)^m;
+    otherwise two lifts share a row block, or one leaves the vertex, and
+    it is 0."""
     d = p.degree
-    blocks = {id(b): b for _, b in psi}   # the sheets share their blocks
-    block_det = {k: b.data[0][0] if m == 1 else det(b)
-                 for k, b in blocks.items()}
     dets = []
     for v, lifts in enumerate(p.vertex_fibers):
-        rows = [psi[vt][0] - v * d for vt in lifts]
-        dom = psi[lifts[0]][1].domain
+        rows = [psi[vt] - v * d for vt in lifts]
         if sorted(rows) != list(range(d)):
-            dets.append(dom.zero)
+            dets.append(0)
             continue
-        val = dom.one
-        for vt in lifts:
-            val = dom.mul(val, block_det[id(psi[vt][1])])
         odd = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:]) % 2
-        dets.append(dom.neg(val) if odd and m % 2 else val)
+        dets.append(-1 if odd and m % 2 else 1)
     return tuple(dets)
 
 
-def _intertwines(psi: PsiBlocks, m: int, a_cover: Matrix,
+def _intertwines(psi: tuple[int, ...], m: int, a_cover: Matrix,
                  a_base: Matrix) -> bool:
-    """ψ·a_cover = a_base·ψ: both products are sparse maps formed from the
-    operators' nonzero entries, compared on the union of their nonzero
-    positions, so that every entry is compared."""
+    """ψ·a_cover = a_base·ψ for ψ the 0/1 map of cover index ṽ·m + i to
+    base index psi[ṽ]·m + i.  Row r of a_cover adds into row ψ(r) of
+    ψ·a_cover, and column c of a_base·ψ is column ψ(c) of a_base; both
+    products are formed from the operators' nonzero entries and compared
+    on the union of their nonzero positions, so that the check is exact
+    for any map, a bijection or not."""
     dom = a_cover.domain
-    mul, add, is_zero, zero = dom.mul, dom.add, dom.is_zero, dom.zero
-    by_col: dict[int, list] = {}   # cover index -> ψ's (row, value) in it
-    by_row: dict[int, list] = {}   # base index -> ψ's (column, value) in it
-    for vt, (rb, blk) in enumerate(psi):
-        for i, row in enumerate(blk.data):
-            for j, val in enumerate(row):
-                if not blk.domain.is_zero(val):
-                    val = dom.coerce(val)
-                    by_col.setdefault(vt * m + j, []).append((rb * m + i, val))
-                    by_row.setdefault(rb * m + i, []).append((vt * m + j, val))
+    add, is_zero, zero = dom.add, dom.is_zero, dom.zero
+    to_base = [rb * m + i for rb in psi for i in range(m)]
+    from_base: dict[int, list[int]] = {}   # base index -> cover indices
+    for c, k in enumerate(to_base):
+        from_base.setdefault(k, []).append(c)
 
     def nonzeros(a: Matrix):
         for r, arow in enumerate(a.data):
@@ -200,17 +190,12 @@ def _intertwines(psi: PsiBlocks, m: int, a_cover: Matrix,
                 if not is_zero(arow[c]):
                     yield r, c, arow[c]
 
-    def put(out: dict, key, term) -> None:
-        out[key] = add(out[key], term) if key in out else term
-
     lhs: dict = {}
-    rhs: dict = {}
     for r, c, val in nonzeros(a_cover):
-        for k, pv in by_col.get(r, ()):
-            put(lhs, (k, c), mul(pv, val))
-    for r, c, val in nonzeros(a_base):
-        for k, pv in by_row.get(c, ()):
-            put(rhs, (r, k), mul(val, pv))
+        key = (to_base[r], c)
+        lhs[key] = add(lhs[key], val) if key in lhs else val
+    rhs = {(r, c): val for r, k, val in nonzeros(a_base)
+           for c in from_base.get(k, ())}
     return all(dom.eq(lhs.get(key, zero), rhs.get(key, zero))
                for key in lhs.keys() | rhs.keys())
 
@@ -226,10 +211,10 @@ def verify_main(p: CoveringMap, cd: CosetData, rho: Representation,
     are the base weights lifted."""
     ind = induce(cd, rho)
     conn_cover = connection_from_rep(cd.cover_pres, rho)
-    conn_base = connection_from_rep(cd.base_pres, ind.rep)
+    conn_base = connection_from_rep(cd.base_pres, ind)
     a_cover = operator(p.cover, lift_weights(p, x), conn_cover)
     a_base = operator(p.base, x, conn_base)
-    psi = build_psi(p, cd, rho, ind)
+    psi = build_psi(p, cd)
     dets = psi_vertex_determinants(p, psi, rho.degree)
     return ConjugacyCertificate(psi, a_cover, a_base,
                                 _intertwines(psi, rho.degree, a_cover, a_base),
@@ -272,7 +257,7 @@ def split_cover_charpoly(p: CoveringMap, cd: CosetData, x: EdgeWeights,
     complement has order 0 and charpoly 1."""
     rho = trivial_representation(QQ, cd.cover_pres.rank)
     conj = verify_main(p, cd, rho, x, operator)
-    perm = conj.induced.rep
+    perm = conj.induced
     fixed = cd.fiber.index(p.cover_base_vertex)
     rho_c = permutation_complement(perm, fixed=fixed)
     q = complement_basis(perm.degree, fixed)
@@ -286,11 +271,8 @@ def split_cover_charpoly(p: CoveringMap, cd: CosetData, x: EdgeWeights,
                              connection_from_rep(cd.base_pres, rho_c)))
     cover = base * comp
     m = conj.a_cover
-    trace = m.domain.zero
-    for i in range(m.nrows):
-        trace = m.domain.add(trace, m.data[i][i])
     top = cover.coefficient_of("lambda", m.nrows - 1)
-    trace_matches = top == _as_poly(top.reg, m.domain, m.domain.neg(trace))
+    trace_matches = top == _as_poly(top.reg, m.domain, m.domain.neg(m.trace()))
     return CoverSplit(conj, splits, trace_matches, base, comp, cover)
 
 

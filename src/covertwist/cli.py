@@ -25,11 +25,11 @@ from .certificates import (
     verify_main,
 )
 from .covering import (
+    _regular_fiber_group,
     build_cover,
     coset_data,
     edge_voltage_cover,
     identity_cover,
-    is_normal,
     validate_covering,
 )
 from .docio import (
@@ -165,8 +165,11 @@ def _cmd_cover(args, doc: InputDocument) -> Report:
     r.check("covering consistent", rep.ok)
     for prob in rep.problems:
         r.notes.append(prob)
-    r.check("cover connected", is_connected(p.cover))
-    normal, galois = is_normal(p, pres)
+    connected = is_connected(p.cover)
+    r.check("cover connected", connected)
+    if not connected:
+        return r   # normality is defined for connected covers only
+    normal, galois = _regular_fiber_group(p, pres)
     r.datum("normal", "yes" if normal else "no")
     if normal:
         r.datum("deck group order", galois.order)

@@ -3,8 +3,9 @@
 Covers are built from permutation voltages on the generators of a base
 presentation, validated structurally, and navigated by unique path
 lifting.  On top of lifting sit the fiber action of base loops, the
-sheets with one coset word each, normality and the fiber permutation
-group, deck transformations, and quotients by subgroups of that group.
+sheets (the lifts of a base spanning tree), normality and the fiber
+permutation group, deck transformations, and quotients by subgroups of
+that group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     NotASubgroupError,
     QuotientConstructionFailedError,
     StartNotInFiberError,
-    TransversalCheckFailedError,
     VertexNotInBaseFiberError,
     VoltageNotAntisymmetricError,
 )
@@ -31,7 +31,6 @@ from .graphs import (
     is_connected,
 )
 from .homotopy import (
-    EMPTY_WORD,
     FreeWord,
     Pi1Presentation,
     SpanningTree,
@@ -152,10 +151,6 @@ class CoveringMap:
         for et in range(self.cover.num_edges):
             out[(self.p_edge[et], self.cover.src[et])] = et
         return out
-
-    def project_path(self, path: Path) -> Path:
-        return Path(self.p_vertex[path.base],
-                    tuple(self.p_edge[e] for e in path.edges))
 
 
 def _sheet_cover(g: Graph, d: int, sigma: list[Perm],
@@ -348,7 +343,7 @@ def _regular_fiber_group(p: CoveringMap, pres: Pi1Presentation
 
 
 # ---------------------------------------------------------------------------
-# coset words
+# sheets
 
 
 @dataclass(frozen=True)
@@ -357,10 +352,8 @@ class CosetData:
 
     The cover tree contains every lift of the base tree; those lifts are
     the d sheets, sheet[ṽ] being the marked-fiber position of ṽ's sheet.
-    transversal[c], the word of the projected cover tree path from that
-    fiber vertex to the root, carries the marked lift to it (the marked
-    lift's own is empty); g_word[ṽ] is the word of ṽ's sheet, the class
-    of (base tree path down) · (projected cover tree path up)."""
+    Every fiber meets each sheet once, so ṽ ↦ (p(ṽ), sheet[ṽ]) is a
+    bijection onto base vertices × sheets."""
 
     covering: CoveringMap
     base_tree: SpanningTree
@@ -368,8 +361,6 @@ class CosetData:
     cover_tree: SpanningTree
     cover_pres: Pi1Presentation
     sheet: tuple[int, ...]
-    g_word: tuple[FreeWord, ...]
-    transversal: tuple[FreeWord, ...]
 
     @property
     def fiber(self) -> tuple[int, ...]:
@@ -402,10 +393,9 @@ def _spanning_tree_within(g: Graph, root: int,
 
 def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
     """Complete the lifted base tree to a cover spanning tree (adding
-    the lowest-index connecting lifts of generator edges), label every
-    cover vertex with its sheet, and read one base word off each sheet.
-    The transversal property (the words over the marked fiber reach each
-    fiber point exactly once) is re-verified through the fiber action
+    the lowest-index connecting lifts of generator edges) and label
+    every cover vertex with its sheet.  Each lift of the base tree is a
+    copy of it, so every fiber meets each sheet once; that is checked,
     and failure means a bug, not bad input."""
     if not is_connected(p.cover):
         raise CoverNotConnectedError("coset words need a connected cover")
@@ -434,7 +424,13 @@ def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
             deferred.append((u, e))
     fiber = p.vertex_fibers[p.base_vertex]
     sheet_of_root = {find(vt): c for c, vt in enumerate(fiber)}
-    sheet = tuple(sheet_of_root[find(vt)] for vt in range(cover.num_vertices))
+    sheet = tuple(sheet_of_root.get(find(vt), -1)
+                  for vt in range(cover.num_vertices))
+    sheets = list(range(len(fiber)))
+    for v, lifts in enumerate(p.vertex_fibers):
+        if sorted(sheet[vt] for vt in lifts) != sheets:
+            raise InternalCosetError(
+                f"the fiber over {v} does not meet each sheet once")
     for u, e in deferred:
         ra, rb = find(cover.src[e]), find(cover.tgt[e])
         if ra != rb:
@@ -444,18 +440,7 @@ def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
     cover_tree = _spanning_tree_within(cover, p.cover_base_vertex,
                                        frozenset(chosen))
     cover_pres = presentation_from_tree(cover_tree)
-
-    transversal = tuple(
-        base_pres.loop_to_word(p.project_path(cover_tree.path_to_root(vt)))
-        for vt in fiber)
-    if transversal[sheet[p.cover_base_vertex]] != EMPTY_WORD:
-        raise TransversalCheckFailedError("marked lift has a nonempty word")
-    for vt, w in zip(fiber, transversal):
-        if fiber_action(p, base_pres, w, p.cover_base_vertex) != vt:
-            raise TransversalCheckFailedError(
-                f"coset word of {vt} does not carry the marked lift to it")
-    return CosetData(p, base_tree, base_pres, cover_tree, cover_pres, sheet,
-                     tuple(transversal[c] for c in sheet), transversal)
+    return CosetData(p, base_tree, base_pres, cover_tree, cover_pres, sheet)
 
 
 # ---------------------------------------------------------------------------

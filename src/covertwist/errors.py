@@ -50,12 +50,9 @@ class VertexNotInBaseFiberError(CovertwistError):
     """Vertex is not in the fiber over the base point."""
 
 
-class TransversalCheckFailedError(CovertwistError):
-    """Computed coset words do not act as a transversal on the fiber."""
-
-
 class InternalCosetError(CovertwistError):
-    """Coset bookkeeping produced an inconsistent block (internal bug)."""
+    """Coset bookkeeping produced an inconsistent sheet or block
+    (internal bug)."""
 
 
 class NotNormalError(CovertwistError):

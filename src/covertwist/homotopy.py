@@ -1,9 +1,9 @@
 """Spanning trees and free-group words for loops in a connected graph.
 
-A breadth-first spanning tree turns every loop at the root into a
-reduced word in the non-tree edges.  Words are tuples of (generator,
-exponent) letters with exponent +1 or -1; reduction cancels adjacent
-inverse letters only, which is full reduction in a free group.
+A breadth-first spanning tree makes the non-tree edges free generators
+of the loops at the root, and realize_word turns a word in them back
+into a loop.  Words are tuples of (generator, exponent) letters with
+exponent +1 or -1.
 """
 
 from __future__ import annotations
@@ -13,22 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotConnectedError
-from .graphs import Graph, Path, check_loop, path_concat, path_reverse
+from .graphs import Graph, Path, path_concat, path_reverse
 
 # A letter is (generator index, +1 | -1); a word is a tuple of letters.
 FreeWord = tuple[tuple[int, int], ...]
-
-EMPTY_WORD: FreeWord = ()
-
-
-def reduce_word(w: FreeWord) -> FreeWord:
-    out: list[tuple[int, int]] = []
-    for let in w:
-        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
-            out.pop()
-        else:
-            out.append(let)
-    return tuple(out)
 
 
 def invert_word(w: FreeWord) -> FreeWord:
@@ -116,20 +104,6 @@ class Pi1Presentation:
             out[e] = (k, 1)
             out[self.graph.inv[e]] = (k, -1)
         return out
-
-    def loop_to_word(self, loop: Path) -> FreeWord:
-        """Reduced word of a loop at the root: drop tree edges, map the
-        rest through gen_of_edge, then cancel."""
-        check_loop(self.graph, loop)
-        if loop.base != self.tree.root:
-            raise ValueError(
-                f"loop based at {loop.base}, presentation root is {self.tree.root}")
-        letters = []
-        for e in loop.edges:
-            let = self.gen_of_edge.get(e)
-            if let is not None:
-                letters.append(let)
-        return reduce_word(tuple(letters))
 
     def realize_letter(self, gen: int, sign: int) -> Path:
         e = self.gen_edge[gen] if sign == 1 else self.graph.inv[self.gen_edge[gen]]

@@ -28,7 +28,7 @@ from .errors import (
     NotAbelianError,
 )
 from .graphs import Path, check_loop
-from .homotopy import FreeWord, Pi1Presentation
+from .homotopy import Pi1Presentation
 from .matrix import Matrix, direct_sum_matrices, inverse
 
 
@@ -136,38 +136,6 @@ def monodromy(g, c: Connection, loop: Path) -> Matrix:
 Blocks = tuple[tuple[int, Matrix], ...]
 
 
-@dataclass(frozen=True)
-class InducedRep:
-    """Representation of the base presentation built from a cover
-    representation; generator images permute the sheets' blocks.
-
-    gen_blocks[k][j] (inv_blocks[k][j] for the inverse) is the one
-    nonzero block of block column j of generator k's image, as its row
-    block and its m×m value."""
-
-    rep: Representation
-    cover_rep: Representation
-    coset: CosetData
-    block_degree: int
-    sheet_count: int
-    gen_blocks: tuple[Blocks, ...]
-    inv_blocks: tuple[Blocks, ...]
-
-    def marked_block_column(self, w: FreeWord) -> tuple[int, Matrix]:
-        """The one nonzero block of the marked sheet's block column of
-        ρ#(w), as its row block and its m×m value: the letters act on
-        that block from right to left, one m×m product each."""
-        j = self.coset.sheet[self.coset.covering.cover_base_vertex]
-        blk = None
-        for k, s in reversed(w):
-            jp, b = (self.gen_blocks if s == 1 else self.inv_blocks)[k][j]
-            blk = b if blk is None else b * blk
-            j = jp
-        if blk is None:
-            blk = Matrix.identity(self.rep.domain, self.block_degree)
-        return j, blk
-
-
 def _blocks_to_matrix(domain, d: int, m: int,
                       blocks: dict[tuple[int, int], Matrix]) -> Matrix:
     zero = domain.zero
@@ -180,8 +148,9 @@ def _blocks_to_matrix(domain, d: int, m: int,
     return Matrix(domain, data)
 
 
-def induce(cd: CosetData, rho: Representation) -> InducedRep:
-    """Push a representation of the cover's loop group down to the base.
+def induce(cd: CosetData, rho: Representation) -> Representation:
+    """Push a representation of the cover's loop group down to the base:
+    ρ#, of degree d·m, its block rows and columns indexed by the sheets.
 
     By Reidemeister–Schreier every block is one edge lift: for a letter
     γ of the base and the lift ẽ of its edge from sheet c to sheet c′,
@@ -224,9 +193,8 @@ def induce(cd: CosetData, rho: Representation) -> InducedRep:
         return _blocks_to_matrix(rho.domain, d, rho.degree,
                                  {(jp, j): b for j, (jp, b) in enumerate(blocks)})
 
-    rep = Representation(rho.domain, rho.degree * d,
-                         tuple(map(image, gens)), tuple(map(image, invs)))
-    return InducedRep(rep, rho, cd, rho.degree, d, gens, invs)
+    return Representation(rho.domain, rho.degree * d,
+                          tuple(map(image, gens)), tuple(map(image, invs)))
 
 
 def permutation_complement(rep: Representation,
@@ -451,17 +419,25 @@ def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
                           tuple(gen_values), tuple(elem_values))
 
 
+def table_characters(table: CharacterTable,
+                     perms: tuple[Perm, ...]) -> list[Representation]:
+    """Each character of the table as a degree-1 representation with
+    one generator per group element in perms: its images are the
+    character's values on perms and its inverse images the values on
+    their inverses, all read off the table."""
+    dom = table.domain
+    invs = [perm_inverse(g) for g in perms]
+    return [Representation(dom, 1, tuple(Matrix(dom, [[ev[g]]]) for g in perms),
+                           tuple(Matrix(dom, [[ev[h]]]) for h in invs))
+            for ev in table.elem_values]
+
+
 def abelian_characters(galois: GaloisGroup) -> list[Representation]:
     """Degree-1 representations of the base presentation: each character
-    of the abelian fiber group composed with the generator action; the
-    inverse images are the values on the generators' inverses."""
+    of the abelian fiber group composed with the generator action."""
     table = abelian_character_table(list(galois.gen_perms),
                                     len(galois.fiber))
-    dom = table.domain
-    return [Representation(dom, 1, tuple(Matrix(dom, [[v]]) for v in gv),
-                           tuple(Matrix(dom, [[ev[perm_inverse(g)]]])
-                                 for g in table.gens))
-            for gv, ev in zip(table.gen_values, table.elem_values)]
+    return table_characters(table, table.gens)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,13 @@ from .poly import MultiPoly, PolyDomain, VarRegistry
 from .representation import (
     Representation,
     abelian_character_table,
+    abelian_characters,
     connection_from_rep,
     direct_sum,
     finite_group_induction,
     monodromy,
     representation,
+    table_characters,
     trivial_connection,
     trivial_representation,
 )
@@ -330,11 +332,7 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
         raise NotNormalError("axiom checks need a normal cover")
     if not galois.is_abelian():
         raise NotAbelianError("axiom checks run on abelian deck groups")
-    table = abelian_character_table(list(galois.gen_perms),
-                                    len(galois.fiber))
-    dom_g = table.domain
-    chars = [representation(dom_g, [Matrix(dom_g, [[v]]) for v in gv])
-             for gv in table.gen_values]
+    chars = abelian_characters(galois)
 
     # identity: the trivial character twists to the plain operator
     a_plain = twisted_adjacency(p.base, x,
@@ -361,21 +359,16 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
         raise NotNormalError("quotient cover is not normal")
     table_mid = abelian_character_table(list(galois_mid.gen_perms),
                                         len(galois_mid.fiber))
-    dom_m = table_mid.domain
 
     # inflation: a quotient character pulled back through the full deck
     # group twists the same operator as the quotient cover's own action
     midpos = {vt: i for i, vt in enumerate(galois_mid.fiber)}
     to_mid = [midpos[qd.cover_over_mid.p_vertex[vt]] for vt in galois.fiber]
-    proj_gens = [_descend_perm(gp, to_mid, len(galois_mid.fiber))
-                 for gp in galois.gen_perms]
+    proj_gens = tuple(_descend_perm(gp, to_mid, len(galois_mid.fiber))
+                      for gp in galois.gen_perms)
     ax3 = True
-    for idx in range(table_mid.count):
-        ev = table_mid.elem_values[idx]
-        rep_a = representation(dom_m, [Matrix(dom_m, [[ev[pg]]])
-                                       for pg in proj_gens])
-        rep_b = representation(dom_m, [Matrix(dom_m, [[v]])
-                                       for v in table_mid.gen_values[idx]])
+    for rep_a, rep_b in zip(table_characters(table_mid, proj_gens),
+                            table_characters(table_mid, table_mid.gens)):
         if (_char_charpoly(p.base, x, pres, rep_a)
                 != _char_charpoly(p.base, x, pres, rep_b)):
             ax3 = False
@@ -401,10 +394,8 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
     dom_h = table_h.domain
     xm = lift_weights(mid, x)
     ax4 = True
-    for idx in range(table_h.count):
-        ev = table_h.elem_values[idx]
-        rep_mid = representation(dom_h, [Matrix(dom_h, [[v]])
-                                         for v in table_h.gen_values[idx]])
+    for ev, rep_mid in zip(table_h.elem_values,
+                           table_characters(table_h, table_h.gens)):
         cp_mid = _char_charpoly(mid_graph, xm, mid_pres, rep_mid)
         rho_vals = {h: Matrix(dom_h, [[ev[rest_of[h]]]])
                     for h in qd.subgroup}

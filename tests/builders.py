@@ -3,8 +3,9 @@
 Gaussian rationals, random integer and skew-symmetric matrices,
 matrices from rows of plain values, polynomials from exponent lists
 and their coefficients in one variable, relabelled graphs, the text
-of a free-group word, words concatenated and reduced, a word's image
-under a representation, random unimodular representations and cyclic
+of a free-group word, words reduced and concatenated, the word of a
+loop, the projection of a cover path, a word's image under a
+representation, random unimodular representations and cyclic
 characters, submatrices, unit edge weights and the
 coefficient-by-coefficient check of a Laplacian charpoly against the
 forest oracle.
@@ -17,8 +18,9 @@ from typing import Iterable, Sequence
 
 from covertwist.certificates import unoriented_values
 from covertwist.domains import QI, QQ, cyclotomic_field, root_of_unity
-from covertwist.graphs import DirectedGraph, Graph
-from covertwist.homotopy import FreeWord, reduce_word
+from covertwist.covering import CoveringMap
+from covertwist.graphs import DirectedGraph, Graph, Path, check_loop
+from covertwist.homotopy import FreeWord, Pi1Presentation
 from covertwist.matrix import Matrix, charpoly
 from covertwist.operators import EdgeWeights, laplacian
 from covertwist.oracles import rooted_forest_sum_by_components
@@ -152,6 +154,34 @@ def forest_coefficient_checks(g: Graph, x: EdgeWeights) -> list[tuple[int, bool]
                else MultiPoly.const(ci.reg, rhs))
         out.append((i, lhs == rhs))
     return out
+
+
+def reduce_word(w: FreeWord) -> FreeWord:
+    """w with adjacent inverse letters cancelled, which is full
+    reduction in a free group."""
+    out: list[tuple[int, int]] = []
+    for let in w:
+        if out and out[-1][0] == let[0] and out[-1][1] == -let[1]:
+            out.pop()
+        else:
+            out.append(let)
+    return tuple(out)
+
+
+def loop_to_word(pres: Pi1Presentation, loop: Path) -> FreeWord:
+    """Reduced word of a loop at the root: drop tree edges, map the rest
+    through gen_of_edge, then cancel."""
+    check_loop(pres.graph, loop)
+    if loop.base != pres.tree.root:
+        raise ValueError(
+            f"loop based at {loop.base}, presentation root is {pres.tree.root}")
+    return reduce_word(tuple(pres.gen_of_edge[e] for e in loop.edges
+                             if e in pres.gen_of_edge))
+
+
+def project_path(p: CoveringMap, path: Path) -> Path:
+    """The image of a cover path in the base."""
+    return Path(p.p_vertex[path.base], tuple(p.p_edge[e] for e in path.edges))
 
 
 def concat_words(*ws: FreeWord) -> FreeWord:

@@ -2,12 +2,14 @@
 as a reference for tests.
 
 The program reads each block of ρ# off one edge lift (Reidemeister–
-Schreier), labels cover vertices with their sheets, keeps ψ as one m×m
-block per cover vertex and checks ψ·M_cover = M^{ρ#}_base·ψ on nonzero
-entries.  This module computes the same objects the long way:
+Schreier), labels cover vertices with their sheets, takes ψ as the
+sheet relabeling ṽ ↦ (p(ṽ), sheet(ṽ)) ⊗ I_m and checks
+ψ·M_cover = M^{ρ#}_base·ψ on nonzero entries.  This module computes the
+same objects the long way, from the paper's formulas:
 
 * a coset word for every cover vertex, read off (base tree path down) ·
-  (projected cover tree path up);
+  (projected cover tree path up), and the transversal, the words of the
+  marked fiber's vertices;
 * every block of ρ# as ρ of the cover word of r'⁻¹·γ·r, found by
   realizing that base word as a loop, lifting it at the marked vertex
   and rewriting the lift in the cover presentation (express_in_subgroup,
@@ -16,18 +18,25 @@ entries.  This module computes the same objects the long way:
   column of the dense ρ#(g_ṽ), with dense vertex-block determinants and
   dense products for the conjugacy check.
 
-None of it shares code with the program's block route beyond the
-covering, the presentations and the operators themselves.
+None of it shares code with the program's route beyond the covering,
+the presentations and the operators themselves.
 """
 
 from covertwist.covering import CosetData, fiber_action, lift_path
 from covertwist.errors import CovertwistError, InternalCosetError
 from covertwist.graphs import path_concat
-from covertwist.homotopy import FreeWord, invert_word, reduce_word
+from covertwist.homotopy import FreeWord, invert_word
 from covertwist.matrix import Matrix, det
 from covertwist.representation import Representation
 
-from builders import concat_words, rep_of_word, submatrix
+from builders import (
+    concat_words,
+    loop_to_word,
+    project_path,
+    reduce_word,
+    rep_of_word,
+    submatrix,
+)
 
 
 class NotInSubgroupError(CovertwistError):
@@ -45,9 +54,9 @@ def express_in_subgroup(cd: CosetData, h: FreeWord) -> FreeWord:
     if end != p.cover_base_vertex:
         raise NotInSubgroupError(
             "word does not lift to a loop at the marked vertex")
-    out = cd.cover_pres.loop_to_word(lifted)
-    back = cd.base_pres.loop_to_word(
-        p.project_path(cd.cover_pres.realize_word(out)))
+    out = loop_to_word(cd.cover_pres, lifted)
+    back = loop_to_word(cd.base_pres,
+                        project_path(p, cd.cover_pres.realize_word(out)))
     if back != reduce_word(h):
         raise InternalCosetError("round trip through the cover changed the word")
     return out
@@ -60,31 +69,41 @@ def coset_words(cd: CosetData) -> tuple[FreeWord, ...]:
     out = []
     for vt in range(p.cover.num_vertices):
         down = cd.base_tree.path_from_root(p.p_vertex[vt])
-        up = p.project_path(cd.cover_tree.path_to_root(vt))
-        out.append(cd.base_pres.loop_to_word(path_concat(p.base, down, up)))
+        up = project_path(p, cd.cover_tree.path_to_root(vt))
+        out.append(loop_to_word(cd.base_pres, path_concat(p.base, down, up)))
     return tuple(out)
 
 
+def transversal(cd: CosetData) -> tuple[FreeWord, ...]:
+    """The coset word of each marked-fiber vertex, in fiber order: the
+    projected cover tree path from it to the root, which carries the
+    marked lift to it."""
+    words = coset_words(cd)
+    return tuple(words[vt] for vt in cd.fiber)
+
+
 def _induced_generator(cd: CosetData, rho: Representation,
-                       gen_word: FreeWord):
+                       words: tuple[FreeWord, ...], gen_word: FreeWord):
     p = cd.covering
     fiber = cd.fiber
     pos = {vt: j for j, vt in enumerate(fiber)}
     blocks = []
-    for j, r in enumerate(cd.transversal):
+    for j, r in enumerate(words):
         target = fiber_action(p, cd.base_pres, gen_word, fiber[j])
         jp = pos[target]
-        h = concat_words(invert_word(cd.transversal[jp]), gen_word, r)
+        h = concat_words(invert_word(words[jp]), gen_word, r)
         blocks.append((jp, rep_of_word(rho, express_in_subgroup(cd, h))))
     return tuple(blocks)
 
 
 def induced_blocks(cd: CosetData, rho: Representation):
-    """(gen_blocks, inv_blocks) of ρ#, each block column as its row block
-    and m×m value, through lifted coset words."""
+    """The block columns of each generator's image under ρ# and of its
+    inverse's, each block column as its row block and m×m value,
+    through lifted coset words."""
     rank = cd.base_pres.rank
-    return (tuple(_induced_generator(cd, rho, ((k, 1),)) for k in range(rank)),
-            tuple(_induced_generator(cd, rho, ((k, -1),)) for k in range(rank)))
+    words = transversal(cd)
+    return tuple(tuple(_induced_generator(cd, rho, words, ((k, s),))
+                       for k in range(rank)) for s in (1, -1))
 
 
 def blocks_image(blocks, m: int, dom) -> Matrix:
@@ -97,6 +116,21 @@ def blocks_image(blocks, m: int, dom) -> Matrix:
             for b in range(m):
                 data[jp * m + a][j * m + b] = blk[a, b]
     return Matrix(dom, data)
+
+
+def column_blocks(image: Matrix, m: int):
+    """blocks_image read backwards: the block columns of an image with
+    one nonzero block in each, as (row block, m×m block) pairs."""
+    d = image.nrows // m
+    out = []
+    for j in range(d):
+        cols = range(j * m, (j + 1) * m)
+        for jp in range(d):
+            blk = submatrix(image, range(jp * m, (jp + 1) * m), cols)
+            if not blk.eq(Matrix.zeros(image.domain, m, m)):
+                out.append((jp, blk))
+                break
+    return tuple(out)
 
 
 def dense_induced(cd: CosetData, rho: Representation) -> Representation:
@@ -139,16 +173,15 @@ def dense_vertex_determinants(p, psi: Matrix, m: int) -> tuple:
     return tuple(out)
 
 
-def blocks_to_dense(p, psi_blocks, m: int, dom) -> Matrix:
-    """The dense matrix of ψ given as one (row block, m×m block) per
-    cover vertex."""
+def psi_to_dense(p, psi, m: int, dom) -> Matrix:
+    """The dense matrix of ψ given as the row block of each cover
+    vertex, whose block there is I_m."""
     md = m * p.degree
     data = [[dom.zero] * (p.cover.num_vertices * m)
             for _ in range(p.base.num_vertices * md)]
-    for vt, (rb, blk) in enumerate(psi_blocks):
+    for vt, rb in enumerate(psi):
         for i in range(m):
-            for j in range(m):
-                data[rb * m + i][vt * m + j] = blk[i, j]
+            data[rb * m + i][vt * m + i] = dom.one
     return Matrix(dom, data)
 
 

@@ -8,8 +8,9 @@ import time
 import pytest
 
 import covertwist
-from covertwist import certificates, cli, covering, graphs
+from covertwist import certificates, cli, covering, graphs, zeta
 from covertwist.cli import main
+from covertwist.representation import representation
 
 SAMPLES = "sample_inputs"
 
@@ -89,6 +90,24 @@ def test_artin_fixture(capsys):
                        f"{SAMPLES}/artin_b2.txt")
     assert code == 0
     assert "induction" in out
+
+
+def test_artin_reads_characters_off_the_table(monkeypatch, capsys):
+    # the degree-1 characters take their values and inverse values from
+    # their tables; only the induced representations, of degree
+    # [G:H] = 3 on the Z/6 bouquet, are built by inverting matrices
+    degrees = []
+
+    def recording(domain, mats):
+        rep = representation(domain, mats)
+        degrees.append(rep.degree)
+        return rep
+
+    monkeypatch.setattr(zeta, "representation", recording)
+    code, out, _ = run(capsys, "artin-axioms", "--input",
+                       f"{SAMPLES}/z6_bouquet.txt")
+    assert code == 0 and "result: pass" in out
+    assert degrees and set(degrees) == {3}
 
 
 def test_zeta_lseries(capsys):
@@ -217,10 +236,28 @@ def test_disconnected_cover_is_refused(tmp_path, capsys, command, message):
     assert err == f"error: {message}\n"
 
 
+def test_cover_reports_a_disconnected_cover(tmp_path, capsys):
+    # cover describes any cover: connectivity fails as a check, and the
+    # normality data, defined for connected covers only, are left out
+    path = tmp_path / "disconnected.txt"
+    path.write_text(DISCONNECTED_COVER)
+    code, out, err = run(capsys, "cover", "--input", str(path))
+    assert code == 1 and err == ""
+    assert out == ("command: cover\n"
+                   "check covering consistent: pass\n"
+                   "check cover connected: FAIL\n"
+                   "data:\n"
+                   "  degree = 3\n"
+                   "  cover vertices = 12\n"
+                   "  cover edges = 24\n"
+                   "result: FAIL\n")
+
+
 @pytest.mark.parametrize("command, sample, sizes", [
     pytest.param(command, sample, sizes, id=command)
     for command, sample, sizes in [
-        ("cor1", "c3.txt", [3, 6]),   # the triangle once, its hexagon once
+        ("cover", "c3.txt", [3, 6]),   # the triangle once, its hexagon once
+        ("cor1", "c3.txt", [3, 6]),
         ("trees", "c3.txt", [3, 6]),
         ("verify-main", "c3.txt", [3, 6]),
         ("cor2", "c3.txt", [3, 6]),

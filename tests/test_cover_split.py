@@ -11,7 +11,6 @@ no certificate may take a charpoly or determinant at the cover's order.
 Broken witness parts must turn the documented report lines to FAIL.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -69,7 +68,7 @@ from covertwist.representation import (
 from covertwist.zeta import artin_axioms
 
 from builders import unit_weights
-from induce_reference import blocks_image
+from induce_reference import blocks_image, column_blocks
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 DEGREES = pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -434,17 +433,20 @@ def test_cor2_on_dimer_c4_matches_the_direct_route():
 def swap_two_columns(build):
     def broken(p, *args):
         psi = list(build(p, *args))
-        # the blocks of two lifts of base vertex 0: ψ stays invertible
+        # the row blocks of two lifts of base vertex 0: ψ stays invertible
         a, b = p.vertex_fibers[0][:2]
         psi[a], psi[b] = psi[b], psi[a]
         return tuple(psi)
     return broken
 
 
-def zero_psi(build):
-    def broken(*args):
-        return tuple((rb, Matrix.zeros(blk.domain, blk.nrows, blk.ncols))
-                     for rb, blk in build(*args))
+def share_a_row_block(build):
+    def broken(p, *args):
+        psi = list(build(p, *args))
+        # two lifts of base vertex 0 in one row block: ψ is singular
+        a, b = p.vertex_fibers[0][:2]
+        psi[b] = psi[a]
+        return tuple(psi)
     return broken
 
 
@@ -477,7 +479,7 @@ def shift_trace(cp):
 
 BREAKS = {
     "psi columns swapped": ("build_psi", swap_two_columns),
-    "psi zero": ("build_psi", zero_psi),
+    "psi singular": ("build_psi", share_a_row_block),
     "complement entry changed": ("permutation_complement", change_one_entry),
     "Q singular": ("complement_basis", singular_basis),
     "charpoly trace shifted": ("charpoly", shift_trace),
@@ -489,7 +491,7 @@ BREAKS = {
 QUOTIENT_LINES = ["quotient integer coefficients", "quotient monic"]
 COR1_LINES = {
     "psi columns swapped": ["charpoly divisible", *QUOTIENT_LINES],
-    "psi zero": ["charpoly divisible", *QUOTIENT_LINES],
+    "psi singular": ["charpoly divisible", *QUOTIENT_LINES],
     "complement entry changed": ["quotient matches complement twist",
                                  *QUOTIENT_LINES],
     "Q singular": ["quotient matches complement twist", *QUOTIENT_LINES],
@@ -540,22 +542,19 @@ def test_broken_witness_fails(capsys, monkeypatch, command, broken):
 def permute_rho_sharp(induce):
     """Swaps the row blocks (target sheets) of block columns 0 and 1 of
     ρ#(γ_0) and the matching inverse columns, so that ρ# stays a
-    representation and its blockwise inverse check still holds."""
+    representation."""
     def broken(cd, rho):
         ind = induce(cd, rho)
-        gen, inv = list(ind.gen_blocks[0]), list(ind.inv_blocks[0])
+        m, dom = rho.degree, ind.domain
+        gen, inv = (list(column_blocks(a, m)) for a in (ind.gen_mats[0],
+                                                         ind.gen_invs[0]))
         (r0, b0), (r1, b1) = gen[0], gen[1]
         gen[0], gen[1] = (r1, b0), (r0, b1)
         inv[r0], inv[r1] = inv[r1], inv[r0]
-        gens = (tuple(gen),) + ind.gen_blocks[1:]
-        invs = (tuple(inv),) + ind.inv_blocks[1:]
-        m, dom = ind.block_degree, ind.rep.domain
-        rep = Representation(
-            dom, ind.rep.degree,
-            (blocks_image(gens[0], m, dom),) + ind.rep.gen_mats[1:],
-            (blocks_image(invs[0], m, dom),) + ind.rep.gen_invs[1:])
-        return dataclasses.replace(ind, rep=rep, gen_blocks=gens,
-                                   inv_blocks=invs)
+        return Representation(
+            dom, ind.degree,
+            (blocks_image(gen, m, dom),) + ind.gen_mats[1:],
+            (blocks_image(inv, m, dom),) + ind.gen_invs[1:])
     return broken
 
 
@@ -633,8 +632,9 @@ def test_witness_takes_no_cover_order_product(monkeypatch):
     monkeypatch.setattr(certificates, "det", recording_det)
     assert cor1_certificate(p, x, cd).ok
     assert tree_certificates(p, x, cd).ok
-    # det Q of each split; at m = 1 ψ's blocks are their own determinants
+    # det Q of each split; ψ's blocks are I, so its vertex determinants
+    # are permutation signs and take no det, at m = 1 or at m = 2
     assert det_orders == [5, 5]
     del det_orders[:]
     assert verify_main(p, cd, rho, x).ok
-    assert det_orders and set(det_orders) == {2}
+    assert det_orders == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertwist.covering import (
+    CoveringMap,
     VoltageAssignment,
     build_cover,
     coset_data,
@@ -22,18 +23,19 @@ from covertwist.covering import (
     validate_covering,
 )
 from covertwist.errors import (
+    InternalCosetError,
     NotASubgroupError,
     VoltageNotAntisymmetricError,
 )
 from covertwist.graphs import build_graph, is_connected, validate_graph
-from covertwist.homotopy import (
-    fundamental_presentation,
-    reduce_word,
-    spanning_tree,
-)
+from covertwist.homotopy import fundamental_presentation, spanning_tree
 
-from builders import concat_words
-from induce_reference import NotInSubgroupError, express_in_subgroup
+from builders import concat_words, reduce_word
+from induce_reference import (
+    NotInSubgroupError,
+    express_in_subgroup,
+    transversal,
+)
 
 
 def triangle():
@@ -118,13 +120,36 @@ def test_nonnormal_cover_detected():
 
 
 def test_coset_data_marks_transversal():
+    # every fiber meets each sheet once, the marked fiber's c-th vertex
+    # lies on sheet c, and the coset word of that vertex (the
+    # reference's) carries the marked lift to it
     g, pres, p = double_cover_of_triangle()
     cd = coset_data(p, spanning_tree(g, 0))
-    assert cd.g_word[p.cover_base_vertex] == ()
-    # each coset word carries the marked lift to its own vertex
-    for vt in cd.fiber:
-        assert fiber_action(p, cd.base_pres, cd.g_word[vt],
+    for lifts in p.vertex_fibers:
+        assert sorted(cd.sheet[vt] for vt in lifts) == [0, 1]
+    words = transversal(cd)
+    assert words[cd.sheet[p.cover_base_vertex]] == ()
+    for c, vt in enumerate(cd.fiber):
+        assert cd.sheet[vt] == c
+        assert fiber_action(p, cd.base_pres, words[c],
                             p.cover_base_vertex) == vt
+
+
+def test_coset_data_refuses_a_fiber_missing_a_sheet():
+    # a path on four vertices folded onto one edge is connected, with two
+    # vertices over each end, but it is no covering: one lift of the base
+    # tree holds the whole marked fiber, and the sheet check fails
+    base = build_graph(2, [(0, 1)])
+    cover = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    p_vertex = (0, 1, 0, 1)
+    edge_of = {(base.src[e], base.tgt[e]): e for e in range(base.num_edges)}
+    p_edge = tuple(edge_of[(p_vertex[cover.src[e]], p_vertex[cover.tgt[e]])]
+                   for e in range(cover.num_edges))
+    p = CoveringMap(base, cover, p_vertex, p_edge, 0, 0)
+    assert p.degree == 2 and is_connected(cover)
+    assert not validate_covering(p).ok
+    with pytest.raises(InternalCosetError, match="each sheet once"):
+        coset_data(p, spanning_tree(base, 0))
 
 
 def test_cover_presentation_rank():

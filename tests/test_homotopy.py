@@ -10,11 +10,10 @@ from covertwist.homotopy import (
     fundamental_presentation,
     invert_word,
     presentation_from_tree,
-    reduce_word,
     spanning_tree,
 )
 
-from builders import concat_words, word_to_text
+from builders import concat_words, loop_to_word, reduce_word, word_to_text
 
 
 def test_reduce_word_cancels():
@@ -61,7 +60,7 @@ def test_loop_word_realize_round_trip():
         assert loop.base == 0
         assert path_target(g, loop) == 0
         # the non-tree edges traversed recover the reduced word
-        back = pres.loop_to_word(loop)
+        back = loop_to_word(pres, loop)
         assert back == reduce_word(w)
 
 
@@ -69,7 +68,7 @@ def test_loop_to_word_rejects_open_path():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     pres = fundamental_presentation(g, 0)
     with pytest.raises(NotALoopError):
-        pres.loop_to_word(Path(0, (0,)))
+        loop_to_word(pres, Path(0, (0,)))
 
 
 def test_presentation_from_tree_matches():
@@ -79,4 +78,4 @@ def test_presentation_from_tree_matches():
     assert pres.rank == 1
     loop = pres.realize_word(((0, 1),))
     assert path_target(g, loop) == 0
-    assert pres.loop_to_word(loop) == ((0, 1),)
+    assert loop_to_word(pres, loop) == ((0, 1),)

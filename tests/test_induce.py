@@ -1,12 +1,13 @@
-"""ρ# read off the edge lifts and ψ kept as blocks, against the
-path-based reference.
+"""ρ# read off the edge lifts and ψ as the sheet relabeling, against
+the path-based reference.
 
 `induce` takes each block of ρ# from one edge lift and `build_psi`
-returns one m×m block per cover vertex; tests/induce_reference.py
-computes the same blocks by lifting coset words, ψ as a dense matrix
-with dense vertex determinants, and the conjugacy check by dense
-products.  Both must agree on random connected covers of degree 2 to 6,
-with representations of degree 1 to 3 over QQ and Q(ζ_5), on the ℤ/6
+returns the row block p(ṽ)·d + sheet(ṽ) of each cover vertex, whose
+block is I_m; tests/induce_reference.py computes the same blocks by
+lifting coset words, ψ by the paper's formula as a dense matrix with
+dense vertex determinants, and the conjugacy check by dense products.
+Both must agree on random connected covers of degree 2 to 6, with
+representations of degree 1 to 3 over QQ and Q(ζ_5), on the ℤ/6
 bouquet over Q(ζ_6), and on covers whose marked lift is not the
 smallest vertex of its fiber.
 """
@@ -32,12 +33,12 @@ from covertwist.randinst import random_connected_graph, random_voltage
 from covertwist.representation import induce, representation
 
 from induce_reference import (
-    blocks_to_dense,
-    coset_words,
+    blocks_image,
     dense_commutes,
     dense_psi,
     dense_vertex_determinants,
     induced_blocks,
+    psi_to_dense,
 )
 
 Z5 = cyclotomic_field(5)
@@ -107,35 +108,28 @@ CASES = ([pytest.param(random_case, s, id=f"random-{s}") for s in range(30)]
          + [pytest.param(z6_case, k, id=f"z6-marked-{k}") for k in (0, 3)])
 
 
-def same_blocks(ours, ref):
-    return all(len(a) == len(b) and all(
-        ja == jb and ba.eq(bb) for (ja, ba), (jb, bb) in zip(a, b))
-        for a, b in zip(ours, ref))
-
-
 @pytest.mark.parametrize("make, arg", CASES)
 def test_blocks_psi_and_determinants_match_the_reference(make, arg):
     p, cd, rho, x = make(arg)
-    assert cd.g_word == coset_words(cd)
-    assert all(cd.g_word[vt] == cd.transversal[c]
-               for vt, c in enumerate(cd.sheet))
     ind = induce(cd, rho)
+    m, dom = rho.degree, rho.domain
     gens, invs = induced_blocks(cd, rho)
-    assert same_blocks(ind.gen_blocks, gens)
-    assert same_blocks(ind.inv_blocks, invs)
-    psi = build_psi(p, cd, rho, ind)
+    assert all(a.eq(blocks_image(b, m, dom))
+               for a, b in zip(ind.gen_mats + ind.gen_invs, gens + invs))
+    psi = build_psi(p, cd)
     dense = dense_psi(cd, rho)
-    assert blocks_to_dense(p, psi, rho.degree, rho.domain).eq(dense)
-    dets = psi_vertex_determinants(p, psi, rho.degree)
-    assert dets == dense_vertex_determinants(p, dense, rho.degree)
+    assert psi_to_dense(p, psi, m, dom).eq(dense)
+    dets = psi_vertex_determinants(p, psi, m)
+    assert dets == dense_vertex_determinants(p, dense, m)
     cert = verify_main(p, cd, rho, x)
     assert cert.ok
     assert dense_commutes(dense, cert.a_cover, cert.a_base)
 
 
 def broken_psis(psi, p, rng):
-    """ψ with two blocks swapped within a fiber, across fibers, one block
-    scaled, and one block moved to another row block."""
+    """ψ with the row blocks of two lifts swapped within a fiber, across
+    fibers, and one lift's row block moved to the next one, which its
+    own fiber or another lift may already use."""
     out = []
     a, b = p.vertex_fibers[0][:2]
     swapped = list(psi)
@@ -146,12 +140,8 @@ def broken_psis(psi, p, rng):
     across[a], across[c] = psi[c], psi[a]
     out.append(across)
     vt = rng.randrange(len(psi))
-    rb, blk = psi[vt]
-    two = Matrix(blk.domain, [[blk.domain.add(v, v) for v in row]
-                              for row in blk.data])
-    out.append(list(psi[:vt]) + [(rb, two)] + list(psi[vt + 1:]))
     moved = list(psi)
-    moved[vt] = ((rb + 1) % (p.base.num_vertices * p.degree), blk)
+    moved[vt] = (psi[vt] + 1) % (p.base.num_vertices * p.degree)
     out.append(moved)
     return [tuple(q) for q in out]
 
@@ -162,7 +152,7 @@ def test_sparse_check_and_determinants_agree_on_broken_psi(make, arg):
     cert = verify_main(p, cd, rho, x)
     m = rho.degree
     for psi in broken_psis(cert.psi, p, random.Random(str(arg))):
-        dense = blocks_to_dense(p, psi, m, rho.domain)
+        dense = psi_to_dense(p, psi, m, rho.domain)
         assert _intertwines(psi, m, cert.a_cover, cert.a_base) == \
             dense_commutes(dense, cert.a_cover, cert.a_base)
         assert psi_vertex_determinants(p, psi, m) == \
@@ -173,7 +163,13 @@ def test_sparse_check_and_determinants_agree_on_broken_psi(make, arg):
     ([[0]], [[1]], False),   # only a_base·ψ has an entry
     ([[1]], [[0]], False),   # only ψ·a_cover has one
     ([[0]], [[0]], True),
-    ([[3]], [[3]], True)])
+    ([[3]], [[3]], True),
+    # ψ sends both cover indices to base index 0: ψ·a_cover adds the
+    # rows of a_cover, a_base·ψ repeats column 0 of a_base, and base
+    # row 1 is compared too
+    ([[1, 2], [3, 4]], [[4, 6], [0, 0]], False),
+    ([[1, 3], [3, 1]], [[4, 0], [1, 0]], False),
+    ([[1, 3], [3, 1]], [[4, 0], [0, 0]], True)])
 def test_the_check_compares_every_nonzero_position(cover, base, same):
-    psi = ((0, Matrix.identity(QQ, 1)),)
+    psi = (0,) * len(cover)
     assert _intertwines(psi, 1, Matrix(QQ, cover), Matrix(QQ, base)) is same

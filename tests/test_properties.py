@@ -67,10 +67,10 @@ def test_induced_rep_is_homomorphism():
                                      cover_vertex_cap=12)
         ind = induce(inst.coset, inst.rho)
         for _ in range(5):
-            w1 = random_word(rng, ind.rep.rank, rng.randrange(3))
-            w2 = random_word(rng, ind.rep.rank, rng.randrange(3))
-            assert rep_of_word(ind.rep, w1 + w2).eq(
-                rep_of_word(ind.rep, w1) * rep_of_word(ind.rep, w2))
+            w1 = random_word(rng, ind.rank, rng.randrange(3))
+            w2 = random_word(rng, ind.rank, rng.randrange(3))
+            assert rep_of_word(ind, w1 + w2).eq(
+                rep_of_word(ind, w1) * rep_of_word(ind, w2))
 
 
 def test_fiber_action_composes_on_random_covers():
@@ -108,7 +108,7 @@ def test_l_series_induction_identity():
         x = unit_weights(g)
         lhs = l_series_inverse(p.cover, lift_weights(p, x), rho,
                                cd.cover_pres)
-        rhs = l_series_inverse(p.base, x, induce(cd, rho).rep, cd.base_pres)
+        rhs = l_series_inverse(p.base, x, induce(cd, rho), cd.base_pres)
         assert lhs == rhs
 
 

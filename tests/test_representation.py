@@ -127,10 +127,10 @@ def test_induce_degree_bookkeeping():
     cd = coset_data(p, spanning_tree(g, 0))
     rho = representation(QQ, [Matrix(QQ, [[1, 1], [0, 1]])])
     ind = induce(cd, rho)
-    assert ind.block_degree == 2
-    assert ind.sheet_count == 2
-    assert ind.rep.degree == 4
-    assert ind.rep.rank == pres.rank
+    # d·m: two sheets, blocks of order 2
+    assert ind.degree == 4
+    assert ind.rank == pres.rank
+    assert all(a.shape == (4, 4) for a in ind.gen_mats + ind.gen_invs)
 
 
 def test_induce_rejects_wrong_rank():
@@ -151,7 +151,7 @@ def test_induced_trivial_is_permutation():
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0),)))
     cd = coset_data(p, spanning_tree(g, 0))
     ind = induce(cd, trivial_representation(QQ, cd.cover_pres.rank))
-    for m in ind.rep.gen_mats:
+    for m in ind.gen_mats:
         for i in range(m.nrows):
             vals = [m[i, j] for j in range(m.ncols)]
             assert sorted(vals) == [0, 0, 1]
@@ -163,11 +163,11 @@ def test_permutation_complement():
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0), (0, 1, 2))))
     cd = coset_data(p, spanning_tree(g, 0))
     ind = induce(cd, trivial_representation(QQ, cd.cover_pres.rank))
-    comp = permutation_complement(ind.rep,
+    comp = permutation_complement(ind,
                                   fixed=cd.fiber.index(p.cover_base_vertex))
     assert comp.degree == 2
     # complement determinant times the fixed eigenvalue recovers det
-    for mc, mi in zip(comp.gen_mats, ind.rep.gen_mats):
+    for mc, mi in zip(comp.gen_mats, ind.gen_mats):
         assert det(mc) == det(mi)
 
 
