@@ -422,7 +422,7 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
     if irreducibles is None:
-        if not galois.is_abelian():
+        if not galois.abelian:
             raise NotAbelianError(
                 "supply irreducibles for a non-abelian deck group")
         irreducibles = abelian_characters(galois)

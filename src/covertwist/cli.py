@@ -173,7 +173,7 @@ def _cmd_cover(args, doc: InputDocument) -> Report:
     r.datum("normal", "yes" if normal else "no")
     if normal:
         r.datum("deck group order", galois.order)
-        r.datum("deck group abelian", "yes" if galois.is_abelian() else "no")
+        r.datum("deck group abelian", "yes" if galois.abelian else "no")
     return r
 
 

@@ -60,6 +60,12 @@ def perm_inverse(a: Perm) -> Perm:
     return tuple(out)
 
 
+def perms_commute(perms) -> bool:
+    """Whether every two of the permutations commute."""
+    return all(perm_compose(a, b) == perm_compose(b, a)
+               for i, a in enumerate(perms) for b in perms[i + 1:])
+
+
 def is_permutation(a, d: int) -> bool:
     return len(a) == d and sorted(a) == list(range(d))
 
@@ -281,40 +287,43 @@ def fiber_action(p: CoveringMap, pres: Pi1Presentation, w: FreeWord,
 @dataclass(frozen=True)
 class GaloisGroup:
     """Image of the base loop group in the symmetric group of the fiber
-    over the base vertex; positions index `fiber` in vertex order.
-    Present only for normal covers, where the action is regular."""
+    over the base vertex, by its generators; positions index `fiber` in
+    vertex order.  Present only for normal covers, where the action is
+    regular, so `order` is the fiber size.  `abelian` tests commutation
+    once; `elements` closes the group, which only the Artin axioms need."""
 
     fiber: tuple[int, ...]
     gen_perms: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.fiber)
 
     @cached_property
     def position(self) -> dict[int, int]:
         return {vt: i for i, vt in enumerate(self.fiber)}
 
-    def is_abelian(self) -> bool:
-        for i, a in enumerate(self.gen_perms):
-            for b in self.gen_perms[i + 1:]:
-                if perm_compose(a, b) != perm_compose(b, a):
-                    return False
-        return True
+    @cached_property
+    def abelian(self) -> bool:
+        return perms_commute(self.gen_perms)
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        return permutation_closure(list(self.gen_perms), len(self.fiber))
 
 
 def fiber_generator_permutations(p: CoveringMap,
                                  pres: Pi1Presentation) -> list[Perm]:
-    """Permutation of fiber positions induced by each generator."""
+    """Permutation of fiber positions induced by each generator, as
+    fiber_action gives it: the generator's inverse loop, realized once,
+    lifted from every fiber point."""
     fiber = p.vertex_fibers[p.base_vertex]
     pos = {vt: i for i, vt in enumerate(fiber)}
     perms = []
     for k in range(pres.rank):
-        w: FreeWord = ((k, 1),)
-        perms.append(tuple(pos[fiber_action(p, pres, w, fiber[i])]
-                           for i in range(len(fiber))))
-    # composing letter permutations must reproduce single-letter lifts
+        loop = pres.letter_loops[(k, -1)]
+        perms.append(tuple(pos[p.cover.tgt[lift_path(p, loop, vt).edges[-1]]]
+                           for vt in fiber))
     return perms
 
 
@@ -329,17 +338,22 @@ def is_normal(p: CoveringMap,
 
 def _regular_fiber_group(p: CoveringMap, pres: Pi1Presentation
                          ) -> tuple[bool, GaloisGroup | None]:
-    """is_normal for a cover already known to be connected."""
-    fiber = p.vertex_fibers[p.base_vertex]
-    d = len(fiber)
-    gens = fiber_generator_permutations(p, pres)
-    elements = permutation_closure(gens, d, limit=d)
+    """is_normal for a cover already known to be connected, whose fiber
+    group is therefore transitive.  A transitive abelian group is
+    regular, so only a non-abelian group is closed, and only up to one
+    element more than the fiber has points."""
+    galois = GaloisGroup(p.vertex_fibers[p.base_vertex],
+                         tuple(fiber_generator_permutations(p, pres)))
+    if galois.abelian:
+        return True, galois
+    d = galois.order
+    elements = permutation_closure(list(galois.gen_perms), d, limit=d)
     if elements is None:
         return False, None
     if len(elements) != d:
         raise InternalCosetError(
             "transitive action with fewer elements than points")
-    return True, GaloisGroup(fiber, tuple(gens), elements)
+    return True, galois
 
 
 # ---------------------------------------------------------------------------

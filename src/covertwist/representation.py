@@ -3,14 +3,16 @@
 A representation assigns an invertible matrix to each free generator of
 a presentation.  Connections realize representations edgewise, induced
 representations push a cover representation down to the base one edge
-lift per block, and abelian fiber groups get their full character family
-over Q(zeta_N), N the group exponent (QQ for N <= 2, QQ(i) for N = 4),
-so every character value is exact.
+lift per block.  A regular abelian fiber group keeps its characters as
+exponent data, from one walk of its points; a value is built, exactly in
+Q(zeta_N) for N the group exponent (QQ for N <= 2, QQ(i) for N = 4),
+only where it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm, prod
 
 from .covering import (
@@ -20,16 +22,18 @@ from .covering import (
     perm_compose,
     perm_identity,
     perm_inverse,
+    perms_commute,
 )
 from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
     DomainMismatchError,
     InternalCosetError,
     NotAbelianError,
+    NotASubgroupError,
 )
 from .graphs import Path, check_loop
 from .homotopy import Pi1Presentation
-from .matrix import Matrix, direct_sum_matrices, inverse
+from .matrix import Matrix, det, direct_sum_matrices, inverse
 
 
 @dataclass(frozen=True)
@@ -253,18 +257,20 @@ def complement_basis(d: int, fixed: int = 0) -> Matrix:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """All degree-1 characters of an abelian permutation group, with
-    values on the given generators and on every element."""
+    """All degree-1 characters of a regular abelian permutation group,
+    ⊕ ℤ/diag[j], as exponent data: the element sending point 0 to x has
+    exponents vectors[x] in the generators, and character t takes it to
+    Π_j ζ_diag[j]^(t_j·(U·vectors[x])_j), t in mixed radix, last fastest."""
 
     domain: object
     gens: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
-    gen_values: tuple[tuple[object, ...], ...]
-    elem_values: tuple[dict, ...]
+    diag: tuple[int, ...]
+    u: tuple[tuple[int, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
-        return len(self.gen_values)
+        return prod(self.diag)
 
 
 def _diagonalize_relations(rows: list[list[int]], r: int):
@@ -338,85 +344,47 @@ def _diagonalize_relations(rows: list[list[int]], r: int):
 
 def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
     """Characters via a cyclic decomposition of the relation lattice of
-    the generators.  The table is verified on construction: each map is
-    a homomorphism on the full element set, values are pairwise
-    distinct, and the count equals the group order.
-    """
-    for a in gens:
-        for b in gens:
-            if perm_compose(a, b) != perm_compose(b, a):
-                raise NotAbelianError("generators do not commute")
-    r = max(1, len(gens))
-    glist = list(gens) if gens else [perm_identity(degree)]
+    the generators, read off one breadth-first walk of the points.
 
-    ident = perm_identity(degree)
-    vectors: dict[Perm, tuple[int, ...]] = {ident: (0,) * r}
+    Point x stands for the element sending 0 to x, which is unique in a
+    regular group, and a transitive abelian group is regular.  The walk
+    gives every point an exponent vector, and every point met again a
+    relation.  The table is checked in integers: U·rel ≡ 0 (mod diag)
+    for every relation, so each character is a homomorphism; |det U| = 1,
+    so the characters are distinct; Π diag = degree, so there are as
+    many as elements."""
+    if not perms_commute(gens):
+        raise NotAbelianError("generators do not commute")
+    glist = list(gens) if gens else [perm_identity(degree)]
+    r = len(glist)
+
+    vectors: list = [None] * degree
+    vectors[0] = (0,) * r
     relations: list[list[int]] = []
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            vx = vectors[x]
-            for i, gperm in enumerate(glist):
-                y = perm_compose(gperm, x)
-                vy = tuple(v + (1 if j == i else 0) for j, v in enumerate(vx))
-                if y in vectors:
-                    rel = [a - b for a, b in zip(vy, vectors[y])]
-                    if any(rel):
-                        relations.append(rel)
-                else:
-                    vectors[y] = vy
-                    nxt.append(y)
-        frontier = nxt
-    elements = tuple(sorted(vectors))
-    order = len(elements)
+    walk = [0]
+    for x in walk:
+        vx = vectors[x]
+        for i, gperm in enumerate(glist):
+            y = gperm[x]
+            vy = vx[:i] + (vx[i] + 1,) + vx[i + 1:]
+            if vectors[y] is None:
+                vectors[y] = vy
+                walk.append(y)
+            elif vy != vectors[y]:
+                relations.append([a - b for a, b in zip(vy, vectors[y])])
+    if len(walk) != degree:
+        raise ValueError("the generators do not act transitively")
 
     diag, u = _diagonalize_relations(relations, r)
-    if any(d == 0 for d in diag):
-        raise NotAbelianError("relation lattice does not have full rank")
-    if prod(diag) != order:
+    if prod(diag) != degree:
         raise InternalCosetError("cyclic decomposition misses the group order")
-
-    domain = cyclotomic_field(lcm(*diag))
-
-    def char_value(t: tuple[int, ...], vec: tuple[int, ...]):
-        y = [sum(u[j][i] * vec[i] for i in range(r)) for j in range(r)]
-        val = domain.one
-        for j, d in enumerate(diag):
-            if d == 1:
-                continue
-            val = domain.mul(val, domain.coerce(root_of_unity(d, t[j] * y[j])))
-        return val
-
-    tuples = [()]
-    for d in diag:
-        tuples = [t + (j,) for t in tuples for j in range(d)]
-
-    gen_values = []
-    elem_values = []
-    for t in tuples:
-        gv = tuple(char_value(t, tuple(1 if j == i else 0 for j in range(r)))
-                   for i in range(len(glist)))
-        ev = {x: char_value(t, vectors[x]) for x in elements}
-        gen_values.append(gv)
-        elem_values.append(ev)
-
-    for gv, ev in zip(gen_values, elem_values):
-        for i, gperm in enumerate(glist):
-            for x in elements:
-                lhs = ev[perm_compose(gperm, x)]
-                rhs = domain.mul(gv[i], ev[x])
-                if not domain.eq(lhs, rhs):
-                    raise InternalCosetError("character is not a homomorphism")
-    for a in range(len(gen_values)):
-        for b in range(a + 1, len(gen_values)):
-            if all(domain.eq(x, y) for x, y in
-                   zip(elem_values[a].values(), elem_values[b].values())):
-                raise InternalCosetError("characters collide")
-    if len(gen_values) != order:
-        raise InternalCosetError("character count differs from group order")
-    return CharacterTable(domain, tuple(glist), elements,
-                          tuple(gen_values), tuple(elem_values))
+    if any(sum(a * b for a, b in zip(row, rel)) % d
+           for row, d in zip(u, diag) for rel in relations):
+        raise InternalCosetError("character is not a homomorphism")
+    if abs(det(Matrix(QQ, u))) != 1:
+        raise InternalCosetError("characters collide")
+    return CharacterTable(cyclotomic_field(lcm(*diag)), tuple(glist),
+                          tuple(diag), tuple(map(tuple, u)), tuple(vectors))
 
 
 def table_characters(table: CharacterTable,
@@ -424,12 +392,25 @@ def table_characters(table: CharacterTable,
     """Each character of the table as a degree-1 representation with
     one generator per group element in perms: its images are the
     character's values on perms and its inverse images the values on
-    their inverses, all read off the table."""
+    the negated exponent vectors, each ζ_N^k for N = lcm(diag).  An
+    element of the regular abelian group is a permutation that commutes
+    with every generator; any other is refused."""
     dom = table.domain
-    invs = [perm_inverse(g) for g in perms]
-    return [Representation(dom, 1, tuple(Matrix(dom, [[ev[g]]]) for g in perms),
-                           tuple(Matrix(dom, [[ev[h]]]) for h in invs))
-            for ev in table.elem_values]
+    n = lcm(*table.diag)
+    ys = []
+    for g in perms:
+        if any(perm_compose(g, a) != perm_compose(a, g) for a in table.gens):
+            raise NotASubgroupError("permutation is not in the group")
+        vec = table.vectors[g[0]]
+        ys.append([n // d * sum(a * b for a, b in zip(row, vec))
+                   for row, d in zip(table.u, table.diag)])
+
+    def values(t, sign):
+        return tuple(Matrix(dom, [[dom.coerce(root_of_unity(
+            n, sign * sum(a * b for a, b in zip(t, y))))]]) for y in ys)
+
+    return [Representation(dom, 1, values(t, 1), values(t, -1))
+            for t in product(*map(range, table.diag))]
 
 
 def abelian_characters(galois: GaloisGroup) -> list[Representation]:

@@ -330,7 +330,7 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
     normal, galois = is_normal(p, pres)
     if not normal:
         raise NotNormalError("axiom checks need a normal cover")
-    if not galois.is_abelian():
+    if not galois.abelian:
         raise NotAbelianError("axiom checks run on abelian deck groups")
     chars = abelian_characters(galois)
 
@@ -388,17 +388,16 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
     def restrict(h):
         return tuple(pos_h[fiber_cover[h[pos_cover[vt]]]] for vt in fiber_h)
 
-    rest_of = {h: restrict(h) for h in qd.subgroup}
     table_h = abelian_character_table(list(galois_h.gen_perms),
                                       len(galois_h.fiber))
     dom_h = table_h.domain
     xm = lift_weights(mid, x)
     ax4 = True
-    for ev, rep_mid in zip(table_h.elem_values,
-                           table_characters(table_h, table_h.gens)):
+    for rep_sub, rep_mid in zip(
+            table_characters(table_h, tuple(map(restrict, qd.subgroup))),
+            table_characters(table_h, table_h.gens)):
         cp_mid = _char_charpoly(mid_graph, xm, mid_pres, rep_mid)
-        rho_vals = {h: Matrix(dom_h, [[ev[rest_of[h]]]])
-                    for h in qd.subgroup}
+        rho_vals = dict(zip(qd.subgroup, rep_sub.gen_mats))
         matrix_at, _ = finite_group_induction(galois.elements, qd.subgroup,
                                               rho_vals, dom_h, 1)
         rep_ind = representation(dom_h, [matrix_at(gp)

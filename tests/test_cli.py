@@ -147,22 +147,25 @@ def cycle_document(n: int) -> str:
             "weights:\n  kind = unit\n")
 
 
-BOUQUET_Z101 = """graph:
+# the Z/n cover of the two-loop bouquet, one loop lifted to an n-cycle
+BOUQUET = """graph:
   vertices = 1
   edge 0 0
   edge 0 0
 weights:
   kind = unit
 zdvoltage:
-  modulus = 101
+  modulus = {n}
   edge 0 = 1
   edge 1 = 0
 """
 
 # (id, argv after the input, the document or a sample, what stderr names)
 OVERSIZED = [
-    ("bouquet-z101", ("cor2",), BOUQUET_Z101,
+    ("bouquet-z101", ("cor2",), BOUQUET.format(n=101),
      "Q(zeta_101) exceeds the cyclotomic order budget of 100"),
+    ("bouquet-z2000", ("cor2",), BOUQUET.format(n=2000),
+     "Q(zeta_2000) exceeds the cyclotomic order budget of 100"),
     ("kos-21x20", ("kos", "--m", "21", "--n", "20"), "kos_b2.txt",
      "torus cover determinant of order 420 exceeds the budget of 400"),
     ("trees-25-edges", ("oracle-trees",), cycle_document(25),
@@ -186,7 +189,8 @@ OVERSIZED = [
 def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
                                       message):
     # every oversized input stops at its budget, exit 3 with no report,
-    # before the work the budget guards: the Q(zeta_101) characters, the
+    # before the work the budget guards: the Q(zeta_101) and Q(zeta_2000)
+    # characters (no deck group closed on the way), the
     # order-420 torus determinant, the oracle walks, and for the odd
     # cyclic covers of the 3-edge theta graph (18 and 42 vertices) the
     # split, as soon as the cover is built
@@ -200,6 +204,26 @@ def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["cover", "cor2"])
+@pytest.mark.parametrize("document", ["z6_bouquet.txt", BOUQUET.format(n=7)],
+                         ids=["voltage-z6", "zdvoltage-z7"])
+def test_abelian_deck_groups_are_never_closed(monkeypatch, tmp_path, capsys,
+                                              command, document):
+    # a transitive abelian fiber group is regular: normality, the deck
+    # group order and the characters come without listing its elements
+    def no_closure(*args, **kwargs):
+        raise AssertionError("permutation_closure reached")
+
+    monkeypatch.setattr(covering, "permutation_closure", no_closure)
+    if document.endswith(".txt"):
+        path = f"{SAMPLES}/{document}"
+    else:
+        path = tmp_path / "bouquet.txt"
+        path.write_text(document)
+    code, out, _ = run(capsys, command, "--input", str(path))
+    assert code == 0 and "result: pass" in out
 
 
 # the 4-cycle of dimer_c4.txt with every Z/3 voltage 0: three disjoint

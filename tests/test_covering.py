@@ -102,7 +102,7 @@ def test_is_normal_cyclic():
     normal, galois = is_normal(p, pres)
     assert normal
     assert galois.order == 2
-    assert galois.is_abelian()
+    assert galois.abelian
 
 
 def test_nonnormal_cover_detected():

@@ -32,6 +32,7 @@ from covertwist.representation import (
     monodromy,
     permutation_complement,
     representation,
+    table_characters,
     trivial_representation,
 )
 
@@ -177,7 +178,7 @@ def test_abelian_character_table_z4():
     assert table.count == 4
     assert table.domain is QI
     i = root_of_unity(4)
-    seen = {gv[0] for gv in table.gen_values}
+    seen = {c.gen_mats[0][0, 0] for c in table_characters(table, table.gens)}
     assert seen == {QI.one, QI.coerce(-1), i, -i}
 
 
@@ -186,8 +187,8 @@ def test_abelian_character_table_z2xz2():
     table = abelian_character_table(gens, 4)
     assert table.count == 4
     assert table.domain is QQ
-    for gv in table.gen_values:
-        assert all(v * v == 1 for v in gv)
+    for c in table_characters(table, table.gens):
+        assert all(m[0, 0] * m[0, 0] == 1 for m in c.gen_mats)
 
 
 def test_abelian_characters_from_cover():
