@@ -39,7 +39,6 @@ from .covering import (
     coset_data,
     deck_transformation,
     edge_voltage_cover,
-    fiber_action,
     identity_cover,
     is_normal,
     quotient_by_subgroup,

@@ -14,6 +14,7 @@ import random
 import sys
 import time
 from functools import cache
+from math import gcd
 
 from .certificates import (
     cor1_certificate,
@@ -41,7 +42,7 @@ from .docio import (
     render_report,
     serialize_input,
 )
-from .domains import QQ
+from .domains import QQ, cyclotomic_field
 from .errors import (
     BudgetExceededError,
     CovertwistError,
@@ -76,9 +77,12 @@ from .zeta import (
 # shared construction steps
 
 
-def _covering_from_doc(doc: InputDocument, r: Report):
+def _covering_from_doc(doc: InputDocument, r: Report,
+                       characters: bool = False):
     """Cover from the document: explicit voltage first, then cyclic
-    voltages, then the identity cover as a last resort."""
+    voltages, then the identity cover as a last resort.  With
+    characters, a connected ℤ/N cover's character field Q(ζ_N) is
+    checked against its budget before the cover is built."""
     g = doc.graph
     if not is_connected(g):
         raise SemanticError("the graph is not connected")
@@ -94,11 +98,30 @@ def _covering_from_doc(doc: InputDocument, r: Report):
                                 "permutations are not transitive")
         return build_cover(pres, volt), pres
     if doc.zd_voltages is not None:
+        if characters and _cyclic_cover_connected(g, doc.zd_voltages,
+                                                  doc.zd_modulus):
+            cyclotomic_field(doc.zd_modulus)
         p = edge_voltage_cover(g, tuple((b,) for b in doc.zd_voltages),
                                (doc.zd_modulus,))
         return p, pres
     r.notes.append("no voltage section; using the identity cover")
     return identity_cover(g), pres
+
+
+def _cyclic_cover_connected(g, voltages, n: int) -> bool:
+    """Whether the ℤ/n cover of the connected graph g with one voltage
+    per directed edge is connected: the closed walks' voltages must
+    generate ℤ/n, and the cycles closed by each edge over a search tree
+    generate them, so the test is gcd(n, cycle voltages) = 1."""
+    height = {0: 0}   # the voltage of the tree path from vertex 0
+    queue = [0]
+    for v in queue:
+        for e in g.out_edges[v]:
+            if g.tgt[e] not in height:
+                height[g.tgt[e]] = height[v] + voltages[e]
+                queue.append(g.tgt[e])
+    return gcd(n, *(height[g.src[e]] + voltages[e] - height[g.tgt[e]]
+                    for e in range(g.num_edges))) == 1
 
 
 def _pick_rep(doc: InputDocument, rank: int, what: str) -> Representation | None:
@@ -238,7 +261,7 @@ def _cmd_cor1(args, doc: InputDocument | None) -> Report:
 
 def _cmd_cor2(args, doc: InputDocument) -> Report:
     r = Report("cor2")
-    p, pres = _covering_from_doc(doc, r)
+    p, pres = _covering_from_doc(doc, r, characters=not doc.irreducibles)
     irr = None
     if doc.irreducibles:
         irr = []

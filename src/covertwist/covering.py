@@ -20,7 +20,6 @@ from .errors import (
     NotASubgroupError,
     QuotientConstructionFailedError,
     StartNotInFiberError,
-    VertexNotInBaseFiberError,
     VoltageNotAntisymmetricError,
 )
 from .graphs import (
@@ -31,10 +30,8 @@ from .graphs import (
     is_connected,
 )
 from .homotopy import (
-    FreeWord,
     Pi1Presentation,
     SpanningTree,
-    invert_word,
     presentation_from_tree,
 )
 
@@ -264,22 +261,6 @@ def lift_path(p: CoveringMap, path: Path, start: int) -> Path:
     return Path(start, tuple(edges))
 
 
-def fiber_action(p: CoveringMap, pres: Pi1Presentation, w: FreeWord,
-                 vt: int) -> int:
-    """Left action of a base loop class on the fiber over the base
-    vertex: lift a loop representing the inverse word and take its
-    endpoint.  Inverting makes composition act on the left:
-    action(w1·w2, x) = action(w1, action(w2, x)).
-    """
-    if p.p_vertex[vt] != p.base_vertex:
-        raise VertexNotInBaseFiberError(
-            f"vertex {vt} lies over {p.p_vertex[vt]}, "
-            f"not over {p.base_vertex}")
-    loop = pres.realize_word(invert_word(w))
-    lifted = lift_path(p, loop, vt)
-    return p.cover.tgt[lifted.edges[-1]] if lifted.edges else vt
-
-
 # ---------------------------------------------------------------------------
 # fiber permutation group
 
@@ -314,9 +295,10 @@ class GaloisGroup:
 
 def fiber_generator_permutations(p: CoveringMap,
                                  pres: Pi1Presentation) -> list[Perm]:
-    """Permutation of fiber positions induced by each generator, as
-    fiber_action gives it: the generator's inverse loop, realized once,
-    lifted from every fiber point."""
+    """Permutation of fiber positions induced by each generator, acting
+    on the left: position i goes to the endpoint of the generator's
+    inverse loop, realized once, lifted from fiber point i, so that a
+    word w1·w2 acts as w1 after w2."""
     fiber = p.vertex_fibers[p.base_vertex]
     pos = {vt: i for i, vt in enumerate(fiber)}
     perms = []

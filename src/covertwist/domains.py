@@ -79,16 +79,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+def _within_budget(n: int) -> int:
+    """n, when Q(ζ_n) is within the order budget."""
+    if n > CYCLOTOMIC_ORDER_BUDGET:
+        raise BudgetExceededError(f"Q(zeta_{n}) exceeds the cyclotomic "
+                                  f"order budget of {CYCLOTOMIC_ORDER_BUDGET}")
+    return n
+
+
 @cache
 def _field(n: int) -> tuple[tuple, tuple]:
     """(powers, mean_trace) for Q(ζ_n): powers[k] holds the coordinates
     of ζ^k, 0 <= k < n, in the power basis modulo Φ_n, and
     mean_trace[k] = Tr(ζ^k)/φ(n) = μ(m)/φ(m) for m = n/gcd(k, n), where
     μ(m) = Tr(ζ_m) is minus the second-highest coefficient of Φ_m."""
-    if n > CYCLOTOMIC_ORDER_BUDGET:
-        raise BudgetExceededError(f"Q(zeta_{n}) exceeds the cyclotomic "
-                                  f"order budget of {CYCLOTOMIC_ORDER_BUDGET}")
-    phi_n = cyclotomic_polynomial(n)
+    phi_n = cyclotomic_polynomial(_within_budget(n))
     row = [1] + [0] * (len(phi_n) - 2)
     powers = []
     for _ in range(n):
@@ -323,8 +328,9 @@ QI = CyclotomicDomain(4)
 
 
 def cyclotomic_field(n: int):
-    """Q(ζ_n) as its domain; Q(ζ_2) is QQ."""
-    return CyclotomicDomain(n if n > 2 else 1)
+    """Q(ζ_n) as its domain; Q(ζ_2) is QQ.  A field past the order
+    budget raises BudgetExceededError here, before any arithmetic."""
+    return CyclotomicDomain(_within_budget(n) if n > 2 else 1)
 
 
 def unify_scalar_domains(a, b):

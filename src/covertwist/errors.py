@@ -46,10 +46,6 @@ class StartNotInFiberError(CovertwistError):
     """Lift start vertex does not project to the path source."""
 
 
-class VertexNotInBaseFiberError(CovertwistError):
-    """Vertex is not in the fiber over the base point."""
-
-
 class InternalCosetError(CovertwistError):
     """Coset bookkeeping produced an inconsistent sheet or block
     (internal bug)."""

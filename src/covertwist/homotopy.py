@@ -1,9 +1,9 @@
 """Spanning trees and free-group words for loops in a connected graph.
 
 A breadth-first spanning tree makes the non-tree edges free generators
-of the loops at the root, and realize_word turns a word in them back
-into a loop.  Words are tuples of (generator, exponent) letters with
-exponent +1 or -1.
+of the loops at the root, and each letter of a word in them has its
+loop at the root (letter_loops).  Words are tuples of (generator,
+exponent) letters with exponent +1 or -1.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ from .graphs import Graph, Path, path_concat, path_reverse
 
 # A letter is (generator index, +1 | -1); a word is a tuple of letters.
 FreeWord = tuple[tuple[int, int], ...]
-
-
-def invert_word(w: FreeWord) -> FreeWord:
-    return tuple((g, -s) for (g, s) in reversed(w))
 
 
 @dataclass(frozen=True)
@@ -117,13 +113,6 @@ class Pi1Presentation:
         """Each letter's loop at the root, as realize_letter builds it."""
         return {(k, s): self.realize_letter(k, s)
                 for k in range(self.rank) for s in (1, -1)}
-
-    def realize_word(self, w: FreeWord) -> Path:
-        """A loop at the root whose word reduces back to w: the letters'
-        loops, each at the root, one after the other."""
-        loops = self.letter_loops
-        return Path(self.tree.root,
-                    tuple(e for let in w for e in loops[let].edges))
 
 
 def presentation_from_tree(tree: SpanningTree) -> Pi1Presentation:

@@ -16,10 +16,12 @@ characteristic polynomials alike:
   proved prime by Proth's theorem, sized to the bound: a bound up to
   240 bits takes one prime and one Krylov run, and only a larger one
   splits over several primes whose residues the Chinese remainder
-  theorem combines.  The cleared matrix is first put into reverse
-  Cuthill-McKee order on its nonzero pattern, once for every prime,
-  which keeps the Krylov vectors sparse.  The recurrence runs on packed
-  integers, one coefficient per bit field.
+  theorem combines.  The matrix is read once, into the nonzero entries
+  of its rows; the bound, a reverse Cuthill-McKee order on the nonzero
+  pattern (shared by every prime, it keeps the Krylov vectors sparse)
+  and the kernel's columns come from those, and each prime reduces the
+  columns, so no later pass walks the zeros.  The recurrence runs on
+  packed integers, one coefficient per bit field.
 * Characteristic polynomials of matrices with polynomial entries take
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x],
   QQ(i)[x] or Q(zeta_N)[x]): inner products and convolutions only, no
@@ -38,7 +40,6 @@ characteristic polynomials alike:
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -73,11 +74,6 @@ class Matrix:
         return cls(domain, [[o if i == j else z for j in range(n)]
                             for i in range(n)])
 
-    @classmethod
-    def zeros(cls, domain, nrows: int, ncols: int) -> "Matrix":
-        z = domain.zero
-        return cls(domain, [[z] * ncols for _ in range(nrows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -94,29 +90,6 @@ class Matrix:
                 getattr(self.domain, "name", None) != getattr(other.domain, "name", None):
             raise DomainMismatchError(
                 f"matrix domains differ: {self.domain!r} vs {other.domain!r}")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_domain(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix addition")
-        add = self.domain.add
-        return Matrix(self.domain,
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_domain(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix subtraction")
-        sub = self.domain.sub
-        return Matrix(self.domain,
-                      [[sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Matrix":
-        neg = self.domain.neg
-        return Matrix(self.domain,
-                      [[neg(a) for a in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -145,15 +118,6 @@ class Matrix:
                     orow[j] = add(orow[j], mul(x, y))
             out.append(orow)
         return Matrix(dom, out)
-
-    def scale(self, c) -> "Matrix":
-        mul = self.domain.mul
-        c = self.domain.coerce(c)
-        return Matrix(self.domain,
-                      [[mul(c, a) for a in row] for row in self.data])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.domain, [list(col) for col in zip(*self.data)])
 
     def eq(self, other: "Matrix") -> bool:
         if self.shape != other.shape:
@@ -264,16 +228,18 @@ def _proth_prime(bits: int, index: int) -> tuple[int, int]:
     return found[index]
 
 
-def _hessenberg_charpoly(a: list[list[int]], p: int) -> list[int]:
+def _hessenberg_charpoly(cols: list[list[tuple[int, int]]],
+                         p: int) -> list[int]:
     """Coefficients, ascending, of det(x*I - a) modulo the prime p, for
-    a holding residues in [0, p); a is not modified.
+    the matrix a given by its nonzero residues, in [0, p), column by
+    column: cols[j] holds (i, a[i][j]).  cols is not modified.
 
     A Krylov basis (Keller-Gehrig 1985; Dumas, Pernet & Wan 2005) gives
     a Hessenberg form H of a with no similarity sweep.  The basis
     q_0, q_1, ... is kept in echelon form: each vector's pivot is its
     first nonzero entry, and it is zero at the pivots of all earlier
-    vectors.  Each v = a*q_(k-1), the product taking a's nonzeros by
-    column, is reduced against the basis in insertion order, with
+    vectors.  Each v = a*q_(k-1), the product taking a's nonzeros from
+    cols, is reduced against the basis in insertion order, with
     coefficient -v[pivot]/q_b[pivot] for q_b: that zeroes v at q_b's
     pivot, where every later vector is zero too.  The rest is stored as
     q_k unnormalised, so a*q_(k-1) = q_k + sum_b h_b,k-1 * q_b and H has
@@ -304,8 +270,7 @@ def _hessenberg_charpoly(a: list[list[int]], p: int) -> list[int]:
     The products have degree at most k, so the top field k + 1 is the
     leading 1 of p_k: the fields are peeled off from the bottom until
     nothing is left."""
-    n = len(a)
-    cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*a)]
+    n = len(cols)
     w = 2 * p.bit_length() + (n + 1).bit_length()
     mask = (1 << w) - 1
     polys = [1]
@@ -355,29 +320,30 @@ def _hessenberg_charpoly(a: list[list[int]], p: int) -> list[int]:
     return coeffs
 
 
-def _cleared(m: Matrix) -> tuple[int, list[list[int]], list[list[int]] | None]:
-    """(D, re, im): D the lcm of the entry denominators and D*m split into
-    integer real and imaginary parts; im is None when every entry is
-    real.  A QQ matrix is read as it is: no pair per entry, and with
-    integer entries (D = 1) no rescaling."""
-    if m.domain.conductor == 4:
-        parts = [[x.c if isinstance(x, Cyclotomic) else (x, 0) for x in row]
-                 for row in m.data]
-        d = lcm(1, *(q.denominator for row in parts for pair in row
-                     for q in pair))
-        im = [[int(b * d) for _, b in row] for row in parts]
-        return (d, [[int(a * d) for a, _ in row] for row in parts],
-                im if any(any(row) for row in im) else None)
-    d = lcm(1, *{x.denominator for row in m.data for x in row})
-    if d == 1:
-        return 1, [list(map(int, row)) for row in m.data], None
-    return d, [[int(x * d) for x in row] for row in m.data], None
+def _cleared(m: Matrix) -> tuple[int, list[list[tuple]], bool]:
+    """(D, rows, gaussian): D the lcm of the entry denominators, and
+    rows[i] the nonzero entries of row i of D*m as (j, a) pairs of a
+    column and an integer, or, when gaussian (some entry of a QQ(i)
+    matrix is not real), as (j, a, b) with a and b the integer real and
+    imaginary parts.  m is scanned once."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
+    if m.domain.conductor == 4 and any(isinstance(x, Cyclotomic)
+                                       for row in rows for _, x in row):
+        rows = [[(j, *x.c) if isinstance(x, Cyclotomic) else (j, x, 0)
+                 for j, x in row] for row in rows]
+        d = lcm(1, *{q.denominator for row in rows for _, a, b in row
+                     for q in (a, b)})
+        return d, [[(j, int(a * d), int(b * d)) for j, a, b in row]
+                   for row in rows], True
+    d = lcm(1, *{x.denominator for row in rows for _, x in row})
+    return d, [[(j, int(x * d)) for j, x in row] for row in rows], False
 
 
-def _fill_reducing_order(parts: list[list[list[int]]]) -> list[int]:
+def _fill_reducing_order(rows: list[list[tuple]]) -> list[int]:
     """The reverse Cuthill-McKee order (Cuthill & McKee 1969) of the
-    symmetric nonzero pattern of the square matrices in parts: i and j
-    are adjacent when entry (i, j) or (j, i) of any part is nonzero.
+    symmetric nonzero pattern of a square matrix given by its rows'
+    nonzero entries, each a tuple led by its column: i and j are
+    adjacent when entry (i, j) or (j, i) is nonzero.
 
     Each connected piece is searched breadth-first from its vertex of
     least degree, taking the unvisited neighbours of each vertex by
@@ -386,14 +352,14 @@ def _fill_reducing_order(parts: list[list[list[int]]]) -> list[int]:
     from a unit vector spreads over a band of neighbouring indices, and
     the echelon reduction of each new vector against the basis meets
     fewer nonzeros than in an arbitrary order."""
-    n = len(parts[0])
+    n = len(rows)
     adj = [set() for _ in range(n)]
-    for part in parts:
-        for i, row in enumerate(part):
-            for j, x in enumerate(row):
-                if x and i != j:
-                    adj[i].add(j)
-                    adj[j].add(i)
+    for i, row in enumerate(rows):
+        for entry in row:
+            j = entry[0]
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
     degree = [len(a) for a in adj]
 
     def by_degree(v):
@@ -437,37 +403,46 @@ def _charpoly_multimodular(m: Matrix) -> list:
     recombination; several are combined by Garner's form of the Chinese
     remainder theorem.
 
-    Before the first run, D*m is put into the reverse Cuthill-McKee
-    order of its nonzero pattern (for QQ(i), the union of both parts'
-    patterns), once for every prime, which keeps the Krylov vectors
-    sparse: a symmetric permutation is a similarity, so the charpoly and
-    the row norms are unchanged."""
+    m is read once, into the nonzero entries of each row of D*m; the
+    row norms, the order and the kernel's columns all come from those.
+    D*m is put into the reverse Cuthill-McKee order of its nonzero
+    pattern (for QQ(i), the union of both parts' patterns), once for
+    every prime, which keeps the Krylov vectors sparse: a symmetric
+    permutation is a similarity, so the charpoly and the row norms are
+    unchanged.  Each prime reduces the permuted columns directly."""
     n = m.nrows
-    d, re, im = _cleared(m)
-    order = _fill_reducing_order([re] if im is None else [re, im])
-    re = [[re[i][j] for j in order] for i in order]
-    if im is not None:
-        im = [[im[i][j] for j in order] for i in order]
+    d, rows, gaussian = _cleared(m)
     bound = 1
-    for k, r_re in enumerate(re):
-        sq = sum(map(operator.mul, r_re, r_re))
-        if im is not None:
-            sq += sum(map(operator.mul, im[k], im[k]))
+    for row in rows:
+        sq = sum(a * a + b * b for _, a, b in row) if gaussian else \
+            sum(a * a for _, a in row)
         root = isqrt(sq)
         bound *= 1 + root + (root * root < sq)
+    order = _fill_reducing_order(rows)
+    pos = [0] * n
+    for k, i in enumerate(order):
+        pos[i] = k
+    cols = [[] for _ in range(n)]   # D*m permuted, by column
+    for k, i in enumerate(order):
+        if gaussian:
+            for j, a, b in rows[i]:
+                cols[pos[j]].append((k, a, b))
+        else:
+            for j, a in rows[i]:
+                cols[pos[j]].append((k, a))
 
     def image(root, p):
-        """D*m modulo p with i mapped to root."""
-        if im is None:
-            return [[a % p for a in row] for row in re]
-        return [[(a + root * b) % p for a, b in zip(ra, rb)]
-                for ra, rb in zip(re, im)]
+        """The columns of D*m modulo p, with i mapped to root."""
+        if not gaussian:
+            return [[(i, y) for i, a in col if (y := a % p)] for col in cols]
+        return [[(i, y) for i, a, b in col if (y := (a + root * b) % p)]
+                for col in cols]
 
     def residues(p, s):
         """The charpoly of D*m modulo p: its real and imaginary parts,
         the latter None for a real matrix."""
         plus = _hessenberg_charpoly(image(s, p), p)
-        if im is None:
+        if not gaussian:
             return plus, None
         minus = _hessenberg_charpoly(image(-s, p), p)
         half = pow(2, -1, p)

@@ -1,8 +1,11 @@
 """Weighted operators attached to graphs.
 
 Twisted adjacency matrices pair edge weights with connection matrices;
-the Laplacian is the weighted out-degree minus the twisted adjacency;
-the directed line graph supports the cycle-counting operators; and the
+the Laplacian is the weighted out-degree minus the twisted adjacency.
+Both are assembled from the nonzero entries of the connection
+matrices, each distinct matrix read once per build, so the work
+follows the edges rather than the entries of the result.  The
+directed line graph supports the cycle-counting operators, and the
 Kasteleyn helpers produce clockwise-odd orientations and the skew
 weightings they induce on planar embeddings.
 """
@@ -94,53 +97,78 @@ def _operator_domain(wdom, cdom):
     return unify_scalar_domains(wdom, cdom)
 
 
-def twisted_adjacency(g: Union[Graph, DirectedGraph], x: EdgeWeights,
-                      c: Connection) -> Matrix:
-    """Block matrix whose (v,w) block sums x_e·φ_e over edges v→w."""
-    dg = g.dg if isinstance(g, Graph) else g
+def _assemble(dg: DirectedGraph, weights, c: Connection, dom) -> list[list]:
+    """Rows of Σ_e x_e·φ_e for weights x_e already in dom.  The nonzero
+    entries of each distinct matrix φ_e are read once; a unit entry
+    places x_e itself, and a term landing on a position that still holds
+    the zero object is stored there, so only positions that meet two or
+    more terms take an addition."""
+    m = c.degree
+    size = dg.num_vertices * m
+    zero, add, mul, coerce = dom.zero, dom.add, dom.mul, dom.coerce
+    data = [[zero] * size for _ in range(size)]
+    entries: dict[int, list] = {}   # id(φ) -> (i, j, entry or None for 1)
+    for e, xe in enumerate(weights):
+        phi = c.mats[e]
+        nz = entries.get(id(phi))
+        if nz is None:
+            nz = entries[id(phi)] = [
+                (i, j, None if y == 1 else coerce(y))
+                for i, row in enumerate(phi.data)
+                for j, y in enumerate(row) if y]   # φ is scalar
+        v, w = dg.src[e] * m, dg.tgt[e] * m
+        for i, j, y in nz:
+            term = xe if y is None else mul(xe, y)
+            row = data[v + i]
+            old = row[w + j]
+            row[w + j] = term if old is zero else add(old, term)
+    return data
+
+
+def _checked_domain(dg: DirectedGraph, x: EdgeWeights, c: Connection):
     if len(x.values) != dg.num_edges:
         raise MissingWeightError(
             f"{len(x.values)} weights for {dg.num_edges} edges")
     if len(c.mats) != dg.num_edges:
         raise MissingConnectionEntryError(
             f"{len(c.mats)} connection entries for {dg.num_edges} edges")
-    dom = _operator_domain(x.domain, c.domain)
-    m = c.degree
-    n = dg.num_vertices
-    data = [[dom.zero] * (n * m) for _ in range(n * m)]
-    for e in range(dg.num_edges):
-        v, w = dg.src[e], dg.tgt[e]
-        xe = dom.coerce(x.values[e])
-        phi = c.mats[e]
-        for i in range(m):
-            row = data[v * m + i]
-            for j in range(m):
-                entry = phi[i, j]
-                if c.domain.is_zero(entry):
-                    continue
-                row[w * m + j] = dom.add(row[w * m + j],
-                                         dom.mul(xe, dom.coerce(entry)))
-    return Matrix(dom, data)
+    return _operator_domain(x.domain, c.domain)
+
+
+def twisted_adjacency(g: Union[Graph, DirectedGraph], x: EdgeWeights,
+                      c: Connection) -> Matrix:
+    """Block matrix whose (v,w) block sums x_e·φ_e over edges v→w."""
+    dg = g.dg if isinstance(g, Graph) else g
+    dom = _checked_domain(dg, x, c)
+    return Matrix(dom, _assemble(dg, map(dom.coerce, x.values), c, dom))
 
 
 def laplacian(g: Graph, x: EdgeWeights,
               c: Connection | None = None) -> Matrix:
     """Δf(v) = Σ_{e from v} x_e·(f(v) − φ_e f(t(e))), that is D − A^ρ:
     D holds each out-edge weight, loops included, on its source's
-    diagonal block, and A^ρ is twisted_adjacency."""
+    diagonal block, and A^ρ is twisted_adjacency.  −A^ρ is assembled
+    from the negated weights, and each vertex's weighted degree is then
+    added on its diagonal block."""
     if not x.is_symmetric(g):
         raise WeightsNotSymmetricError("Laplacian weights must be symmetric")
     if c is None:
         c = trivial_connection(QQ, g.num_edges)
-    a = twisted_adjacency(g, x, c)
-    dom = a.domain
+    dom = _checked_domain(g.dg, x, c)
+    zero, add = dom.zero, dom.add
+    weights = [dom.coerce(v) for v in x.values]
+    data = _assemble(g.dg, map(dom.neg, weights), c, dom)
+    degree = [zero] * g.num_vertices
+    for e, xe in enumerate(weights):
+        v = g.src[e]
+        degree[v] = xe if degree[v] is zero else add(degree[v], xe)
     m = c.degree
-    deg = Matrix.zeros(dom, a.nrows, a.ncols)
-    for e in range(g.num_edges):
-        xe = dom.coerce(x.values[e])
-        for k in range(g.src[e] * m, (g.src[e] + 1) * m):
-            deg.data[k][k] = dom.add(deg.data[k][k], xe)
-    return deg - a
+    for v, dv in enumerate(degree):
+        if dv is not zero:
+            for k in range(v * m, (v + 1) * m):
+                old = data[k][k]
+                data[k][k] = dv if old is zero else add(old, dv)
+    return Matrix(dom, data)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Gaussian rationals, random integer and skew-symmetric matrices,
 matrices from rows of plain values, polynomials from exponent lists
 and their coefficients in one variable, relabelled graphs, the text
 of a free-group word, words reduced and concatenated, the word of a
-loop, the projection of a cover path, a word's image under a
-representation, random unimodular representations and cyclic
-characters, submatrices, unit edge weights and the
-coefficient-by-coefficient check of a Laplacian charpoly against the
-forest oracle.
+loop and the loop of a word, a word's action on the fiber of a cover,
+the projection of a cover path, a word's image under a representation,
+random unimodular representations and cyclic characters, submatrices,
+zero matrices and entrywise matrix arithmetic, unit edge weights and
+the coefficient-by-coefficient check of a Laplacian charpoly against
+the forest oracle.
 The program builds none of these, so they live here rather than in
 `covertwist`.
 """
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 from covertwist.certificates import unoriented_values
 from covertwist.domains import QI, QQ, cyclotomic_field, root_of_unity
-from covertwist.covering import CoveringMap
+from covertwist.covering import CoveringMap, lift_path
 from covertwist.graphs import DirectedGraph, Graph, Path, check_loop
 from covertwist.homotopy import FreeWord, Pi1Presentation
 from covertwist.matrix import Matrix, charpoly
@@ -203,3 +204,62 @@ def rep_of_word(rho: Representation, w: FreeWord) -> Matrix:
 def submatrix(m: Matrix, rows, cols) -> Matrix:
     """The entries of m in the given rows and columns, in that order."""
     return Matrix(m.domain, [[m.data[i][j] for j in cols] for i in rows])
+
+
+def invert_word(w: FreeWord) -> FreeWord:
+    """The inverse word: the letters reversed, each inverted."""
+    return tuple((g, -s) for (g, s) in reversed(w))
+
+
+def realize_word(pres: Pi1Presentation, w: FreeWord) -> Path:
+    """A loop at the root whose word reduces back to w: the letters'
+    loops, each at the root, one after the other."""
+    loops = pres.letter_loops
+    return Path(pres.tree.root,
+                tuple(e for let in w for e in loops[let].edges))
+
+
+def fiber_action(p: CoveringMap, pres: Pi1Presentation, w: FreeWord,
+                 vt: int) -> int:
+    """Left action of a base loop class on the fiber over the base
+    vertex: lift a loop representing the inverse word and take its
+    endpoint.  Inverting makes composition act on the left:
+    action(w1·w2, x) = action(w1, action(w2, x))."""
+    if p.p_vertex[vt] != p.base_vertex:
+        raise ValueError(f"vertex {vt} lies over {p.p_vertex[vt]}, "
+                         f"not over {p.base_vertex}")
+    lifted = lift_path(p, realize_word(pres, invert_word(w)), vt)
+    return p.cover.tgt[lifted.edges[-1]] if lifted.edges else vt
+
+
+def zero_matrix(domain, nrows: int, ncols: int) -> Matrix:
+    return Matrix(domain, [[domain.zero] * ncols for _ in range(nrows)])
+
+
+def _entrywise(op, *ms: Matrix) -> Matrix:
+    if len({m.shape for m in ms}) != 1:
+        raise ValueError("shape mismatch in an entrywise operation")
+    return Matrix(ms[0].domain, [[op(*xs) for xs in zip(*rows)]
+                                 for rows in zip(*(m.data for m in ms))])
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(a.domain.add, a, b)
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(a.domain.sub, a, b)
+
+
+def mat_neg(a: Matrix) -> Matrix:
+    return _entrywise(a.domain.neg, a)
+
+
+def scale(a: Matrix, c) -> Matrix:
+    """c·a for a scalar c of a's domain."""
+    c = a.domain.coerce(c)
+    return _entrywise(lambda x: a.domain.mul(c, x), a)
+
+
+def transpose(a: Matrix) -> Matrix:
+    return Matrix(a.domain, [list(col) for col in zip(*a.data)])

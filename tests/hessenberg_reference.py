@@ -59,3 +59,10 @@ def hessenberg_charpoly_dense(h: list[list[int]], p: int) -> list[int]:
                     new[k] -= f * c
         polys.append([c % p for c in new])
     return polys[n]
+
+
+def nonzero_columns(h: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The kernel's input for the dense residues h: the nonzero entries of
+    each column, (row, value) by ascending row."""
+    n = len(h)
+    return [[(i, h[i][j]) for i in range(n) if h[i][j]] for j in range(n)]

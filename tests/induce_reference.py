@@ -22,20 +22,24 @@ None of it shares code with the program's route beyond the covering,
 the presentations and the operators themselves.
 """
 
-from covertwist.covering import CosetData, fiber_action, lift_path
+from covertwist.covering import CosetData, lift_path
 from covertwist.errors import CovertwistError, InternalCosetError
 from covertwist.graphs import path_concat
-from covertwist.homotopy import FreeWord, invert_word
+from covertwist.homotopy import FreeWord
 from covertwist.matrix import Matrix, det
 from covertwist.representation import Representation
 
 from builders import (
     concat_words,
+    fiber_action,
+    invert_word,
     loop_to_word,
     project_path,
+    realize_word,
     reduce_word,
     rep_of_word,
     submatrix,
+    zero_matrix,
 )
 
 
@@ -48,7 +52,7 @@ def express_in_subgroup(cd: CosetData, h: FreeWord) -> FreeWord:
     as a word in the cover presentation.  The base word belongs to the
     subgroup exactly when its lift at the marked vertex closes up."""
     p = cd.covering
-    loop = cd.base_pres.realize_word(h)
+    loop = realize_word(cd.base_pres, h)
     lifted = lift_path(p, loop, p.cover_base_vertex)
     end = p.cover.tgt[lifted.edges[-1]] if lifted.edges else lifted.base
     if end != p.cover_base_vertex:
@@ -56,7 +60,7 @@ def express_in_subgroup(cd: CosetData, h: FreeWord) -> FreeWord:
             "word does not lift to a loop at the marked vertex")
     out = loop_to_word(cd.cover_pres, lifted)
     back = loop_to_word(cd.base_pres,
-                        project_path(p, cd.cover_pres.realize_word(out)))
+                        project_path(p, realize_word(cd.cover_pres, out)))
     if back != reduce_word(h):
         raise InternalCosetError("round trip through the cover changed the word")
     return out
@@ -127,7 +131,7 @@ def column_blocks(image: Matrix, m: int):
         cols = range(j * m, (j + 1) * m)
         for jp in range(d):
             blk = submatrix(image, range(jp * m, (jp + 1) * m), cols)
-            if not blk.eq(Matrix.zeros(image.domain, m, m)):
+            if not blk.eq(zero_matrix(image.domain, m, m)):
                 out.append((jp, blk))
                 break
     return tuple(out)

@@ -17,7 +17,8 @@ from covertwist.matrix import Matrix, charpoly
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import bareiss_charpoly
-from builders import gaussian, matrix_from_rows, poly_from_exponents
+from builders import (gaussian, matrix_from_rows, poly_from_exponents,
+                      zero_matrix)
 
 REG = VarRegistry(("x", "y", "z"))
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -131,7 +132,7 @@ def test_orders_zero_one_two():
     assert charpoly(Matrix(dom, [[a]])) == lam - 2 * x
     assert charpoly(Matrix(dom, [[a, b], [c, d]])) == \
         lam ** 2 - (2 * x + z) * lam + 2 * x * z - y
-    assert charpoly(Matrix.zeros(dom, 3, 3)) == lam ** 3
+    assert charpoly(zero_matrix(dom, 3, 3)) == lam ** 3
 
 
 def test_no_exact_division(monkeypatch):

@@ -166,6 +166,8 @@ OVERSIZED = [
      "Q(zeta_101) exceeds the cyclotomic order budget of 100"),
     ("bouquet-z2000", ("cor2",), BOUQUET.format(n=2000),
      "Q(zeta_2000) exceeds the cyclotomic order budget of 100"),
+    ("bouquet-z100000", ("cor2",), BOUQUET.format(n=100000),
+     "Q(zeta_100000) exceeds the cyclotomic order budget of 100"),
     ("kos-21x20", ("kos", "--m", "21", "--n", "20"), "kos_b2.txt",
      "torus cover determinant of order 420 exceeds the budget of 400"),
     ("trees-25-edges", ("oracle-trees",), cycle_document(25),
@@ -189,8 +191,9 @@ OVERSIZED = [
 def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
                                       message):
     # every oversized input stops at its budget, exit 3 with no report,
-    # before the work the budget guards: the Q(zeta_101) and Q(zeta_2000)
-    # characters (no deck group closed on the way), the
+    # before the work the budget guards: the Q(zeta_101), Q(zeta_2000)
+    # and Q(zeta_100000) characters (no deck group closed on the way,
+    # and for a connected cyclic cover not even the cover built), the
     # order-420 torus determinant, the oracle walks, and for the odd
     # cyclic covers of the 3-edge theta graph (18 and 42 vertices) the
     # split, as soon as the cover is built
@@ -204,6 +207,19 @@ def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("n, voltage", [(4, 2), (200, 2), (200, 10)])
+def test_disconnected_cyclic_cover_is_rejected_before_any_budget(
+        tmp_path, capsys, n, voltage):
+    # gcd(n, voltage) > 1: the cover is disconnected and has no character
+    # field, so even past the field budget cor2 rejects it (exit 2)
+    path = tmp_path / "bouquet.txt"
+    path.write_text(BOUQUET.format(n=n).replace("edge 0 = 1",
+                                                f"edge 0 = {voltage}"))
+    code, out, err = run(capsys, "cor2", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "normality is defined for connected covers" in err
 
 
 @pytest.mark.parametrize("command", ["cover", "cor2"])

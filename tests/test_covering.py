@@ -13,7 +13,6 @@ from covertwist.covering import (
     check_subgroup,
     deck_transformation,
     edge_voltage_cover,
-    fiber_action,
     identity_cover,
     is_normal,
     perm_compose,
@@ -30,7 +29,7 @@ from covertwist.errors import (
 from covertwist.graphs import build_graph, is_connected, validate_graph
 from covertwist.homotopy import fundamental_presentation, spanning_tree
 
-from builders import concat_words, reduce_word
+from builders import concat_words, fiber_action, realize_word, reduce_word
 from induce_reference import (
     NotInSubgroupError,
     express_in_subgroup,
@@ -169,7 +168,7 @@ def test_express_in_subgroup_round_trip():
     w = ((0, 1),) * 3
     h = express_in_subgroup(cd, w)
     assert reduce_word(h) == h
-    lifted = cd.base_pres.realize_word(w)
+    lifted = realize_word(cd.base_pres, w)
     assert lifted.base == 0
 
 

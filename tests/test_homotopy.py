@@ -8,12 +8,18 @@ from covertwist.errors import NotALoopError
 from covertwist.graphs import Path, build_graph, path_target
 from covertwist.homotopy import (
     fundamental_presentation,
-    invert_word,
     presentation_from_tree,
     spanning_tree,
 )
 
-from builders import concat_words, loop_to_word, reduce_word, word_to_text
+from builders import (
+    concat_words,
+    invert_word,
+    loop_to_word,
+    realize_word,
+    reduce_word,
+    word_to_text,
+)
 
 
 def test_reduce_word_cancels():
@@ -56,7 +62,7 @@ def test_loop_word_realize_round_trip():
     for _ in range(20):
         w = tuple((rng.randrange(pres.rank), rng.choice((1, -1)))
                   for _ in range(rng.randrange(6)))
-        loop = pres.realize_word(w)
+        loop = realize_word(pres, w)
         assert loop.base == 0
         assert path_target(g, loop) == 0
         # the non-tree edges traversed recover the reduced word
@@ -76,6 +82,6 @@ def test_presentation_from_tree_matches():
     t = spanning_tree(g, 0)
     pres = presentation_from_tree(t)
     assert pres.rank == 1
-    loop = pres.realize_word(((0, 1),))
+    loop = realize_word(pres, ((0, 1),))
     assert path_target(g, loop) == 0
     assert loop_to_word(pres, loop) == ((0, 1),)

@@ -3,7 +3,7 @@
 import random
 
 from covertwist.certificates import cor1_certificate, tree_certificates, verify_main
-from covertwist.covering import VoltageAssignment, build_cover, coset_data, fiber_action
+from covertwist.covering import VoltageAssignment, build_cover, coset_data
 from covertwist.domains import QQ
 from covertwist.graphs import build_graph
 from covertwist.homotopy import fundamental_presentation, spanning_tree
@@ -23,7 +23,7 @@ from covertwist.representation import (
 )
 from covertwist.zeta import amitsur_check, l_series_inverse
 
-from builders import rep_of_word, unit_weights
+from builders import fiber_action, rep_of_word, unit_weights
 
 
 def random_word(rng, rank, n):

@@ -36,7 +36,7 @@ from covertwist.representation import (
     trivial_representation,
 )
 
-from builders import rep_of_word
+from builders import realize_word, rep_of_word
 
 
 def bouquet2():
@@ -117,7 +117,7 @@ def test_monodromy_matches_word():
     for _ in range(10):
         w = tuple((rng.randrange(2), rng.choice((1, -1)))
                   for _ in range(rng.randrange(1, 5)))
-        loop = pres.realize_word(w)
+        loop = realize_word(pres, w)
         assert monodromy(g, conn, loop).eq(rep_of_word(rho, w))
 
 

@@ -25,7 +25,7 @@ from covertwist.representation import connection_from_rep, representation
 from covertwist.zeta import amitsur_check, l_series_inverse
 
 from bareiss_reference import det_bareiss
-from builders import by_var, gaussian, unit_weights
+from builders import by_var, gaussian, mat_sub, unit_weights
 
 
 def small_graph(rng):
@@ -93,7 +93,7 @@ def bareiss_reference(g, x, rho, pres):
     ld = line_digraph(g, sx)
     conn = connection_from_rep(pres, rho)
     m = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
-    return det_bareiss(Matrix.identity(m.domain, m.nrows) - m)
+    return det_bareiss(mat_sub(Matrix.identity(m.domain, m.nrows), m))
 
 
 CASES = [
