@@ -6,7 +6,10 @@ adjacency operator or the twisted Laplacian.  All of it is read off the
 d sheets of the cover, the lifts of the base tree: each block of ρ# is
 one edge lift, and ψ is the sheet relabeling ṽ ↦ (p(ṽ), sheet(ṽ)) ⊗ I_m,
 so its vertex-block determinants are permutation signs and both sides
-of the identity are the operators' nonzero entries, moved by ψ.
+of the identity are the operators' nonzero entries, moved by ψ.  Every
+cover certificate takes the cover as its coset data (covering.coset_data),
+which exist only for a connected cover; the deck group of cor2 is the
+fiber group read off the same sheets.
 
 For the trivial twist ρ, ρ# is the permutation representation on the
 fiber, which splits as 1 ⊕ ρ_c, so
@@ -47,27 +50,24 @@ from math import lcm
 from .covering import (
     CosetData,
     CoveringMap,
-    _regular_fiber_group,
     coset_data,
     edge_voltage_cover,
+    is_normal,
 )
 from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
     BudgetExceededError,
-    CoverNotConnectedError,
     DivisionFailedError,
     DomainMismatchError,
     EvenDegreeError,
     IrreducibleCountMismatchError,
     NotAbelianError,
-    NotConnectedError,
     NotNormalError,
     NotPlanarError,
     NotPlanarQuotientError,
     OddDimensionError,
 )
 from .graphs import Graph, RotationSystem, faces
-from .homotopy import spanning_tree
 from .matrix import (
     Matrix,
     charpoly,
@@ -143,8 +143,7 @@ def build_psi(p: CoveringMap, cd: CosetData) -> tuple[int, ...]:
     cover tree path up).  It lifts to a path in the cover tree, from the
     marked lift to ṽ's sheet, and every edge lift in the cover tree
     carries I; so the marked sheet's block column of ρ#(g_ṽ) is I_m in
-    row block sheet(ṽ), whatever ρ is.  cd comes from coset_data, which
-    refuses a disconnected cover."""
+    row block sheet(ṽ), whatever ρ is."""
     d = p.degree
     return tuple(v * d + c for v, c in zip(p.p_vertex, cd.sheet))
 
@@ -200,15 +199,16 @@ def _intertwines(psi: tuple[int, ...], m: int, a_cover: Matrix,
                for key in lhs.keys() | rhs.keys())
 
 
-def verify_main(p: CoveringMap, cd: CosetData, rho: Representation,
-                x: EdgeWeights,
+def verify_main(cd: CosetData, rho: Representation, x: EdgeWeights,
                 operator=twisted_adjacency) -> ConjugacyCertificate:
-    """Certify ψ·M^ρ_cover = M^{ρ#}_base·ψ with ψ invertible.
+    """Certify ψ·M^ρ_cover = M^{ρ#}_base·ψ with ψ invertible, on the
+    cover that cd describes.
 
     M is the operator builder, twisted_adjacency or laplacian: the
     cover operator twists by ρ through the cover's own presentation, the
     base operator by the induced representation.  Weights on the cover
     are the base weights lifted."""
+    p = cd.covering
     ind = induce(cd, rho)
     conn_cover = connection_from_rep(cd.cover_pres, rho)
     conn_base = connection_from_rep(cd.base_pres, ind)
@@ -249,14 +249,15 @@ class CoverSplit:
         return self.conjugacy.ok and self.splits and self.trace_matches
 
 
-def split_cover_charpoly(p: CoveringMap, cd: CosetData, x: EdgeWeights,
+def split_cover_charpoly(cd: CosetData, x: EdgeWeights,
                          operator) -> CoverSplit:
     """The cover charpoly of M (twisted_adjacency or laplacian, trivial
     twist) as charpoly(M_base)·charpoly(M_base^{ρ_c}), witnessed by ψ
     and Q.  The largest charpoly taken has order (d−1)·n; at d = 1 the
     complement has order 0 and charpoly 1."""
+    p = cd.covering
     rho = trivial_representation(QQ, cd.cover_pres.rank)
-    conj = verify_main(p, cd, rho, x, operator)
+    conj = verify_main(cd, rho, x, operator)
     perm = conj.induced
     fixed = cd.fiber.index(p.cover_base_vertex)
     rho_c = permutation_complement(perm, fixed=fixed)
@@ -341,23 +342,7 @@ class Cor1Result:
                 and self.quotient_monic and self.complement_matches)
 
 
-def _coset_data_of(p: CoveringMap, cd: CosetData | None,
-                   refusal: str) -> CosetData:
-    """cd, or when it is None the coset data of p over the base's
-    breadth-first tree.  Coset data exist only for a connected cover (a
-    connected cover has a connected base), so a given cd vouches for
-    connectivity, and a disconnected cover is refused here once, with
-    the caller's message."""
-    if cd is not None:
-        return cd
-    try:
-        return coset_data(p, spanning_tree(p.base, p.base_vertex))
-    except NotConnectedError:
-        raise CoverNotConnectedError(refusal) from None
-
-
-def cor1_certificate(p: CoveringMap, x: EdgeWeights,
-                     cd: CosetData | None = None) -> Cor1Result:
+def cor1_certificate(cd: CosetData, x: EdgeWeights) -> Cor1Result:
     """charpoly(A_base) divides charpoly(A_cover), with quotient
     charpoly(A_base^{ρ_c}).
 
@@ -368,8 +353,8 @@ def cor1_certificate(p: CoveringMap, x: EdgeWeights,
     ψ invertible and the trace tie, "quotient matches complement twist"
     the Q check; "quotient integer coefficients" and "quotient monic"
     hold only with the whole witness."""
-    cd = _coset_data_of(p, cd, "divisibility needs a connected cover")
-    split = split_cover_charpoly(p, cd, x, twisted_adjacency)
+    p = cd.covering
+    split = split_cover_charpoly(cd, x, twisted_adjacency)
     q = split.complement
     cert = DivisibilityCertificate(split.cover, split.base, q,
                                    split.ok and q.is_integral(),
@@ -406,7 +391,7 @@ class Cor2Result:
         return self.matches
 
 
-def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
+def cor2_certificate(cd: CosetData, x: EdgeWeights,
                      irreducibles: list[Representation] | None = None
                      ) -> Cor2Result:
     """charpoly(A_cover) = Π over irreducibles ρ of charpoly(A^ρ)^{deg ρ}.
@@ -417,8 +402,7 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     conjugacy-class worth, Σ deg² = group order).  The cover charpoly is
     split_cover_charpoly's, so the factorization holds only with its
     whole witness; no charpoly of order d·n is taken."""
-    cd = _coset_data_of(p, None, "normality is defined for connected covers")
-    normal, galois = _regular_fiber_group(p, pres)
+    normal, galois = is_normal(cd)
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
     if irreducibles is None:
@@ -430,10 +414,11 @@ def cor2_certificate(p: CoveringMap, pres, x: EdgeWeights,
     if total != galois.order:
         raise IrreducibleCountMismatchError(
             f"sum of squared degrees {total} != group order {galois.order}")
-    split = split_cover_charpoly(p, cd, x, twisted_adjacency)
+    split = split_cover_charpoly(cd, x, twisted_adjacency)
     prod = None
     for r in irreducibles:
-        a = twisted_adjacency(p.base, x, connection_from_rep(pres, r))
+        a = twisted_adjacency(cd.covering.base, x,
+                              connection_from_rep(cd.base_pres, r))
         f = charpoly(a) ** r.degree
         prod = f if prod is None else prod * f
     return Cor2Result(split.ok and split.cover == prod, split.cover, prod,
@@ -505,8 +490,7 @@ def _coefficient_checks(tag: str, g: Graph, x: EdgeWeights,
     ]
 
 
-def tree_certificates(p: CoveringMap, x: EdgeWeights,
-                      cd: CosetData | None = None) -> TreesResult:
+def tree_certificates(cd: CosetData, x: EdgeWeights) -> TreesResult:
     """Divisibility of the spanning-tree and rooted-forest polynomials
     along a connected cover, extracted from Laplacian charpolys.
 
@@ -517,9 +501,9 @@ def tree_certificates(p: CoveringMap, x: EdgeWeights,
     divisible" and "forest sum divisible" each carry the whole witness
     (ψ-conjugacy, ψ invertible, the Q check, the trace tie), and so do
     the integrality flags of both quotients, as in cor1."""
-    cd = _coset_data_of(p, cd, "tree counts need a connected cover")
+    p = cd.covering
     xl = lift_weights(p, x)
-    split = split_cover_charpoly(p, cd, x, laplacian)
+    split = split_cover_charpoly(cd, x, laplacian)
     P_base = split.base
     P_cover = split.cover
     nb = p.base.num_vertices
@@ -602,7 +586,7 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
             f"the base has {g.num_vertices} vertices: an odd vertex count "
             f"has no perfect matching")
     p = edge_voltage_cover(g, tuple((b,) for b in zd_volt), (d,))
-    cd = _coset_data_of(p, None, "dimer cover is disconnected")
+    cd = coset_data(p)
     # the rotation lifted to the cover: at v·d+s, the edges e·d+s
     lifted = RotationSystem(tuple(tuple(e * d + s for e in rot.orders[v])
                                   for v in range(g.num_vertices)
@@ -619,7 +603,7 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
         check_pfaffian_order(graph.num_vertices)
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
-    split = split_cover_charpoly(p, cd, kw, twisted_adjacency)
+    split = split_cover_charpoly(cd, kw, twisted_adjacency)
     # K is skew-symmetric, so det K = det(−K) = c_0 of its charpoly
     det_cover = split.cover.coefficient_of("lambda", 0)
     det_base = split.base.coefficient_of("lambda", 0)

@@ -26,11 +26,12 @@ from .certificates import (
     verify_main,
 )
 from .covering import (
-    _regular_fiber_group,
+    CosetData,
     build_cover,
     coset_data,
     edge_voltage_cover,
     identity_cover,
+    is_normal,
     validate_covering,
 )
 from .docio import (
@@ -52,7 +53,7 @@ from .errors import (
     TooLargeForExactExpansionError,
 )
 from .graphs import default_rotation, is_connected
-from .homotopy import fundamental_presentation, spanning_tree
+from .homotopy import fundamental_presentation
 from .oracles import (
     enum_perfect_matchings,
     enum_spanning_trees,
@@ -78,34 +79,33 @@ from .zeta import (
 
 
 def _covering_from_doc(doc: InputDocument, r: Report,
-                       characters: bool = False):
-    """Cover from the document: explicit voltage first, then cyclic
-    voltages, then the identity cover as a last resort.  With
-    characters, a connected ℤ/N cover's character field Q(ζ_N) is
+                       characters: bool = False) -> CosetData:
+    """The coset data of the document's cover: explicit voltage first,
+    then cyclic voltages, then the identity cover as a last resort.
+    coset_data refuses a disconnected cover, whatever its voltage kind.
+    With characters, a connected ℤ/N cover's character field Q(ζ_N) is
     checked against its budget before the cover is built."""
     g = doc.graph
     if not is_connected(g):
         raise SemanticError("the graph is not connected")
-    pres = fundamental_presentation(g, 0)
     if doc.voltage is not None:
         volt = doc.voltage
+        pres = fundamental_presentation(g, 0)
         if len(volt.perms) != pres.rank:
             raise SemanticError(
                 f"voltage lists {len(volt.perms)} generators, the loop "
                 f"rank is {pres.rank}")
-        if not volt.is_transitive():
-            raise SemanticError("cover disconnected: the voltage "
-                                "permutations are not transitive")
-        return build_cover(pres, volt), pres
-    if doc.zd_voltages is not None:
+        p = build_cover(pres, volt)
+    elif doc.zd_voltages is not None:
         if characters and _cyclic_cover_connected(g, doc.zd_voltages,
                                                   doc.zd_modulus):
             cyclotomic_field(doc.zd_modulus)
         p = edge_voltage_cover(g, tuple((b,) for b in doc.zd_voltages),
                                (doc.zd_modulus,))
-        return p, pres
-    r.notes.append("no voltage section; using the identity cover")
-    return identity_cover(g), pres
+    else:
+        r.notes.append("no voltage section; using the identity cover")
+        p = identity_cover(g)
+    return coset_data(p)
 
 
 def _cyclic_cover_connected(g, voltages, n: int) -> bool:
@@ -180,7 +180,8 @@ def _cmd_cover(args, doc: InputDocument) -> Report:
     r = Report("cover")
     if doc.voltage is None and doc.zd_voltages is None:
         raise SemanticError("cover needs a voltage or zdvoltage section")
-    p, pres = _covering_from_doc(doc, r)
+    cd = _covering_from_doc(doc, r)
+    p = cd.covering
     r.datum("degree", p.degree)
     r.datum("cover vertices", p.cover.num_vertices)
     r.datum("cover edges", p.cover.num_edges)
@@ -188,11 +189,8 @@ def _cmd_cover(args, doc: InputDocument) -> Report:
     r.check("covering consistent", rep.ok)
     for prob in rep.problems:
         r.notes.append(prob)
-    connected = is_connected(p.cover)
-    r.check("cover connected", connected)
-    if not connected:
-        return r   # normality is defined for connected covers only
-    normal, galois = _regular_fiber_group(p, pres)
+    r.check("cover connected", True)   # or coset_data would have refused it
+    normal, galois = is_normal(cd)
     r.datum("normal", "yes" if normal else "no")
     if normal:
         r.datum("deck group order", galois.order)
@@ -213,19 +211,17 @@ def _cmd_verify_main(args, doc: InputDocument | None) -> Report:
     if doc is None:
         def one(rng):
             inst = random_cover_instance(rng, max_degree=args.degree or 4)
-            return verify_main(inst.covering, inst.coset, inst.rho,
-                               inst.weights).ok
+            return verify_main(inst.coset, inst.rho, inst.weights).ok
         return _suite_report("verify-main", args, one)
     r = Report("verify-main")
-    p, pres = _covering_from_doc(doc, r)
-    cd = coset_data(p, spanning_tree(p.base, p.base_vertex))
+    cd = _covering_from_doc(doc, r)
     rho = _pick_rep(doc, cd.cover_pres.rank, "the cover loop group")
     if rho is None:
         rho = trivial_representation(QQ, cd.cover_pres.rank)
         r.notes.append("no representation section; using the trivial one")
     x = document_weights(doc)
-    cert = verify_main(p, cd, rho, x)
-    r.datum("degree", p.degree)
+    cert = verify_main(cd, rho, x)
+    r.datum("degree", cd.covering.degree)
     r.datum("representation degree", rho.degree)
     for v, d in enumerate(cert.vertex_dets):
         r.datum(f"intertwiner block det at {v}", _datum_value(d))
@@ -240,14 +236,12 @@ def _cmd_cor1(args, doc: InputDocument | None) -> Report:
             inst = random_cover_instance(rng, max_vertices=4, max_edges=6,
                                          max_degree=args.degree or 4,
                                          cover_vertex_cap=16)
-            return cor1_certificate(inst.covering, inst.weights,
-                                    inst.coset).ok
+            return cor1_certificate(inst.coset, inst.weights).ok
         return _suite_report("cor1", args, one)
     r = Report("cor1")
-    p, pres = _covering_from_doc(doc, r)
-    cd = coset_data(p, spanning_tree(p.base, p.base_vertex))
+    cd = _covering_from_doc(doc, r)
     x = document_weights(doc)
-    res = cor1_certificate(p, x, cd)
+    res = cor1_certificate(cd, x)
     cert = res.certificate
     r.datum("cover charpoly", cert.dividend)
     r.datum("base charpoly", cert.divisor)
@@ -261,14 +255,14 @@ def _cmd_cor1(args, doc: InputDocument | None) -> Report:
 
 def _cmd_cor2(args, doc: InputDocument) -> Report:
     r = Report("cor2")
-    p, pres = _covering_from_doc(doc, r, characters=not doc.irreducibles)
+    cd = _covering_from_doc(doc, r, characters=not doc.irreducibles)
     irr = None
     if doc.irreducibles:
         irr = []
         for name, mult in doc.irreducibles:
             irr.extend([doc.representations[name]] * mult)
     x = document_weights(doc)
-    res = cor2_certificate(p, pres, x, irreducibles=irr)
+    res = cor2_certificate(cd, x, irreducibles=irr)
     r.datum("factor degrees", " ".join(str(d) for d in res.factor_degrees))
     r.datum("cover charpoly", res.lhs)
     r.datum("factor product", res.rhs)
@@ -282,13 +276,12 @@ def _cmd_trees(args, doc: InputDocument | None) -> Report:
             inst = random_cover_instance(rng, max_vertices=4, max_edges=5,
                                          max_degree=args.degree or 3,
                                          cover_vertex_cap=12)
-            return tree_certificates(inst.covering, inst.weights,
-                                     inst.coset).ok
+            return tree_certificates(inst.coset, inst.weights).ok
         return _suite_report("trees", args, one)
     r = Report("trees")
-    p, pres = _covering_from_doc(doc, r)
+    cd = _covering_from_doc(doc, r)
     x = document_weights(doc)
-    res = tree_certificates(p, x)
+    res = tree_certificates(cd, x)
     r.datum("base tree sum", res.st.divisor)
     r.datum("cover tree sum", res.st.dividend)
     r.datum("tree quotient", res.st.quotient)
@@ -386,13 +379,14 @@ def _cmd_artin(args, doc: InputDocument) -> Report:
         raise SemanticError("artin-axioms needs a voltage section")
     if doc.subgroup is None:
         raise SemanticError("artin-axioms needs a subgroup section")
-    p, pres = _covering_from_doc(doc, r)
-    if len(doc.subgroup[0]) != p.degree:
+    cd = _covering_from_doc(doc, r)
+    d = cd.covering.degree
+    if len(doc.subgroup[0]) != d:
         raise SemanticError(
             f"subgroup permutations act on {len(doc.subgroup[0])} points, "
-            f"the fiber has {p.degree}")
+            f"the fiber has {d}")
     x = document_weights(doc)
-    res = artin_axioms(p, pres, doc.subgroup, x)
+    res = artin_axioms(cd, doc.subgroup, x)
     r.datum("deck group order", res.group_order)
     r.datum("subgroup order", res.subgroup_order)
     r.check("identity axiom", res.identity_axiom)

@@ -1,11 +1,11 @@
 """Finite covering maps of graphs with involution.
 
 Covers are built from permutation voltages on the generators of a base
-presentation, validated structurally, and navigated by unique path
-lifting.  On top of lifting sit the fiber action of base loops, the
-sheets (the lifts of a base spanning tree), normality and the fiber
-permutation group, deck transformations, and quotients by subgroups of
-that group.
+presentation, validated structurally, and navigated by unique edge
+lifting.  On top of lifting sit the sheets (the lifts of a base
+spanning tree), whose coset data are the one test that a cover is
+connected; the fiber permutation group, read off the sheets; normality;
+deck transformations; and quotients by subgroups of that group.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from .errors import (
     InternalCosetError,
     NotASubgroupError,
     QuotientConstructionFailedError,
-    StartNotInFiberError,
     VoltageNotAntisymmetricError,
 )
 from .graphs import (
     DirectedGraph,
     Graph,
-    Path,
     ValidationReport,
     is_connected,
 )
@@ -33,6 +31,7 @@ from .homotopy import (
     Pi1Presentation,
     SpanningTree,
     presentation_from_tree,
+    spanning_tree,
 )
 
 # ---------------------------------------------------------------------------
@@ -246,21 +245,6 @@ def validate_covering(p: CoveringMap) -> ValidationReport:
     return rep
 
 
-def lift_path(p: CoveringMap, path: Path, start: int) -> Path:
-    """The unique lift of path with the given source vertex."""
-    if p.p_vertex[start] != path.base:
-        raise StartNotInFiberError(
-            f"vertex {start} lies over {p.p_vertex[start]}, "
-            f"path starts at {path.base}")
-    at = start
-    edges = []
-    for e in path.edges:
-        et = p.edge_lift_at[(e, at)]
-        edges.append(et)
-        at = p.cover.tgt[et]
-    return Path(start, tuple(edges))
-
-
 # ---------------------------------------------------------------------------
 # fiber permutation group
 
@@ -268,10 +252,11 @@ def lift_path(p: CoveringMap, path: Path, start: int) -> Path:
 @dataclass(frozen=True)
 class GaloisGroup:
     """Image of the base loop group in the symmetric group of the fiber
-    over the base vertex, by its generators; positions index `fiber` in
-    vertex order.  Present only for normal covers, where the action is
-    regular, so `order` is the fiber size.  `abelian` tests commutation
-    once; `elements` closes the group, which only the Artin axioms need."""
+    over the base vertex, by its generators (CosetData.monodromy, read
+    off the sheets); positions index `fiber` in vertex order.  Present
+    only for normal covers, where the action is regular, so `order` is
+    the fiber size.  `abelian` tests commutation once; `elements` closes
+    the group, which only the Artin axioms need."""
 
     fiber: tuple[int, ...]
     gen_perms: tuple[Perm, ...]
@@ -293,51 +278,6 @@ class GaloisGroup:
         return permutation_closure(list(self.gen_perms), len(self.fiber))
 
 
-def fiber_generator_permutations(p: CoveringMap,
-                                 pres: Pi1Presentation) -> list[Perm]:
-    """Permutation of fiber positions induced by each generator, acting
-    on the left: position i goes to the endpoint of the generator's
-    inverse loop, realized once, lifted from fiber point i, so that a
-    word w1·w2 acts as w1 after w2."""
-    fiber = p.vertex_fibers[p.base_vertex]
-    pos = {vt: i for i, vt in enumerate(fiber)}
-    perms = []
-    for k in range(pres.rank):
-        loop = pres.letter_loops[(k, -1)]
-        perms.append(tuple(pos[p.cover.tgt[lift_path(p, loop, vt).edges[-1]]]
-                           for vt in fiber))
-    return perms
-
-
-def is_normal(p: CoveringMap,
-              pres: Pi1Presentation) -> tuple[bool, GaloisGroup | None]:
-    """A connected cover is normal exactly when the fiber permutation
-    group is regular, i.e. has as many elements as the fiber."""
-    if not is_connected(p.cover):
-        raise CoverNotConnectedError("normality is defined for connected covers")
-    return _regular_fiber_group(p, pres)
-
-
-def _regular_fiber_group(p: CoveringMap, pres: Pi1Presentation
-                         ) -> tuple[bool, GaloisGroup | None]:
-    """is_normal for a cover already known to be connected, whose fiber
-    group is therefore transitive.  A transitive abelian group is
-    regular, so only a non-abelian group is closed, and only up to one
-    element more than the fiber has points."""
-    galois = GaloisGroup(p.vertex_fibers[p.base_vertex],
-                         tuple(fiber_generator_permutations(p, pres)))
-    if galois.abelian:
-        return True, galois
-    d = galois.order
-    elements = permutation_closure(list(galois.gen_perms), d, limit=d)
-    if elements is None:
-        return False, None
-    if len(elements) != d:
-        raise InternalCosetError(
-            "transitive action with fewer elements than points")
-    return True, galois
-
-
 # ---------------------------------------------------------------------------
 # sheets
 
@@ -349,10 +289,11 @@ class CosetData:
     The cover tree contains every lift of the base tree; those lifts are
     the d sheets, sheet[ṽ] being the marked-fiber position of ṽ's sheet.
     Every fiber meets each sheet once, so ṽ ↦ (p(ṽ), sheet[ṽ]) is a
-    bijection onto base vertices × sheets."""
+    bijection onto base vertices × sheets.  Only coset_data builds one,
+    and it refuses a disconnected cover, so coset data vouch for
+    connectivity."""
 
     covering: CoveringMap
-    base_tree: SpanningTree
     base_pres: Pi1Presentation
     cover_tree: SpanningTree
     cover_pres: Pi1Presentation
@@ -361,6 +302,25 @@ class CosetData:
     @property
     def fiber(self) -> tuple[int, ...]:
         return self.covering.vertex_fibers[self.covering.base_vertex]
+
+    @cached_property
+    def monodromy(self) -> tuple[Perm, ...]:
+        """The fiber group's generators, acting on the left on fiber
+        positions: generator k sends position c to the sheet where the
+        lift of its reversed edge from sheet c ends.  That edge, closed
+        by tree paths, is the generator's inverse loop, and tree paths
+        lift within a sheet, so a word w1·w2 acts as w1 after w2."""
+        p = self.covering
+        g = p.base
+        tgt, lift, sheet = p.cover.tgt, p.edge_lift_at, self.sheet
+        perms = []
+        for e in self.base_pres.gen_edge:
+            back = g.inv[e]
+            perm = [0] * len(self.fiber)
+            for vt in p.vertex_fibers[g.src[back]]:
+                perm[sheet[vt]] = sheet[tgt[lift[(back, vt)]]]
+            perms.append(tuple(perm))
+        return tuple(perms)
 
 
 def _spanning_tree_within(g: Graph, root: int,
@@ -387,16 +347,17 @@ def _spanning_tree_within(g: Graph, root: int,
     return SpanningTree(g, root, tuple(parent), tuple(depth), allowed)
 
 
-def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
-    """Complete the lifted base tree to a cover spanning tree (adding
-    the lowest-index connecting lifts of generator edges) and label
-    every cover vertex with its sheet.  Each lift of the base tree is a
-    copy of it, so every fiber meets each sheet once; that is checked,
-    and failure means a bug, not bad input."""
+def coset_data(p: CoveringMap) -> CosetData:
+    """Complete the lifted base tree (breadth-first from the marked base
+    vertex) to a cover spanning tree, adding the lowest-index connecting
+    lifts of generator edges, and label every cover vertex with its
+    sheet.  A disconnected cover is refused here, the one connectivity
+    test on a built cover.  Each lift of the base tree is a copy of it,
+    so every fiber meets each sheet once; that is checked, and failure
+    means a bug, not bad input."""
     if not is_connected(p.cover):
-        raise CoverNotConnectedError("coset words need a connected cover")
-    if base_tree.root != p.base_vertex:
-        raise ValueError("base tree must be rooted at the marked base vertex")
+        raise CoverNotConnectedError("the cover is disconnected")
+    base_tree = spanning_tree(p.base, p.base_vertex)
     base_pres = presentation_from_tree(base_tree)
     cover = p.cover
 
@@ -436,7 +397,25 @@ def coset_data(p: CoveringMap, base_tree: SpanningTree) -> CosetData:
     cover_tree = _spanning_tree_within(cover, p.cover_base_vertex,
                                        frozenset(chosen))
     cover_pres = presentation_from_tree(cover_tree)
-    return CosetData(p, base_tree, base_pres, cover_tree, cover_pres, sheet)
+    return CosetData(p, base_pres, cover_tree, cover_pres, sheet)
+
+
+def is_normal(cd: CosetData) -> tuple[bool, GaloisGroup | None]:
+    """A connected cover is normal exactly when its fiber group, which
+    is transitive, is regular.  A transitive abelian group is regular,
+    so only a non-abelian group is closed, and only up to one element
+    more than the fiber has points."""
+    galois = GaloisGroup(cd.fiber, cd.monodromy)
+    if galois.abelian:
+        return True, galois
+    d = galois.order
+    elements = permutation_closure(list(galois.gen_perms), d, limit=d)
+    if elements is None:
+        return False, None
+    if len(elements) != d:
+        raise InternalCosetError(
+            "transitive action with fewer elements than points")
+    return True, galois
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ class NotPlanarQuotientError(NotPlanarError):
 
 # covering
 
-class StartNotInFiberError(CovertwistError):
-    """Lift start vertex does not project to the path source."""
-
-
 class InternalCosetError(CovertwistError):
     """Coset bookkeeping produced an inconsistent sheet or block
     (internal bug)."""

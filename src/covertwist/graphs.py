@@ -164,17 +164,6 @@ def path_target(g: Union[Graph, DirectedGraph], p: Path) -> int:
     return dg.tgt[p.edges[-1]] if p.edges else p.base
 
 
-def path_concat(g: Union[Graph, DirectedGraph], a: Path, b: Path) -> Path:
-    if path_target(g, a) != b.base:
-        raise NotAPathError("paths do not compose")
-    return Path(a.base, a.edges + b.edges)
-
-
-def path_reverse(g: Graph, p: Path) -> Path:
-    """Reversed path through the involution."""
-    return Path(path_target(g, p), tuple(g.inv[e] for e in reversed(p.edges)))
-
-
 def check_loop(g: Union[Graph, DirectedGraph], p: Path) -> None:
     check_path(g, p)
     if path_target(g, p) != p.base:

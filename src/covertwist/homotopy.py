@@ -1,8 +1,8 @@
 """Spanning trees and free-group words for loops in a connected graph.
 
 A breadth-first spanning tree makes the non-tree edges free generators
-of the loops at the root, and each letter of a word in them has its
-loop at the root (letter_loops).  Words are tuples of (generator,
+of the loops at the root: generator k is the loop that runs down the
+tree, across its edge and back up.  Words are tuples of (generator,
 exponent) letters with exponent +1 or -1.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotConnectedError
-from .graphs import Graph, Path, path_concat, path_reverse
+from .graphs import Graph
 
 # A letter is (generator index, +1 | -1); a word is a tuple of letters.
 FreeWord = tuple[tuple[int, int], ...]
@@ -33,18 +33,6 @@ class SpanningTree:
     parent_edge: tuple[int | None, ...]
     depth: tuple[int, ...]
     tree_edges: frozenset[int]
-
-    def path_to_root(self, v: int) -> Path:
-        """Tree path from v up to the root."""
-        edges = []
-        while self.parent_edge[v] is not None:
-            e = self.parent_edge[v]
-            edges.append(e)
-            v = self.graph.tgt[e]
-        return Path(v if not edges else self.graph.src[edges[0]], tuple(edges))
-
-    def path_from_root(self, v: int) -> Path:
-        return path_reverse(self.graph, self.path_to_root(v))
 
 
 def spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
@@ -100,19 +88,6 @@ class Pi1Presentation:
             out[e] = (k, 1)
             out[self.graph.inv[e]] = (k, -1)
         return out
-
-    def realize_letter(self, gen: int, sign: int) -> Path:
-        e = self.gen_edge[gen] if sign == 1 else self.graph.inv[self.gen_edge[gen]]
-        g = self.graph
-        down = self.tree.path_from_root(g.src[e])
-        up = self.tree.path_to_root(g.tgt[e])
-        return path_concat(g, path_concat(g, down, Path(g.src[e], (e,))), up)
-
-    @cached_property
-    def letter_loops(self) -> dict[tuple[int, int], Path]:
-        """Each letter's loop at the root, as realize_letter builds it."""
-        return {(k, s): self.realize_letter(k, s)
-                for k in range(self.rank) for s in (1, -1)}
 
 
 def presentation_from_tree(tree: SpanningTree) -> Pi1Presentation:

@@ -14,14 +14,13 @@ from fractions import Fraction
 
 from .covering import (
     CosetData,
-    CoveringMap,
     VoltageAssignment,
     build_cover,
     coset_data,
 )
 from .domains import QQ
 from .graphs import Graph, build_graph
-from .homotopy import Pi1Presentation, fundamental_presentation, spanning_tree
+from .homotopy import fundamental_presentation
 from .matrix import Matrix, inverse
 from .operators import EdgeWeights, symbolic_weights
 from .representation import Representation
@@ -97,11 +96,9 @@ def random_representation(rng: random.Random, rank: int,
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """One sampled verification problem: a cover with marked coset data,
-    a representation and symbolic weights on the base."""
+    """One sampled verification problem: a connected cover as its coset
+    data, a representation and symbolic weights on the base."""
 
-    covering: CoveringMap
-    pres: Pi1Presentation
     coset: CosetData
     rho: Representation
     weights: EdgeWeights
@@ -122,11 +119,10 @@ def random_cover_instance(rng: random.Random, max_vertices: int = 6,
         if max_rank is not None and rank > max_rank:
             continue
         break
-    tree = spanning_tree(g, 0)
     pres = fundamental_presentation(g, 0)
     volt = random_voltage(rng, pres.rank, degree)
     p = build_cover(pres, volt)
-    cd = coset_data(p, tree)
+    cd = coset_data(p)
     rho = random_representation(rng, cd.cover_pres.rank,
                                 rng.randint(1, max_rep_degree))
-    return CoverInstance(p, pres, cd, rho, symbolic_weights(g))
+    return CoverInstance(cd, rho, symbolic_weights(g))

@@ -22,7 +22,6 @@ from .covering import (
     perm_compose,
     perm_identity,
     perm_inverse,
-    perms_commute,
 )
 from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
@@ -342,9 +341,10 @@ def _diagonalize_relations(rows: list[list[int]], r: int):
     return diag, u
 
 
-def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
+def abelian_character_table(galois: GaloisGroup) -> CharacterTable:
     """Characters via a cyclic decomposition of the relation lattice of
-    the generators, read off one breadth-first walk of the points.
+    the group's generators, read off one breadth-first walk of the
+    points.  Commutation is the group's own cached test.
 
     Point x stands for the element sending 0 to x, which is unique in a
     regular group, and a transitive abelian group is regular.  The walk
@@ -353,9 +353,10 @@ def abelian_character_table(gens: list[Perm], degree: int) -> CharacterTable:
     for every relation, so each character is a homomorphism; |det U| = 1,
     so the characters are distinct; Π diag = degree, so there are as
     many as elements."""
-    if not perms_commute(gens):
+    if not galois.abelian:
         raise NotAbelianError("generators do not commute")
-    glist = list(gens) if gens else [perm_identity(degree)]
+    degree = galois.order
+    glist = list(galois.gen_perms) or [perm_identity(degree)]
     r = len(glist)
 
     vectors: list = [None] * degree
@@ -416,8 +417,7 @@ def table_characters(table: CharacterTable,
 def abelian_characters(galois: GaloisGroup) -> list[Representation]:
     """Degree-1 representations of the base presentation: each character
     of the abelian fiber group composed with the generator action."""
-    table = abelian_character_table(list(galois.gen_perms),
-                                    len(galois.fiber))
+    table = abelian_character_table(galois)
     return table_characters(table, table.gens)
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import (
-    CoveringMap,
+    CosetData,
+    coset_data,
     is_normal,
     quotient_by_subgroup,
 )
@@ -38,7 +39,7 @@ from .errors import (
     RegistryMismatchError,
 )
 from .graphs import Graph, Path
-from .homotopy import Pi1Presentation, fundamental_presentation
+from .homotopy import Pi1Presentation
 from .matrix import Matrix, charpoly
 from .operators import (
     EdgeWeights,
@@ -318,16 +319,20 @@ def _descend_perm(sigma, to_mid, mid_size: int):
     return tuple(out)
 
 
-def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
-                 subgroup: tuple[tuple[int, ...], ...],
+def artin_axioms(cd: CosetData, subgroup: tuple[tuple[int, ...], ...],
                  x: EdgeWeights) -> ArtinResult:
     """Identity, additivity, inflation and induction for the characters
     attached to a normal abelian cover and a chosen deck subgroup.
 
     Every comparison happens between characteristic polynomials of
     twisted vertex operators, which carry the same factorization data
-    as the corresponding L-series."""
-    normal, galois = is_normal(p, pres)
+    as the corresponding L-series.  The tower's two new covers, the
+    quotient over the base and the cover over the quotient, enter
+    through their own coset data, whose fiber groups are read off their
+    sheets."""
+    p = cd.covering
+    pres = cd.base_pres
+    normal, galois = is_normal(cd)
     if not normal:
         raise NotNormalError("axiom checks need a normal cover")
     if not galois.abelian:
@@ -354,11 +359,10 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
     qd = quotient_by_subgroup(p, galois, subgroup)
     mid = qd.mid_over_base
     mid_graph = mid.cover
-    normal_mid, galois_mid = is_normal(mid, pres)
+    normal_mid, galois_mid = is_normal(coset_data(mid))
     if not normal_mid:
         raise NotNormalError("quotient cover is not normal")
-    table_mid = abelian_character_table(list(galois_mid.gen_perms),
-                                        len(galois_mid.fiber))
+    table_mid = abelian_character_table(galois_mid)
 
     # inflation: a quotient character pulled back through the full deck
     # group twists the same operator as the quotient cover's own action
@@ -376,8 +380,9 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
     # induction: a subgroup character induced to the full group twists
     # the base the way the character itself twists the quotient graph
     com = qd.cover_over_mid
-    mid_pres = fundamental_presentation(mid_graph, mid.cover_base_vertex)
-    normal_h, galois_h = is_normal(com, mid_pres)
+    cd_h = coset_data(com)
+    mid_pres = cd_h.base_pres
+    normal_h, galois_h = is_normal(cd_h)
     if not normal_h:
         raise NotNormalError("cover over quotient is not normal")
     fiber_h = com.vertex_fibers[com.base_vertex]
@@ -388,8 +393,7 @@ def artin_axioms(p: CoveringMap, pres: Pi1Presentation,
     def restrict(h):
         return tuple(pos_h[fiber_cover[h[pos_cover[vt]]]] for vt in fiber_h)
 
-    table_h = abelian_character_table(list(galois_h.gen_perms),
-                                      len(galois_h.fiber))
+    table_h = abelian_character_table(galois_h)
     dom_h = table_h.domain
     xm = lift_weights(mid, x)
     ax4 = True

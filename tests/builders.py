@@ -2,10 +2,13 @@
 
 Gaussian rationals, random integer and skew-symmetric matrices,
 matrices from rows of plain values, polynomials from exponent lists
-and their coefficients in one variable, relabelled graphs, the text
-of a free-group word, words reduced and concatenated, the word of a
-loop and the loop of a word, a word's action on the fiber of a cover,
-the projection of a cover path, a word's image under a representation,
+and their coefficients in one variable, relabelled graphs, paths
+reversed, concatenated, along a spanning tree and lifted to a cover,
+the text of a free-group word, words reduced and concatenated, the word
+of a loop and the loop of a word, a word's action on the fiber of a
+cover and each generator's (the reference for the monodromy that coset
+data read off the sheets), a fiber group from bare permutations, the
+projection of a cover path, a word's image under a representation,
 random unimodular representations and cyclic characters, submatrices,
 zero matrices and entrywise matrix arithmetic, unit edge weights and
 the coefficient-by-coefficient check of a Laplacian charpoly against
@@ -19,9 +22,16 @@ from typing import Iterable, Sequence
 
 from covertwist.certificates import unoriented_values
 from covertwist.domains import QI, QQ, cyclotomic_field, root_of_unity
-from covertwist.covering import CoveringMap, lift_path
-from covertwist.graphs import DirectedGraph, Graph, Path, check_loop
-from covertwist.homotopy import FreeWord, Pi1Presentation
+from covertwist.covering import CoveringMap, GaloisGroup, Perm
+from covertwist.errors import NotAPathError
+from covertwist.graphs import (
+    DirectedGraph,
+    Graph,
+    Path,
+    check_loop,
+    path_target,
+)
+from covertwist.homotopy import FreeWord, Pi1Presentation, SpanningTree
 from covertwist.matrix import Matrix, charpoly
 from covertwist.operators import EdgeWeights, laplacian
 from covertwist.oracles import rooted_forest_sum_by_components
@@ -211,12 +221,60 @@ def invert_word(w: FreeWord) -> FreeWord:
     return tuple((g, -s) for (g, s) in reversed(w))
 
 
+def path_concat(g: Graph, a: Path, b: Path) -> Path:
+    if path_target(g, a) != b.base:
+        raise NotAPathError("paths do not compose")
+    return Path(a.base, a.edges + b.edges)
+
+
+def path_reverse(g: Graph, p: Path) -> Path:
+    """Reversed path through the involution."""
+    return Path(path_target(g, p), tuple(g.inv[e] for e in reversed(p.edges)))
+
+
+def path_to_root(tree: SpanningTree, v: int) -> Path:
+    """Tree path from v up to the root."""
+    edges = []
+    while tree.parent_edge[v] is not None:
+        e = tree.parent_edge[v]
+        edges.append(e)
+        v = tree.graph.tgt[e]
+    return Path(v if not edges else tree.graph.src[edges[0]], tuple(edges))
+
+
+def path_from_root(tree: SpanningTree, v: int) -> Path:
+    return path_reverse(tree.graph, path_to_root(tree, v))
+
+
+def letter_loop(pres: Pi1Presentation, gen: int, sign: int) -> Path:
+    """The letter's loop at the root: down the tree, across the
+    generator's edge in the letter's direction, back up."""
+    g = pres.graph
+    e = pres.gen_edge[gen] if sign == 1 else g.inv[pres.gen_edge[gen]]
+    down = path_from_root(pres.tree, g.src[e])
+    up = path_to_root(pres.tree, g.tgt[e])
+    return path_concat(g, path_concat(g, down, Path(g.src[e], (e,))), up)
+
+
 def realize_word(pres: Pi1Presentation, w: FreeWord) -> Path:
     """A loop at the root whose word reduces back to w: the letters'
     loops, each at the root, one after the other."""
-    loops = pres.letter_loops
     return Path(pres.tree.root,
-                tuple(e for let in w for e in loops[let].edges))
+                tuple(e for let in w for e in letter_loop(pres, *let).edges))
+
+
+def lift_path(p: CoveringMap, path: Path, start: int) -> Path:
+    """The unique lift of path with the given source vertex."""
+    if p.p_vertex[start] != path.base:
+        raise ValueError(f"vertex {start} lies over {p.p_vertex[start]}, "
+                         f"path starts at {path.base}")
+    at = start
+    edges = []
+    for e in path.edges:
+        et = p.edge_lift_at[(e, at)]
+        edges.append(et)
+        at = p.cover.tgt[et]
+    return Path(start, tuple(edges))
 
 
 def fiber_action(p: CoveringMap, pres: Pi1Presentation, w: FreeWord,
@@ -230,6 +288,25 @@ def fiber_action(p: CoveringMap, pres: Pi1Presentation, w: FreeWord,
                          f"not over {p.base_vertex}")
     lifted = lift_path(p, realize_word(pres, invert_word(w)), vt)
     return p.cover.tgt[lifted.edges[-1]] if lifted.edges else vt
+
+
+def fiber_generator_permutations(p: CoveringMap,
+                                 pres: Pi1Presentation) -> list[Perm]:
+    """Permutation of fiber positions induced by each generator, acting
+    on the left: position i goes to the endpoint of the generator's
+    inverse loop, lifted from fiber point i, so that a word w1·w2 acts
+    as w1 after w2.  The reference for CosetData.monodromy, which reads
+    the same permutations off the sheets."""
+    fiber = p.vertex_fibers[p.base_vertex]
+    pos = {vt: i for i, vt in enumerate(fiber)}
+    return [tuple(pos[fiber_action(p, pres, ((k, 1),), vt)] for vt in fiber)
+            for k in range(pres.rank)]
+
+
+def fiber_group(gens: Sequence[Perm]) -> GaloisGroup:
+    """The group the permutations generate, acting on positions
+    0 .. d - 1 of a fiber of d points."""
+    return GaloisGroup(tuple(range(len(gens[0]))), tuple(gens))
 
 
 def zero_matrix(domain, nrows: int, ncols: int) -> Matrix:

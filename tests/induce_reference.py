@@ -22,9 +22,8 @@ None of it shares code with the program's route beyond the covering,
 the presentations and the operators themselves.
 """
 
-from covertwist.covering import CosetData, lift_path
+from covertwist.covering import CosetData
 from covertwist.errors import CovertwistError, InternalCosetError
-from covertwist.graphs import path_concat
 from covertwist.homotopy import FreeWord
 from covertwist.matrix import Matrix, det
 from covertwist.representation import Representation
@@ -33,7 +32,11 @@ from builders import (
     concat_words,
     fiber_action,
     invert_word,
+    lift_path,
     loop_to_word,
+    path_concat,
+    path_from_root,
+    path_to_root,
     project_path,
     realize_word,
     reduce_word,
@@ -72,8 +75,8 @@ def coset_words(cd: CosetData) -> tuple[FreeWord, ...]:
     p = cd.covering
     out = []
     for vt in range(p.cover.num_vertices):
-        down = cd.base_tree.path_from_root(p.p_vertex[vt])
-        up = project_path(p, cd.cover_tree.path_to_root(vt))
+        down = path_from_root(cd.base_pres.tree, p.p_vertex[vt])
+        up = project_path(p, path_to_root(cd.cover_tree, vt))
         out.append(loop_to_word(cd.base_pres, path_concat(p.base, down, up)))
     return tuple(out)
 

@@ -19,6 +19,7 @@ from covertwist.certificates import (
 from covertwist.covering import (
     VoltageAssignment,
     build_cover,
+    coset_data,
     perm_compose,
     perm_identity,
 )
@@ -73,7 +74,7 @@ def test_criterion_1_intertwiner_suite():
     ok = True
     for _ in range(100):
         inst = random_cover_instance(rng)
-        cert = verify_main(inst.covering, inst.coset, inst.rho, inst.weights)
+        cert = verify_main(inst.coset, inst.rho, inst.weights)
         ok = ok and cert.commutes and cert.invertible
     elapsed = time.time() - t0
     ok = ok and elapsed < 60.0
@@ -86,7 +87,7 @@ def test_criterion_2_charpoly_divisibility_suite():
     for _ in range(25):
         inst = random_cover_instance(rng, max_vertices=4, max_edges=6,
                                      cover_vertex_cap=16)
-        res = cor1_certificate(inst.covering, inst.weights, cd=inst.coset)
+        res = cor1_certificate(inst.coset, inst.weights)
         ok = (ok and res.ok and res.divisible
               and res.certificate.integral and res.quotient_monic
               and res.complement_matches and res.certificate.check_product())
@@ -167,7 +168,7 @@ def test_criterion_3_laplacian_coefficients_exhaustive():
 
 def test_criterion_4_tree_and_forest_divisibility():
     g, pres, p = hexagon_over_triangle()
-    res = tree_certificates(p, symbolic_weights(g))
+    res = tree_certificates(coset_data(p), symbolic_weights(g))
     ok = res.ok and res.st.check_product() and res.rsf.check_product()
     ok = ok and at_ones(res.st.dividend) == 6 and at_ones(res.st.divisor) == 3
     ok = ok and at_ones(res.st.quotient) == 2
@@ -178,7 +179,7 @@ def test_criterion_4_tree_and_forest_divisibility():
     for _ in range(25):
         inst = random_cover_instance(rng, max_vertices=4, max_edges=5,
                                      max_degree=3, cover_vertex_cap=12)
-        r = tree_certificates(inst.covering, inst.weights)
+        r = tree_certificates(inst.coset, inst.weights)
         ok = (ok and r.st.integral and r.rsf.integral
               and r.st.check_product() and r.rsf.check_product())
     verdict(4, "spanning-tree and forest quotients", ok)
@@ -250,7 +251,7 @@ def test_criterion_8_four_axioms():
     p = build_cover(pres, VoltageAssignment(4, ((1, 2, 3, 0), (0, 1, 2, 3))))
     sigma = (1, 2, 3, 0)
     sub = (perm_identity(4), perm_compose(sigma, sigma))
-    res = artin_axioms(p, pres, sub, symbolic_weights(g))
+    res = artin_axioms(coset_data(p), sub, symbolic_weights(g))
     ok = (res.identity_axiom and res.additivity_axiom
           and res.inflation_axiom and res.induction_axiom
           and res.group_order == 4 and res.subgroup_order == 2)

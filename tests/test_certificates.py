@@ -21,7 +21,7 @@ from covertwist.covering import (
 from covertwist.domains import QQ
 from covertwist.errors import EvenDegreeError, NotPlanarQuotientError
 from covertwist.graphs import build_graph, default_rotation
-from covertwist.homotopy import fundamental_presentation, spanning_tree
+from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix, charpoly
 from covertwist.operators import (
     lift_weights,
@@ -56,10 +56,10 @@ def all_ones(poly):
 
 def test_verify_main_hexagon_cover():
     g, pres, p = c3_double_cover()
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     rho = representation(QQ, [Matrix(QQ, [[1, 1], [0, 1]])])
     x = symbolic_weights(g)
-    cert = verify_main(p, cd, rho, x)
+    cert = verify_main(cd, rho, x)
     assert cert.commutes
     assert cert.invertible
     assert cert.ok
@@ -70,9 +70,9 @@ def test_verify_main_hexagon_cover():
 def test_verify_main_identity_cover():
     g = c3()
     p = identity_cover(g)
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     rho = representation(QQ, [Matrix(QQ, [[2, 1], [1, 1]])])
-    cert = verify_main(p, cd, rho, symbolic_weights(g))
+    cert = verify_main(cd, rho, symbolic_weights(g))
     assert cert.ok
     # degree-1 cover: both operators act on the same space
     assert cert.a_cover.shape == cert.a_base.shape
@@ -80,10 +80,10 @@ def test_verify_main_identity_cover():
 
 def test_verify_main_rational_rep_degree_two():
     g, pres, p = c3_double_cover()
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     rho = representation(QQ, [Matrix(QQ, [[Fraction(1, 2), 1],
                                           [Fraction(1, 3), 2]])])
-    cert = verify_main(p, cd, rho, symbolic_weights(g))
+    cert = verify_main(cd, rho, symbolic_weights(g))
     assert cert.ok
 
 
@@ -94,7 +94,7 @@ def test_verify_main_rational_rep_degree_two():
 def test_cor1_hexagon_quotient():
     g, pres, p = c3_double_cover()
     x = symbolic_weights(g)
-    res = cor1_certificate(p, x)
+    res = cor1_certificate(coset_data(p), x)
     assert res.ok
     assert res.quotient_monic
     assert res.complement_matches
@@ -111,7 +111,7 @@ def test_cor1_hexagon_quotient():
 def test_cor1_identity_cover_quotient_is_one():
     g = c3()
     p = identity_cover(g)
-    res = cor1_certificate(p, symbolic_weights(g))
+    res = cor1_certificate(coset_data(p), symbolic_weights(g))
     assert res.ok
     assert res.certificate.quotient.to_text() == "1"
 
@@ -122,7 +122,7 @@ def test_cor1_identity_cover_quotient_is_one():
 
 def test_cor2_exact_symbolic():
     g, pres, p = c3_double_cover()
-    res = cor2_certificate(p, pres, symbolic_weights(g))
+    res = cor2_certificate(coset_data(p), symbolic_weights(g))
     assert res.matches
     assert res.factor_degrees == (1, 1)
 
@@ -135,7 +135,7 @@ def test_cor2_triple_cover_numeric():
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0),)))
     x = weights_from_unoriented(g, QQ, (Fraction(1), Fraction(2),
                                         Fraction(1, 3)))
-    res = cor2_certificate(p, pres, x)
+    res = cor2_certificate(coset_data(p), x)
     assert res.matches
     assert res.lhs == res.rhs
     assert all(isinstance(c, (int, Fraction))
@@ -150,7 +150,7 @@ def test_cor2_triple_cover_numeric():
 def test_trees_hexagon_symbolic():
     g, pres, p = c3_double_cover()
     x = symbolic_weights(g)
-    res = tree_certificates(p, x)
+    res = tree_certificates(coset_data(p), x)
     assert res.ok
     assert res.st.quotient.to_text() == "2*x_0*x_1*x_2"
     assert res.st.check_product()
@@ -162,7 +162,7 @@ def test_trees_hexagon_symbolic():
 
 def test_trees_hexagon_unit_values():
     g, pres, p = c3_double_cover()
-    res = tree_certificates(p, symbolic_weights(g))
+    res = tree_certificates(coset_data(p), symbolic_weights(g))
     # spanning trees at unit weights: 6 upstairs, 3 downstairs
     assert all_ones(res.st.dividend) == 6
     assert all_ones(res.st.divisor) == 3
@@ -174,7 +174,7 @@ def test_trees_hexagon_unit_values():
 
 def test_forest_quotient_frozen():
     g, pres, p = c3_double_cover()
-    res = tree_certificates(p, symbolic_weights(g))
+    res = tree_certificates(coset_data(p), symbolic_weights(g))
     assert res.rsf.quotient.to_text() == (
         "4*x_0*x_1*x_2 + 3*x_0*x_1 + 3*x_0*x_2 + 3*x_1*x_2"
         " + 2*x_0 + 2*x_1 + 2*x_2 + 1")

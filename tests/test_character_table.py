@@ -12,6 +12,7 @@ from covertwist.covering import perm_compose, perm_inverse
 from covertwist.errors import InternalCosetError, NotASubgroupError
 from covertwist.representation import abelian_character_table, table_characters
 
+from builders import fiber_group
 from character_reference import reference_character_table
 
 # the package exports the function `representation` under the module's name
@@ -59,7 +60,7 @@ def regular_abelian_groups(draw):
 def test_table_matches_the_element_reference(group):
     gens, degree = group
     ref = reference_character_table(gens, degree)
-    table = abelian_character_table(gens, degree)
+    table = abelian_character_table(fiber_group(gens))
     assert table.domain is ref.domain
     assert table.count == len(ref.gen_values) == degree
     on_gens = table_characters(table, table.gens)
@@ -111,14 +112,14 @@ def test_a_wrong_decomposition_is_refused(monkeypatch, gens, patch, message):
     def patched(rows, r):
         return patch(*real(rows, r))
 
-    abelian_character_table(gens, len(gens[0]))
+    abelian_character_table(fiber_group(gens))
     monkeypatch.setattr(rep_module, "_diagonalize_relations", patched)
     with pytest.raises(InternalCosetError, match=message):
-        abelian_character_table(gens, len(gens[0]))
+        abelian_character_table(fiber_group(gens))
 
 
 def test_a_non_member_is_refused():
-    table = abelian_character_table(Z6, 6)
+    table = abelian_character_table(fiber_group(Z6))
     assert table_characters(table, (perm_compose(Z6[0], Z6[1]),))
     with pytest.raises(NotASubgroupError):
         table_characters(table, ((1, 0, 2, 3, 4, 5),))
@@ -126,4 +127,4 @@ def test_a_non_member_is_refused():
 
 def test_an_intransitive_group_is_refused():
     with pytest.raises(ValueError, match="transitively"):
-        abelian_character_table([(1, 0, 2)], 3)
+        abelian_character_table(fiber_group([(1, 0, 2)]))

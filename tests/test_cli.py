@@ -1,5 +1,6 @@
 """Exit codes and report stability for the command line driver."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -209,6 +210,11 @@ def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
     assert message in err
 
 
+# the one refusal of a disconnected cover, whatever the command and the
+# voltage kind: coset_data's
+DISCONNECTED = "error: the cover is disconnected\n"
+
+
 @pytest.mark.parametrize("n, voltage", [(4, 2), (200, 2), (200, 10)])
 def test_disconnected_cyclic_cover_is_rejected_before_any_budget(
         tmp_path, capsys, n, voltage):
@@ -219,7 +225,7 @@ def test_disconnected_cyclic_cover_is_rejected_before_any_budget(
                                                 f"edge 0 = {voltage}"))
     code, out, err = run(capsys, "cor2", "--input", str(path))
     assert code == 2 and out == ""
-    assert "normality is defined for connected covers" in err
+    assert err == DISCONNECTED
 
 
 @pytest.mark.parametrize("command", ["cover", "cor2"])
@@ -261,36 +267,35 @@ zdvoltage:
 """
 
 
-@pytest.mark.parametrize("command, message", [
-    ("cor1", "coset words need a connected cover"),
-    ("trees", "tree counts need a connected cover"),
-    ("verify-main", "coset words need a connected cover"),
-    ("cor2", "normality is defined for connected covers"),
-    ("dimer", "dimer cover is disconnected"),
-])
-def test_disconnected_cover_is_refused(tmp_path, capsys, command, message):
-    path = tmp_path / "disconnected.txt"
-    path.write_text(DISCONNECTED_COVER)
+COVER_COMMANDS = ["cover", "verify-main", "cor1", "trees", "cor2"]
+
+
+@pytest.mark.parametrize("document, command", [
+    pytest.param(document, command, id=f"{name}-{command}")
+    for name, document, commands in [
+        ("zdvoltage-z3", DISCONNECTED_COVER, [*COVER_COMMANDS, "dimer"]),
+        ("intransitive", None, COVER_COMMANDS)]
+    for command in commands])
+def test_disconnected_cover_is_refused(tmp_path, capsys, document, command):
+    # an input error, not a falsification: exit 2, nothing on stdout
+    path = f"{SAMPLES}/intransitive.txt"
+    if document is not None:
+        path = tmp_path / "disconnected.txt"
+        path.write_text(document)
     code, out, err = run(capsys, command, "--input", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == DISCONNECTED
 
 
 def test_cover_reports_a_disconnected_cover(tmp_path, capsys):
-    # cover describes any cover: connectivity fails as a check, and the
-    # normality data, defined for connected covers only, are left out
+    # cover refuses a disconnected cover as every other command does,
+    # with no report: its normality data are defined for connected
+    # covers only
     path = tmp_path / "disconnected.txt"
     path.write_text(DISCONNECTED_COVER)
     code, out, err = run(capsys, "cover", "--input", str(path))
-    assert code == 1 and err == ""
-    assert out == ("command: cover\n"
-                   "check covering consistent: pass\n"
-                   "check cover connected: FAIL\n"
-                   "data:\n"
-                   "  degree = 3\n"
-                   "  cover vertices = 12\n"
-                   "  cover edges = 24\n"
-                   "result: FAIL\n")
+    assert code == 2 and out == ""
+    assert err == DISCONNECTED
 
 
 @pytest.mark.parametrize("command, sample, sizes", [
@@ -318,6 +323,67 @@ def test_cover_connectivity_is_tested_once(monkeypatch, capsys, command,
     code, _, _ = run(capsys, command, "--input", f"{SAMPLES}/{sample}")
     assert code == 0
     assert sorted(seen) == sizes
+
+
+@pytest.mark.parametrize("command, sample, sizes", [
+    pytest.param(command, sample, sizes, id=f"{command}-{sample[:-4]}")
+    for command, sample, sizes in [
+        ("cover", "c3.txt", [6]),
+        ("verify-main", "c3.txt", [6]),
+        ("cor1", "c3.txt", [6]),
+        ("trees", "c3.txt", [6]),
+        ("cor2", "c3.txt", [6]),
+        ("dimer", "dimer_c4.txt", [12]),
+        # the 6-vertex cover, its 3-vertex quotient by the order-2
+        # subgroup and the cover over that quotient
+        ("artin-axioms", "z6_bouquet.txt", [6, 3, 6]),
+        ("artin-axioms", "artin_b2.txt", [4, 2, 4]),
+    ]])
+def test_each_cover_enters_through_coset_data_once(monkeypatch, capsys,
+                                                    command, sample, sizes):
+    # coset data carry connectivity, the presentations and the fiber
+    # group, so no cover needs a second pass over its sheets
+    seen = []
+    real = covering.coset_data
+
+    def recording(p):
+        seen.append(p.cover.num_vertices)
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("covertwist")
+                and getattr(module, "coset_data", None) is real):
+            monkeypatch.setattr(module, "coset_data", recording)
+    code, _, _ = run(capsys, command, "--input", f"{SAMPLES}/{sample}")
+    assert code == 0
+    assert seen == sizes
+
+
+@pytest.mark.parametrize("command, sample, calls", [
+    ("cor2", "z6_bouquet.txt", 1),
+    ("artin-axioms", "z6_bouquet.txt", 3),
+    ("artin-axioms", "artin_b2.txt", 3),
+])
+def test_commutation_is_tested_once_per_group(monkeypatch, capsys, command,
+                                              sample, calls):
+    # the fiber group caches its commutation test, and its character
+    # table reads the cached answer: one test per group, and artin-axioms
+    # meets three groups (the cover's, the quotient's, the subgroup's)
+    seen = []
+    real = covering.perms_commute
+
+    def counting(perms):
+        seen.append(len(perms))
+        return real(perms)
+
+    # covertwist.representation as an attribute is the re-exported
+    # function of that name, not the module
+    for module in (covering, importlib.import_module(
+            "covertwist.representation")):
+        monkeypatch.setattr(module, "perms_commute", counting, raising=False)
+    code, _, _ = run(capsys, command, "--input", f"{SAMPLES}/{sample}")
+    assert code == 0
+    assert len(seen) == calls
 
 
 ODD_DIMER = """graph:

@@ -45,7 +45,7 @@ from covertwist.graphs import (
     faces,
     is_connected,
 )
-from covertwist.homotopy import fundamental_presentation, spanning_tree
+from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix, charpoly, det
 from covertwist.operators import (
     kasteleyn_orientation,
@@ -168,8 +168,8 @@ def test_product_equals_direct_cover_charpoly(d, kind, operator):
 @given(st.data())
 def check_product(strategy, operator, data):
     p, x = data.draw(strategy)
-    cd = coset_data(p, spanning_tree(p.base, p.base_vertex))
-    split = split_cover_charpoly(p, cd, x, operator)
+    cd = coset_data(p)
+    split = split_cover_charpoly(cd, x, operator)
     assert split.ok
     assert split.base == base_charpoly(p, x, operator)
     assert split.cover == direct_charpoly(p, x, operator)
@@ -187,7 +187,7 @@ def check_cor1(strategy, data):
     p, x = data.draw(strategy)
     cover = direct_charpoly(p, x, twisted_adjacency)
     base = base_charpoly(p, x, twisted_adjacency)
-    res = cor1_certificate(p, x)
+    res = cor1_certificate(coset_data(p), x)
     assert res.divisible and res.complement_matches
     assert res.certificate.dividend == cover
     assert res.certificate.divisor == base
@@ -207,7 +207,7 @@ def check_trees(strategy, data):
     nb, nc = p.base.num_vertices, p.cover.num_vertices
     P_cover = direct_charpoly(p, x, laplacian)
     P_base = base_charpoly(p, x, laplacian)
-    res = tree_certificates(p, x)
+    res = tree_certificates(coset_data(p), x)
     assert res.split.ok and res.tree_divisible and res.forest_divisible
     assert res.cover_charpoly == P_cover
     for cert, z in ((res.st, spanning_tree_polynomial),
@@ -231,7 +231,7 @@ def test_cor2_matches_the_direct_route(d, kind):
 def check_cor2(strategy, data):
     p, x = data.draw(strategy)
     cover = direct_charpoly(p, x, twisted_adjacency)
-    res = cor2_certificate(p, fundamental_presentation(p.base, 0), x)
+    res = cor2_certificate(coset_data(p), x)
     assert res.ok
     assert res.lhs == res.rhs == cover
 
@@ -336,9 +336,9 @@ def test_identity_cover_complement_is_empty():
     for g in (build_graph(2, [(0, 1)]), build_graph(3, [(0, 1), (1, 2),
                                                         (2, 0)])):
         p = identity_cover(g)
-        cd = coset_data(p, spanning_tree(g, 0))
+        cd = coset_data(p)
         for operator in (twisted_adjacency, laplacian):
-            split = split_cover_charpoly(p, cd, symbolic_weights(g), operator)
+            split = split_cover_charpoly(cd, symbolic_weights(g), operator)
             assert split.ok
             assert split.complement.to_text() == "1"
             assert split.cover == split.base
@@ -390,7 +390,7 @@ def test_cor2_on_the_symbolic_triangle_over_cube_roots():
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0),)))
     x = symbolic_weights(g)
-    res = cor2_certificate(p, pres, x)
+    res = cor2_certificate(coset_data(p), x)
     assert res.ok
     assert res.lhs == res.rhs == direct_charpoly(p, x, twisted_adjacency)
 
@@ -404,11 +404,11 @@ def test_z6_bouquet_certifies_artin_and_cor2(weights):
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, doc.voltage)
     x = weights(g)
-    res = artin_axioms(p, pres, doc.subgroup, x)
+    res = artin_axioms(coset_data(p), doc.subgroup, x)
     assert (res.identity_axiom and res.additivity_axiom
             and res.inflation_axiom and res.induction_axiom)
     assert (res.group_order, res.subgroup_order) == (6, 2)
-    cor2 = cor2_certificate(p, pres, x)
+    cor2 = cor2_certificate(coset_data(p), x)
     assert cor2.ok
     assert cor2.lhs == cor2.rhs == direct_charpoly(p, x, twisted_adjacency)
 
@@ -421,7 +421,7 @@ def test_cor2_on_dimer_c4_matches_the_direct_route():
     p = edge_voltage_cover(g, tuple((b,) for b in doc.zd_voltages),
                            (doc.zd_modulus,))
     x = symbolic_weights(g)
-    res = cor2_certificate(p, fundamental_presentation(g, 0), x)
+    res = cor2_certificate(coset_data(p), x)
     assert res.ok
     assert res.lhs == res.rhs == direct_charpoly(p, x, twisted_adjacency)
 
@@ -608,7 +608,7 @@ def test_witness_takes_no_cover_order_product(monkeypatch):
     assert p.cover.num_vertices == 40
     x = weights_from_unoriented(g, QQ, [rng.randint(1, 5)
                                         for _ in range(g.num_unoriented)])
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     rho = random_representation(rng, cd.cover_pres.rank, 2)
 
     mul, eq = Matrix.__mul__, Matrix.eq
@@ -630,11 +630,11 @@ def test_witness_takes_no_cover_order_product(monkeypatch):
         return det(m)
 
     monkeypatch.setattr(certificates, "det", recording_det)
-    assert cor1_certificate(p, x, cd).ok
-    assert tree_certificates(p, x, cd).ok
+    assert cor1_certificate(cd, x).ok
+    assert tree_certificates(cd, x).ok
     # det Q of each split; ψ's blocks are I, so its vertex determinants
     # are permutation signs and take no det, at m = 1 or at m = 2
     assert det_orders == [5, 5]
     del det_orders[:]
-    assert verify_main(p, cd, rho, x).ok
+    assert verify_main(cd, rho, x).ok
     assert det_orders == []

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from covertwist.covering import (
     CoveringMap,
@@ -21,6 +21,7 @@ from covertwist.covering import (
     quotient_by_subgroup,
     validate_covering,
 )
+from covertwist.docio import parse_input
 from covertwist.errors import (
     InternalCosetError,
     NotASubgroupError,
@@ -29,7 +30,13 @@ from covertwist.errors import (
 from covertwist.graphs import build_graph, is_connected, validate_graph
 from covertwist.homotopy import fundamental_presentation, spanning_tree
 
-from builders import concat_words, fiber_action, realize_word, reduce_word
+from builders import (
+    concat_words,
+    fiber_action,
+    fiber_generator_permutations,
+    realize_word,
+    reduce_word,
+)
 from induce_reference import (
     NotInSubgroupError,
     express_in_subgroup,
@@ -98,7 +105,7 @@ def test_fiber_action_left_composition():
 
 def test_is_normal_cyclic():
     g, pres, p = double_cover_of_triangle()
-    normal, galois = is_normal(p, pres)
+    normal, galois = is_normal(coset_data(p))
     assert normal
     assert galois.order == 2
     assert galois.abelian
@@ -113,7 +120,7 @@ def test_nonnormal_cover_detected():
     volt = VoltageAssignment(3, ((1, 0, 2), (0, 2, 1)))
     assert volt.is_transitive()
     p = build_cover(pres, volt)
-    normal, galois = is_normal(p, pres)
+    normal, galois = is_normal(coset_data(p))
     assert not normal
     assert galois is None
 
@@ -123,7 +130,7 @@ def test_coset_data_marks_transversal():
     # lies on sheet c, and the coset word of that vertex (the
     # reference's) carries the marked lift to it
     g, pres, p = double_cover_of_triangle()
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     for lifts in p.vertex_fibers:
         assert sorted(cd.sheet[vt] for vt in lifts) == [0, 1]
     words = transversal(cd)
@@ -148,12 +155,12 @@ def test_coset_data_refuses_a_fiber_missing_a_sheet():
     assert p.degree == 2 and is_connected(cover)
     assert not validate_covering(p).ok
     with pytest.raises(InternalCosetError, match="each sheet once"):
-        coset_data(p, spanning_tree(base, 0))
+        coset_data(p)
 
 
 def test_cover_presentation_rank():
     g, pres, p = double_cover_of_triangle()
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     # index-d subgroup of a rank-r free group has rank d(r-1)+1
     assert cd.cover_pres.rank == p.degree * (pres.rank - 1) + 1
 
@@ -163,7 +170,7 @@ def test_express_in_subgroup_round_trip():
     pres = fundamental_presentation(g, 0)
     volt = VoltageAssignment(3, ((1, 2, 0), (0, 1, 2)))
     p = build_cover(pres, volt)
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     # g0^3 fixes the marked sheet, so it lies in the subgroup
     w = ((0, 1),) * 3
     h = express_in_subgroup(cd, w)
@@ -176,7 +183,7 @@ def test_express_in_subgroup_rejects_outside():
     g = bouquet2()
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0), (0, 1, 2))))
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     with pytest.raises(NotInSubgroupError):
         express_in_subgroup(cd, ((0, 1),))
 
@@ -191,7 +198,7 @@ def test_identity_cover():
 
 def test_deck_transformation_commutes():
     g, pres, p = double_cover_of_triangle()
-    normal, galois = is_normal(p, pres)
+    normal, galois = is_normal(coset_data(p))
     flip = next(h for h in galois.elements if h != perm_identity(2))
     d = deck_transformation(p, galois.fiber, flip)
     for e in range(p.cover.num_edges):
@@ -206,7 +213,7 @@ def test_check_subgroup():
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(
         4, ((1, 2, 3, 0), (0, 1, 2, 3))))
-    _, galois = is_normal(p, pres)
+    _, galois = is_normal(coset_data(p))
     sq = perm_compose(galois.gen_perms[0], galois.gen_perms[0])
     sub = check_subgroup((perm_identity(4), sq), galois.elements)
     assert len(sub) == 2
@@ -220,7 +227,7 @@ def test_quotient_by_subgroup_tower():
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(
         4, ((1, 2, 3, 0), (0, 1, 2, 3))))
-    _, galois = is_normal(p, pres)
+    _, galois = is_normal(coset_data(p))
     sq = perm_compose(galois.gen_perms[0], galois.gen_perms[0])
     qd = quotient_by_subgroup(p, galois, (perm_identity(4), sq))
     assert qd.mid_over_base.degree == 2
@@ -276,3 +283,70 @@ def test_edge_voltage_cover_matches_build_cover(data):
     perms = tuple(tuple((i + k) % d for i in range(d)) for k in shifts)
     assert (edge_voltage_cover(g, tuple(voltages), (d,))
             == build_cover(pres, VoltageAssignment(d, perms)))
+
+
+# ---------------------------------------------------------------------------
+# the fiber group read off the sheets, against the loop lifts
+
+
+def small_graph(data, max_vertices=4, max_extra=3):
+    """A connected multigraph, loops and parallel edges allowed."""
+    n = data.draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    pairs = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs += data.draw(st.lists(st.tuples(vertex, vertex), max_size=max_extra))
+    return build_graph(n, pairs)
+
+
+def assert_monodromy_matches_loop_lifts(p):
+    cd = coset_data(p)
+    assert cd.base_pres == fundamental_presentation(p.base, p.base_vertex)
+    assert cd.monodromy == tuple(fiber_generator_permutations(p, cd.base_pres))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_monodromy_matches_loop_lifts_on_permutation_voltages(data):
+    g = small_graph(data)
+    pres = fundamental_presentation(g, 0)
+    d = data.draw(st.integers(1, 7))
+    perms = data.draw(st.lists(st.permutations(range(d)).map(tuple),
+                               min_size=pres.rank, max_size=pres.rank))
+    volt = VoltageAssignment(d, tuple(perms))
+    assume(volt.is_transitive())
+    assert_monodromy_matches_loop_lifts(build_cover(pres, volt))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_monodromy_matches_loop_lifts_on_abelian_edge_voltages(data):
+    # nonzero voltages on the tree edges too, so that a sheet is no
+    # longer a constant voltage-group index over the base
+    g = small_graph(data)
+    moduli = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1,
+                                      max_size=2)))
+    tree = spanning_tree(g, 0).tree_edges
+    voltages = [None] * g.num_edges
+    for u, (e, ebar) in enumerate(g.unoriented):
+        low = 1 if u in tree else 0
+        vec = tuple(data.draw(st.integers(low, m - 1)) for m in moduli)
+        voltages[e] = vec
+        voltages[ebar] = tuple(-a % m for a, m in zip(vec, moduli))
+    p = edge_voltage_cover(g, tuple(voltages), moduli)
+    assume(is_connected(p.cover))
+    assert_monodromy_matches_loop_lifts(p)
+
+
+@pytest.mark.parametrize("sample", ["z6_bouquet.txt", "artin_b2.txt"])
+def test_monodromy_matches_loop_lifts_on_artin_quotients(sample):
+    # the two covers artin-axioms builds from the document's cover: its
+    # quotient by the subgroup, and the cover over that quotient
+    with open(f"sample_inputs/{sample}", encoding="utf-8") as fh:
+        doc = parse_input(fh.read())
+    p = build_cover(fundamental_presentation(doc.graph, 0), doc.voltage)
+    normal, galois = is_normal(coset_data(p))
+    assert normal
+    qd = quotient_by_subgroup(p, galois, doc.subgroup)
+    for q in (qd.mid_over_base, qd.cover_over_mid):
+        assert q.degree > 1
+        assert_monodromy_matches_loop_lifts(q)

@@ -14,14 +14,12 @@ from covertwist.graphs import (
     default_rotation,
     faces,
     is_connected,
-    path_concat,
-    path_reverse,
     path_target,
     validate_graph,
     validate_rotation,
 )
 
-from builders import relabel_vertices
+from builders import path_concat, path_reverse, relabel_vertices
 
 
 def triangle():

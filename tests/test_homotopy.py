@@ -16,6 +16,7 @@ from builders import (
     concat_words,
     invert_word,
     loop_to_word,
+    path_from_root,
     realize_word,
     reduce_word,
     word_to_text,
@@ -44,7 +45,7 @@ def test_spanning_tree_triangle():
     t = spanning_tree(g, 0)
     assert len(t.tree_edges) == 2
     for v in range(3):
-        p = t.path_from_root(v)
+        p = path_from_root(t, v)
         assert p.base == 0
         assert path_target(g, p) == v
 

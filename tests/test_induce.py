@@ -26,7 +26,7 @@ from covertwist.certificates import (
 from covertwist.covering import build_cover, coset_data
 from covertwist.docio import parse_input
 from covertwist.domains import QQ, cyclotomic_field, root_of_unity
-from covertwist.homotopy import fundamental_presentation, spanning_tree
+from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix
 from covertwist.operators import symbolic_weights, weights_from_unoriented
 from covertwist.randinst import random_connected_graph, random_voltage
@@ -78,7 +78,7 @@ def random_case(seed):
     p = build_cover(pres, random_voltage(rng, pres.rank, d))
     if seed % 3 == 0:
         p = dataclasses.replace(p, cover_base_vertex=p.vertex_fibers[0][-1])
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     dom = QQ if seed % 2 else Z5
     m = rng.randint(1, 3)
     rho = representation(dom, [random_matrix(rng, dom, m)
@@ -97,7 +97,7 @@ def z6_case(marked):
     g = doc.graph
     p = build_cover(fundamental_presentation(g, 0), doc.voltage)
     p = dataclasses.replace(p, cover_base_vertex=p.vertex_fibers[0][marked])
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     base = doc.representations["rho"]
     rho = representation(base.domain, [base.gen_mats[k % 2]
                                        for k in range(cd.cover_pres.rank)])
@@ -121,7 +121,7 @@ def test_blocks_psi_and_determinants_match_the_reference(make, arg):
     assert psi_to_dense(p, psi, m, dom).eq(dense)
     dets = psi_vertex_determinants(p, psi, m)
     assert dets == dense_vertex_determinants(p, dense, m)
-    cert = verify_main(p, cd, rho, x)
+    cert = verify_main(cd, rho, x)
     assert cert.ok
     assert dense_commutes(dense, cert.a_cover, cert.a_base)
 
@@ -149,7 +149,7 @@ def broken_psis(psi, p, rng):
 @pytest.mark.parametrize("make, arg", CASES[:12] + CASES[-2:])
 def test_sparse_check_and_determinants_agree_on_broken_psi(make, arg):
     p, cd, rho, x = make(arg)
-    cert = verify_main(p, cd, rho, x)
+    cert = verify_main(cd, rho, x)
     m = rho.degree
     for psi in broken_psis(cert.psi, p, random.Random(str(arg))):
         dense = psi_to_dense(p, psi, m, rho.domain)

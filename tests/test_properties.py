@@ -6,7 +6,7 @@ from covertwist.certificates import cor1_certificate, tree_certificates, verify_
 from covertwist.covering import VoltageAssignment, build_cover, coset_data
 from covertwist.domains import QQ
 from covertwist.graphs import build_graph
-from covertwist.homotopy import fundamental_presentation, spanning_tree
+from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix, charpoly
 from covertwist.operators import (
     lift_weights,
@@ -35,7 +35,7 @@ def test_verify_main_random_instances():
     rng = random.Random(101)
     for _ in range(10):
         inst = random_cover_instance(rng)
-        cert = verify_main(inst.covering, inst.coset, inst.rho, inst.weights)
+        cert = verify_main(inst.coset, inst.rho, inst.weights)
         assert cert.ok
 
 
@@ -44,7 +44,7 @@ def test_cor1_random_instances():
     for _ in range(8):
         inst = random_cover_instance(rng, max_vertices=4, max_edges=6,
                                      cover_vertex_cap=16)
-        res = cor1_certificate(inst.covering, inst.weights, cd=inst.coset)
+        res = cor1_certificate(inst.coset, inst.weights)
         assert res.ok
         assert res.certificate.check_product()
 
@@ -54,7 +54,7 @@ def test_tree_divisibility_random_instances():
     for _ in range(8):
         inst = random_cover_instance(rng, max_vertices=4, max_edges=5,
                                      max_degree=3, cover_vertex_cap=12)
-        res = tree_certificates(inst.covering, inst.weights)
+        res = tree_certificates(inst.coset, inst.weights)
         assert res.st.integral
         assert res.rsf.integral
         assert res.st.check_product()
@@ -78,7 +78,7 @@ def test_fiber_action_composes_on_random_covers():
     for _ in range(6):
         inst = random_cover_instance(rng, max_vertices=4, max_edges=6,
                                      cover_vertex_cap=12)
-        p, pres = inst.covering, inst.pres
+        p, pres = inst.coset.covering, inst.coset.base_pres
         fiber = p.vertex_fibers[p.base_vertex]
         for _ in range(5):
             w1 = random_word(rng, pres.rank, rng.randrange(3))
@@ -101,7 +101,7 @@ def test_l_series_induction_identity():
     for g, volt, mats in cases:
         pres = fundamental_presentation(g, 0)
         p = build_cover(pres, volt)
-        cd = coset_data(p, spanning_tree(g, 0))
+        cd = coset_data(p)
         if mats is None:
             mats = [Matrix(QQ, [[2]]) for _ in range(cd.cover_pres.rank)]
         rho = representation(QQ, mats)
@@ -153,5 +153,5 @@ def test_lifted_charpoly_divides_iterated():
     pres = fundamental_presentation(g, 0)
     for perms in (((1, 0),), ((1, 2, 0),)):
         p = build_cover(pres, VoltageAssignment(len(perms[0]), perms))
-        res = cor1_certificate(p, symbolic_weights(g))
+        res = cor1_certificate(coset_data(p), symbolic_weights(g))
         assert res.ok

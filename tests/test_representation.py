@@ -18,7 +18,7 @@ from covertwist import matrix
 from covertwist.docio import parse_input
 from covertwist.domains import QI, QQ, root_of_unity
 from covertwist.graphs import build_graph
-from covertwist.homotopy import fundamental_presentation, spanning_tree
+from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix, det
 from covertwist.randinst import random_representation
 from covertwist.representation import (
@@ -36,7 +36,7 @@ from covertwist.representation import (
     trivial_representation,
 )
 
-from builders import realize_word, rep_of_word
+from builders import fiber_group, realize_word, rep_of_word
 
 
 def bouquet2():
@@ -125,7 +125,7 @@ def test_induce_degree_bookkeeping():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(2, ((1, 0),)))
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     rho = representation(QQ, [Matrix(QQ, [[1, 1], [0, 1]])])
     ind = induce(cd, rho)
     # d·m: two sheets, blocks of order 2
@@ -138,7 +138,7 @@ def test_induce_rejects_wrong_rank():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(2, ((1, 0), (0, 1))))
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     # cover rank is 2*(2-1)+1 = 3, a rank-2 input must be rejected
     rng = random.Random(5)
     with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_induced_trivial_is_permutation():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0),)))
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     ind = induce(cd, trivial_representation(QQ, cd.cover_pres.rank))
     for m in ind.gen_mats:
         for i in range(m.nrows):
@@ -162,7 +162,7 @@ def test_permutation_complement():
     g = bouquet2()
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(3, ((1, 2, 0), (0, 1, 2))))
-    cd = coset_data(p, spanning_tree(g, 0))
+    cd = coset_data(p)
     ind = induce(cd, trivial_representation(QQ, cd.cover_pres.rank))
     comp = permutation_complement(ind,
                                   fixed=cd.fiber.index(p.cover_base_vertex))
@@ -174,7 +174,7 @@ def test_permutation_complement():
 
 def test_abelian_character_table_z4():
     gens = [(1, 2, 3, 0)]
-    table = abelian_character_table(gens, 4)
+    table = abelian_character_table(fiber_group(gens))
     assert table.count == 4
     assert table.domain is QI
     i = root_of_unity(4)
@@ -184,7 +184,7 @@ def test_abelian_character_table_z4():
 
 def test_abelian_character_table_z2xz2():
     gens = [(1, 0, 3, 2), (2, 3, 0, 1)]
-    table = abelian_character_table(gens, 4)
+    table = abelian_character_table(fiber_group(gens))
     assert table.count == 4
     assert table.domain is QQ
     for c in table_characters(table, table.gens):
@@ -195,7 +195,7 @@ def test_abelian_characters_from_cover():
     g = bouquet2()
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, VoltageAssignment(2, ((1, 0), (0, 1))))
-    _, galois = is_normal(p, pres)
+    _, galois = is_normal(coset_data(p))
     chars = abelian_characters(galois)
     assert len(chars) == 2
     assert all(c.degree == 1 for c in chars)
@@ -208,7 +208,7 @@ def test_abelian_characters_invert_no_matrix(monkeypatch):
     with open("sample_inputs/z6_bouquet.txt", encoding="utf-8") as fh:
         doc = parse_input(fh.read())
     pres = fundamental_presentation(doc.graph, 0)
-    _, galois = is_normal(build_cover(pres, doc.voltage), pres)
+    _, galois = is_normal(coset_data(build_cover(pres, doc.voltage)))
 
     def no_inverse(m):
         raise AssertionError("matrix.inverse reached")

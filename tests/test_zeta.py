@@ -10,6 +10,7 @@ import pytest
 from covertwist.covering import (
     VoltageAssignment,
     build_cover,
+    coset_data,
     perm_compose,
     perm_identity,
 )
@@ -232,7 +233,7 @@ def test_artin_axioms_z4_tower():
     sigma = (1, 2, 3, 0)
     sq = perm_compose(sigma, sigma)
     sub = (perm_identity(4), sq)
-    res = artin_axioms(p, pres, sub, symbolic_weights(g))
+    res = artin_axioms(coset_data(p), sub, symbolic_weights(g))
     assert res.identity_axiom
     assert res.additivity_axiom
     assert res.inflation_axiom
@@ -248,7 +249,7 @@ def test_artin_axioms_z4_over_triangle():
     p = build_cover(pres, VoltageAssignment(4, ((1, 2, 3, 0),)))
     sigma = (1, 2, 3, 0)
     sub = (perm_identity(4), perm_compose(sigma, sigma))
-    res = artin_axioms(p, pres, sub, symbolic_weights(g))
+    res = artin_axioms(coset_data(p), sub, symbolic_weights(g))
     assert res.ok
     assert res.group_order == 4
 
@@ -256,6 +257,6 @@ def test_artin_axioms_z4_over_triangle():
 def test_artin_trivial_subgroup():
     g, pres, p = z4_over_b2()
     sub = (perm_identity(4),)
-    res = artin_axioms(p, pres, sub, symbolic_weights(g))
+    res = artin_axioms(coset_data(p), sub, symbolic_weights(g))
     assert res.ok
     assert res.subgroup_order == 1
