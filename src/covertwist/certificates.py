@@ -18,12 +18,14 @@ fiber, which splits as 1 ⊕ ρ_c, so
 
 and split_cover_charpoly reads the cover charpoly off the identity
 instead of expanding a determinant of order d·n.  Its witness has three
-parts, each checked exactly:
+parts, each checked exactly and none through a kernel call:
 
-* ψ and its vertex-block determinants (ψ invertible);
-* ψ·M_cover = M_base^{ρ#}·ψ;
-* Q = [1 | e_j − e_fixed] with det Q ≠ 0 and ρ#(γ)·Q = Q·(1 ⊕ ρ_c(γ))
-  on every generator γ.
+* ψ and its vertex-block determinants (ψ invertible), permutation signs;
+* ψ·M_cover = M_base^{ρ#}·ψ, compared one base row at a time;
+* Q = [1 | e_j − e_fixed], invertible by its exhibited inverse, and
+  ρ#(γ)·Q = Q·(1 ⊕ ρ_c(γ)) on every generator γ, both sides formed from
+  nonzero entries; ρ#(γ) is a sheet permutation, from which
+  permutation_complement reads ρ_c(γ).
 
 A fourth, cheap check ties the product back to the cover operator
 itself: its λ^{N−1} coefficient must be −tr(M_cover), N = d·n.
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import lcm
+from operator import itemgetter
 
 from .covering import (
     CosetData,
@@ -73,8 +75,9 @@ from .matrix import (
     charpoly,
     check_pfaffian_order,
     det,
-    direct_sum_matrices,
+    nonzero_rows,
     pfaffian,
+    product_rows,
 )
 from .operators import (
     EdgeWeights,
@@ -170,33 +173,44 @@ def psi_vertex_determinants(p: CoveringMap, psi: tuple[int, ...],
 def _intertwines(psi: tuple[int, ...], m: int, a_cover: Matrix,
                  a_base: Matrix) -> bool:
     """ψ·a_cover = a_base·ψ for ψ the 0/1 map of cover index ṽ·m + i to
-    base index psi[ṽ]·m + i.  Row r of a_cover adds into row ψ(r) of
-    ψ·a_cover, and column c of a_base·ψ is column ψ(c) of a_base; both
-    products are formed from the operators' nonzero entries and compared
-    on the union of their nonzero positions, so that the check is exact
-    for any map, a bijection or not."""
+    base index psi[ṽ]·m + i, compared one base row at a time.  Row k of
+    ψ·a_cover is the sum of the cover rows that ψ sends to k (one row
+    when ψ is a bijection, none or several otherwise), and row k of
+    a_base·ψ is row k of a_base gathered at the base index of each
+    cover index; when ψ sends every index to itself, as it does when
+    the cover numbers ṽ as p(ṽ)·d + sheet(ṽ), both are the rows as they
+    stand.  Rows compare whole with ==, the domain's equality; only
+    rows that differ there are compared entry by entry, with a zero of
+    either side's kind equal to any other zero.  Exact for any map, a
+    bijection or not, and no structure of order N×N is built."""
     dom = a_cover.domain
-    add, is_zero, zero = dom.add, dom.is_zero, dom.zero
+    add, eq, is_zero = dom.add, dom.eq, dom.is_zero
     to_base = [rb * m + i for rb in psi for i in range(m)]
-    from_base: dict[int, list[int]] = {}   # base index -> cover indices
-    for c, k in enumerate(to_base):
-        from_base.setdefault(k, []).append(c)
 
-    def nonzeros(a: Matrix):
-        for r, arow in enumerate(a.data):
-            # a falsy entry is 0 in every domain; is_zero decides the rest
-            for c in compress(range(len(arow)), arow):
-                if not is_zero(arow[c]):
-                    yield r, c, arow[c]
+    def same(lhs: list, rhs: list) -> bool:
+        return lhs == rhs or all(eq(a, b) or is_zero(a) and is_zero(b)
+                                 for a, b in zip(lhs, rhs))
 
-    lhs: dict = {}
-    for r, c, val in nonzeros(a_cover):
-        key = (to_base[r], c)
-        lhs[key] = add(lhs[key], val) if key in lhs else val
-    rhs = {(r, c): val for r, k, val in nonzeros(a_base)
-           for c in from_base.get(k, ())}
-    return all(dom.eq(lhs.get(key, zero), rhs.get(key, zero))
-               for key in lhs.keys() | rhs.keys())
+    if to_base == list(range(a_base.nrows)):
+        return all(map(same, a_cover.data, a_base.data))
+    from_base: list[list[int]] = [[] for _ in range(a_base.nrows)]
+    for r, k in enumerate(to_base):
+        from_base[k].append(r)
+    # itemgetter of two or more indices returns a tuple of the entries
+    pick = itemgetter(*to_base) if len(to_base) > 1 else None
+    for k, rows in enumerate(from_base):
+        brow = a_base.data[k]
+        rhs = list(pick(brow)) if pick else [brow[t] for t in to_base]
+        if not rows:
+            if not all(map(is_zero, rhs)):
+                return False
+            continue
+        lhs = a_cover.data[rows[0]]
+        for r in rows[1:]:
+            lhs = list(map(add, lhs, a_cover.data[r]))
+        if not same(lhs, rhs):
+            return False
+    return True
 
 
 def verify_main(cd: CosetData, rho: Representation, x: EdgeWeights,
@@ -230,12 +244,13 @@ class CoverSplit:
     """charpoly(M_cover) = charpoly(M_base)·charpoly(M_base^{ρ_c}) for
     the trivial twist, with its witness.
 
-    conjugacy carries ψ, its vertex-block determinants and the check
-    ψ·M_cover = M_base^{ρ#}·ψ; splits says det Q ≠ 0 and
-    ρ#(γ)·Q = Q·(1 ⊕ ρ_c(γ)) on every generator γ; trace_matches says
-    the product's λ^{N−1} coefficient is −tr(M_cover).  cover is the
-    product of the base and complement charpolys, certified only when
-    ok."""
+    conjugacy carries ψ, its vertex-block determinants (permutation
+    signs) and the check ψ·M_cover = M_base^{ρ#}·ψ, row by row; splits
+    says Q is invertible, by R·Q = I for its exhibited inverse R, and
+    ρ#(γ)·Q = Q·(1 ⊕ ρ_c(γ)) on every generator γ, on nonzero entries;
+    trace_matches says the product's λ^{N−1} coefficient is
+    −tr(M_cover).  cover is the product of the base and complement
+    charpolys, certified only when ok."""
 
     conjugacy: ConjugacyCertificate
     splits: bool
@@ -249,12 +264,47 @@ class CoverSplit:
         return self.conjugacy.ok and self.splits and self.trace_matches
 
 
+def _complement_splits(perm: Representation, rho_c: Representation,
+                       q: Matrix, fixed: int) -> bool:
+    """Q invertible and ρ#(γ)·Q = Q·(1 ⊕ ρ_c(γ)) for every generator γ.
+
+    Q is certified invertible by exhibiting its inverse rather than
+    taking its determinant: R = [1ᵀ/d; e_jᵀ − 1ᵀ/d for j ≠ fixed,
+    ascending], and R·Q = I is checked exactly through R's rows.  Row 0
+    of R·Q is 1ᵀ·Q over d, which must be e_0; row c + 1, for the c-th
+    non-fixed j, is row j of Q less that, which must then be e_{c+1},
+    so row j of Q must be e_0 + e_{c+1}.
+
+    Each side of the intertwining is formed from the nonzero entries of
+    its factors; ρ#(γ) is a permutation matrix, so its product with Q
+    is Q with its rows permuted."""
+    d = perm.degree
+    dom = q.domain
+    q_rows = nonzero_rows(q)
+    ones = [(i, 1) for i in range(d)]
+    if product_rows([ones], q_rows, dom) != [{0: d}]:
+        return False
+    others = (j for j in range(d) if j != fixed)
+    if any(q_rows[j] != [(0, 1), (c + 1, 1)] for c, j in enumerate(others)):
+        return False
+    for g, c in zip(perm.gen_mats, rho_c.gen_mats):
+        one_plus_c = [[(0, dom.one)]] + [[(j + 1, v) for j, v in row]
+                                         for row in nonzero_rows(c)]
+        if product_rows(nonzero_rows(g), q_rows, dom) != \
+                product_rows(q_rows, one_plus_c, dom):
+            return False
+    return True
+
+
 def split_cover_charpoly(cd: CosetData, x: EdgeWeights,
                          operator) -> CoverSplit:
     """The cover charpoly of M (twisted_adjacency or laplacian, trivial
     twist) as charpoly(M_base)·charpoly(M_base^{ρ_c}), witnessed by ψ
-    and Q.  The largest charpoly taken has order (d−1)·n; at d = 1 the
-    complement has order 0 and charpoly 1."""
+    and Q.  ρ_c and the Q check read the sheet permutations of the ρ#
+    images that verify_main induced, the ones that twist M_base.  The
+    two charpolys are the split's only kernel calls; the largest has
+    order (d−1)·n, and at d = 1 the complement has order 0 and
+    charpoly 1."""
     p = cd.covering
     rho = trivial_representation(QQ, cd.cover_pres.rank)
     conj = verify_main(cd, rho, x, operator)
@@ -262,10 +312,7 @@ def split_cover_charpoly(cd: CosetData, x: EdgeWeights,
     fixed = cd.fiber.index(p.cover_base_vertex)
     rho_c = permutation_complement(perm, fixed=fixed)
     q = complement_basis(perm.degree, fixed)
-    one = Matrix.identity(QQ, 1)
-    splits = (not QQ.is_zero(det(q))
-              and all((g * q).eq(q * direct_sum_matrices(one, c))
-                      for g, c in zip(perm.gen_mats, rho_c.gen_mats)))
+    splits = _complement_splits(perm, rho_c, q, fixed)
     base = charpoly(operator(p.base, x,
                              trivial_connection(QQ, p.base.num_edges)))
     comp = charpoly(operator(p.base, x,

@@ -199,42 +199,42 @@ def validate_covering(p: CoveringMap) -> ValidationReport:
     size.  Violations are reported, not raised."""
     rep = ValidationReport()
     base, cover = p.base, p.cover
-    if len(p.p_vertex) != cover.num_vertices:
+    pv, pe = p.p_vertex, p.p_edge
+    nv, ne = base.num_vertices, base.num_edges
+    if len(pv) != cover.num_vertices:
         rep.add("vertex projection has wrong length")
         return rep
-    if len(p.p_edge) != cover.num_edges:
+    if len(pe) != cover.num_edges:
         rep.add("edge projection has wrong length")
         return rep
-    for vt, v in enumerate(p.p_vertex):
-        if not (0 <= v < base.num_vertices):
-            rep.add(f"vertex projection of {vt} out of range")
-            return rep
-    for et, e in enumerate(p.p_edge):
-        if not (0 <= e < base.num_edges):
-            rep.add(f"edge projection of {et} out of range")
+    for what, proj, n in (("vertex", pv, nv), ("edge", pe, ne)):
+        if proj and not (0 <= min(proj) and max(proj) < n):
+            first = next(k for k, v in enumerate(proj) if not 0 <= v < n)
+            rep.add(f"{what} projection of {first} out of range")
             return rep
 
-    for et in range(cover.num_edges):
-        e = p.p_edge[et]
-        if p.p_vertex[cover.src[et]] != base.src[e]:
+    bsrc, btgt, binv = base.src, base.tgt, base.inv
+    for et, (s, t, i, e) in enumerate(zip(cover.src, cover.tgt, cover.inv,
+                                         pe)):
+        if pv[s] != bsrc[e]:
             rep.add(f"edge {et}: source does not project to source")
-        if p.p_vertex[cover.tgt[et]] != base.tgt[e]:
+        if pv[t] != btgt[e]:
             rep.add(f"edge {et}: target does not project to target")
-        if p.p_edge[cover.inv[et]] != base.inv[e]:
+        if pe[i] != binv[e]:
             rep.add(f"edge {et}: involution does not commute with projection")
 
-    if set(p.p_vertex) != set(range(base.num_vertices)):
+    if set(pv) != set(range(nv)):
         rep.add("vertex projection not surjective")
-    if set(p.p_edge) != set(range(base.num_edges)):
+    if set(pe) != set(range(ne)):
         rep.add("edge projection not surjective")
 
-    for vt in range(cover.num_vertices):
-        v = p.p_vertex[vt]
-        if sorted(p.p_edge[et] for et in cover.out_edges[vt]) != \
-                sorted(base.out_edges[v]):
+    base_out = [sorted(star) for star in base.out_edges]
+    base_in = [sorted(star) for star in base.in_edges]
+    for vt, (v, outs, ins) in enumerate(zip(pv, cover.out_edges,
+                                            cover.in_edges)):
+        if sorted([pe[et] for et in outs]) != base_out[v]:
             rep.add(f"out-edges at {vt} do not biject onto out-edges at {v}")
-        if sorted(p.p_edge[et] for et in cover.in_edges[vt]) != \
-                sorted(base.in_edges[v]):
+        if sorted([pe[et] for et in ins]) != base_in[v]:
             rep.add(f"in-edges at {vt} do not biject onto in-edges at {v}")
 
     sizes = {len(f) for f in p.vertex_fibers}

@@ -233,9 +233,30 @@ def format_cycles(perm: tuple[int, ...]) -> str:
 # section scanner
 
 
-def _scan_sections(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
+class _Body(list):
+    """The (line number, text) pairs of one section's content lines, and
+    the numbers of the lines that its parser has read (`used`): _kv
+    marks the first line of its key, _directive_lines every line of its
+    word."""
+
+    def __init__(self):
+        super().__init__()
+        self.used: set[int] = set()
+
+
+def _check_consumed(header: str, body: _Body) -> None:
+    """Every content line of a section must have been read by its
+    parser: a misspelt directive, a stray value or a repeated key would
+    otherwise be dropped without a word."""
+    for num, line in body:
+        if num not in body.used:
+            raise ParseError(num, f"unrecognized line in the {header} "
+                                  f"section: {line!r}")
+
+
+def _scan_sections(text: str) -> list[tuple[int, str, _Body]]:
     sections = []
-    current: list[tuple[int, str]] | None = None
+    current: _Body | None = None
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -245,7 +266,7 @@ def _scan_sections(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
             header = stripped[:-1].strip()
             if not header:
                 raise ParseError(num, "empty section header")
-            current = []
+            current = _Body()
             sections.append((num, header, current))
         else:
             if current is None:
@@ -254,12 +275,12 @@ def _scan_sections(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
     return sections
 
 
-def _kv(body: list[tuple[int, str]], key: str, *, required=False,
-        where="section"):
+def _kv(body: _Body, key: str, *, required=False, where="section"):
     for num, line in body:
         if "=" in line:
             k, v = line.split("=", 1)
             if k.strip() == key:
+                body.used.add(num)
                 return num, v.strip()
     if required:
         first = body[0][0] if body else 0
@@ -267,10 +288,11 @@ def _kv(body: list[tuple[int, str]], key: str, *, required=False,
     return None, None
 
 
-def _directive_lines(body: list[tuple[int, str]], word: str):
+def _directive_lines(body: _Body, word: str):
     for num, line in body:
         parts = line.split()
         if parts and parts[0] == word:
+            body.used.add(num)
             yield num, line[len(word):].strip()
 
 
@@ -278,7 +300,7 @@ def _directive_lines(body: list[tuple[int, str]], word: str):
 # section parsers
 
 
-def _parse_graph(num: int, body: list[tuple[int, str]]) -> Graph:
+def _parse_graph(num: int, body: _Body) -> Graph:
     vline, vval = _kv(body, "vertices", required=True, where="graph section")
     try:
         nv = int(vval)
@@ -397,6 +419,7 @@ def parse_input(text: str) -> InputDocument:
                 doc_fields["subgroup"] = _parse_subgroup(body)
         else:
             raise ParseError(num, f"unknown section {name!r}")
+        _check_consumed(header, body)
     if graph is None:
         raise ParseError(sections[0][0], "no graph section")
     doc = InputDocument(graph=graph, representations=reps,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from math import isqrt, lcm
 
 from .domains import Cyclotomic, CyclotomicDomain, _make, _norm_rat
@@ -98,22 +99,17 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         dom = self.domain
-        is_zero = dom.is_zero
         add = dom.add
         mul = dom.mul
         zero = dom.zero
         ncols = other.ncols
-        # row k of other as its nonzero (column, entry) pairs: the work is
-        # one product per pair of nonzeros that meet, and each entry of
-        # the result still sums its terms in ascending k
-        b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)]
-                  for row in other.data]
+        # the work is one product per pair of nonzeros that meet, and each
+        # entry of the result still sums its terms in ascending k
+        b_rows = nonzero_rows(other)
         out = []
-        for row in self.data:
+        for row in nonzero_rows(self):
             orow = [zero] * ncols
-            for k, x in enumerate(row):
-                if is_zero(x):
-                    continue
+            for k, x in row:
                 for j, y in b_rows[k]:
                     orow[j] = add(orow[j], mul(x, y))
             out.append(orow)
@@ -150,6 +146,65 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.domain!r})"
+
+
+def nonzero_rows(a: Matrix) -> list[list[tuple[int, object]]]:
+    """Each row of a as its nonzero (column, entry) pairs, ascending.  A
+    falsy entry is 0 in every domain and a truthy one nonzero in every
+    scalar domain; a polynomial is truthy even when zero, so over a
+    polynomial ring the truthy entries are tested once more."""
+    cols = range(a.ncols)
+    if isinstance(a.domain, PolyDomain):
+        return [[(j, row[j]) for j in compress(cols, row)
+                 if not row[j].is_zero] for row in a.data]
+    return [[(j, row[j]) for j in compress(cols, row)] for row in a.data]
+
+
+def product_rows(a_rows, b_rows, dom) -> list[dict]:
+    """The rows of a·b for a and b given as nonzero_rows, each row as
+    {column: entry} over its nonzero entries: one product per pair of
+    nonzeros that meet, and no zero is stored, so two such products are
+    equal exactly when their lists compare equal.  Every domain here is
+    an integral domain, so a product of nonzeros is nonzero and only a
+    sum can cancel."""
+    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+    out = []
+    for row in a_rows:
+        acc: dict = {}
+        for k, x in row:
+            for j, y in b_rows[k]:
+                t = mul(x, y)
+                if j in acc:
+                    t = add(acc[j], t)
+                    if is_zero(t):
+                        del acc[j]
+                        continue
+                acc[j] = t
+        out.append(acc)
+    return out
+
+
+def is_right_inverse(a: Matrix, b: Matrix) -> bool:
+    """a·b = I, for square a and b of one order, row by row from the
+    nonzero entries of both factors.  A row of a that is one unit entry
+    at k picks row k of b, which is compared with the unit row whole;
+    any other row is formed by product_rows."""
+    if not a.is_square() or a.shape != b.shape:
+        return False
+    dom = a.domain
+    one, zero = dom.one, dom.zero
+    unit = [zero] * a.ncols
+    b_rows = None
+    for i, row in enumerate(nonzero_rows(a)):
+        unit[i] = one
+        picked = (len(row) == 1 and dom.eq(row[0][1], one)
+                  and b.data[row[0][0]] == unit)
+        unit[i] = zero
+        if not picked:
+            b_rows = b_rows or nonzero_rows(b)
+            if product_rows([row], b_rows, dom) != [{i: one}]:
+                return False
+    return True
 
 
 def direct_sum_matrices(a: Matrix, b: Matrix) -> Matrix:

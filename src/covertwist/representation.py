@@ -32,7 +32,14 @@ from .errors import (
 )
 from .graphs import Path, check_loop
 from .homotopy import Pi1Presentation
-from .matrix import Matrix, det, direct_sum_matrices, inverse
+from .matrix import (
+    Matrix,
+    det,
+    direct_sum_matrices,
+    inverse,
+    is_right_inverse,
+    nonzero_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -46,13 +53,14 @@ class Representation:
 
     def __post_init__(self):
         """Each generator is square with m·m⁻¹ = I, so that m⁻¹ is a
-        two-sided inverse; a pair met before is not multiplied again."""
-        ident = Matrix.identity(self.domain, self.degree)
+        two-sided inverse: the product is taken over the nonzero entries
+        of both factors and tested for the identity on its own nonzero
+        entries.  A pair met before is not multiplied again."""
         seen = set()
         for k, (m, mi) in enumerate(zip(self.gen_mats, self.gen_invs)):
             if m.shape != (self.degree, self.degree):
                 raise ValueError(f"generator {k} has shape {m.shape}")
-            if (id(m), id(mi)) not in seen and not (m * mi).eq(ident):
+            if (id(m), id(mi)) not in seen and not is_right_inverse(m, mi):
                 raise ValueError(f"generator {k}: stored inverse is wrong")
             seen.add((id(m), id(mi)))
 
@@ -139,15 +147,14 @@ def monodromy(g, c: Connection, loop: Path) -> Matrix:
 Blocks = tuple[tuple[int, Matrix], ...]
 
 
-def _blocks_to_matrix(domain, d: int, m: int,
-                      blocks: dict[tuple[int, int], Matrix]) -> Matrix:
+def _blocks_to_matrix(domain, d: int, m: int, blocks) -> Matrix:
+    """The d·m × d·m matrix with the given ((row block, column block),
+    m×m block) pairs and zero elsewhere, each block row copied whole."""
     zero = domain.zero
     data = [[zero] * (d * m) for _ in range(d * m)]
-    for (bi, bj), blk in blocks.items():
-        for i in range(m):
-            row = data[bi * m + i]
-            for j in range(m):
-                row[bj * m + j] = blk[i, j]
+    for (bi, bj), blk in blocks:
+        for i, brow in enumerate(blk.data):
+            data[bi * m + i][bj * m:(bj + 1) * m] = brow
     return Matrix(domain, data)
 
 
@@ -159,8 +166,9 @@ def induce(cd: CosetData, rho: Representation) -> Representation:
     γ of the base and the lift ẽ of its edge from sheet c to sheet c′,
     block column c′ of ρ#(γ) has row block c and value ρ of ẽ's letter
     in the cover presentation (I when ẽ is a cover tree edge).  The
-    inverse images are checked blockwise, one m×m product per sheet and
-    generator."""
+    inverse images are checked blockwise, one m×m product per distinct
+    pair of blocks; Representation then checks the assembled images
+    once more, on their nonzero entries."""
     if rho.rank != cd.cover_pres.rank:
         raise ValueError("representation does not match the cover presentation")
     p = cd.covering
@@ -170,31 +178,37 @@ def induce(cd: CosetData, rho: Representation) -> Representation:
     d = len(cd.fiber)
     ident = Matrix.identity(rho.domain, rho.degree)
 
+    fibers, lift_at, cover_tgt = p.vertex_fibers, p.edge_lift_at, p.cover.tgt
+    images = {1: rho.gen_mats, -1: rho.gen_invs}
+
     def blocks(e: int) -> Blocks:
         out: list = [None] * d
-        for vt in p.vertex_fibers[g.src[e]]:
-            et = p.edge_lift_at[(e, vt)]
+        for vt in fibers[g.src[e]]:
+            et = lift_at[(e, vt)]
             let = letter_of.get(et)
-            if let is None:
-                blk = ident
-            else:
-                blk = (rho.gen_mats if let[1] == 1 else rho.gen_invs)[let[0]]
-            out[sheet[p.cover.tgt[et]]] = (sheet[vt], blk)
+            blk = ident if let is None else images[let[1]][let[0]]
+            out[sheet[cover_tgt[et]]] = (sheet[vt], blk)
         return tuple(out)
 
     gens = tuple(blocks(e) for e in cd.base_pres.gen_edge)
     invs = tuple(blocks(g.inv[e]) for e in cd.base_pres.gen_edge)
+    inverse_pairs = set()   # (id, id) of block pairs whose product is I
     for k, (gen, inv) in enumerate(zip(gens, invs)):
         for j, col in enumerate(inv):
             back = None if col is None else gen[col[0]]
-            if back is None or back[0] != j or not (back[1] * col[1]).eq(ident):
-                raise InternalCosetError(
-                    f"induced blocks are inconsistent: generator {k}, "
-                    f"block column {j}")
+            if back is not None and back[0] == j:
+                pair = (id(back[1]), id(col[1]))
+                if pair in inverse_pairs or is_right_inverse(back[1], col[1]):
+                    inverse_pairs.add(pair)
+                    continue
+            raise InternalCosetError(
+                f"induced blocks are inconsistent: generator {k}, "
+                f"block column {j}")
 
     def image(blocks: Blocks) -> Matrix:
         return _blocks_to_matrix(rho.domain, d, rho.degree,
-                                 {(jp, j): b for j, (jp, b) in enumerate(blocks)})
+                                 (((jp, j), b)
+                                  for j, (jp, b) in enumerate(blocks)))
 
     return Representation(rho.domain, rho.degree * d,
                           tuple(map(image, gens)), tuple(map(image, invs)))
@@ -204,34 +218,36 @@ def permutation_complement(rep: Representation,
                            fixed: int = 0) -> Representation:
     """Restriction of a permutation representation to the zero-sum
     complement of the all-ones vector, in the basis e_j − e_fixed over
-    the non-fixed indices.  Input generator images must be 0/1
-    permutation matrices.  The complement of a degree-1 representation
-    has degree 0, whatever the number of generators."""
+    the non-fixed indices.  Each generator image must be a 0/1
+    permutation matrix: its permutation is read off the single nonzero
+    entry of each row, and P·(e_j − e_fixed) = e_P(j) − e_P(fixed) gives
+    the restricted image's column for j, at most two entries.  The
+    complement of a degree-1 representation has degree 0, whatever the
+    number of generators."""
     d = rep.degree
     dom = rep.domain
+    zero, one, neg_one = dom.zero, dom.one, dom.neg(dom.one)
     others = [j for j in range(d) if j != fixed]
     col_of = {j: c for c, j in enumerate(others)}
 
     def image_of(mat: Matrix) -> list[int]:
         img = [-1] * d
-        for j in range(d):
-            hits = [i for i in range(d) if not dom.is_zero(mat[i, j])]
-            if len(hits) != 1 or not dom.eq(mat[hits[0], j], dom.one):
+        for i, row in enumerate(nonzero_rows(mat)):
+            if len(row) != 1 or not dom.eq(row[0][1], one) \
+                    or img[row[0][0]] != -1:
                 raise ValueError("not a permutation matrix")
-            img[j] = hits[0]
+            img[row[0][0]] = i
         return img
 
     def restrict(mat: Matrix) -> Matrix:
         img = image_of(mat)
-        data = [[dom.zero] * (d - 1) for _ in range(d - 1)]
-        for j in others:
-            c = col_of[j]
+        data = [[zero] * (d - 1) for _ in range(d - 1)]
+        moved = col_of.get(img[fixed])   # None when P fixes e_fixed
+        for j, c in col_of.items():
             if img[j] != fixed:
-                data[col_of[img[j]]][c] = dom.add(
-                    data[col_of[img[j]]][c], dom.one)
-            if img[fixed] != fixed:
-                data[col_of[img[fixed]]][c] = dom.sub(
-                    data[col_of[img[fixed]]][c], dom.one)
+                data[col_of[img[j]]][c] = one
+            if moved is not None:
+                data[moved][c] = neg_one
         return Matrix(dom, data)
 
     return Representation(dom, d - 1,
@@ -456,6 +472,6 @@ def finite_group_induction(ambient: tuple[Perm, ...],
                     break
             else:
                 raise InternalCosetError("element misses every coset")
-        return _blocks_to_matrix(domain, index, degree, blocks)
+        return _blocks_to_matrix(domain, index, degree, blocks.items())
 
     return matrix_at, transversal

@@ -287,6 +287,95 @@ def test_disconnected_cover_is_refused(tmp_path, capsys, document, command):
     assert err == DISCONNECTED
 
 
+# a triangle with a degree-2 voltage on its one generator, and the same
+# triangle with a cyclic voltage: every content line is read by its parser
+TRIANGLE = """graph:
+  vertices = 3
+  edge 0 1
+  edge 1 2
+  edge 2 0
+weights:
+  kind = unit
+voltage:
+  degree = 2
+  generator 0 = (0 1)
+"""
+TRIANGLE_ZD = """graph:
+  vertices = 3
+  edge 0 1
+  edge 1 2
+  edge 2 0
+weights:
+  kind = unit
+zdvoltage:
+  modulus = 3
+  edge 0 = 1
+  edge 1 = 0
+  edge 2 = 0
+"""
+
+
+def insert_after(document, anchor, line):
+    head, _, tail = document.partition(anchor + "\n")
+    return head + anchor + "\n" + line + "\n" + tail
+
+
+# (id, document, the stray line, its line number)
+STRAY_LINES = [
+    ("misspelt edge", insert_after(TRIANGLE, "  edge 2 0", "  Edge 0 2"),
+     "Edge 0 2", 6),
+    ("bare number", insert_after(TRIANGLE, "  edge 2 0", "  3"), "3", 6),
+    ("repeated key", insert_after(TRIANGLE, "  vertices = 3",
+                                  "  vertices = 4"), "vertices = 4", 3),
+    ("unknown weight key", insert_after(TRIANGLE, "  kind = unit",
+                                        "  colour = red"), "colour = red", 8),
+    ("misspelt generator", insert_after(TRIANGLE, "  generator 0 = (0 1)",
+                                        "  generatr 1 = (0 1)"),
+     "generatr 1 = (0 1)", 11),
+    ("zdvoltage vertices", insert_after(TRIANGLE_ZD, "  modulus = 3",
+                                        "  vertices = 7"), "vertices = 7", 10),
+]
+
+
+@pytest.mark.parametrize("document", [TRIANGLE, TRIANGLE_ZD],
+                         ids=["voltage", "zdvoltage"])
+def test_every_line_of_a_clean_document_is_read(tmp_path, capsys, document):
+    path = tmp_path / "clean.txt"
+    path.write_text(document)
+    assert run(capsys, "validate", "--input", str(path))[0] == 0
+    assert run(capsys, "cover", "--input", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("document, line, number",
+                         [case[1:] for case in STRAY_LINES],
+                         ids=[case[0] for case in STRAY_LINES])
+@pytest.mark.parametrize("command", ["validate", "cover"])
+def test_a_line_no_parser_reads_is_rejected(tmp_path, capsys, document, line,
+                                            number, command):
+    path = tmp_path / "stray.txt"
+    path.write_text(document)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {number}: unrecognized line in the ")
+    assert repr(line) in err
+
+
+def test_the_dropped_lines_document_is_rejected_at_its_first_stray_line(
+        tmp_path, capsys):
+    # the fourth edge, the bare 3, colour = red and generatr 1 = (0 1)
+    # were each dropped without a word; the first of them stops the parse
+    document = TRIANGLE.replace("  edge 2 0\n", "  edge 2 0\n  Edge 0 2\n  3\n")
+    document = document.replace("  kind = unit\n",
+                                "  kind = unit\n  colour = red\n")
+    document += "  generatr 1 = (0 1)\n"
+    path = tmp_path / "dropped.txt"
+    path.write_text(document)
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: line 6: unrecognized line in the graph section: "
+                   "'Edge 0 2'\n")
+
+
 def test_cover_reports_a_disconnected_cover(tmp_path, capsys):
     # cover refuses a disconnected cover as every other command does,
     # with no report: its normality data are defined for connected

@@ -632,9 +632,30 @@ def test_witness_takes_no_cover_order_product(monkeypatch):
     monkeypatch.setattr(certificates, "det", recording_det)
     assert cor1_certificate(cd, x).ok
     assert tree_certificates(cd, x).ok
-    # det Q of each split; ψ's blocks are I, so its vertex determinants
-    # are permutation signs and take no det, at m = 1 or at m = 2
-    assert det_orders == [5, 5]
-    del det_orders[:]
+    # Q is certified invertible by its inverse, and ψ's blocks are I, so
+    # its vertex determinants are permutation signs: no det, at m = 1 or
+    # at m = 2
+    assert det_orders == []
     assert verify_main(cd, rho, x).ok
     assert det_orders == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("operator", [twisted_adjacency, laplacian])
+def test_each_split_takes_two_kernel_calls_and_no_det(monkeypatch, d,
+                                                      operator):
+    # the base and the complement charpoly, in that order: neither ψ nor
+    # Q reaches a kernel, and certificates.py takes no determinant
+    g = build_graph(3, [(0, 1), (1, 2), (2, 0), (0, 0)])
+    pres = fundamental_presentation(g, 0)
+    cycle = tuple((i + 1) % d for i in range(d))
+    p = build_cover(pres, VoltageAssignment(d, (cycle,) * pres.rank))
+    x = weights_from_unoriented(g, QQ, [1, 2, 3, 4])
+    cd = coset_data(p)
+    orders = record_orders(monkeypatch)
+    dets = []
+    monkeypatch.setattr(certificates, "det",
+                        lambda m: dets.append(m.nrows) or det(m))
+    assert split_cover_charpoly(cd, x, operator).ok
+    assert orders == [3, 3 * (d - 1)]
+    assert dets == []
