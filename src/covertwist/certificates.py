@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 
 from .covering import (
     CosetData,
@@ -75,9 +74,8 @@ from .matrix import (
     charpoly,
     check_pfaffian_order,
     det,
-    nonzero_rows,
+    direct_sum_matrices,
     pfaffian,
-    product_rows,
 )
 from .operators import (
     EdgeWeights,
@@ -177,9 +175,7 @@ def _intertwines(psi: tuple[int, ...], m: int, a_cover: Matrix,
     ψ·a_cover is the sum of the cover rows that ψ sends to k (one row
     when ψ is a bijection, none or several otherwise), and row k of
     a_base·ψ is row k of a_base gathered at the base index of each
-    cover index; when ψ sends every index to itself, as it does when
-    the cover numbers ṽ as p(ṽ)·d + sheet(ṽ), both are the rows as they
-    stand.  Rows compare whole with ==, the domain's equality; only
+    cover index.  Rows compare whole with ==, the domain's equality; only
     rows that differ there are compared entry by entry, with a zero of
     either side's kind equal to any other zero.  Exact for any map, a
     bijection or not, and no structure of order N×N is built."""
@@ -191,16 +187,12 @@ def _intertwines(psi: tuple[int, ...], m: int, a_cover: Matrix,
         return lhs == rhs or all(eq(a, b) or is_zero(a) and is_zero(b)
                                  for a, b in zip(lhs, rhs))
 
-    if to_base == list(range(a_base.nrows)):
-        return all(map(same, a_cover.data, a_base.data))
     from_base: list[list[int]] = [[] for _ in range(a_base.nrows)]
     for r, k in enumerate(to_base):
         from_base[k].append(r)
-    # itemgetter of two or more indices returns a tuple of the entries
-    pick = itemgetter(*to_base) if len(to_base) > 1 else None
     for k, rows in enumerate(from_base):
         brow = a_base.data[k]
-        rhs = list(pick(brow)) if pick else [brow[t] for t in to_base]
+        rhs = [brow[t] for t in to_base]
         if not rows:
             if not all(map(is_zero, rhs)):
                 return False
@@ -270,30 +262,21 @@ def _complement_splits(perm: Representation, rho_c: Representation,
 
     Q is certified invertible by exhibiting its inverse rather than
     taking its determinant: R = [1ᵀ/d; e_jᵀ − 1ᵀ/d for j ≠ fixed,
-    ascending], and R·Q = I is checked exactly through R's rows.  Row 0
-    of R·Q is 1ᵀ·Q over d, which must be e_0; row c + 1, for the c-th
-    non-fixed j, is row j of Q less that, which must then be e_{c+1},
-    so row j of Q must be e_0 + e_{c+1}.
-
-    Each side of the intertwining is formed from the nonzero entries of
-    its factors; ρ#(γ) is a permutation matrix, so its product with Q
-    is Q with its rows permuted."""
+    ascending], and R·Q = I is checked exactly as (d·R)·Q = d·I, in
+    integers.  Every product is Matrix's, which multiplies only the
+    nonzero entries that meet; ρ#(γ) is a permutation matrix, so
+    ρ#(γ)·Q is Q with its rows permuted."""
     d = perm.degree
     dom = q.domain
-    q_rows = nonzero_rows(q)
-    ones = [(i, 1) for i in range(d)]
-    if product_rows([ones], q_rows, dom) != [{0: d}]:
+    d_r = Matrix(dom, [[1] * d] + [[d * (i == j) - 1 for i in range(d)]
+                                   for j in range(d) if j != fixed])
+    d_ident = Matrix(dom, [[d * (i == j) for j in range(d)]
+                           for i in range(d)])
+    if not (d_r * q).eq(d_ident):
         return False
-    others = (j for j in range(d) if j != fixed)
-    if any(q_rows[j] != [(0, 1), (c + 1, 1)] for c, j in enumerate(others)):
-        return False
-    for g, c in zip(perm.gen_mats, rho_c.gen_mats):
-        one_plus_c = [[(0, dom.one)]] + [[(j + 1, v) for j, v in row]
-                                         for row in nonzero_rows(c)]
-        if product_rows(nonzero_rows(g), q_rows, dom) != \
-                product_rows(q_rows, one_plus_c, dom):
-            return False
-    return True
+    one = Matrix.identity(dom, 1)
+    return all((g * q).eq(q * direct_sum_matrices(one, c))
+               for g, c in zip(perm.gen_mats, rho_c.gen_mats))
 
 
 def split_cover_charpoly(cd: CosetData, x: EdgeWeights,

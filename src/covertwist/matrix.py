@@ -116,11 +116,9 @@ class Matrix:
         return Matrix(dom, out)
 
     def eq(self, other: "Matrix") -> bool:
-        if self.shape != other.shape:
-            return False
-        deq = self.domain.eq
-        return all(deq(a, b) for ra, rb in zip(self.data, other.data)
-                   for a, b in zip(ra, rb))
+        # the domain's eq is == in every domain (_Field.eq), so the rows
+        # compare whole
+        return self.shape == other.shape and self.data == other.data
 
     def trace(self):
         if not self.is_square():
@@ -158,53 +156,6 @@ def nonzero_rows(a: Matrix) -> list[list[tuple[int, object]]]:
         return [[(j, row[j]) for j in compress(cols, row)
                  if not row[j].is_zero] for row in a.data]
     return [[(j, row[j]) for j in compress(cols, row)] for row in a.data]
-
-
-def product_rows(a_rows, b_rows, dom) -> list[dict]:
-    """The rows of a·b for a and b given as nonzero_rows, each row as
-    {column: entry} over its nonzero entries: one product per pair of
-    nonzeros that meet, and no zero is stored, so two such products are
-    equal exactly when their lists compare equal.  Every domain here is
-    an integral domain, so a product of nonzeros is nonzero and only a
-    sum can cancel."""
-    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
-    out = []
-    for row in a_rows:
-        acc: dict = {}
-        for k, x in row:
-            for j, y in b_rows[k]:
-                t = mul(x, y)
-                if j in acc:
-                    t = add(acc[j], t)
-                    if is_zero(t):
-                        del acc[j]
-                        continue
-                acc[j] = t
-        out.append(acc)
-    return out
-
-
-def is_right_inverse(a: Matrix, b: Matrix) -> bool:
-    """a·b = I, for square a and b of one order, row by row from the
-    nonzero entries of both factors.  A row of a that is one unit entry
-    at k picks row k of b, which is compared with the unit row whole;
-    any other row is formed by product_rows."""
-    if not a.is_square() or a.shape != b.shape:
-        return False
-    dom = a.domain
-    one, zero = dom.one, dom.zero
-    unit = [zero] * a.ncols
-    b_rows = None
-    for i, row in enumerate(nonzero_rows(a)):
-        unit[i] = one
-        picked = (len(row) == 1 and dom.eq(row[0][1], one)
-                  and b.data[row[0][0]] == unit)
-        unit[i] = zero
-        if not picked:
-            b_rows = b_rows or nonzero_rows(b)
-            if product_rows([row], b_rows, dom) != [{i: one}]:
-                return False
-    return True
 
 
 def direct_sum_matrices(a: Matrix, b: Matrix) -> Matrix:

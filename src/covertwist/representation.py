@@ -32,14 +32,7 @@ from .errors import (
 )
 from .graphs import Path, check_loop
 from .homotopy import Pi1Presentation
-from .matrix import (
-    Matrix,
-    det,
-    direct_sum_matrices,
-    inverse,
-    is_right_inverse,
-    nonzero_rows,
-)
+from .matrix import Matrix, det, direct_sum_matrices, inverse, nonzero_rows
 
 
 @dataclass(frozen=True)
@@ -53,14 +46,14 @@ class Representation:
 
     def __post_init__(self):
         """Each generator is square with m·m⁻¹ = I, so that m⁻¹ is a
-        two-sided inverse: the product is taken over the nonzero entries
-        of both factors and tested for the identity on its own nonzero
-        entries.  A pair met before is not multiplied again."""
+        two-sided inverse; the product multiplies only the nonzero
+        entries that meet.  A pair met before is not multiplied again."""
+        ident = Matrix.identity(self.domain, self.degree)
         seen = set()
         for k, (m, mi) in enumerate(zip(self.gen_mats, self.gen_invs)):
             if m.shape != (self.degree, self.degree):
                 raise ValueError(f"generator {k} has shape {m.shape}")
-            if (id(m), id(mi)) not in seen and not is_right_inverse(m, mi):
+            if (id(m), id(mi)) not in seen and not (m * mi).eq(ident):
                 raise ValueError(f"generator {k}: stored inverse is wrong")
             seen.add((id(m), id(mi)))
 
@@ -165,10 +158,10 @@ def induce(cd: CosetData, rho: Representation) -> Representation:
     By Reidemeister–Schreier every block is one edge lift: for a letter
     γ of the base and the lift ẽ of its edge from sheet c to sheet c′,
     block column c′ of ρ#(γ) has row block c and value ρ of ẽ's letter
-    in the cover presentation (I when ẽ is a cover tree edge).  The
-    inverse images are checked blockwise, one m×m product per distinct
-    pair of blocks; Representation then checks the assembled images
-    once more, on their nonzero entries."""
+    in the cover presentation (I when ẽ is a cover tree edge).  Each
+    inverse image must place its blocks where the generator's image
+    takes them back; Representation checks that the assembled images
+    are inverse."""
     if rho.rank != cd.cover_pres.rank:
         raise ValueError("representation does not match the cover presentation")
     p = cd.covering
@@ -192,18 +185,13 @@ def induce(cd: CosetData, rho: Representation) -> Representation:
 
     gens = tuple(blocks(e) for e in cd.base_pres.gen_edge)
     invs = tuple(blocks(g.inv[e]) for e in cd.base_pres.gen_edge)
-    inverse_pairs = set()   # (id, id) of block pairs whose product is I
     for k, (gen, inv) in enumerate(zip(gens, invs)):
         for j, col in enumerate(inv):
             back = None if col is None else gen[col[0]]
-            if back is not None and back[0] == j:
-                pair = (id(back[1]), id(col[1]))
-                if pair in inverse_pairs or is_right_inverse(back[1], col[1]):
-                    inverse_pairs.add(pair)
-                    continue
-            raise InternalCosetError(
-                f"induced blocks are inconsistent: generator {k}, "
-                f"block column {j}")
+            if back is None or back[0] != j:
+                raise InternalCosetError(
+                    f"induced blocks are inconsistent: generator {k}, "
+                    f"block column {j}")
 
     def image(blocks: Blocks) -> Matrix:
         return _blocks_to_matrix(rho.domain, d, rho.degree,
