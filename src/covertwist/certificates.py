@@ -153,9 +153,9 @@ def psi_vertex_determinants(p: CoveringMap, psi: tuple[int, ...],
                             m: int) -> tuple[int, ...]:
     """Determinant of each base vertex's square block of ψ, whose block
     columns are the vertex's lifts, each I_m in its row block.  When the
-    row blocks permute the vertex's d row blocks by σ, it is sign(σ)^m;
-    otherwise two lifts share a row block, or one leaves the vertex, and
-    it is 0."""
+    row blocks permute the vertex's d row blocks by σ, it is sign(σ)^m,
+    with sign(σ) = (−1)^(d − number of cycles of σ); otherwise two lifts
+    share a row block, or one leaves the vertex, and it is 0."""
     d = p.degree
     dets = []
     for v, lifts in enumerate(p.vertex_fibers):
@@ -163,46 +163,47 @@ def psi_vertex_determinants(p: CoveringMap, psi: tuple[int, ...],
         if sorted(rows) != list(range(d)):
             dets.append(0)
             continue
-        odd = sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:]) % 2
-        dets.append(-1 if odd and m % 2 else 1)
+        seen = [False] * d
+        cycles = 0
+        for start in range(d):
+            cycles += not seen[start]
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = rows[j]
+        dets.append(-1 if (d - cycles) % 2 and m % 2 else 1)
     return tuple(dets)
 
 
 def _intertwines(psi: tuple[int, ...], m: int, a_cover: Matrix,
                  a_base: Matrix) -> bool:
     """ψ·a_cover = a_base·ψ for ψ the 0/1 map of cover index ṽ·m + i to
-    base index psi[ṽ]·m + i, compared one base row at a time.  Row k of
-    ψ·a_cover is the sum of the cover rows that ψ sends to k (one row
-    when ψ is a bijection, none or several otherwise), and row k of
-    a_base·ψ is row k of a_base gathered at the base index of each
-    cover index.  Rows compare whole with ==, the domain's equality; only
-    rows that differ there are compared entry by entry, with a zero of
-    either side's kind equal to any other zero.  Exact for any map, a
-    bijection or not, and no structure of order N×N is built."""
-    dom = a_cover.domain
-    add, eq, is_zero = dom.add, dom.eq, dom.is_zero
-    to_base = [rb * m + i for rb in psi for i in range(m)]
-
-    def same(lhs: list, rhs: list) -> bool:
-        return lhs == rhs or all(eq(a, b) or is_zero(a) and is_zero(b)
-                                 for a, b in zip(lhs, rhs))
-
+    base index psi[ṽ]·m + i, compared as pair rows.  Row k of ψ·a_cover
+    is the sum of the cover rows that ψ sends to k (one row when ψ is a
+    bijection, none or several otherwise), and row k of a_base·ψ holds
+    each stored entry (k, s) of a_base at every cover index that ψ sends
+    to s.  Matrix.from_sums drops the sums that cancel, so equal sides
+    have equal rows, and the work and the memory follow the nonzeros.
+    Exact for any map, a bijection or not."""
+    add = a_cover.domain.add
+    cover = a_cover.rows
     from_base: list[list[int]] = [[] for _ in range(a_base.nrows)]
-    for r, k in enumerate(to_base):
-        from_base[k].append(r)
-    for k, rows in enumerate(from_base):
-        brow = a_base.data[k]
-        rhs = [brow[t] for t in to_base]
-        if not rows:
-            if not all(map(is_zero, rhs)):
-                return False
-            continue
-        lhs = a_cover.data[rows[0]]
-        for r in rows[1:]:
-            lhs = list(map(add, lhs, a_cover.data[r]))
-        if not same(lhs, rhs):
-            return False
-    return True
+    for vt, rb in enumerate(psi):
+        for i in range(m):
+            from_base[rb * m + i].append(vt * m + i)
+
+    def gathered(rows: list[int]):
+        acc: dict = {}
+        for r in rows:
+            for j, x in cover[r]:
+                acc[j] = add(acc[j], x) if j in acc else x
+        return acc.items()
+
+    n = a_cover.ncols
+    spread = ([(t, y) for s, y in row for t in from_base[s]]
+              for row in a_base.rows)
+    return (Matrix.from_sums(a_cover.domain, map(gathered, from_base), n).rows
+            == Matrix.from_sums(a_base.domain, spread, n).rows)
 
 
 def verify_main(cd: CosetData, rho: Representation, x: EdgeWeights,
@@ -263,16 +264,22 @@ def _complement_splits(perm: Representation, rho_c: Representation,
     Q is certified invertible by exhibiting its inverse rather than
     taking its determinant: R = [1ᵀ/d; e_jᵀ − 1ᵀ/d for j ≠ fixed,
     ascending], and R·Q = I is checked exactly as (d·R)·Q = d·I, in
-    integers.  Every product is Matrix's, which multiplies only the
-    nonzero entries that meet; ρ#(γ) is a permutation matrix, so
-    ρ#(γ)·Q is Q with its rows permuted."""
+    integers.  d·R is never formed, as it has d² nonzeros: row 0 of
+    (d·R)·Q is 1ᵀ·Q, the column sums s of Q, and its row for j is
+    d·Q_j − s, so the check reads Q's nonzeros once.  Every product is
+    Matrix's, which multiplies only the nonzero entries that meet;
+    ρ#(γ) is a permutation matrix, so ρ#(γ)·Q is Q with its rows
+    permuted."""
     d = perm.degree
     dom = q.domain
-    d_r = Matrix(dom, [[1] * d] + [[d * (i == j) - 1 for i in range(d)]
-                                   for j in range(d) if j != fixed])
-    d_ident = Matrix(dom, [[d * (i == j) for j in range(d)]
-                           for i in range(d)])
-    if not (d_r * q).eq(d_ident):
+    ones = Matrix.from_rows(dom, [[(i, 1) for i in range(d)]], d)
+    s = dict((ones * q).rows[0])   # the column sums 1ᵀ·Q
+    neg_s = {k: -y for k, y in s.items()}
+    dr_q = [s.items()] + [
+        (neg_s | {k: d * x - s.get(k, 0) for k, x in row}).items()
+        for j, row in enumerate(q.rows) if j != fixed]
+    d_ident = Matrix.from_rows(dom, [[(i, d)] for i in range(d)], d)
+    if not Matrix.from_sums(dom, dr_q, d).eq(d_ident):
         return False
     one = Matrix.identity(dom, 1)
     return all((g * q).eq(q * direct_sum_matrices(one, c))

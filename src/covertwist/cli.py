@@ -167,10 +167,11 @@ def _cmd_validate(args, doc: InputDocument) -> Report:
     r.datum("vertices", g.num_vertices)
     r.datum("directed edges", g.num_edges)
     r.datum("unoriented edges", g.num_unoriented)
-    if is_connected(g):
+    connected = is_connected(g)
+    if connected:
         r.datum("loop rank", g.num_unoriented - g.num_vertices + 1)
     r.check("graph well formed", True)
-    r.check("graph connected", is_connected(g))
+    r.check("graph connected", connected)
     once = serialize_input(doc)
     r.check("serialization stable", serialize_input(parse_input(once)) == once)
     return r
@@ -554,8 +555,11 @@ def main(argv=None) -> int:
     except SemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, TooLargeForExactExpansionError) as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetExceededError, TooLargeForExactExpansionError,
+            MemoryError, RecursionError) as exc:
+        # a backstop: no resource failure reads as falsified
+        print(f"error: budget exceeded: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 3
     except DivisionFailedError as exc:
         print(f"falsified: {exc}", file=sys.stderr)

@@ -213,12 +213,15 @@ def is_connected(g: Union[Graph, DirectedGraph]) -> bool:
 
     For Graph inputs this is undirected reachability (the involution
     provides both directions); for bare directed graphs it is strong
-    connectivity.
+    connectivity.  Fewer than n - 1 unoriented edges (n edges for a
+    digraph) refute it before anything per vertex is built.
     """
     dg = g.dg if isinstance(g, Graph) else g
     n = dg.num_vertices
     if n <= 1:
         return True
+    if n > (g.num_unoriented + 1 if isinstance(g, Graph) else dg.num_edges):
+        return False
 
     def reaches_all(out_star) -> bool:
         seen = [False] * n

@@ -1,4 +1,9 @@
-"""Dense matrices over a scalar domain, with exact determinant machinery.
+"""Sparse matrices over a scalar domain, with exact determinant machinery.
+
+A Matrix stores only the nonzero entries of its rows.  The paper's
+operators are sums of x_e*phi_e over edges and the induced images are
+block permutations, so every builder and consumer works in the number
+of nonzeros, not in N^2; dense rows are only an input format.
 
 One exact kernel serves each kind of domain, for determinants and
 characteristic polynomials alike:
@@ -16,11 +21,11 @@ characteristic polynomials alike:
   proved prime by Proth's theorem, sized to the bound: a bound up to
   240 bits takes one prime and one Krylov run, and only a larger one
   splits over several primes whose residues the Chinese remainder
-  theorem combines.  The matrix is read once, into the nonzero entries
-  of its rows; the bound, a reverse Cuthill-McKee order on the nonzero
+  theorem combines.  The stored rows are read once, cleared of
+  denominators; the bound, a reverse Cuthill-McKee order on the nonzero
   pattern (shared by every prime, it keeps the Krylov vectors sparse)
   and the kernel's columns come from those, and each prime reduces the
-  columns, so no later pass walks the zeros.  The recurrence runs on
+  columns.  The recurrence runs on
   packed integers, one coefficient per bit field.
 * Characteristic polynomials of matrices with polynomial entries take
   the Samuelson-Berkowitz recurrence over the entries' own ring (QQ[x],
@@ -40,9 +45,9 @@ characteristic polynomials alike:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import compress
 from math import isqrt, lcm
 
 from .domains import Cyclotomic, CyclotomicDomain, _make, _norm_rat
@@ -59,25 +64,43 @@ PFAFFIAN_EXACT_CAP = 16
 
 
 class Matrix:
-    """Row-major dense matrix over a domain."""
+    """rows[i] holds the (column, entry) pairs of row i, columns
+    ascending, and no zero: the falsy value of every domain, which
+    _stored alone drops, so equal matrices have equal rows."""
 
-    __slots__ = ("domain", "nrows", "ncols", "data")
+    __slots__ = ("domain", "nrows", "ncols", "rows")
 
     def __init__(self, domain, data: list[list]):
+        """The matrix with the dense rows data, an input format read once."""
         self.domain = domain
-        self.data = data
+        self.rows = _stored(map(enumerate, data))
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
 
     @classmethod
+    def from_rows(cls, domain, rows: list[list], ncols: int) -> "Matrix":
+        """The matrix with the given rows, already as stored."""
+        m = cls.__new__(cls)
+        m.domain, m.rows, m.nrows, m.ncols = domain, rows, len(rows), ncols
+        return m
+
+    @classmethod
+    def from_sums(cls, domain, rows, ncols: int) -> "Matrix":
+        """The matrix with rows of (column, entry) pairs in any order, such
+        as a dict's items of sums: sorted, the sums that cancelled dropped."""
+        return cls.from_rows(domain, _stored(rows), ncols)
+
+    @classmethod
     def identity(cls, domain, n: int) -> "Matrix":
-        z, o = domain.zero, domain.one
-        return cls(domain, [[o if i == j else z for j in range(n)]
-                            for i in range(n)])
+        one = domain.one
+        return cls.from_rows(domain, [[(i, one)] for i in range(n)], n)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        row = self.rows[i]
+        k = bisect_left(row, (j,))   # (j,) sorts before (j, entry)
+        return row[k][1] if k < len(row) and row[k][0] == j \
+            else self.domain.zero
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -101,24 +124,22 @@ class Matrix:
         dom = self.domain
         add = dom.add
         mul = dom.mul
-        zero = dom.zero
-        ncols = other.ncols
         # the work is one product per pair of nonzeros that meet, and each
-        # entry of the result still sums its terms in ascending k
-        b_rows = nonzero_rows(other)
+        # entry of the result sums its terms in ascending k
+        b_rows = other.rows
         out = []
-        for row in nonzero_rows(self):
-            orow = [zero] * ncols
+        for row in self.rows:
+            acc = {}
             for k, x in row:
                 for j, y in b_rows[k]:
-                    orow[j] = add(orow[j], mul(x, y))
-            out.append(orow)
-        return Matrix(dom, out)
+                    acc[j] = add(acc[j], mul(x, y)) if j in acc else mul(x, y)
+            out.append(acc.items())
+        return Matrix.from_sums(dom, out, other.ncols)
 
     def eq(self, other: "Matrix") -> bool:
-        # the domain's eq is == in every domain (_Field.eq), so the rows
-        # compare whole
-        return self.shape == other.shape and self.data == other.data
+        # the domain's eq is == in every domain (_Field.eq), and no zero
+        # is stored, so the rows compare whole
+        return self.shape == other.shape and self.rows == other.rows
 
     def trace(self):
         if not self.is_square():
@@ -126,44 +147,34 @@ class Matrix:
         acc = self.domain.zero
         add = self.domain.add
         for i in range(self.nrows):
-            acc = add(acc, self.data[i][i])
+            acc = add(acc, self[i, i])
         return acc
 
     def is_skew_symmetric(self) -> bool:
+        """Every stored entry (i, j) off the diagonal, with entry (j, i)
+        its negative: each stored entry is then matched by its mirror."""
         if not self.is_square():
             return False
-        eq = self.domain.eq
-        neg = self.domain.neg
-        for i in range(self.nrows):
-            if not eq(self.data[i][i], self.domain.zero):
-                return False
-            for j in range(i + 1, self.ncols):
-                if not eq(self.data[i][j], neg(self.data[j][i])):
-                    return False
-        return True
+        eq, neg = self.domain.eq, self.domain.neg
+        return all(i != j and eq(self[j, i], neg(x))
+                   for i, row in enumerate(self.rows) for j, x in row)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.domain!r})"
 
 
-def nonzero_rows(a: Matrix) -> list[list[tuple[int, object]]]:
-    """Each row of a as its nonzero (column, entry) pairs, ascending.  A
-    falsy entry is 0 in every domain and a truthy one nonzero in every
-    scalar domain; a polynomial is truthy even when zero, so over a
-    polynomial ring the truthy entries are tested once more."""
-    cols = range(a.ncols)
-    if isinstance(a.domain, PolyDomain):
-        return [[(j, row[j]) for j in compress(cols, row)
-                 if not row[j].is_zero] for row in a.data]
-    return [[(j, row[j]) for j in compress(cols, row)] for row in a.data]
+def _stored(rows) -> list[list[tuple[int, object]]]:
+    """Each row's (column, entry) pairs, columns distinct, as the stored
+    row: ascending, the zero entries dropped."""
+    return [[(j, x) for j, x in sorted(row) if x] for row in rows]
 
 
 def direct_sum_matrices(a: Matrix, b: Matrix) -> Matrix:
     a._check_same_domain(b)
-    z = a.domain.zero
-    out = [row[:] + [z] * b.ncols for row in a.data]
-    out += [[z] * a.ncols + row[:] for row in b.data]
-    return Matrix(a.domain, out)
+    shift = a.ncols
+    return Matrix.from_rows(
+        a.domain, a.rows + [[(j + shift, x) for j, x in row] for row in b.rows],
+        a.ncols + b.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +339,15 @@ def _hessenberg_charpoly(cols: list[list[tuple[int, int]]],
 
 def _cleared(m: Matrix) -> tuple[int, list[list[tuple]], bool]:
     """(D, rows, gaussian): D the lcm of the entry denominators, and
-    rows[i] the nonzero entries of row i of D*m as (j, a) pairs of a
-    column and an integer, or, when gaussian (some entry of a QQ(i)
-    matrix is not real), as (j, a, b) with a and b the integer real and
-    imaginary parts.  m is scanned once."""
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
-    if m.domain.conductor == 4 and any(isinstance(x, Cyclotomic)
-                                       for row in rows for _, x in row):
-        rows = [[(j, *x.c) if isinstance(x, Cyclotomic) else (j, x, 0)
-                 for j, x in row] for row in rows]
-        d = lcm(1, *{q.denominator for row in rows for _, a, b in row
-                     for q in (a, b)})
-        return d, [[(j, int(a * d), int(b * d)) for j, a, b in row]
-                   for row in rows], True
-    d = lcm(1, *{x.denominator for row in rows for _, x in row})
-    return d, [[(j, int(x * d)) for j, x in row] for row in rows], False
+    rows[i] the stored entries of row i of D*m as (j, a, b), a column
+    and the integer real and imaginary parts of the entry there;
+    gaussian when some b is nonzero, which only a QQ(i) matrix has."""
+    rows = [[(j, *x.c) if isinstance(x, Cyclotomic) else (j, x, 0)
+             for j, x in row] for row in m.rows]
+    d = lcm(1, *{q.denominator for row in rows for _, a, b in row
+                 for q in (a, b)})
+    return d, [[(j, int(a * d), int(b * d)) for j, a, b in row]
+               for row in rows], any(b for row in rows for _, _, b in row)
 
 
 def _fill_reducing_order(rows: list[list[tuple]]) -> list[int]:
@@ -420,8 +425,7 @@ def _charpoly_multimodular(m: Matrix) -> list:
     d, rows, gaussian = _cleared(m)
     bound = 1
     for row in rows:
-        sq = sum(a * a + b * b for _, a, b in row) if gaussian else \
-            sum(a * a for _, a in row)
+        sq = sum(a * a + b * b for _, a, b in row)
         root = isqrt(sq)
         bound *= 1 + root + (root * root < sq)
     order = _fill_reducing_order(rows)
@@ -430,17 +434,11 @@ def _charpoly_multimodular(m: Matrix) -> list:
         pos[i] = k
     cols = [[] for _ in range(n)]   # D*m permuted, by column
     for k, i in enumerate(order):
-        if gaussian:
-            for j, a, b in rows[i]:
-                cols[pos[j]].append((k, a, b))
-        else:
-            for j, a in rows[i]:
-                cols[pos[j]].append((k, a))
+        for j, a, b in rows[i]:
+            cols[pos[j]].append((k, a, b))
 
     def image(root, p):
         """The columns of D*m modulo p, with i mapped to root."""
-        if not gaussian:
-            return [[(i, y) for i, a in col if (y := a % p)] for col in cols]
         return [[(i, y) for i, a, b in col if (y := (a + root * b) % p)]
                 for col in cols]
 
@@ -504,15 +502,15 @@ def _charpoly_berkowitz(m: Matrix) -> list:
     one term dict."""
     dom = m.domain
     reg = dom.reg
-    n = m.nrows
-    a = [[dom.coerce(x) for x in row] for row in m.data]
-    nonzero = [[(j, x) for j, x in enumerate(row) if x.terms] for row in a]
+    zero = dom.zero
+    rows = [[(j, dom.coerce(x)) for j, x in row] for row in m.rows]
+    at = [dict(row) for row in rows]
     coeffs = [dom.one]
-    for r in range(n):   # the block of order r + 1: C is column r, R row r
-        block = [[(j, x) for j, x in nonzero[i] if j < r] for i in range(r)]
-        row = [(j, x) for j, x in nonzero[r] if j < r]
-        v = [a[i][r] for i in range(r)]
-        t = [dom.one, -a[r][r]]
+    for r in range(m.nrows):   # the block of order r + 1: C is column r, R row r
+        block = [[(j, x) for j, x in rows[i] if j < r] for i in range(r)]
+        row = [(j, x) for j, x in rows[r] if j < r]
+        v = [at[i].get(r, zero) for i in range(r)]
+        t = [dom.one, -at[r].get(r, zero)]
         for k in range(r):
             if k:
                 v = [sum_of_products(reg, [(x, v[j]) for j, x in brow])
@@ -536,7 +534,8 @@ def _charpoly_coeffs(m: Matrix) -> list:
             return _charpoly_multimodular(m)
         consts = PolyDomain(VarRegistry(()), dom)
         return [c.constant_value()
-                for c in _charpoly_berkowitz(Matrix(consts, m.data))]
+                for c in _charpoly_berkowitz(
+                    Matrix.from_rows(consts, m.rows, m.ncols))]
     raise DomainMismatchError(f"no charpoly kernel for {dom!r}")
 
 
@@ -579,40 +578,39 @@ def det(m: Matrix):
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse over a field domain (QQ, QQ(i), Q(zeta_N)) by Gauss-Jordan."""
+    """Inverse over a field domain (QQ, QQ(i), Q(zeta_N)) by Gauss-Jordan
+    on [m | I], each row a dict of its nonzero entries: an entry that
+    cancels is removed, so column k is in a row when nonzero there."""
     if not m.is_square():
         raise NotSquareError("inverse of a non-square matrix")
     dom = m.domain
     n = m.nrows
-    a = [row[:] + [dom.one if i == j else dom.zero for j in range(n)]
-         for i, row in enumerate(m.data)]
+    a = [dict(row) | {n + i: dom.one} for i, row in enumerate(m.rows)]
     for k in range(n):
-        pivot_row = -1
-        for i in range(k, n):
-            if not dom.is_zero(a[i][k]):
-                pivot_row = i
-                break
-        if pivot_row < 0:
+        pivot_row = next((i for i in range(k, n) if k in a[i]), None)
+        if pivot_row is None:
             raise ZeroDivisionError("singular matrix")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+        a[k], a[pivot_row] = a[pivot_row], a[k]
         inv_p = dom.invert(a[k][k])
-        a[k] = [dom.mul(inv_p, x) for x in a[k]]
-        for i in range(n):
-            if i == k:
+        pivot = a[k] = {j: dom.mul(inv_p, x) for j, x in a[k].items()}
+        for i, row in enumerate(a):
+            f = row.get(k)
+            if f is None or i == k:
                 continue
-            f = a[i][k]
-            if dom.is_zero(f):
-                continue
-            a[i] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(a[i], a[k])]
-    return Matrix(dom, [row[n:] for row in a])
+            for j, y in pivot.items():
+                x = dom.sub(row.get(j, dom.zero), dom.mul(f, y))
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return Matrix.from_sums(dom, [[(j - n, x) for j, x in row.items() if j >= n]
+                                  for row in a], n)
 
 
 def _pfaffian_exact(m: Matrix):
     dom = m.domain
-    data = m.data
+    at = [dict(row) for row in m.rows]
     mul = dom.mul
-    is_zero = dom.is_zero
 
     @cache
     def pf(active: tuple[int, ...]):
@@ -623,8 +621,8 @@ def _pfaffian_exact(m: Matrix):
         acc = dom.zero
         sgn = 1
         for t, j in enumerate(rest):
-            x = data[i0][j]
-            if not is_zero(x):
+            x = at[i0].get(j)
+            if x is not None:
                 sub = rest[:t] + rest[t + 1:]
                 term = mul(x, pf(sub))
                 acc = dom.add(acc, term if sgn > 0 else dom.neg(term))

@@ -13,6 +13,7 @@ weightings they induce on planar embeddings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Union
 
 from .domains import QQ, coeff_is_integer, unify_scalar_domains
@@ -97,32 +98,22 @@ def _operator_domain(wdom, cdom):
     return unify_scalar_domains(wdom, cdom)
 
 
-def _assemble(dg: DirectedGraph, weights, c: Connection, dom) -> list[list]:
-    """Rows of Σ_e x_e·φ_e for weights x_e already in dom.  The nonzero
-    entries of each distinct matrix φ_e are read once; a unit entry
-    places x_e itself, and a term landing on a position that still holds
-    the zero object is stored there, so only positions that meet two or
-    more terms take an addition."""
-    m = c.degree
-    size = dg.num_vertices * m
-    zero, add, mul, coerce = dom.zero, dom.add, dom.mul, dom.coerce
-    data = [[zero] * size for _ in range(size)]
-    entries: dict[int, list] = {}   # id(φ) -> (i, j, entry or None for 1)
-    for e, xe in enumerate(weights):
-        phi = c.mats[e]
-        nz = entries.get(id(phi))
-        if nz is None:
-            nz = entries[id(phi)] = [
-                (i, j, None if y == 1 else coerce(y))
-                for i, row in enumerate(phi.data)
-                for j, y in enumerate(row) if y]   # φ is scalar
-        v, w = dg.src[e] * m, dg.tgt[e] * m
-        for i, j, y in nz:
-            term = xe if y is None else mul(xe, y)
-            row = data[v + i]
-            old = row[w + j]
-            row[w + j] = term if old is zero else add(old, term)
-    return data
+def _assemble(dom, n: int, m: int, terms) -> Matrix:
+    """Σ x·(E_vw ⊗ φ) over the (v, w, x, φ) terms, v and w among n
+    vertices, x already in dom and φ of order m.  Each φ is read by its
+    stored entries: a unit entry places x itself, and only positions
+    that meet two or more terms take an addition."""
+    add, mul, coerce = dom.add, dom.mul, dom.coerce
+    rows: list[dict] = [{} for _ in range(n * m)]
+    for v, w, xe, phi in terms:
+        v, w = v * m, w * m
+        for i, phi_row in enumerate(phi.rows):
+            row = rows[v + i]
+            for j, y in phi_row:
+                term = xe if y == 1 else mul(xe, coerce(y))
+                old = row.get(w + j)
+                row[w + j] = term if old is None else add(old, term)
+    return Matrix.from_sums(dom, [row.items() for row in rows], n * m)
 
 
 def _checked_domain(dg: DirectedGraph, x: EdgeWeights, c: Connection):
@@ -140,35 +131,26 @@ def twisted_adjacency(g: Union[Graph, DirectedGraph], x: EdgeWeights,
     """Block matrix whose (v,w) block sums x_e·φ_e over edges v→w."""
     dg = g.dg if isinstance(g, Graph) else g
     dom = _checked_domain(dg, x, c)
-    return Matrix(dom, _assemble(dg, map(dom.coerce, x.values), c, dom))
+    return _assemble(dom, dg.num_vertices, c.degree,
+                     zip(dg.src, dg.tgt, map(dom.coerce, x.values), c.mats))
 
 
 def laplacian(g: Graph, x: EdgeWeights,
               c: Connection | None = None) -> Matrix:
     """Δf(v) = Σ_{e from v} x_e·(f(v) − φ_e f(t(e))), that is D − A^ρ:
     D holds each out-edge weight, loops included, on its source's
-    diagonal block, and A^ρ is twisted_adjacency.  −A^ρ is assembled
-    from the negated weights, and each vertex's weighted degree is then
-    added on its diagonal block."""
+    diagonal block, and A^ρ is twisted_adjacency.  Both are assembled
+    at once: each edge places x_e·I on its source's diagonal block and
+    −x_e·φ_e in its own block."""
     if not x.is_symmetric(g):
         raise WeightsNotSymmetricError("Laplacian weights must be symmetric")
     if c is None:
         c = trivial_connection(QQ, g.num_edges)
     dom = _checked_domain(g.dg, x, c)
-    zero, add = dom.zero, dom.add
     weights = [dom.coerce(v) for v in x.values]
-    data = _assemble(g.dg, map(dom.neg, weights), c, dom)
-    degree = [zero] * g.num_vertices
-    for e, xe in enumerate(weights):
-        v = g.src[e]
-        degree[v] = xe if degree[v] is zero else add(degree[v], xe)
-    m = c.degree
-    for v, dv in enumerate(degree):
-        if dv is not zero:
-            for k in range(v * m, (v + 1) * m):
-                old = data[k][k]
-                data[k][k] = dv if old is zero else add(old, dv)
-    return Matrix(dom, data)
+    return _assemble(dom, g.num_vertices, c.degree, chain(
+        zip(g.src, g.src, weights, repeat(Matrix.identity(QQ, c.degree))),
+        zip(g.src, g.tgt, map(dom.neg, weights), c.mats)))
 
 
 # ---------------------------------------------------------------------------

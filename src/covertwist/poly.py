@@ -237,6 +237,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as 0 is for a scalar."""
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
@@ -513,9 +517,6 @@ class PolyDomain(_Field):
                 return x
             return x.lift(self.reg)
         return MultiPoly.const(self.reg, self.coeff.coerce(x))
-
-    def is_zero(self, a):
-        return a.is_zero
 
     def invert(self, a):
         if not a.is_constant() or a.is_zero:

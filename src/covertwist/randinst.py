@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .covering import (
     CosetData,
@@ -74,15 +73,15 @@ def random_invertible_matrix(rng: random.Random, n: int,
     """P·L·U with unit-triangular factors and small integer entries."""
     perm = list(range(n))
     rng.shuffle(perm)
-    data = [[Fraction(0)] * n for _ in range(n)]
+    data: list = [None] * n
     lo = [[rng.randint(-bound, bound) if j < i else (1 if i == j else 0)
            for j in range(n)] for i in range(n)]
     up = [[rng.randint(-bound, bound) if j > i
            else (rng.choice((-1, 1)) if i == j else 0)
            for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            data[perm[i]][j] = sum(lo[i][k] * up[k][j] for k in range(n))
+        data[perm[i]] = [sum(lo[i][k] * up[k][j] for k in range(n))
+                         for j in range(n)]
     return Matrix(QQ, data)
 
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graphs import Path, check_loop
 from .homotopy import Pi1Presentation
-from .matrix import Matrix, det, direct_sum_matrices, inverse, nonzero_rows
+from .matrix import Matrix, det, direct_sum_matrices, inverse
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,15 @@ Blocks = tuple[tuple[int, Matrix], ...]
 
 def _blocks_to_matrix(domain, d: int, m: int, blocks) -> Matrix:
     """The d·m × d·m matrix with the given ((row block, column block),
-    m×m block) pairs and zero elsewhere, each block row copied whole."""
-    zero = domain.zero
-    data = [[zero] * (d * m) for _ in range(d * m)]
-    for (bi, bj), blk in blocks:
-        for i, brow in enumerate(blk.data):
-            data[bi * m + i][bj * m:(bj + 1) * m] = brow
-    return Matrix(domain, data)
+    m×m block) pairs, at most one per position, and zero elsewhere: each
+    block's stored entries shifted to its position, block columns in
+    ascending order, so that each row comes out as stored."""
+    rows: list[list] = [[] for _ in range(d * m)]
+    for (bi, bj), blk in sorted(blocks, key=lambda block: block[0]):
+        shift = bj * m
+        for i, brow in enumerate(blk.rows):
+            rows[bi * m + i] += [(j + shift, x) for j, x in brow]
+    return Matrix.from_rows(domain, rows, d * m)
 
 
 def induce(cd: CosetData, rho: Representation) -> Representation:
@@ -207,20 +209,20 @@ def permutation_complement(rep: Representation,
     """Restriction of a permutation representation to the zero-sum
     complement of the all-ones vector, in the basis e_j − e_fixed over
     the non-fixed indices.  Each generator image must be a 0/1
-    permutation matrix: its permutation is read off the single nonzero
+    permutation matrix: its permutation is read off the single stored
     entry of each row, and P·(e_j − e_fixed) = e_P(j) − e_P(fixed) gives
     the restricted image's column for j, at most two entries.  The
     complement of a degree-1 representation has degree 0, whatever the
     number of generators."""
     d = rep.degree
     dom = rep.domain
-    zero, one, neg_one = dom.zero, dom.one, dom.neg(dom.one)
+    one, neg_one = dom.one, dom.neg(dom.one)
     others = [j for j in range(d) if j != fixed]
     col_of = {j: c for c, j in enumerate(others)}
 
     def image_of(mat: Matrix) -> list[int]:
         img = [-1] * d
-        for i, row in enumerate(nonzero_rows(mat)):
+        for i, row in enumerate(mat.rows):
             if len(row) != 1 or not dom.eq(row[0][1], one) \
                     or img[row[0][0]] != -1:
                 raise ValueError("not a permutation matrix")
@@ -229,14 +231,14 @@ def permutation_complement(rep: Representation,
 
     def restrict(mat: Matrix) -> Matrix:
         img = image_of(mat)
-        data = [[zero] * (d - 1) for _ in range(d - 1)]
+        rows: list[list] = [[] for _ in range(d - 1)]
         moved = col_of.get(img[fixed])   # None when P fixes e_fixed
         for j, c in col_of.items():
             if img[j] != fixed:
-                data[col_of[img[j]]][c] = one
+                rows[col_of[img[j]]].append((c, one))
             if moved is not None:
-                data[moved][c] = neg_one
-        return Matrix(dom, data)
+                rows[moved].append((c, neg_one))
+        return Matrix.from_rows(dom, rows, d - 1)
 
     return Representation(dom, d - 1,
                           tuple(restrict(m) for m in rep.gen_mats),
@@ -247,11 +249,11 @@ def complement_basis(d: int, fixed: int = 0) -> Matrix:
     """Q = [1 | e_j − e_fixed for j ≠ fixed, ascending], over QQ: the
     all-ones vector, then the basis permutation_complement restricts
     to, so that P·Q = Q·(1 ⊕ restricted P) for a permutation matrix P."""
-    data = [[1] + [0] * (d - 1) for _ in range(d)]
+    rows = [[(0, 1)] for _ in range(d)]
     for c, j in enumerate(j for j in range(d) if j != fixed):
-        data[j][c + 1] = 1
-        data[fixed][c + 1] = -1
-    return Matrix(QQ, data)
+        rows[j].append((c + 1, 1))
+        rows[fixed].append((c + 1, -1))
+    return Matrix.from_rows(QQ, rows, d)
 
 
 # ---------------------------------------------------------------------------

@@ -266,16 +266,17 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
 
 
 def _trace_of_product(a: Matrix, b: Matrix):
-    """tr(a*b) = sum of a_ij * b_ji over the nonzero entries a_ij, with
-    no product matrix formed."""
+    """tr(a*b) = sum of a_ij * b_ji over the stored entries a_ij whose
+    b_ji is stored too, with no product matrix formed."""
     dom = a.domain
-    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
-    b_rows = b.data
+    add, mul = dom.add, dom.mul
+    b_at = [dict(row) for row in b.rows]
     acc = dom.zero
-    for i, row in enumerate(a.data):
-        for j, x in enumerate(row):
-            if not is_zero(x):
-                acc = add(acc, mul(x, b_rows[j][i]))
+    for i, row in enumerate(a.rows):
+        for j, x in row:
+            y = b_at[j].get(i)
+            if y is not None:
+                acc = add(acc, mul(x, y))
     return acc
 
 

@@ -17,6 +17,8 @@ from covertwist.domains import Cyclotomic, _rat_div
 from covertwist.matrix import Matrix
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
+from builders import dense
+
 
 def _exact_div(dom, a, b):
     """a / b in dom, where b divides a."""
@@ -48,7 +50,7 @@ def det_bareiss(m: Matrix):
     n = m.nrows
     if n == 0:
         return dom.one
-    a = [row[:] for row in m.data]
+    a = dense(m)
     is_zero = dom.is_zero
     mul = dom.mul
     sub = dom.sub

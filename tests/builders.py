@@ -9,10 +9,10 @@ of a loop and the loop of a word, a word's action on the fiber of a
 cover and each generator's (the reference for the monodromy that coset
 data read off the sheets), a fiber group from bare permutations, the
 projection of a cover path, a word's image under a representation,
-random unimodular representations and cyclic characters, submatrices,
-zero matrices and entrywise matrix arithmetic, unit edge weights and
-the coefficient-by-coefficient check of a Laplacian charpoly against
-the forest oracle.
+random unimodular representations and cyclic characters, a matrix's
+dense rows, submatrices, zero matrices and entrywise matrix arithmetic,
+unit edge weights and the coefficient-by-coefficient check of a
+Laplacian charpoly against the forest oracle.
 The program builds none of these, so they live here rather than in
 `covertwist`.
 """
@@ -211,9 +211,19 @@ def rep_of_word(rho: Representation, w: FreeWord) -> Matrix:
     return out
 
 
+def dense(m: Matrix) -> list[list]:
+    """The rows of m written out in full, zeros included: fresh lists, so
+    a test may change them and build the changed matrix with Matrix."""
+    out = [[m.domain.zero] * m.ncols for _ in range(m.nrows)]
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            out[i][j] = x
+    return out
+
+
 def submatrix(m: Matrix, rows, cols) -> Matrix:
     """The entries of m in the given rows and columns, in that order."""
-    return Matrix(m.domain, [[m.data[i][j] for j in cols] for i in rows])
+    return Matrix(m.domain, [[m[i, j] for j in cols] for i in rows])
 
 
 def invert_word(w: FreeWord) -> FreeWord:
@@ -310,14 +320,14 @@ def fiber_group(gens: Sequence[Perm]) -> GaloisGroup:
 
 
 def zero_matrix(domain, nrows: int, ncols: int) -> Matrix:
-    return Matrix(domain, [[domain.zero] * ncols for _ in range(nrows)])
+    return Matrix.from_rows(domain, [[] for _ in range(nrows)], ncols)
 
 
 def _entrywise(op, *ms: Matrix) -> Matrix:
     if len({m.shape for m in ms}) != 1:
         raise ValueError("shape mismatch in an entrywise operation")
     return Matrix(ms[0].domain, [[op(*xs) for xs in zip(*rows)]
-                                 for rows in zip(*(m.data for m in ms))])
+                                 for rows in zip(*map(dense, ms))])
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -339,4 +349,4 @@ def scale(a: Matrix, c) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.domain, [list(col) for col in zip(*a.data)])
+    return Matrix(a.domain, [list(col) for col in zip(*dense(a))])

@@ -30,6 +30,7 @@ from covertwist.representation import Representation
 
 from builders import (
     concat_words,
+    dense,
     fiber_action,
     invert_word,
     lift_path,
@@ -195,5 +196,5 @@ def psi_to_dense(p, psi, m: int, dom) -> Matrix:
 def dense_commutes(psi: Matrix, a_cover: Matrix, a_base: Matrix) -> bool:
     """ψ·a_cover = a_base·ψ by dense products over the operators' domain."""
     dom = a_cover.domain
-    psi = Matrix(dom, [[dom.coerce(v) for v in row] for row in psi.data])
+    psi = Matrix(dom, [[dom.coerce(v) for v in row] for row in dense(psi)])
     return (psi * a_cover).eq(a_base * psi)

@@ -38,6 +38,6 @@ def det_leibniz(m: Matrix):
                     sign = -sign
         term = dom.one
         for i in range(n):
-            term = dom.mul(term, m.data[i][perm[i]])
+            term = dom.mul(term, m[i, perm[i]])
         acc = dom.add(acc, term) if sign > 0 else dom.sub(acc, term)
     return acc

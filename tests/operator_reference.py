@@ -14,7 +14,7 @@ from covertwist.matrix import Matrix
 from covertwist.operators import _operator_domain
 from covertwist.representation import trivial_connection
 
-from builders import mat_sub, zero_matrix
+from builders import mat_sub
 
 
 def twisted_adjacency_dense(g, x, c) -> Matrix:
@@ -49,9 +49,9 @@ def laplacian_dense(g, x, c=None) -> Matrix:
     a = twisted_adjacency_dense(g, x, c)
     dom = a.domain
     m = c.degree
-    deg = zero_matrix(dom, a.nrows, a.ncols)
+    deg = [[dom.zero] * a.ncols for _ in range(a.nrows)]
     for e in range(g.num_edges):
         xe = dom.coerce(x.values[e])
         for k in range(g.src[e] * m, (g.src[e] + 1) * m):
-            deg.data[k][k] = dom.add(deg.data[k][k], xe)
-    return mat_sub(deg, a)
+            deg[k][k] = dom.add(deg[k][k], xe)
+    return mat_sub(Matrix(dom, deg), a)

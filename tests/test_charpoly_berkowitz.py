@@ -17,7 +17,7 @@ from covertwist.matrix import Matrix, charpoly
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import bareiss_charpoly
-from builders import (gaussian, matrix_from_rows, poly_from_exponents,
+from builders import (dense, gaussian, matrix_from_rows, poly_from_exponents,
                       zero_matrix)
 
 REG = VarRegistry(("x", "y", "z"))
@@ -42,7 +42,7 @@ def sympy_charpoly_matches(m: Matrix, cp: MultiPoly) -> bool:
     symbols = sympy.symbols(" ".join(REG.names))
     lam = sympy.Symbol("lam")
     sm = sympy.Matrix(m.nrows, m.ncols,
-                      [expr(x, symbols) for row in m.data for x in row])
+                      [expr(x, symbols) for row in dense(m) for x in row])
     theirs = sm.charpoly(lam).as_expr()
     ours = expr(cp, (*symbols, lam))
     return sympy.expand(ours - theirs) == 0

@@ -45,7 +45,7 @@ from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 from covertwist.representation import connection_from_rep, representation
 
 from bareiss_reference import bareiss_charpoly, det_bareiss
-from builders import evaluate, gaussian, mat_sub, scale, zero_matrix
+from builders import dense, evaluate, gaussian, mat_sub, scale, zero_matrix
 from hessenberg_reference import nonzero_columns
 from miller_rabin_reference import MR_LIMIT, is_prime
 
@@ -65,7 +65,7 @@ def sympy_charpoly(m: Matrix, var: str = "lambda") -> MultiPoly:
 
     lam = sympy.Symbol("lam")
     sm = sympy.Matrix(m.nrows, m.ncols,
-                      [to_sympy(x) for row in m.data for x in row])
+                      [to_sympy(x) for row in dense(m) for x in row])
     coeffs = sympy.Poly(sm.charpoly(lam).as_expr(), lam).all_coeffs()
     reg = VarRegistry((var,))
     n = len(coeffs) - 1
@@ -165,7 +165,7 @@ def test_pivots_vanishing_modulo_the_first_prime(m):
     # the first of them whatever the other entries.
     p, _ = _proth_prime(_RUN_BITS, 0)
     mult = [[x + 7 if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(m.data)]
+            for i, row in enumerate(dense(m))]
     big = Matrix(QQ, [[x * p + (1 if (i + j) % 5 == 0 else 0)
                        for j, x in enumerate(row)]
                       for i, row in enumerate(mult)])
@@ -210,7 +210,7 @@ def hadamard_bits(m: Matrix) -> int:
     """Bit length of 2B + 1 for the Hadamard bound B of an integer
     matrix, prod(1 + ceil|r_i|) over its rows."""
     bound = 1
-    for row in m.data:
+    for row in dense(m):
         sq = sum(int(x) ** 2 for x in row)
         root = isqrt(sq)
         bound *= 1 + root + (root * root < sq)
@@ -259,7 +259,7 @@ def test_two_runs_for_a_gaussian_matrix():
 
 def permuted(m: Matrix, order) -> Matrix:
     """P*m*P^T: row and column order[k] of m become row and column k."""
-    return Matrix(m.domain, [[m.data[i][j] for j in order] for i in order])
+    return Matrix(m.domain, [[m[i, j] for j in order] for i in order])
 
 
 @SETTINGS
@@ -291,10 +291,10 @@ def row_nonzeros(*parts):
 
 def test_fill_reducing_order_on_the_edge_operator():
     b = zeta_edge_operator()
-    rows = [[int(x) for x in row] for row in b.data]
+    rows = [[int(x) for x in row] for row in dense(b)]
     order = _fill_reducing_order(row_nonzeros(rows))
     assert sorted(order) == list(range(60))
-    assert 2 * bandwidth(permuted(b, order).data) <= bandwidth(rows)
+    assert 2 * bandwidth(dense(permuted(b, order))) <= bandwidth(rows)
 
 
 def test_fill_reducing_order_joins_both_parts_and_every_piece():

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -208,6 +209,59 @@ def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
+
+
+# the two-loop bouquet claiming more vertices than its two edges can join
+def too_many_vertices(n: int) -> str:
+    return BOUQUET.format(n=7).replace("vertices = 1", f"vertices = {n}")
+
+
+@pytest.mark.parametrize("vertices", [3, 10000000, 999999999999])
+def test_validate_refutes_connectivity_before_any_allocation(
+        tmp_path, capsys, vertices):
+    # more vertices than unoriented edges + 1: not connected, which is
+    # known before anything per vertex is built, and a true FAIL (exit 1)
+    path = tmp_path / "sparse.txt"
+    path.write_text(too_many_vertices(vertices))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and err == ""
+    assert "check graph connected: FAIL" in out
+    assert "loop rank" not in out
+
+
+def test_memory_error_is_over_budget_not_falsified(tmp_path):
+    # the forest oracle allocates per vertex before any check: in a child
+    # limited to 1 GB of address space that is a MemoryError, which ends
+    # in exit 3 and one line, not a traceback and exit 1
+    path = tmp_path / "sparse.txt"
+    path.write_text(too_many_vertices(999999999999))
+    src = os.path.dirname(os.path.dirname(covertwist.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "covertwist.cli", "oracle-forests", "--input",
+         str(path)], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: budget exceeded: MemoryError\n"
+
+
+def test_recursion_error_is_over_budget(monkeypatch, capsys):
+    def too_deep(args, doc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", too_deep)
+    code, out, err = run(capsys, "validate", "--input", f"{SAMPLES}/c3.txt")
+    assert (code, out) == (3, "")
+    assert err == ("error: budget exceeded: maximum recursion depth "
+                   "exceeded\n")
 
 
 # the one refusal of a disconnected cover, whatever the command and the

@@ -67,7 +67,7 @@ from covertwist.representation import (
 )
 from covertwist.zeta import artin_axioms
 
-from builders import unit_weights
+from builders import dense, unit_weights
 from induce_reference import blocks_image, column_blocks
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
@@ -258,7 +258,9 @@ def perturb_characters(build):
     def perturbed(g, x, c):
         a = build(g, x, c)
         if isinstance(a.domain, CyclotomicDomain):   # twisted by a character
-            a.data[0][0] += 1
+            rows = dense(a)
+            rows[0][0] += 1
+            a = Matrix(a.domain, rows)
         return a
     return perturbed
 
@@ -453,8 +455,9 @@ def share_a_row_block(build):
 def change_one_entry(complement):
     def broken(rep, fixed=0):
         rc = complement(rep, fixed)
-        m = Matrix(rc.domain, [row[:] for row in rc.gen_mats[0].data])
-        m.data[0][0] += 2   # on the hexagon, -1 becomes 1: still invertible
+        rows = dense(rc.gen_mats[0])
+        rows[0][0] += 2   # on the hexagon, -1 becomes 1: still invertible
+        m = Matrix(rc.domain, rows)
         return representation(rc.domain, [m, *rc.gen_mats[1:]])
     return broken
 
@@ -462,7 +465,7 @@ def change_one_entry(complement):
 def singular_basis(basis):
     def broken(d, fixed):
         q = basis(d, fixed)
-        return Matrix(q.domain, [[0] + row[1:] for row in q.data])
+        return Matrix(q.domain, [[0] + row[1:] for row in dense(q)])
     return broken
 
 

@@ -77,6 +77,9 @@ def test_connectivity():
     assert not is_connected(one_way)
     cycle = DirectedGraph(2, (0, 1), (1, 0))
     assert is_connected(cycle)
+    # as many edges as a tree or a cycle needs, and still not connected
+    assert not is_connected(build_graph(4, [(0, 1), (0, 1), (2, 3)]))
+    assert not is_connected(DirectedGraph(2, (0, 0), (1, 1)))
 
 
 def test_path_checks():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from covertwist.domains import QQ
+from covertwist.domains import QI, QQ
 from covertwist.errors import (
     NotSkewSymmetricError,
     NotSquareError,
@@ -24,6 +25,7 @@ from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
 
 from bareiss_reference import det_bareiss
 from builders import (
+    gaussian,
     mat_add,
     mat_neg,
     mat_sub,
@@ -172,3 +174,84 @@ def test_symbolic_determinant():
     b = MultiPoly.variable(reg, "b")
     m = Matrix(pd, [[a, b], [b, a]])
     assert det(m) == a ** 2 - b ** 2
+
+
+# ---------------------------------------------------------------------------
+# the stored rows against nested lists
+
+XY = VarRegistry(("x", "y"))
+X, Y = MultiPoly.variable(XY, "x"), MultiPoly.variable(XY, "y")
+# each domain with values whose sums and products cancel, and its zero
+DOMAINS = [
+    (QQ, [1, -1, 2, Fraction(-1, 2)]),
+    (QI, [1, -1, gaussian(0, 1), gaussian(0, -1), gaussian(1, 1)]),
+    (PolyDomain(XY, QQ), [X, -X, X * Y, MultiPoly.one(XY), -MultiPoly.one(XY)]),
+]
+
+
+def nested(dom, values, nrows, ncols):
+    """Dense rows, about half of their entries the domain's zero: a
+    zero polynomial over the polynomial ring."""
+    entry = st.one_of(st.just(dom.zero), st.sampled_from(values))
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def is_zero(x) -> bool:
+    return x.is_zero if isinstance(x, MultiPoly) else x == 0
+
+
+def nested_product(dom, a, b):
+    return [[sum((dom.mul(a[i][k], b[k][j]) for k in range(len(b))),
+                 dom.zero) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def stored_as_nonzeros(m: Matrix) -> bool:
+    """Each row's columns ascend within the matrix, and no stored entry
+    is zero."""
+    return len(m.rows) == m.nrows and all(
+        [j for j, _ in row] == sorted({j for j, _ in row})
+        and all(0 <= j < m.ncols and not is_zero(x) for j, x in row)
+        for row in m.rows)
+
+
+def holds(m: Matrix, rows) -> bool:
+    return m.shape == (len(rows), len(rows[0])) and all(
+        m[i, j] == x for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_stored_rows_match_nested_lists(data):
+    dom, values = data.draw(st.sampled_from(DOMAINS), label="domain")
+    n, k, p = (data.draw(st.integers(1, 4), label=s) for s in "nkp")
+    a_rows = data.draw(nested(dom, values, n, k), label="a")
+    b_rows = data.draw(nested(dom, values, k, p), label="b")
+    a, b = Matrix(dom, a_rows), Matrix(dom, b_rows)
+    for m, rows in ((a, a_rows), (b, b_rows)):
+        assert stored_as_nonzeros(m) and holds(m, rows)
+    # a product whose terms cancel stores no entry there, so eq is a
+    # comparison of the stored rows
+    ab_rows = nested_product(dom, a_rows, b_rows)
+    ab = a * b
+    assert stored_as_nonzeros(ab) and holds(ab, ab_rows)
+    assert ab.eq(Matrix(dom, ab_rows)) and ab.rows == Matrix(dom, ab_rows).rows
+    other = data.draw(nested(dom, values, n, k), label="other")
+    assert a.eq(Matrix(dom, other)) == (a_rows == other)
+    assert not a.eq(b) or a_rows == b_rows
+    if n == k:
+        assert a.trace() == sum((a_rows[i][i] for i in range(n)), dom.zero)
+    s = direct_sum_matrices(a, b)
+    assert stored_as_nonzeros(s)
+    assert holds(s, [row + [dom.zero] * p for row in a_rows]
+                 + [[dom.zero] * k + row for row in b_rows])
+
+
+@pytest.mark.parametrize("dom, x", [
+    (QQ, 3), (QI, gaussian(1, -2)), (PolyDomain(XY, QQ), X * Y - 1)])
+def test_cancelled_product_entry_is_not_stored(dom, x):
+    a = Matrix(dom, [[x, x], [dom.zero, x]])
+    b = Matrix(dom, [[dom.one, dom.zero], [dom.neg(dom.one), dom.one]])
+    ab = a * b
+    assert ab.rows == [[(1, x)], [(0, dom.neg(x)), (1, x)]]
+    assert ab.eq(Matrix(dom, [[dom.zero, x], [dom.neg(x), x]]))

@@ -14,13 +14,16 @@ of one image swapped.
 """
 
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import covertwist.matrix as matrix
 from covertwist.certificates import _complement_splits, _intertwines, verify_main
-from covertwist.covering import coset_data
+from covertwist.covering import coset_data, edge_voltage_cover
+from covertwist.docio import document_weights, parse_input
 from covertwist.domains import QQ
 from covertwist.matrix import Matrix
 from covertwist.randinst import random_representation
@@ -33,15 +36,13 @@ from covertwist.representation import (
 )
 
 import witness_reference as reference
+from builders import dense
+from test_cli import BOUQUET
 from test_cover_split import covers
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 DEGREES = pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 KINDS = pytest.mark.parametrize("kind", ["integer", "rational", "symbolic"])
-
-
-def copied(m: Matrix) -> Matrix:
-    return Matrix(m.domain, [row[:] for row in m.data])
 
 
 @DEGREES
@@ -108,12 +109,12 @@ def check_complement(strategy, data):
     k = data.draw(st.integers(0, perm.rank - 1), label="generator")
     i = data.draw(st.integers(0, perm.degree - 1), label="row")
     c = data.draw(st.sampled_from([-1, 2]), label="scale")
-    g, gi = copied(perm.gen_mats[k]), copied(perm.gen_invs[k])
-    g.data[i] = [c * v for v in g.data[i]]
-    for row in gi.data:
+    g, gi = dense(perm.gen_mats[k]), dense(perm.gen_invs[k])
+    g[i] = [c * v for v in g[i]]
+    for row in gi:
         row[i] = QQ.mul(row[i], QQ.invert(c))
     mats, invs = list(perm.gen_mats), list(perm.gen_invs)
-    mats[k], invs[k] = g, gi
+    mats[k], invs[k] = Matrix(QQ, g), Matrix(QQ, gi)
     scaled = Representation(QQ, perm.degree, tuple(mats), tuple(invs))
     for complement in (permutation_complement,
                        reference.permutation_complement):
@@ -139,25 +140,53 @@ def check_q(strategy, data):
     col = data.draw(st.integers(0, d - 1), label="zero column")
     cases.append((perm, rho_c,
                   Matrix(QQ, [row[:col] + [0] + row[col + 1:]
-                              for row in q.data])))
+                              for row in dense(q)])))
     if d > 1 and perm.rank:
         k = data.draw(st.integers(0, perm.rank - 1), label="generator")
         i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2,
                                   max_size=2, unique=True), label="rows")
         r = data.draw(st.integers(0, d - 2), label="entry row")
         s = data.draw(st.integers(0, d - 2), label="entry column")
-        changed = copied(rho_c.gen_mats[k])
-        changed.data[r][s] += data.draw(st.sampled_from([-1, 1, 2]),
-                                        label="by")
+        changed = dense(rho_c.gen_mats[k])
+        changed[r][s] += data.draw(st.sampled_from([-1, 1, 2]), label="by")
         mats = list(rho_c.gen_mats)
-        mats[k] = changed
+        mats[k] = Matrix(QQ, changed)
         cases.append((perm, SimpleNamespace(gen_mats=tuple(mats)), q))
-        swapped = copied(perm.gen_mats[k])
-        swapped.data[i], swapped.data[j] = swapped.data[j], swapped.data[i]
+        swapped = dense(perm.gen_mats[k])
+        swapped[i], swapped[j] = swapped[j], swapped[i]
         mats = list(perm.gen_mats)
-        mats[k] = swapped
+        mats[k] = Matrix(QQ, swapped)
         cases.append((SimpleNamespace(degree=d, gen_mats=tuple(mats)),
                       rho_c, q))
     verdicts = [_complement_splits(a, b, c, fixed) for a, b, c in cases]
     assert verdicts[0] and not verdicts[1]
     assert verdicts == [reference.q_splits(a, b, c) for a, b, c in cases]
+
+
+def test_witness_memory_is_linear_in_the_cover_degree(monkeypatch):
+    # ψ, the operators, the ρ# images, Q and the check (d·R)·Q = d·I on
+    # the Z/2000 bouquet: stored as nonzeros, each holds O(d) entries and
+    # the witness peaks near 10 MB; d×d rows of zeros took 834 MB here
+    def no_kernel(m):
+        raise AssertionError(f"kernel call of order {m.nrows}")
+
+    monkeypatch.setattr(matrix, "_charpoly_coeffs", no_kernel)
+    doc = parse_input(BOUQUET.format(n=2000))
+    x = document_weights(doc)
+    tracemalloc.start()
+    try:
+        p = edge_voltage_cover(doc.graph, tuple((b,) for b in doc.zd_voltages),
+                               (doc.zd_modulus,))
+        cd = coset_data(p)
+        cert = verify_main(cd, trivial_representation(QQ, cd.cover_pres.rank),
+                           x)
+        perm = cert.induced
+        fixed = cd.fiber.index(p.cover_base_vertex)
+        splits = _complement_splits(perm, permutation_complement(perm, fixed),
+                                    complement_basis(perm.degree, fixed),
+                                    fixed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.ok and splits
+    assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

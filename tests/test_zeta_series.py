@@ -140,7 +140,7 @@ def ihara_bass(g, rho, pres):
     for i in range(n):
         row = []
         for j in range(n):
-            e = -u * a.data[i][j]
+            e = -u * a[i, j]
             if i == j:
                 e = e + 1 + u * u * (len(g.out_edges[i // m]) - 1)
             row.append(e)

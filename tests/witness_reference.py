@@ -23,6 +23,8 @@ from covertwist.domains import QQ
 from covertwist.matrix import Matrix, det, direct_sum_matrices
 from covertwist.representation import Representation
 
+from builders import dense
+
 
 def intertwines(psi, m: int, a_cover: Matrix, a_base: Matrix) -> bool:
     """ψ·a_cover = a_base·ψ for ψ the 0/1 map of cover index ṽ·m + i to
@@ -36,7 +38,7 @@ def intertwines(psi, m: int, a_cover: Matrix, a_base: Matrix) -> bool:
         from_base.setdefault(k, []).append(c)
 
     def nonzeros(a: Matrix):
-        for r, arow in enumerate(a.data):
+        for r, arow in enumerate(dense(a)):
             for c in compress(range(len(arow)), arow):
                 if not is_zero(arow[c]):
                     yield r, c, arow[c]
@@ -92,12 +94,13 @@ def dense_product(a: Matrix, b: Matrix) -> Matrix:
     """a·b entry by entry, every term summed, zeros included."""
     dom = a.domain
     out = []
-    for row in a.data:
+    b_rows = dense(b)
+    for row in dense(a):
         orow = []
         for j in range(b.ncols):
             acc = dom.zero
             for k, x in enumerate(row):
-                acc = dom.add(acc, dom.mul(x, b.data[k][j]))
+                acc = dom.add(acc, dom.mul(x, b_rows[k][j]))
             orow.append(acc)
         out.append(orow)
     return Matrix(dom, out)
