@@ -28,7 +28,10 @@ parts, each checked exactly and none through a kernel call:
   permutation_complement reads ρ_c(γ).
 
 A fourth, cheap check ties the product back to the cover operator
-itself: its λ^{N−1} coefficient must be −tr(M_cover), N = d·n.
+itself: its λ^{N−1} coefficient, N = d·n, read off the two factors
+without forming the product, must be −tr(M_cover).  No certificate
+forms the product unless it prints or compares it: trees and dimer read
+the cover coefficients they need off the factors too.
 
 cor1 (M = A) and trees (M = L) take that route at every degree, and so
 do cor2 (M = A; full factorization over the irreducibles of a normal
@@ -241,20 +244,32 @@ class CoverSplit:
     signs) and the check ψ·M_cover = M_base^{ρ#}·ψ, row by row; splits
     says Q is invertible, by R·Q = I for its exhibited inverse R, and
     ρ#(γ)·Q = Q·(1 ⊕ ρ_c(γ)) on every generator γ, on nonzero entries;
-    trace_matches says the product's λ^{N−1} coefficient is
-    −tr(M_cover).  cover is the product of the base and complement
-    charpolys, certified only when ok."""
+    trace_matches says the product's λ^{N−1} coefficient, read off the
+    two factors, is −tr(M_cover).  The cover charpoly is the product of
+    the base and complement charpolys, certified only when ok; cover
+    forms it on each access, so callers that print or compare it take it
+    once and the others read what they need off the two factors."""
 
     conjugacy: ConjugacyCertificate
     splits: bool
     trace_matches: bool
     base: MultiPoly
     complement: MultiPoly
-    cover: MultiPoly
 
     @property
     def ok(self) -> bool:
         return self.conjugacy.ok and self.splits and self.trace_matches
+
+    @property
+    def cover(self) -> MultiPoly:
+        return self.base * self.complement
+
+
+def _subleading(p: MultiPoly) -> MultiPoly:
+    """The λ^{n−1} coefficient of p, of degree n in λ (zero when n = 0).
+    These add over a product of monic factors: B·K, of degree n + m, has
+    b_{n−1} + k_{m−1} at λ^{n+m−1}."""
+    return p.coefficient_of("lambda", p.degree_in("lambda") - 1)
 
 
 def _complement_splits(perm: Representation, rho_c: Representation,
@@ -294,7 +309,9 @@ def split_cover_charpoly(cd: CosetData, x: EdgeWeights,
     images that verify_main induced, the ones that twist M_base.  The
     two charpolys are the split's only kernel calls; the largest has
     order (d−1)·n, and at d = 1 the complement has order 0 and
-    charpoly 1."""
+    charpoly 1.  Their product is not formed: the trace tie reads its
+    λ^{N−1} coefficient off the factors, b_{n−1} + k_{(d−1)n−1} as both
+    are monic."""
     p = cd.covering
     rho = trivial_representation(QQ, cd.cover_pres.rank)
     conj = verify_main(cd, rho, x, operator)
@@ -307,11 +324,10 @@ def split_cover_charpoly(cd: CosetData, x: EdgeWeights,
                              trivial_connection(QQ, p.base.num_edges)))
     comp = charpoly(operator(p.base, x,
                              connection_from_rep(cd.base_pres, rho_c)))
-    cover = base * comp
     m = conj.a_cover
-    top = cover.coefficient_of("lambda", m.nrows - 1)
+    top = _subleading(base) + _subleading(comp)
     trace_matches = top == _as_poly(top.reg, m.domain, m.domain.neg(m.trace()))
-    return CoverSplit(conj, splits, trace_matches, base, comp, cover)
+    return CoverSplit(conj, splits, trace_matches, base, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +405,8 @@ def cor1_certificate(cd: CosetData, x: EdgeWeights) -> Cor1Result:
     is taken.  Report lines: "charpoly divisible" carries ψ-conjugacy,
     ψ invertible and the trace tie, "quotient matches complement twist"
     the Q check; "quotient integer coefficients" and "quotient monic"
-    hold only with the whole witness."""
+    hold only with the whole witness.  The cover charpoly, which the
+    report prints, is formed here, once."""
     p = cd.covering
     split = split_cover_charpoly(cd, x, twisted_adjacency)
     q = split.complement
@@ -438,7 +455,8 @@ def cor2_certificate(cd: CosetData, x: EdgeWeights,
     irreducibles (as representations of the base loop group, one per
     conjugacy-class worth, Σ deg² = group order).  The cover charpoly is
     split_cover_charpoly's, so the factorization holds only with its
-    whole witness; no charpoly of order d·n is taken."""
+    whole witness; no charpoly of order d·n is taken, and the split's
+    product is formed once, to compare."""
     normal, galois = is_normal(cd)
     if not normal:
         raise NotNormalError("factorization requires a normal cover")
@@ -458,7 +476,8 @@ def cor2_certificate(cd: CosetData, x: EdgeWeights,
                               connection_from_rep(cd.base_pres, r))
         f = charpoly(a) ** r.degree
         prod = f if prod is None else prod * f
-    return Cor2Result(split.ok and split.cover == prod, split.cover, prod,
+    cover = split.cover
+    return Cor2Result(split.ok and cover == prod, cover, prod,
                       tuple(r.degree for r in irreducibles))
 
 
@@ -475,9 +494,12 @@ class TreesResult:
     st: DivisibilityCertificate
     rsf: DivisibilityCertificate
     base_charpoly: MultiPoly
-    cover_charpoly: MultiPoly
     coefficient_checks: tuple[tuple[str, bool], ...]
     split: CoverSplit
+
+    @property
+    def cover_charpoly(self) -> MultiPoly:
+        return self.split.cover
 
     @property
     def tree_divisible(self) -> bool:
@@ -496,7 +518,7 @@ class TreesResult:
 
 def spanning_tree_polynomial(P: MultiPoly, n: int) -> MultiPoly:
     """Z_ST from the Laplacian charpoly: (−1)^{n−1}·c₁/n, divided in ℚ[x]."""
-    return P.coefficient_of("lambda", 1) * Fraction((-1) ** (n - 1), n)
+    return _tree_sum(P.coefficient_of("lambda", 1), n)
 
 
 def rooted_forest_polynomial(P: MultiPoly, n: int) -> MultiPoly:
@@ -505,25 +527,28 @@ def rooted_forest_polynomial(P: MultiPoly, n: int) -> MultiPoly:
     return val if n % 2 == 0 else -val
 
 
+def _tree_sum(c1: MultiPoly, n: int) -> MultiPoly:
+    return c1 * Fraction((-1) ** (n - 1), n)
+
+
 def _as_poly(reg: VarRegistry, dom, value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value.lift(reg) if value.reg.names != reg.names else value
     return MultiPoly.const(reg, value)
 
 
-def _coefficient_checks(tag: str, g: Graph, x: EdgeWeights,
-                        P: MultiPoly) -> list[tuple[str, bool]]:
-    n = g.num_vertices
+def _coefficient_checks(tag: str, g: Graph, x: EdgeWeights, cn1: MultiPoly,
+                        c0: MultiPoly) -> list[tuple[str, bool]]:
+    """The lines on c_{n−1} and c_0 of g's Laplacian charpoly."""
     dom = x.domain
     twice = dom.zero
     for (e, _) in g.unoriented:
         if g.src[e] != g.tgt[e]:
             twice = dom.add(twice, dom.add(x.values[e], x.values[e]))
-    cn1 = P.coefficient_of("lambda", n - 1)
     expected = _as_poly(cn1.reg, dom, dom.neg(twice))
     return [
         (f"{tag}: c_{{n-1}} = -2*sum(x)", cn1 == expected),
-        (f"{tag}: c_0 = 0", P.coefficient_of("lambda", 0).is_zero),
+        (f"{tag}: c_0 = 0", c0.is_zero),
     ]
 
 
@@ -532,46 +557,54 @@ def tree_certificates(cd: CosetData, x: EdgeWeights) -> TreesResult:
     along a connected cover, extracted from Laplacian charpolys.
 
     The cover charpoly is split_cover_charpoly's product
-    charpoly(L_base)·charpoly(L_base^{ρ_c}); Z_ST, Z_RSF and the
-    coefficient checks are read off it, and both quotients off the
-    complement charpoly, so nothing is divided.  Report lines "tree sum
-    divisible" and "forest sum divisible" each carry the whole witness
-    (ψ-conjugacy, ψ invertible, the Q check, the trace tie), and so do
-    the integrality flags of both quotients, as in cor1."""
+    P_base·P_comp = charpoly(L_base)·charpoly(L_base^{ρ_c}), and what is
+    read off it is read off the two factors, so the product is never
+    formed: c₁ = b₁k₀ + b₀k₁ gives Z_ST, P(−1) = P_base(−1)·P_comp(−1)
+    gives Z_RSF, and the coefficient checks take c_{N−1} and c₀ the same
+    way.  Both quotients come off the complement charpoly, so nothing
+    is divided.  Report lines "tree sum divisible" and "forest sum
+    divisible" each carry the whole witness (ψ-conjugacy, ψ invertible,
+    the Q check, the trace tie), and so do the integrality flags of both
+    quotients, as in cor1."""
     p = cd.covering
     xl = lift_weights(p, x)
     split = split_cover_charpoly(cd, x, laplacian)
     P_base = split.base
-    P_cover = split.cover
+    P_comp = split.complement
     nb = p.base.num_vertices
     nc = p.cover.num_vertices
-    st_cover = spanning_tree_polynomial(P_cover, nc)
+    b0, b1 = (P_base.coefficient_of("lambda", k) for k in (0, 1))
+    k0, k1 = (P_comp.coefficient_of("lambda", k) for k in (0, 1))
+    st_cover = _tree_sum(b1 * k0 + b0 * k1, nc)
     st_base = spanning_tree_polynomial(P_base, nb)
-    # a failed witness leaves P_cover uncertified: the report says FAIL
-    # on the divisibility lines rather than judge Kirchhoff on it
+    # a failed witness leaves the cover charpoly uncertified: the report
+    # says FAIL on the divisibility lines rather than judge Kirchhoff on it
     if x.is_integral() and split.ok:
         # Kirchhoff: integer or indeterminate weights give a sum in ℤ[x]
         for z in (st_cover, st_base):
             if not z.is_integral():
                 raise DivisionFailedError(
                     f"c1/n left non-integer coefficients: {z.to_text()}")
-    # P_cover = P_base·P_comp and c_0(P_base) = 0, so with
-    # s = (−1)^{(d−1)n} the quotients are s·c_0(P_comp)/d and s·P_comp(−1)
-    P_comp = split.complement
+    # the cover charpoly is P_base·P_comp and c_0(P_base) = 0, so with
+    # s = (−1)^{(d−1)n} the quotients are s·c_0(P_comp)/d and s·P_comp(−1);
+    # Z_RSF(cover) = (−1)^N·P_base(−1)·P_comp(−1) = Z_RSF(base)·s·P_comp(−1)
     d = p.degree
     s = -1 if (d - 1) * nb % 2 else 1
-    st_q = P_comp.coefficient_of("lambda", 0) * Fraction(s, d)
+    st_q = k0 * Fraction(s, d)
     rsf_q = P_comp.eliminate("lambda", -1) * s
+    rsf_base = rooted_forest_polynomial(P_base, nb)
     st = DivisibilityCertificate(st_cover, st_base, st_q,
                                  split.ok and st_q.is_integral(),
                                  x.is_integral())
-    rsf = DivisibilityCertificate(rooted_forest_polynomial(P_cover, nc),
-                                  rooted_forest_polynomial(P_base, nb), rsf_q,
+    rsf = DivisibilityCertificate(rsf_base * rsf_q, rsf_base, rsf_q,
                                   split.ok and rsf_q.is_integral(),
                                   x.is_integral())
-    checks = (_coefficient_checks("base", p.base, x, P_base)
-              + _coefficient_checks("cover", p.cover, xl, P_cover))
-    return TreesResult(st, rsf, P_base, P_cover, tuple(checks), split)
+    checks = (_coefficient_checks("base", p.base, x,
+                                  _subleading(P_base), b0)
+              + _coefficient_checks("cover", p.cover, xl,
+                                    _subleading(P_base) + _subleading(P_comp),
+                                    b0 * k0))
+    return TreesResult(st, rsf, P_base, tuple(checks), split)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +614,7 @@ def tree_certificates(cd: CosetData, x: EdgeWeights) -> TreesResult:
 @dataclass(frozen=True)
 class DimerResult:
     """det_identity is the split's whole witness; det_cover is
-    det(K_cover), read off the split's cover charpoly."""
+    det(K_cover), the product of the split's two constant terms."""
 
     det_identity: bool
     matching_cert: DivisibilityCertificate
@@ -607,8 +640,10 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
 
     det(K_cover) and det(K_base) are read off split_cover_charpoly with
     the Kasteleyn weights, so "determinant factorizes" is its whole
-    witness and no determinant of order d·n is taken; the Pfaffians are
-    checked against both.  A planar base with an odd number of vertices
+    witness and no determinant of order d·n is taken: det(K_cover) is
+    c₀(base)·c₀(comp), the product of the factors' constant terms, and
+    the charpoly product is never formed.  The Pfaffians are checked
+    against both.  A planar base with an odd number of vertices
     has no perfect matching, and neither has its cover of odd degree d:
     OddDimensionError, before the cover is built."""
     if d < 1 or d % 2 == 0:
@@ -642,8 +677,8 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     kw = kasteleyn_weights(g, orient, x)
     split = split_cover_charpoly(cd, kw, twisted_adjacency)
     # K is skew-symmetric, so det K = det(−K) = c_0 of its charpoly
-    det_cover = split.cover.coefficient_of("lambda", 0)
     det_base = split.base.coefficient_of("lambda", 0)
+    det_cover = det_base * split.complement.coefficient_of("lambda", 0)
 
     dom = x.domain
     pd = dom if isinstance(dom, PolyDomain) else PolyDomain(VarRegistry(()), dom)

@@ -58,7 +58,7 @@ from .errors import (
     OddDimensionError,
     TooLargeForExactExpansionError,
 )
-from .poly import MultiPoly, PolyDomain, VarRegistry, sum_of_products
+from .poly import MAX_EXP, MultiPoly, PolyDomain, VarRegistry, _add_product
 
 PFAFFIAN_EXACT_CAP = 16
 
@@ -497,30 +497,61 @@ def _charpoly_berkowitz(m: Matrix) -> list:
     charpoly coefficients, highest power first, are the first r + 1
     terms of the convolution of the Toeplitz column
     [1, -a, -R*C, -R*A*C, ..., -R*A^(r-2)*C] with those of A.  Every
-    value stays in the entries' own ring, x is never adjoined, and every
-    inner product and convolution term is summed by sum_of_products in
-    one term dict."""
+    value stays in the entries' own ring and x is never adjoined.  The
+    recurrence runs on the entries' term dicts: each inner product and
+    each convolution term is added into one dict by _add_product, a and
+    R are negated once per block, and a MultiPoly is built only for the
+    n + 1 results.
+
+    The degree bound is checked once, before the first product.  Let D
+    be the largest total degree of an entry.  For the block of order r:
+    the coefficient of A's charpoly j powers below the top is a sum of
+    products of j entries; A^k*C is one of k + 1 entries; so -R*A^k*C is
+    one of k + 2 <= r entries, and each term t_i*c_j of the convolution
+    one of i + j <= r entries.  Every product formed is such a product
+    of at most r <= n entries, so its keys have total degree at most
+    n*D, and every exponent is at most that.  n*D <= MAX_EXP therefore
+    keeps every field of every key in range: no key addition carries."""
     dom = m.domain
     reg = dom.reg
-    zero = dom.zero
-    rows = [[(j, dom.coerce(x)) for j, x in row] for row in m.rows]
+    n = m.nrows
+    rows = [[(j, dom.coerce(x).terms) for j, x in row] for row in m.rows]
+    shift = reg._deg_shift
+    top = max((max(x) >> shift for row in rows for _, x in row), default=0)
+    if n * top > MAX_EXP:
+        raise OverflowError(
+            f"charpoly degree bound {n}*{top} exceeds the exponent limit "
+            f"{MAX_EXP}")
     at = [dict(row) for row in rows]
-    coeffs = [dom.one]
-    for r in range(m.nrows):   # the block of order r + 1: C is column r, R row r
+    empty: dict = {}
+    one = {0: 1}
+    coeffs = [one]
+    for r in range(n):   # the block of order r + 1: C is column r, R row r
         block = [[(j, x) for j, x in rows[i] if j < r] for i in range(r)]
-        row = [(j, x) for j, x in rows[r] if j < r]
-        v = [at[i].get(r, zero) for i in range(r)]
-        t = [dom.one, -at[r].get(r, zero)]
+        neg_row = [(j, {k: -c for k, c in x.items()})
+                   for j, x in rows[r] if j < r]
+        v = [at[i].get(r, empty) for i in range(r)]
+        t = [one, {k: -c for k, c in at[r].get(r, empty).items()}]
         for k in range(r):
             if k:
-                v = [sum_of_products(reg, [(x, v[j]) for j, x in brow])
-                     for brow in block]
-            t.append(-sum_of_products(reg, [(x, v[j]) for j, x in row]))
-        coeffs = [sum_of_products(reg, [(t[k - j], coeffs[j])
-                                        for j in range(max(0, k - r - 1),
-                                                       min(k, r) + 1)])
-                  for k in range(r + 2)]
-    return coeffs[::-1]
+                v = [_dot(brow, v) for brow in block]
+            t.append(_dot(neg_row, v))
+        new = []
+        for k in range(r + 2):
+            out: dict = {}
+            for j in range(max(0, k - r - 1), min(k, r) + 1):
+                _add_product(out, t[k - j], coeffs[j])
+            new.append(out)
+        coeffs = new
+    return [MultiPoly(reg, c) for c in reversed(coeffs)]
+
+
+def _dot(row: list, v: list) -> dict:
+    """The term dict of the sum of x*v[j] over the (j, x) of row."""
+    out: dict = {}
+    for j, x in row:
+        _add_product(out, x, v[j])
+    return out
 
 
 def _charpoly_coeffs(m: Matrix) -> list:

@@ -16,7 +16,7 @@ all of it is intentionally naive, so the budgets are small and hard.
 from __future__ import annotations
 
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, is_connected
 
 TREE_EDGE_BUDGET = 24
 FOREST_EDGE_BUDGET = 20
@@ -36,7 +36,10 @@ def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
     chosen is the walk's own list of edge indices, in ascending order;
     phi is the product of the component sizes over the full vertex set;
     weight is the product of the chosen edges' values, or None when no
-    domain is given.  Loops never enter a subset.
+    domain is given.  Loops never enter a subset.  A disconnected graph
+    has no spanning tree: the spanning walk visits nothing and builds
+    nothing per vertex, as is_connected refutes more vertices than
+    edges + 1 at once.
     """
     ne = g.num_unoriented
     budget, kind = ((TREE_EDGE_BUDGET, "tree") if spanning
@@ -44,6 +47,8 @@ def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
     if ne > budget:
         raise BudgetExceededError(
             f"{ne} edges exceeds the {budget}-edge {kind} budget")
+    if spanning and not is_connected(g):
+        return
     n = g.num_vertices
     ends = _edge_endpoints(g)
     mul = domain.mul if domain is not None else None

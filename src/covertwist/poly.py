@@ -132,17 +132,17 @@ def _coeff_div(a, b):
     return a / b
 
 
-def _add_product(out: dict, a: dict, b: dict, shift: int) -> None:
+def _add_product(out: dict, a: dict, b: dict) -> None:
     """Add the product of the term dicts a and b into out, in place.
 
     This is the one product loop of the module.  Keys add fieldwise
-    with no carry check, which is sound while the total degree (the top
-    field of the leading key, at bit shift) fits a field."""
+    with no carry check: the caller proves that no product key has a
+    total degree past MAX_EXP, and then no field carries, since every
+    exponent is at most the total degree.  MultiPoly.__mul__ checks the
+    sum of the two total degrees; the Berkowitz charpoly checks one
+    bound for its whole run."""
     if not a or not b:
         return
-    if (max(a) >> shift) + (max(b) >> shift) > MAX_EXP:
-        raise OverflowError(
-            f"product degree exceeds the exponent limit {MAX_EXP}")
     if len(a) > len(b):
         a, b = b, a
     get = out.get
@@ -159,22 +159,6 @@ def _add_product(out: dict, a: dict, b: dict, shift: int) -> None:
                     out[k] = acc
                 else:
                     del out[k]
-
-
-def sum_of_products(reg: VarRegistry, pairs) -> "MultiPoly":
-    """Sum of a * b over the (a, b) pairs of polynomials over reg.
-
-    Every product is added straight into one term dict, so no product
-    or partial sum is built as a polynomial of its own."""
-    out: dict = {}
-    shift = reg._deg_shift
-    names = reg.names
-    for a, b in pairs:
-        if a.reg.names != names or b.reg.names != names:
-            raise RegistryMismatchError(
-                f"registries differ: {a.reg.names}, {b.reg.names} vs {names}")
-        _add_product(out, a.terms, b.terms, shift)
-    return MultiPoly(reg, out)
 
 
 class MultiPoly:
@@ -325,8 +309,14 @@ class MultiPoly:
                                  {k: c * other for k, c in self.terms.items()})
             return NotImplemented
         _same_registry(self, other)
+        a, b = self.terms, other.terms
         out: dict = {}
-        _add_product(out, self.terms, other.terms, self.reg._deg_shift)
+        if a and b:
+            shift = self.reg._deg_shift
+            if (max(a) >> shift) + (max(b) >> shift) > MAX_EXP:
+                raise OverflowError(
+                    f"product degree exceeds the exponent limit {MAX_EXP}")
+            _add_product(out, a, b)
         return MultiPoly(self.reg, out)
 
     __rmul__ = __mul__
@@ -455,43 +445,51 @@ class MultiPoly:
     def to_text(self) -> str:
         """Canonical text: graded-lex descending, e.g. 3*x_0^2*x_1 - 2*lambda.
 
-        Each key is read from its top bit down, one nonzero exponent
-        field at a time (variable 0 is the highest field below the total
-        degree), and each field's text is built once per call."""
+        A key's variable fields split into a high half (variable 0, the
+        highest field below the total degree, first) and a low half, and
+        each half's text, every factor led by "*", comes from a table of
+        this call: a half is read field by field only the first time it
+        occurs.  A term's monomial is its two halves' texts joined."""
         terms = self.terms
         if not terms:
             return "0"
         names = self.reg.names[::-1]   # by field, lowest first
-        low = (1 << self.reg._deg_shift) - 1
-        factor = {}   # one variable's field, in place -> its text
-        parts = []
-        for key in sorted(terms, reverse=True):
-            c = terms[key]
-            rest = key & low
-            factors = []
+        low_mask = (1 << len(names) // 2 * VAR_BITS) - 1
+        high_mask = ((1 << self.reg._deg_shift) - 1) ^ low_mask
+
+        def factors(rest: int) -> str:
+            out = []
             while rest:
                 sh = (rest.bit_length() - 1) // VAR_BITS * VAR_BITS
-                field = rest >> sh << sh
-                rest ^= field
-                text = factor.get(field)
-                if text is None:
-                    e = field >> sh
-                    name = names[sh // VAR_BITS]
-                    text = factor[field] = name if e == 1 else f"{name}^{e}"
-                factors.append(text)
-            mono = "*".join(factors)
+                e = rest >> sh
+                rest ^= e << sh
+                name = names[sh // VAR_BITS]
+                out.append(f"*{name}" if e == 1 else f"*{name}^{e}")
+            return "".join(out)
+
+        highs = {0: ""}
+        lows = {0: ""}
+        parts = []
+        append = parts.append
+        for key in sorted(terms, reverse=True):
+            c = terms[key]
+            half = key & high_mask
+            mono = highs.get(half)
+            if mono is None:
+                mono = highs[half] = factors(half)
+            half = key & low_mask
+            text = lows.get(half)
+            if text is None:
+                text = lows[half] = factors(half)
+            mono += text
             if isinstance(c, Cyclotomic):   # nonreal or irrational
-                parts.append(f" + ({c})*{mono}" if mono else f" + ({c})")
-                continue
-            neg = c < 0
-            ms = str(-c if neg else c)   # a Fraction n/1 prints as n
-            if not mono:
-                body = ms
-            elif ms == "1":
-                body = mono
+                append(f" + ({c}){mono}")
+            elif c < 0:   # a Fraction n/1 prints as n
+                append(f" - {-c!s}{mono}" if c != -1 or not mono
+                       else f" - {mono[1:]}")
             else:
-                body = f"{ms}*{mono}"
-            parts.append(f" - {body}" if neg else f" + {body}")
+                append(f" + {c!s}{mono}" if c != 1 or not mono
+                       else f" + {mono[1:]}")
         first = parts[0]
         parts[0] = f"-{first[3:]}" if first[1] == "-" else first[3:]
         return "".join(parts)

@@ -12,6 +12,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import covertwist.matrix as matrix
 from covertwist.domains import QI, QQ, Cyclotomic
 from covertwist.matrix import Matrix, charpoly
 from covertwist.poly import MultiPoly, PolyDomain, VarRegistry
@@ -161,8 +162,11 @@ def test_no_exact_division(monkeypatch):
     [["x^65535", 0], [0, 0]],             # x^65535 * lambda
     # R*C = x^80000 - x^80000: the wrapped products would cancel
     [[0, 0, "x^40000"], [0, 0, "x^40000"], ["x^40000", "-x^40000", 0]],
+    # c_0 = -x^75000, reached only in the last block: the products of
+    # the first two blocks fit, and none of them is formed
+    [["x^25000", 0, 0], [0, "x^25000", 0], [0, 0, "x^25000"]],
 ])
-def test_degree_overflow_raises(rows):
+def test_degree_overflow_raises(monkeypatch, rows):
     x = MultiPoly.variable(REG, "x")
 
     def entry(v):
@@ -173,5 +177,11 @@ def test_degree_overflow_raises(rows):
 
     m = matrix_from_rows(PolyDomain(REG, QQ),
                          [[entry(v) for v in row] for row in rows])
+    # the order times the largest entry degree exceeds the limit in
+    # every case, so the one guard refuses before the first product
+    calls = []
+    monkeypatch.setattr(matrix, "_add_product",
+                        lambda *args: calls.append(args))
     with pytest.raises(OverflowError):
         charpoly(m)
+    assert calls == []

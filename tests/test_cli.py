@@ -231,6 +231,19 @@ def test_validate_refutes_connectivity_before_any_allocation(
     assert "loop rank" not in out
 
 
+@pytest.mark.parametrize("vertices", [3, 999999999999])
+def test_disconnected_graph_has_no_spanning_tree(tmp_path, capsys, vertices):
+    # the spanning walk refutes connectivity before anything per vertex
+    # is built: zero trees and a zero sum, exit 0
+    path = tmp_path / "sparse.txt"
+    path.write_text(too_many_vertices(vertices))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "oracle-trees", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == ""
+    assert "  spanning trees = 0\n  tree sum = 0\n" in out
+
+
 def test_memory_error_is_over_budget_not_falsified(tmp_path):
     # the forest oracle allocates per vertex before any check: in a child
     # limited to 1 GB of address space that is a MemoryError, which ends

@@ -346,6 +346,24 @@ def test_identity_cover_complement_is_empty():
             assert split.cover == split.base
 
 
+@pytest.mark.parametrize("command, path",
+                         [("trees", C3), ("trees", Z6), ("dimer", DIMER)])
+def test_trees_and_dimer_never_form_the_cover_product(capsys, monkeypatch,
+                                                      command, path):
+    # each reads the cover coefficients it needs off the two factors, so
+    # its report is the same with the product out of reach
+    assert main([command, "--input", path]) == 0
+    want = capsys.readouterr().out
+
+    def no_product(split):
+        raise AssertionError("the cover product was formed")
+
+    monkeypatch.setattr(certificates.CoverSplit, "cover",
+                        property(no_product))
+    assert main([command, "--input", path]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_complement_of_degree_one_has_degree_zero():
     rho = trivial_representation(QQ, 0)
     assert permutation_complement(rho).degree == 0
