@@ -47,7 +47,6 @@ roots of unity are cyclotomic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -115,19 +114,21 @@ def unoriented_values(g: Graph, x: EdgeWeights) -> list:
 # the conjugation certificate
 
 
-@dataclass(frozen=True)
 class ConjugacyCertificate:
     """ψ together with the two operators it is claimed to intertwine
     (a_cover and a_base, twisted adjacency or twisted Laplacian) and the
     induced representation ρ# that twists the base one.  psi holds the
     row block of each cover vertex; each of its blocks is I_m."""
 
-    psi: tuple[int, ...]
-    a_cover: Matrix
-    a_base: Matrix
-    commutes: bool
-    vertex_dets: tuple[int, ...]
-    induced: Representation
+    def __init__(self, psi: tuple[int, ...], a_cover: Matrix, a_base: Matrix,
+                 commutes: bool, vertex_dets: tuple[int, ...],
+                 induced: Representation):
+        self.psi = psi
+        self.a_cover = a_cover
+        self.a_base = a_base
+        self.commutes = commutes
+        self.vertex_dets = vertex_dets
+        self.induced = induced
 
     @property
     def invertible(self) -> bool:
@@ -235,7 +236,6 @@ def verify_main(cd: CosetData, rho: Representation, x: EdgeWeights,
 # the cover charpoly for the trivial twist, through the identity
 
 
-@dataclass(frozen=True)
 class CoverSplit:
     """charpoly(M_cover) = charpoly(M_base)·charpoly(M_base^{ρ_c}) for
     the trivial twist, with its witness.
@@ -250,11 +250,13 @@ class CoverSplit:
     forms it on each access, so callers that print or compare it take it
     once and the others read what they need off the two factors."""
 
-    conjugacy: ConjugacyCertificate
-    splits: bool
-    trace_matches: bool
-    base: MultiPoly
-    complement: MultiPoly
+    def __init__(self, conjugacy: ConjugacyCertificate, splits: bool,
+                 trace_matches: bool, base: MultiPoly, complement: MultiPoly):
+        self.conjugacy = conjugacy
+        self.splits = splits
+        self.trace_matches = trace_matches
+        self.base = base
+        self.complement = complement
 
     @property
     def ok(self) -> bool:
@@ -334,17 +336,19 @@ def split_cover_charpoly(cd: CosetData, x: EdgeWeights,
 # divisibility certificates
 
 
-@dataclass(frozen=True)
 class DivisibilityCertificate:
     """An exact quotient.  integral says whether its coefficients are
     rational integers; integrality_claimed whether they must be, which
     the paper asserts only for integer or indeterminate weights."""
 
-    dividend: MultiPoly
-    divisor: MultiPoly
-    quotient: MultiPoly
-    integral: bool
-    integrality_claimed: bool
+    def __init__(self, dividend: MultiPoly, divisor: MultiPoly,
+                 quotient: MultiPoly, integral: bool,
+                 integrality_claimed: bool):
+        self.dividend = dividend
+        self.divisor = divisor
+        self.quotient = quotient
+        self.integral = integral
+        self.integrality_claimed = integrality_claimed
 
     @property
     def integrality_ok(self) -> bool:
@@ -366,7 +370,6 @@ def _exact_divide(dividend: MultiPoly, divisor: MultiPoly, what: str,
                                    x.is_integral())
 
 
-@dataclass(frozen=True)
 class Cor1Result:
     """Untwisted charpoly divisibility along a cover, with the quotient
     identified as the charpoly of the complement representation.
@@ -377,9 +380,11 @@ class Cor1Result:
     when the whole witness holds, so quotient_monic and the certificate's
     integral flag each include it."""
 
-    certificate: DivisibilityCertificate
-    quotient_monic: bool
-    split: CoverSplit
+    def __init__(self, certificate: DivisibilityCertificate,
+                 quotient_monic: bool, split: CoverSplit):
+        self.certificate = certificate
+        self.quotient_monic = quotient_monic
+        self.split = split
 
     @property
     def divisible(self) -> bool:
@@ -430,15 +435,16 @@ def cor1_certificate(cd: CosetData, x: EdgeWeights) -> Cor1Result:
 # normal covers: factorization over the deck group's irreducibles
 
 
-@dataclass(frozen=True)
 class Cor2Result:
     """The cover charpoly (lhs) against the product of the irreducible
     charpolys (rhs), both exact polynomials."""
 
-    matches: bool
-    lhs: MultiPoly
-    rhs: MultiPoly
-    factor_degrees: tuple[int, ...]
+    def __init__(self, matches: bool, lhs: MultiPoly, rhs: MultiPoly,
+                 factor_degrees: tuple[int, ...]):
+        self.matches = matches
+        self.lhs = lhs
+        self.rhs = rhs
+        self.factor_degrees = factor_degrees
 
     @property
     def ok(self) -> bool:
@@ -485,17 +491,20 @@ def cor2_certificate(cd: CosetData, x: EdgeWeights,
 # spanning trees and rooted forests through the Laplacian
 
 
-@dataclass(frozen=True)
 class TreesResult:
     """Tree and forest quotients, read off the complement charpoly of
     split; each is a quotient only when the whole witness holds, so each
     divisibility claim is split.ok."""
 
-    st: DivisibilityCertificate
-    rsf: DivisibilityCertificate
-    base_charpoly: MultiPoly
-    coefficient_checks: tuple[tuple[str, bool], ...]
-    split: CoverSplit
+    def __init__(self, st: DivisibilityCertificate,
+                 rsf: DivisibilityCertificate, base_charpoly: MultiPoly,
+                 coefficient_checks: tuple[tuple[str, bool], ...],
+                 split: CoverSplit):
+        self.st = st
+        self.rsf = rsf
+        self.base_charpoly = base_charpoly
+        self.coefficient_checks = coefficient_checks
+        self.split = split
 
     @property
     def cover_charpoly(self) -> MultiPoly:
@@ -611,18 +620,21 @@ def tree_certificates(cd: CosetData, x: EdgeWeights) -> TreesResult:
 # dimers under an odd cyclic symmetry
 
 
-@dataclass(frozen=True)
 class DimerResult:
     """det_identity is the split's whole witness; det_cover is
     det(K_cover), the product of the split's two constant terms."""
 
-    det_identity: bool
-    matching_cert: DivisibilityCertificate
-    pf_base_squared_ok: bool
-    pf_cover_squared_ok: bool
-    z_base: MultiPoly
-    z_cover: MultiPoly
-    det_cover: MultiPoly
+    def __init__(self, det_identity: bool,
+                 matching_cert: DivisibilityCertificate,
+                 pf_base_squared_ok: bool, pf_cover_squared_ok: bool,
+                 z_base: MultiPoly, z_cover: MultiPoly, det_cover: MultiPoly):
+        self.det_identity = det_identity
+        self.matching_cert = matching_cert
+        self.pf_base_squared_ok = pf_base_squared_ok
+        self.pf_cover_squared_ok = pf_cover_squared_ok
+        self.z_base = z_base
+        self.z_cover = z_cover
+        self.det_cover = det_cover
 
     @property
     def ok(self) -> bool:
@@ -708,12 +720,12 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
 KOS_ORDER_BUDGET = 400
 
 
-@dataclass(frozen=True)
 class KosResult:
-    lhs: object
-    rhs: object
-    factors: tuple
-    ok: bool
+    def __init__(self, lhs: object, rhs: object, factors: tuple, ok: bool):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.factors = factors
+        self.ok = ok
 
 
 def kos_certificate(g: Graph, z2_volt: tuple[tuple[int, int], ...],

@@ -11,7 +11,6 @@ deck transformations; and quotients by subgroups of that group.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -90,14 +89,12 @@ def permutation_closure(gens: list[Perm], d: int,
 # voltages and cover construction
 
 
-@dataclass(frozen=True)
 class VoltageAssignment:
     """One permutation of {0..d-1} per presentation generator."""
 
-    degree: int
-    perms: tuple[Perm, ...]
-
-    def __post_init__(self):
+    def __init__(self, degree: int, perms: tuple[Perm, ...]):
+        self.degree = degree
+        self.perms = perms
         for k, p in enumerate(self.perms):
             if not is_permutation(p, self.degree):
                 raise ValueError(f"voltage for generator {k} is not a "
@@ -123,17 +120,31 @@ class VoltageAssignment:
         return len({find(i) for i in range(d)}) == 1
 
 
-@dataclass(frozen=True)
 class CoveringMap:
     """Vertex and edge projections from a cover graph onto a base graph,
     with a marked base vertex and a marked lift of it."""
 
-    base: Graph
-    cover: Graph
-    p_vertex: tuple[int, ...]
-    p_edge: tuple[int, ...]
-    base_vertex: int
-    cover_base_vertex: int
+    def __init__(self, base: Graph, cover: Graph, p_vertex: tuple[int, ...],
+                 p_edge: tuple[int, ...], base_vertex: int,
+                 cover_base_vertex: int):
+        self.base = base
+        self.cover = cover
+        self.p_vertex = p_vertex
+        self.p_edge = p_edge
+        self.base_vertex = base_vertex
+        self.cover_base_vertex = cover_base_vertex
+
+    def _key(self):
+        return (self.base, self.cover, self.p_vertex, self.p_edge,
+                self.base_vertex, self.cover_base_vertex)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def vertex_fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -249,7 +260,6 @@ def validate_covering(p: CoveringMap) -> ValidationReport:
 # fiber permutation group
 
 
-@dataclass(frozen=True)
 class GaloisGroup:
     """Image of the base loop group in the symmetric group of the fiber
     over the base vertex, by its generators (CosetData.monodromy, read
@@ -258,8 +268,9 @@ class GaloisGroup:
     the fiber size.  `abelian` tests commutation once; `elements` closes
     the group, which only the Artin axioms need."""
 
-    fiber: tuple[int, ...]
-    gen_perms: tuple[Perm, ...]
+    def __init__(self, fiber: tuple[int, ...], gen_perms: tuple[Perm, ...]):
+        self.fiber = fiber
+        self.gen_perms = gen_perms
 
     @property
     def order(self) -> int:
@@ -282,7 +293,6 @@ class GaloisGroup:
 # sheets
 
 
-@dataclass(frozen=True)
 class CosetData:
     """Tree-derived coset bookkeeping for a connected cover.
 
@@ -293,11 +303,14 @@ class CosetData:
     and it refuses a disconnected cover, so coset data vouch for
     connectivity."""
 
-    covering: CoveringMap
-    base_pres: Pi1Presentation
-    cover_tree: SpanningTree
-    cover_pres: Pi1Presentation
-    sheet: tuple[int, ...]
+    def __init__(self, covering: CoveringMap, base_pres: Pi1Presentation,
+                 cover_tree: SpanningTree, cover_pres: Pi1Presentation,
+                 sheet: tuple[int, ...]):
+        self.covering = covering
+        self.base_pres = base_pres
+        self.cover_tree = cover_tree
+        self.cover_pres = cover_pres
+        self.sheet = sheet
 
     @property
     def fiber(self) -> tuple[int, ...]:
@@ -422,13 +435,13 @@ def is_normal(cd: CosetData) -> tuple[bool, GaloisGroup | None]:
 # deck transformations and quotients
 
 
-@dataclass(frozen=True)
 class DeckTransformation:
     """Cover automorphism commuting with the projection, recorded as
     plain vertex and edge relabelings."""
 
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
+    def __init__(self, vertex_map: tuple[int, ...], edge_map: tuple[int, ...]):
+        self.vertex_map = vertex_map
+        self.edge_map = edge_map
 
 
 def deck_transformation(p: CoveringMap, fiber: tuple[int, ...],
@@ -490,16 +503,18 @@ def check_subgroup(elements: tuple[Perm, ...],
     return tuple(sorted(s))
 
 
-@dataclass(frozen=True)
 class QuotientData:
     """Orbit quotient of a cover by a subgroup of deck permutations: the
     intermediate graph, the covering it induces over the base, and the
     covering of it by the original cover."""
 
-    subgroup: tuple[Perm, ...]
-    mid_over_base: CoveringMap          # quotient graph → base
-    cover_over_mid: CoveringMap         # original cover → quotient graph
-    decks: tuple[DeckTransformation, ...]
+    def __init__(self, subgroup: tuple[Perm, ...], mid_over_base: CoveringMap,
+                 cover_over_mid: CoveringMap,
+                 decks: tuple[DeckTransformation, ...]):
+        self.subgroup = subgroup
+        self.mid_over_base = mid_over_base      # quotient graph → base
+        self.cover_over_mid = cover_over_mid    # original cover → quotient graph
+        self.decks = decks
 
 
 def quotient_by_subgroup(p: CoveringMap, galois: GaloisGroup,

@@ -26,7 +26,6 @@ and parsing its own output reproduces the document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covering import VoltageAssignment
@@ -48,21 +47,31 @@ from .representation import Representation, representation
 WEIGHT_KINDS = ("symbolic", "rational", "complex", "unit")
 
 
-@dataclass
 class InputDocument:
     """Parsed problem statement: one graph plus optional twist data."""
 
-    graph: Graph
-    weights_kind: str = "symbolic"
-    weight_values: tuple | None = None
-    rotation: RotationSystem | None = None
-    voltage: VoltageAssignment | None = None
-    z2_voltages: tuple[tuple[int, int], ...] | None = None
-    zd_modulus: int | None = None
-    zd_voltages: tuple[int, ...] | None = None
-    representations: dict[str, Representation] = field(default_factory=dict)
-    irreducibles: list[tuple[str, int]] = field(default_factory=list)
-    subgroup: tuple[tuple[int, ...], ...] | None = None
+    def __init__(self, graph: Graph, weights_kind: str = "symbolic",
+                 weight_values: tuple | None = None,
+                 rotation: RotationSystem | None = None,
+                 voltage: VoltageAssignment | None = None,
+                 z2_voltages: tuple[tuple[int, int], ...] | None = None,
+                 zd_modulus: int | None = None,
+                 zd_voltages: tuple[int, ...] | None = None,
+                 representations: dict[str, Representation] | None = None,
+                 irreducibles: list[tuple[str, int]] | None = None,
+                 subgroup: tuple[tuple[int, ...], ...] | None = None):
+        self.graph = graph
+        self.weights_kind = weights_kind
+        self.weight_values = weight_values
+        self.rotation = rotation
+        self.voltage = voltage
+        self.z2_voltages = z2_voltages
+        self.zd_modulus = zd_modulus
+        self.zd_voltages = zd_voltages
+        self.representations = ({} if representations is None
+                                else representations)
+        self.irreducibles = [] if irreducibles is None else irreducibles
+        self.subgroup = subgroup
 
 
 def document_weights(doc: InputDocument) -> EdgeWeights:
@@ -687,16 +696,19 @@ def serialize_input(doc: InputDocument) -> str:
 # reports
 
 
-@dataclass
 class Report:
     """Rendered outcome of one command: named checks, data lines, and an
     overall flag.  Byte-stable for exact runs; timing is opt-in."""
 
-    command: str
-    checks: list[tuple[str, bool]] = field(default_factory=list)
-    data: list[tuple[str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed: float | None = None
+    def __init__(self, command: str,
+                 checks: list[tuple[str, bool]] | None = None,
+                 data: list[tuple[str, str]] | None = None,
+                 notes: list[str] | None = None, elapsed: float | None = None):
+        self.command = command
+        self.checks = [] if checks is None else checks
+        self.data = [] if data is None else data
+        self.notes = [] if notes is None else notes
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

@@ -10,9 +10,8 @@ index order, so downstream constructions are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable, Union
 
 from .errors import (
     InvalidRotationError,
@@ -21,21 +20,31 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
     """Directed multigraph: parallel source/target tuples indexed by edge."""
 
-    num_vertices: int
-    src: tuple[int, ...]
-    tgt: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, num_vertices: int, src: tuple[int, ...],
+                 tgt: tuple[int, ...]):
+        self.num_vertices = num_vertices
+        self.src = src
+        self.tgt = tgt
         if len(self.src) != len(self.tgt):
             raise ValueError("src and tgt lengths differ")
         for e in range(len(self.src)):
             if not (0 <= self.src[e] < self.num_vertices
                     and 0 <= self.tgt[e] < self.num_vertices):
                 raise ValueError(f"edge {e} has endpoint out of range")
+
+    def _key(self):
+        return (self.num_vertices, self.src, self.tgt)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def num_edges(self) -> int:
@@ -57,7 +66,6 @@ class DirectedGraph:
         return tuple(tuple(l) for l in inc)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Directed graph with a fixed-point-free edge involution.
 
@@ -67,8 +75,20 @@ class Graph:
     properties below assume them.
     """
 
-    dg: DirectedGraph
-    inv: tuple[int, ...]
+    def __init__(self, dg: DirectedGraph, inv: tuple[int, ...]):
+        self.dg = dg
+        self.inv = inv
+
+    def _key(self):
+        return (self.dg, self.inv)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def num_vertices(self) -> int:
@@ -134,18 +154,18 @@ def build_graph(num_vertices: int,
     return Graph(DirectedGraph(num_vertices, tuple(src), tuple(tgt)), tuple(inv))
 
 
-@dataclass(frozen=True)
 class Path:
     """Edge sequence with an explicit start vertex (empty paths allowed)."""
 
-    base: int
-    edges: tuple[int, ...] = ()
+    def __init__(self, base: int, edges: tuple[int, ...] = ()):
+        self.base = base
+        self.edges = edges
 
     def __len__(self):
         return len(self.edges)
 
 
-def check_path(g: Union[Graph, DirectedGraph], p: Path) -> None:
+def check_path(g: Graph | DirectedGraph, p: Path) -> None:
     dg = g.dg if isinstance(g, Graph) else g
     at = p.base
     if not (0 <= at < dg.num_vertices):
@@ -159,23 +179,23 @@ def check_path(g: Union[Graph, DirectedGraph], p: Path) -> None:
         at = dg.tgt[e]
 
 
-def path_target(g: Union[Graph, DirectedGraph], p: Path) -> int:
+def path_target(g: Graph | DirectedGraph, p: Path) -> int:
     dg = g.dg if isinstance(g, Graph) else g
     return dg.tgt[p.edges[-1]] if p.edges else p.base
 
 
-def check_loop(g: Union[Graph, DirectedGraph], p: Path) -> None:
+def check_loop(g: Graph | DirectedGraph, p: Path) -> None:
     check_path(g, p)
     if path_target(g, p) != p.base:
         raise NotALoopError(
             f"path ends at {path_target(g, p)}, not its start {p.base}")
 
 
-@dataclass
 class ValidationReport:
     """Outcome of a structural validation; empty problem list means valid."""
 
-    problems: list[str] = field(default_factory=list)
+    def __init__(self, problems: list[str] | None = None):
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:
@@ -208,7 +228,7 @@ def validate_graph(g: Graph) -> ValidationReport:
     return rep
 
 
-def is_connected(g: Union[Graph, DirectedGraph]) -> bool:
+def is_connected(g: Graph | DirectedGraph) -> bool:
     """Every ordered vertex pair joined by a path.
 
     For Graph inputs this is undirected reachability (the involution
@@ -243,12 +263,12 @@ def is_connected(g: Union[Graph, DirectedGraph]) -> bool:
     return reaches_all(dg.out_edges) and reaches_all(dg.in_edges)
 
 
-@dataclass(frozen=True)
 class RotationSystem:
     """Cyclic order of the out-edges at each vertex (an embedding up to
     reflection); orders[v] lists the directed edges with source v."""
 
-    orders: tuple[tuple[int, ...], ...]
+    def __init__(self, orders: tuple[tuple[int, ...], ...]):
+        self.orders = orders
 
     @cached_property
     def successor(self) -> dict[int, int]:
@@ -269,12 +289,13 @@ def validate_rotation(g: Graph, rot: RotationSystem) -> None:
                 f"rotation at vertex {v} is not a cyclic order of its out-star")
 
 
-@dataclass(frozen=True)
 class FaceCollection:
     """Face walks of an embedded graph plus the Euler characteristic."""
 
-    walks: tuple[tuple[int, ...], ...]
-    euler_characteristic: int
+    def __init__(self, walks: tuple[tuple[int, ...], ...],
+                 euler_characteristic: int):
+        self.walks = walks
+        self.euler_characteristic = euler_characteristic
 
     @cached_property
     def face_of_edge(self) -> dict[int, int]:

@@ -9,7 +9,6 @@ exponent) letters with exponent +1 or -1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotConnectedError
@@ -19,7 +18,6 @@ from .graphs import Graph
 FreeWord = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class SpanningTree:
     """BFS spanning tree rooted at `root`.
 
@@ -28,11 +26,26 @@ class SpanningTree:
     the unoriented edge indices used.
     """
 
-    graph: Graph
-    root: int
-    parent_edge: tuple[int | None, ...]
-    depth: tuple[int, ...]
-    tree_edges: frozenset[int]
+    def __init__(self, graph: Graph, root: int,
+                 parent_edge: tuple[int | None, ...], depth: tuple[int, ...],
+                 tree_edges: frozenset[int]):
+        self.graph = graph
+        self.root = root
+        self.parent_edge = parent_edge
+        self.depth = depth
+        self.tree_edges = tree_edges
+
+    def _key(self):
+        return (self.graph, self.root, self.parent_edge, self.depth,
+                self.tree_edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
@@ -59,7 +72,6 @@ def spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
                         frozenset(tree_unoriented))
 
 
-@dataclass(frozen=True)
 class Pi1Presentation:
     """Free generators for loops at the tree root.
 
@@ -68,9 +80,22 @@ class Pi1Presentation:
     E - V + 1 for a connected graph.
     """
 
-    tree: SpanningTree
-    generators: tuple[int, ...]          # unoriented edge indices
-    gen_edge: tuple[int, ...]            # preferred directed edge per generator
+    def __init__(self, tree: SpanningTree, generators: tuple[int, ...],
+                 gen_edge: tuple[int, ...]):
+        self.tree = tree
+        self.generators = generators    # unoriented edge indices
+        self.gen_edge = gen_edge        # preferred directed edge per generator
+
+    def _key(self):
+        return (self.tree, self.generators, self.gen_edge)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def graph(self) -> Graph:

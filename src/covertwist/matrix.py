@@ -499,9 +499,9 @@ def _charpoly_berkowitz(m: Matrix) -> list:
     [1, -a, -R*C, -R*A*C, ..., -R*A^(r-2)*C] with those of A.  Every
     value stays in the entries' own ring and x is never adjoined.  The
     recurrence runs on the entries' term dicts: each inner product and
-    each convolution term is added into one dict by _add_product, a and
-    R are negated once per block, and a MultiPoly is built only for the
-    n + 1 results.
+    each convolution term is added into one dict by _add_product, which
+    is called only when both factors are nonzero; a and R are negated
+    once per block, and a MultiPoly is built only for the n + 1 results.
 
     The degree bound is checked once, before the first product.  Let D
     be the largest total degree of an entry.  For the block of order r:
@@ -540,17 +540,22 @@ def _charpoly_berkowitz(m: Matrix) -> list:
         for k in range(r + 2):
             out: dict = {}
             for j in range(max(0, k - r - 1), min(k, r) + 1):
-                _add_product(out, t[k - j], coeffs[j])
+                a, b = t[k - j], coeffs[j]
+                if a and b:
+                    _add_product(out, a, b)
             new.append(out)
         coeffs = new
     return [MultiPoly(reg, c) for c in reversed(coeffs)]
 
 
 def _dot(row: list, v: list) -> dict:
-    """The term dict of the sum of x*v[j] over the (j, x) of row."""
+    """The term dict of the sum of x*v[j] over the (j, x) of row; row
+    holds nonzeros, so only an empty v[j] is skipped."""
     out: dict = {}
     for j, x in row:
-        _add_product(out, x, v[j])
+        b = v[j]
+        if b:
+            _add_product(out, x, b)
     return out
 
 

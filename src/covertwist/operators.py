@@ -12,9 +12,7 @@ weightings they induce on planar embeddings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Union
 
 from .domains import QQ, coeff_is_integer, unify_scalar_domains
 from .errors import (
@@ -42,12 +40,12 @@ from .representation import Connection, trivial_connection
 # edge weights
 
 
-@dataclass(frozen=True)
 class EdgeWeights:
     """One scalar per directed edge over a common domain."""
 
-    domain: object
-    values: tuple
+    def __init__(self, domain: object, values: tuple):
+        self.domain = domain
+        self.values = values
 
     def is_symmetric(self, g: Graph) -> bool:
         return all(self.domain.eq(self.values[e], self.values[g.inv[e]])
@@ -126,7 +124,7 @@ def _checked_domain(dg: DirectedGraph, x: EdgeWeights, c: Connection):
     return _operator_domain(x.domain, c.domain)
 
 
-def twisted_adjacency(g: Union[Graph, DirectedGraph], x: EdgeWeights,
+def twisted_adjacency(g: Graph | DirectedGraph, x: EdgeWeights,
                       c: Connection) -> Matrix:
     """Block matrix whose (v,w) block sums x_e·φ_e over edges v→w."""
     dg = g.dg if isinstance(g, Graph) else g
@@ -157,16 +155,17 @@ def laplacian(g: Graph, x: EdgeWeights,
 # directed line graph
 
 
-@dataclass(frozen=True)
 class LineDigraph:
     """Vertices are the directed edges of the underlying graph; arcs
     chain edges head-to-tail, forbidding immediate backtracks.  Each arc
     remembers the edge at its source, which is also where its weight
     comes from; loops of arcs thereby project to closed walks below."""
 
-    digraph: DirectedGraph
-    weights: EdgeWeights
-    arc_source_edge: tuple[int, ...]
+    def __init__(self, digraph: DirectedGraph, weights: EdgeWeights,
+                 arc_source_edge: tuple[int, ...]):
+        self.digraph = digraph
+        self.weights = weights
+        self.arc_source_edge = arc_source_edge
 
 
 def line_digraph(g: Graph, x: EdgeWeights) -> LineDigraph:
@@ -207,13 +206,13 @@ def outer_face_index(fc: FaceCollection) -> int:
     return best
 
 
-@dataclass(frozen=True)
 class FaceParityReport:
     """Per-face orientation counts; valid iff every bounded face has odd
     count."""
 
-    outer: int
-    counts: tuple[int, ...]
+    def __init__(self, outer: int, counts: tuple[int, ...]):
+        self.outer = outer
+        self.counts = counts
 
     @property
     def ok(self) -> bool:

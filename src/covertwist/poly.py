@@ -14,9 +14,9 @@ every Cyclotomic coefficient in parentheses: (1-i)*x + (zeta_5).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Sequence
 
 from .domains import QQ, Cyclotomic, _Field, _rat_div, coeff_is_integer
 from .errors import DivisionByZeroPolyError, RegistryMismatchError
@@ -140,9 +140,7 @@ def _add_product(out: dict, a: dict, b: dict) -> None:
     total degree past MAX_EXP, and then no field carries, since every
     exponent is at most the total degree.  MultiPoly.__mul__ checks the
     sum of the two total degrees; the Berkowitz charpoly checks one
-    bound for its whole run."""
-    if not a or not b:
-        return
+    bound for its whole run.  Every caller skips an empty factor."""
     if len(a) > len(b):
         a, b = b, a
     get = out.get

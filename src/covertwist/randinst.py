@@ -9,7 +9,6 @@ covers are connected; matrices come out invertible by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .covering import (
     CosetData,
@@ -93,14 +92,15 @@ def random_representation(rng: random.Random, rank: int,
     return Representation(QQ, degree, mats, tuple(inverse(m) for m in mats))
 
 
-@dataclass(frozen=True)
 class CoverInstance:
     """One sampled verification problem: a connected cover as its coset
     data, a representation and symbolic weights on the base."""
 
-    coset: CosetData
-    rho: Representation
-    weights: EdgeWeights
+    def __init__(self, coset: CosetData, rho: Representation,
+                 weights: EdgeWeights):
+        self.coset = coset
+        self.rho = rho
+        self.weights = weights
 
 
 def random_cover_instance(rng: random.Random, max_vertices: int = 6,

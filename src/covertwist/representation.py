@@ -11,7 +11,6 @@ only where it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm, prod
 
@@ -35,19 +34,18 @@ from .homotopy import Pi1Presentation
 from .matrix import Matrix, det, direct_sum_matrices, inverse
 
 
-@dataclass(frozen=True)
 class Representation:
     """Generator images and their inverses over a scalar domain."""
 
-    domain: object
-    degree: int
-    gen_mats: tuple[Matrix, ...]
-    gen_invs: tuple[Matrix, ...]
-
-    def __post_init__(self):
+    def __init__(self, domain: object, degree: int,
+                 gen_mats: tuple[Matrix, ...], gen_invs: tuple[Matrix, ...]):
         """Each generator is square with m·m⁻¹ = I, so that m⁻¹ is a
         two-sided inverse; the product multiplies only the nonzero
         entries that meet.  A pair met before is not multiplied again."""
+        self.domain = domain
+        self.degree = degree
+        self.gen_mats = gen_mats
+        self.gen_invs = gen_invs
         ident = Matrix.identity(self.domain, self.degree)
         seen = set()
         for k, (m, mi) in enumerate(zip(self.gen_mats, self.gen_invs)):
@@ -95,14 +93,14 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
 # connections
 
 
-@dataclass(frozen=True)
 class Connection:
     """Invertible matrix per directed edge; on graphs with involution a
     valid connection inverts along edge reversal."""
 
-    domain: object
-    degree: int
-    mats: tuple[Matrix, ...]
+    def __init__(self, domain: object, degree: int, mats: tuple[Matrix, ...]):
+        self.domain = domain
+        self.degree = degree
+        self.mats = mats
 
 
 def trivial_connection(domain, num_edges: int, degree: int = 1) -> Connection:
@@ -260,18 +258,20 @@ def complement_basis(d: int, fixed: int = 0) -> Matrix:
 # characters of abelian permutation groups
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """All degree-1 characters of a regular abelian permutation group,
     ⊕ ℤ/diag[j], as exponent data: the element sending point 0 to x has
     exponents vectors[x] in the generators, and character t takes it to
     Π_j ζ_diag[j]^(t_j·(U·vectors[x])_j), t in mixed radix, last fastest."""
 
-    domain: object
-    gens: tuple[Perm, ...]
-    diag: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
-    vectors: tuple[tuple[int, ...], ...]
+    def __init__(self, domain: object, gens: tuple[Perm, ...],
+                 diag: tuple[int, ...], u: tuple[tuple[int, ...], ...],
+                 vectors: tuple[tuple[int, ...], ...]):
+        self.domain = domain
+        self.gens = gens
+        self.diag = diag
+        self.u = u
+        self.vectors = vectors
 
     @property
     def count(self) -> int:

@@ -23,7 +23,6 @@ instead of 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .covering import (
@@ -70,12 +69,12 @@ AMITSUR_LENGTH_BUDGET = 12
 # prime cycles
 
 
-@dataclass(frozen=True)
 class PrimeCycle:
     """Primitive cyclically non-backtracking closed cycle, stored as the
     lex-least rotation of its directed edge sequence."""
 
-    edges: tuple[int, ...]
+    def __init__(self, edges: tuple[int, ...]):
+        self.edges = edges
 
     @property
     def length(self) -> int:
@@ -196,13 +195,14 @@ def untwisted_l_series_inverse(g: Graph, x: EdgeWeights,
 # the log-derivative identity, coefficientwise
 
 
-@dataclass(frozen=True)
 class AmitsurResult:
-    lhs: MultiPoly
-    rhs: MultiPoly
-    matches: bool
-    max_length: int
-    prime_count: int
+    def __init__(self, lhs: MultiPoly, rhs: MultiPoly, matches: bool,
+                 max_length: int, prime_count: int):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.matches = matches
+        self.max_length = max_length
+        self.prime_count = prime_count
 
     @property
     def ok(self) -> bool:
@@ -288,14 +288,16 @@ def src_of_cycle(g: Graph, pc: PrimeCycle) -> int:
 # the four formal axioms over an abelian deck group
 
 
-@dataclass(frozen=True)
 class ArtinResult:
-    identity_axiom: bool
-    additivity_axiom: bool
-    inflation_axiom: bool
-    induction_axiom: bool
-    group_order: int
-    subgroup_order: int
+    def __init__(self, identity_axiom: bool, additivity_axiom: bool,
+                 inflation_axiom: bool, induction_axiom: bool,
+                 group_order: int, subgroup_order: int):
+        self.identity_axiom = identity_axiom
+        self.additivity_axiom = additivity_axiom
+        self.inflation_axiom = inflation_axiom
+        self.induction_axiom = induction_axiom
+        self.group_order = group_order
+        self.subgroup_order = subgroup_order
 
     @property
     def ok(self) -> bool:

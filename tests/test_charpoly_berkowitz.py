@@ -156,6 +156,29 @@ def test_no_exact_division(monkeypatch):
     assert cp == bareiss_charpoly(m)
 
 
+def test_products_only_of_nonzero_factors(monkeypatch):
+    """A zero entry, inner product or coefficient is skipped before the
+    product loop, which is never handed an empty factor."""
+    dom = PolyDomain(REG, QQ)
+    x, y, z = (MultiPoly.variable(REG, v) for v in REG.names)
+    n = 7
+    m = Matrix(dom, [[x + y * j if (i + 2 * j) % 3 == 0 else
+                      (z if j == i + 1 else 0) for j in range(n)]
+                     for i in range(n)])
+    calls = []
+    original = matrix._add_product
+
+    def checked(out, a, b):
+        calls.append(bool(a) and bool(b))
+        original(out, a, b)
+
+    monkeypatch.setattr(matrix, "_add_product", checked)
+    cp = charpoly(m)
+    monkeypatch.undo()
+    assert calls and all(calls)
+    assert cp == bareiss_charpoly(m)
+
+
 @pytest.mark.parametrize("rows", [
     [["x^40000", 1], [1, "x^40000"]],     # a diagonal product
     [[0, "x^40000"], ["x^30000", 0]],     # the product R*C

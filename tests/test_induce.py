@@ -12,7 +12,6 @@ bouquet over Q(ζ_6), and on covers whose marked lift is not the
 smallest vertex of its fiber.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from covertwist.certificates import (
     psi_vertex_determinants,
     verify_main,
 )
-from covertwist.covering import build_cover, coset_data
+from covertwist.covering import CoveringMap, build_cover, coset_data
 from covertwist.docio import parse_input
 from covertwist.domains import QQ, cyclotomic_field, root_of_unity
 from covertwist.homotopy import fundamental_presentation
@@ -66,6 +65,12 @@ def random_matrix(rng, dom, m):
     return lo * up
 
 
+def with_marked_lift(p, vt):
+    """p with its marked lift moved to the cover vertex vt."""
+    return CoveringMap(p.base, p.cover, p.p_vertex, p.p_edge, p.base_vertex,
+                       vt)
+
+
 def random_case(seed):
     """A connected cover of degree 2 to 6 over a small multigraph with
     positive rank, its coset data, and a random cover representation
@@ -77,7 +82,7 @@ def random_case(seed):
     pres = fundamental_presentation(g, 0)
     p = build_cover(pres, random_voltage(rng, pres.rank, d))
     if seed % 3 == 0:
-        p = dataclasses.replace(p, cover_base_vertex=p.vertex_fibers[0][-1])
+        p = with_marked_lift(p, p.vertex_fibers[0][-1])
     cd = coset_data(p)
     dom = QQ if seed % 2 else Z5
     m = rng.randint(1, 3)
@@ -96,7 +101,7 @@ def z6_case(marked):
         doc = parse_input(fh.read())
     g = doc.graph
     p = build_cover(fundamental_presentation(g, 0), doc.voltage)
-    p = dataclasses.replace(p, cover_base_vertex=p.vertex_fibers[0][marked])
+    p = with_marked_lift(p, p.vertex_fibers[0][marked])
     cd = coset_data(p)
     base = doc.representations["rho"]
     rho = representation(base.domain, [base.gen_mats[k % 2]
