@@ -643,10 +643,11 @@ class DimerResult:
 
 
 def dimer_certificate(g: Graph, rot: RotationSystem,
-                      zd_volt: tuple[int, ...], d: int,
+                      zd_volt: tuple[tuple[int], ...], d: int,
                       x: EdgeWeights) -> DimerResult:
     """Determinant factorization and dimer divisibility for a cover with
-    odd cyclic symmetry over a planar quotient.  The cover must be planar
+    odd cyclic symmetry over a planar quotient, the ℤ/d cover of one
+    voltage (b,) per directed edge.  The cover must be planar
     too under the lifted rotation, or the lifted Kasteleyn orientation
     proves nothing: NotPlanarError otherwise, before any charpoly.
 
@@ -669,7 +670,7 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
         raise OddDimensionError(
             f"the base has {g.num_vertices} vertices: an odd vertex count "
             f"has no perfect matching")
-    p = edge_voltage_cover(g, tuple((b,) for b in zd_volt), (d,))
+    p = edge_voltage_cover(g, zd_volt, (d,))
     cd = coset_data(p)
     # the rotation lifted to the cover: at v·d+s, the edges e·d+s
     lifted = RotationSystem(tuple(tuple(e * d + s for e in rot.orders[v])

@@ -38,7 +38,6 @@ from .docio import (
     InputDocument,
     Report,
     document_weights,
-    format_scalar,
     parse_input,
     render_report,
     serialize_input,
@@ -62,7 +61,6 @@ from .oracles import (
     rooted_forest_sum_by_components,
     tree_sum,
 )
-from .poly import MultiPoly
 from .randinst import random_cover_instance
 from .representation import Representation, trivial_representation
 from .zeta import (
@@ -96,12 +94,12 @@ def _covering_from_doc(doc: InputDocument, r: Report,
                 f"voltage lists {len(volt.perms)} generators, the loop "
                 f"rank is {pres.rank}")
         p = build_cover(pres, volt)
-    elif doc.zd_voltages is not None:
-        if characters and _cyclic_cover_connected(g, doc.zd_voltages,
-                                                  doc.zd_modulus):
-            cyclotomic_field(doc.zd_modulus)
-        p = edge_voltage_cover(g, tuple((b,) for b in doc.zd_voltages),
-                               (doc.zd_modulus,))
+    elif doc.moduli is not None:
+        (n,) = doc.moduli
+        volts = doc.abelian_voltages
+        if characters and _cyclic_cover_connected(g, volts, n):
+            cyclotomic_field(n)
+        p = edge_voltage_cover(g, volts, doc.moduli)
     else:
         r.notes.append("no voltage section; using the identity cover")
         p = identity_cover(g)
@@ -110,7 +108,7 @@ def _covering_from_doc(doc: InputDocument, r: Report,
 
 def _cyclic_cover_connected(g, voltages, n: int) -> bool:
     """Whether the ℤ/n cover of the connected graph g with one voltage
-    per directed edge is connected: the closed walks' voltages must
+    (b,) per directed edge is connected: the closed walks' voltages must
     generate ℤ/n, and the cycles closed by each edge over a search tree
     generate them, so the test is gcd(n, cycle voltages) = 1."""
     height = {0: 0}   # the voltage of the tree path from vertex 0
@@ -118,9 +116,9 @@ def _cyclic_cover_connected(g, voltages, n: int) -> bool:
     for v in queue:
         for e in g.out_edges[v]:
             if g.tgt[e] not in height:
-                height[g.tgt[e]] = height[v] + voltages[e]
+                height[g.tgt[e]] = height[v] + voltages[e][0]
                 queue.append(g.tgt[e])
-    return gcd(n, *(height[g.src[e]] + voltages[e] - height[g.tgt[e]]
+    return gcd(n, *(height[g.src[e]] + voltages[e][0] - height[g.tgt[e]]
                     for e in range(g.num_edges))) == 1
 
 
@@ -151,12 +149,6 @@ def _integrality_check(r: Report, name: str, cert) -> None:
         r.notes.append(f"{name}: not claimed for non-integer weights")
 
 
-def _datum_value(v) -> str:
-    if isinstance(v, MultiPoly):
-        return v.to_text()
-    return format_scalar(v)
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -179,7 +171,7 @@ def _cmd_validate(args, doc: InputDocument) -> Report:
 
 def _cmd_cover(args, doc: InputDocument) -> Report:
     r = Report("cover")
-    if doc.voltage is None and doc.zd_voltages is None:
+    if doc.voltage is None and doc.moduli is None:
         raise SemanticError("cover needs a voltage or zdvoltage section")
     cd = _covering_from_doc(doc, r)
     p = cd.covering
@@ -225,7 +217,7 @@ def _cmd_verify_main(args, doc: InputDocument | None) -> Report:
     r.datum("degree", cd.covering.degree)
     r.datum("representation degree", rho.degree)
     for v, d in enumerate(cert.vertex_dets):
-        r.datum(f"intertwiner block det at {v}", _datum_value(d))
+        r.datum(f"intertwiner block det at {v}", d)
     r.check("operators intertwine", cert.commutes)
     r.check("intertwiner invertible", cert.invertible)
     return r
@@ -298,19 +290,20 @@ def _cmd_trees(args, doc: InputDocument | None) -> Report:
 
 def _cmd_dimer(args, doc: InputDocument) -> Report:
     r = Report("dimer")
-    if doc.zd_voltages is None:
+    if doc.moduli is None:
         raise SemanticError("dimer needs a zdvoltage section")
-    if args.degree is not None and args.degree != doc.zd_modulus:
+    (d,) = doc.moduli
+    if args.degree is not None and args.degree != d:
         raise SemanticError(
             f"--degree {args.degree} disagrees with the document "
-            f"modulus {doc.zd_modulus}")
+            f"modulus {d}")
     g = doc.graph
     rot = doc.rotation if doc.rotation is not None else default_rotation(g)
     if doc.rotation is None:
         r.notes.append("no rotation section; using the default rotation")
     x = document_weights(doc)
-    res = dimer_certificate(g, rot, doc.zd_voltages, doc.zd_modulus, x)
-    r.datum("degree", doc.zd_modulus)
+    res = dimer_certificate(g, rot, doc.abelian_voltages, d, x)
+    r.datum("degree", d)
     r.datum("base matching sum", res.z_base)
     r.datum("cover matching sum", res.z_cover)
     r.datum("matching quotient", res.matching_cert.quotient)
@@ -325,13 +318,14 @@ def _cmd_dimer(args, doc: InputDocument) -> Report:
 
 def _cmd_kos(args, doc: InputDocument) -> Report:
     r = Report("kos")
-    if doc.z2_voltages is None:
+    if doc.abelian_voltages is None or doc.moduli is not None:
         raise SemanticError("kos needs a z2voltage section")
     x = document_weights(doc)
-    res = kos_certificate(doc.graph, doc.z2_voltages, x, args.m, args.n)
+    res = kos_certificate(doc.graph, doc.abelian_voltages, x, args.m,
+                          args.n)
     r.datum("torus", f"{args.m} x {args.n}")
-    r.datum("cover determinant", _datum_value(res.lhs))
-    r.datum("character product", _datum_value(res.rhs))
+    r.datum("cover determinant", res.lhs)
+    r.datum("character product", res.rhs)
     r.check("torus determinant factorizes", res.ok)
     return r
 
@@ -408,7 +402,7 @@ def _oracle_report(name: str, doc: InputDocument):
 def _cmd_oracle_trees(args, doc: InputDocument) -> Report:
     r, g, dom, vals = _oracle_report("oracle-trees", doc)
     r.datum("spanning trees", len(enum_spanning_trees(g)))
-    r.datum("tree sum", _datum_value(tree_sum(g, dom, vals)))
+    r.datum("tree sum", tree_sum(g, dom, vals))
     return r
 
 
@@ -416,17 +410,16 @@ def _cmd_oracle_forests(args, doc: InputDocument) -> Report:
     r, g, dom, vals = _oracle_report("oracle-forests", doc)
     by_k = rooted_forest_sum_by_components(g, dom, vals)
     r.datum("spanning forests", by_k.forests)
-    r.datum("rooted forest sum",
-            _datum_value(pairwise_sum(dom, list(by_k.values()))))
+    r.datum("rooted forest sum", pairwise_sum(dom, list(by_k.values())))
     for k, v in sorted(by_k.items()):
-        r.datum(f"rooted forest sum, {k} components", _datum_value(v))
+        r.datum(f"rooted forest sum, {k} components", v)
     return r
 
 
 def _cmd_oracle_matchings(args, doc: InputDocument) -> Report:
     r, g, dom, vals = _oracle_report("oracle-matchings", doc)
     r.datum("perfect matchings", len(enum_perfect_matchings(g)))
-    r.datum("matching sum", _datum_value(matching_sum(g, dom, vals)))
+    r.datum("matching sum", matching_sum(g, dom, vals))
     return r
 
 

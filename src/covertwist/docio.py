@@ -48,15 +48,20 @@ WEIGHT_KINDS = ("symbolic", "rational", "complex", "unit")
 
 
 class InputDocument:
-    """Parsed problem statement: one graph plus optional twist data."""
+    """Parsed problem statement: one graph plus optional twist data.
+
+    An abelian voltage section (`z2voltage` or `zdvoltage`, at most one)
+    is kept in the form edge_voltage_cover takes: abelian_voltages holds
+    one integer vector per directed edge, and moduli is (N,) for
+    `zdvoltage` and None for `z2voltage`, whose torus the command line
+    gives."""
 
     def __init__(self, graph: Graph, weights_kind: str = "symbolic",
                  weight_values: tuple | None = None,
                  rotation: RotationSystem | None = None,
                  voltage: VoltageAssignment | None = None,
-                 z2_voltages: tuple[tuple[int, int], ...] | None = None,
-                 zd_modulus: int | None = None,
-                 zd_voltages: tuple[int, ...] | None = None,
+                 abelian_voltages: tuple[tuple[int, ...], ...] | None = None,
+                 moduli: tuple[int, ...] | None = None,
                  representations: dict[str, Representation] | None = None,
                  irreducibles: list[tuple[str, int]] | None = None,
                  subgroup: tuple[tuple[int, ...], ...] | None = None):
@@ -65,9 +70,8 @@ class InputDocument:
         self.weight_values = weight_values
         self.rotation = rotation
         self.voltage = voltage
-        self.z2_voltages = z2_voltages
-        self.zd_modulus = zd_modulus
-        self.zd_voltages = zd_voltages
+        self.abelian_voltages = abelian_voltages
+        self.moduli = moduli
         self.representations = ({} if representations is None
                                 else representations)
         self.irreducibles = [] if irreducibles is None else irreducibles
@@ -305,16 +309,55 @@ def _directive_lines(body: _Body, word: str):
             yield num, line[len(word):].strip()
 
 
+def _positive(body: _Body, key: str, where: str) -> int:
+    """The value of the required `key = n` line: a positive integer."""
+    line, text = _kv(body, key, required=True, where=where)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(line, f"{key} must be an integer, got {text!r}")
+    if value < 1:
+        raise SemanticError(f"line {line}: {key} must be positive")
+    return value
+
+
+def _indexed_lines(body: _Body, word: str,
+                   count: int | None = None) -> list[tuple[int, str]]:
+    """The (line number, text) of each `word k = text` line, in index
+    order: every k an integer, given once, and together 0..count-1, or
+    without a count contiguous from 0.  A missing index is named by the
+    least one."""
+    found: dict[int, tuple[int, str]] = {}
+    for lnum, rest in _directive_lines(body, word):
+        k, eq, text = rest.partition("=")
+        if not eq:
+            raise ParseError(lnum, f"{word} lines look like `{word} k = ...`")
+        try:
+            idx = int(k)
+        except ValueError:
+            raise ParseError(lnum, f"{word} index must be an integer")
+        if idx in found:
+            raise SemanticError(f"line {lnum}: {word} index {idx} given twice")
+        found[idx] = (lnum, text.strip())
+    n = len(found) if count is None else count
+    for idx, (lnum, _) in found.items():
+        if not 0 <= idx < n:
+            raise SemanticError(
+                f"line {lnum}: {word} index {idx} outside 0..{n - 1}")
+    if len(found) < n:
+        # the least missing index is at most len(found): no walk over a
+        # count of 10^12 vertices
+        k = next(i for i in range(n) if i not in found)
+        raise SemanticError(f"no `{word} k = ...` line for k = {k}")
+    return [found[i] for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # section parsers
 
 
 def _parse_graph(num: int, body: _Body) -> Graph:
-    vline, vval = _kv(body, "vertices", required=True, where="graph section")
-    try:
-        nv = int(vval)
-    except ValueError:
-        raise ParseError(vline, f"vertices must be an integer, got {vval!r}")
+    nv = _positive(body, "vertices", "graph section")
     pairs = []
     triples = []
     for lnum, rest in _directive_lines(body, "edge"):
@@ -356,29 +399,6 @@ def _parse_graph(num: int, body: _Body) -> Graph:
         raise SemanticError(str(exc))
 
 
-def _per_unoriented(body, g: Graph, word: str, what: str) -> list[tuple[int, str]]:
-    vals: dict[int, tuple[int, str]] = {}
-    for lnum, rest in _directive_lines(body, word):
-        if "=" not in rest:
-            raise ParseError(lnum, f"{word} lines look like `{word} k = ...`")
-        k, v = rest.split("=", 1)
-        try:
-            idx = int(k)
-        except ValueError:
-            raise ParseError(lnum, f"{word} index must be an integer")
-        if not 0 <= idx < g.num_unoriented:
-            raise SemanticError(
-                f"line {lnum}: {what} index {idx} outside the "
-                f"{g.num_unoriented} unoriented edges")
-        if idx in vals:
-            raise SemanticError(f"line {lnum}: duplicate {what} for edge {idx}")
-        vals[idx] = (lnum, v.strip())
-    missing = [str(i) for i in range(g.num_unoriented) if i not in vals]
-    if missing:
-        raise SemanticError(f"{what} missing for edges {', '.join(missing)}")
-    return [vals[i] for i in range(g.num_unoriented)]
-
-
 def parse_input(text: str) -> InputDocument:
     sections = _scan_sections(text)
     if not sections:
@@ -403,17 +423,18 @@ def parse_input(text: str) -> InputDocument:
             if graph is None:
                 raise ParseError(num, "graph section must come first")
             if name == "weights":
-                _parse_weights(num, body, graph, doc_fields)
+                _parse_weights(body, graph, doc_fields)
             elif name == "rotation":
-                doc_fields["rotation"] = _parse_rotation(num, body, graph)
+                doc_fields["rotation"] = _parse_rotation(body, graph)
             elif name == "voltage":
-                doc_fields["voltage"] = _parse_voltage(num, body)
-            elif name == "z2voltage":
-                doc_fields["z2_voltages"] = _parse_z2(num, body, graph)
-            elif name == "zdvoltage":
-                mod, volts = _parse_zd(num, body, graph)
-                doc_fields["zd_modulus"] = mod
-                doc_fields["zd_voltages"] = volts
+                doc_fields["voltage"] = _parse_voltage(body)
+            elif name in ("z2voltage", "zdvoltage"):
+                if "abelian_voltages" in doc_fields:
+                    raise ParseError(num, "a document takes one abelian "
+                                          "voltage section, z2voltage or "
+                                          "zdvoltage")
+                (doc_fields["abelian_voltages"],
+                 doc_fields["moduli"]) = _parse_abelian(name, body, graph)
             elif name == "representation":
                 if len(words) != 2:
                     raise ParseError(num, "representation sections are "
@@ -440,7 +461,7 @@ def parse_input(text: str) -> InputDocument:
     return doc
 
 
-def _parse_weights(num, body, g: Graph, out: dict) -> None:
+def _parse_weights(body, g: Graph, out: dict) -> None:
     kline, kind = _kv(body, "kind", required=True, where="weights section")
     if kind not in WEIGHT_KINDS:
         raise ParseError(kline, f"weight kind {kind!r} not one of "
@@ -448,31 +469,21 @@ def _parse_weights(num, body, g: Graph, out: dict) -> None:
     out["weights_kind"] = kind
     if kind in ("symbolic", "unit"):
         return
-    entries = _per_unoriented(body, g, "value", "weight value")
-    vals = tuple(parse_scalar(v, lnum) for lnum, v in entries)
+    vals = tuple(parse_scalar(v, lnum) for lnum, v
+                 in _indexed_lines(body, "value", g.num_unoriented))
     if kind == "rational" and domain_of(vals) is not QQ:
         raise SemanticError("rational weights contain non-rational values")
     out["weight_values"] = vals
 
 
-def _parse_rotation(num, body, g: Graph) -> RotationSystem:
-    orders: dict[int, tuple[int, ...]] = {}
-    for lnum, rest in _directive_lines(body, "at"):
-        if "=" not in rest:
-            raise ParseError(lnum, "rotation lines look like `at v = e ...`")
-        k, v = rest.split("=", 1)
+def _parse_rotation(body, g: Graph) -> RotationSystem:
+    orders = []
+    for lnum, v in _indexed_lines(body, "at", g.num_vertices):
         try:
-            vertex = int(k)
-            edges = tuple(int(t) for t in v.split())
+            orders.append(tuple(int(t) for t in v.split()))
         except ValueError:
             raise ParseError(lnum, "rotation entries must be integers")
-        if vertex in orders:
-            raise SemanticError(f"line {lnum}: duplicate rotation at {vertex}")
-        orders[vertex] = edges
-    missing = [str(v) for v in range(g.num_vertices) if v not in orders]
-    if missing:
-        raise SemanticError(f"rotation missing at vertices {', '.join(missing)}")
-    rot = RotationSystem(tuple(orders[v] for v in range(g.num_vertices)))
+    rot = RotationSystem(tuple(orders))
     try:
         validate_rotation(g, rot)
     except InvalidRotationError as exc:
@@ -480,71 +491,43 @@ def _parse_rotation(num, body, g: Graph) -> RotationSystem:
     return rot
 
 
-def _parse_voltage(num, body) -> VoltageAssignment:
-    dline, dval = _kv(body, "degree", required=True, where="voltage section")
-    try:
-        degree = int(dval)
-    except ValueError:
-        raise ParseError(dline, f"degree must be an integer, got {dval!r}")
-    if degree < 1:
-        raise SemanticError(f"line {dline}: degree must be positive")
-    perms: dict[int, tuple[int, ...]] = {}
-    for lnum, rest in _directive_lines(body, "generator"):
-        if "=" not in rest:
-            raise ParseError(lnum, "generator lines look like "
-                                   "`generator k = (cycles)`")
-        k, v = rest.split("=", 1)
-        try:
-            idx = int(k)
-        except ValueError:
-            raise ParseError(lnum, "generator index must be an integer")
-        if idx in perms:
-            raise SemanticError(f"line {lnum}: generator {idx} defined twice")
-        perms[idx] = parse_cycles(v.strip(), degree, lnum)
-    missing = [str(i) for i in range(len(perms)) if i not in perms]
-    if missing:
-        raise SemanticError(f"voltage generators not contiguous from 0: "
-                            f"missing {', '.join(missing)}")
-    return VoltageAssignment(degree,
-                             tuple(perms[i] for i in range(len(perms))))
+def _parse_voltage(body) -> VoltageAssignment:
+    degree = _positive(body, "degree", "voltage section")
+    return VoltageAssignment(degree, tuple(
+        parse_cycles(v, degree, lnum)
+        for lnum, v in _indexed_lines(body, "generator")))
 
 
-def _parse_z2(num, body, g: Graph) -> tuple[tuple[int, int], ...]:
-    entries = _per_unoriented(body, g, "edge", "torus voltage")
-    per_directed = [(0, 0)] * g.num_edges
-    for u, (lnum, v) in enumerate(entries):
-        parts = v.split()
-        if len(parts) != 2:
-            raise ParseError(lnum, "torus voltages take two integers")
+def _parse_abelian(name: str, body, g: Graph
+                   ) -> tuple[tuple[tuple[int, ...], ...], tuple[int] | None]:
+    """(one voltage vector per directed edge, moduli) of a `zdvoltage`
+    section, whose `modulus = N` gives moduli (N,) and whose voltages
+    are read mod N, or of a `z2voltage` section, two integers per edge
+    and moduli None.  Reverse edges get the negated vector."""
+    if name == "zdvoltage":
+        moduli = (_positive(body, "modulus", "zdvoltage section"),)
+        arity, form = 1, "one integer"
+    else:
+        moduli, arity, form = None, 2, "two integers"
+
+    def reduced(vec):
+        if moduli is None:
+            return vec
+        return tuple(a % m for a, m in zip(vec, moduli))
+
+    per_directed: list[tuple[int, ...]] = [()] * g.num_edges
+    for u, (lnum, v) in enumerate(_indexed_lines(body, "edge",
+                                                 g.num_unoriented)):
         try:
-            a, b = int(parts[0]), int(parts[1])
+            vec = tuple(int(t) for t in v.split())
         except ValueError:
-            raise ParseError(lnum, "torus voltages must be integers")
+            vec = ()
+        if len(vec) != arity:
+            raise ParseError(lnum, f"a {name} voltage is {form}")
         e, ebar = g.unoriented[u]
-        per_directed[e] = (a, b)
-        per_directed[ebar] = (-a, -b)
-    return tuple(per_directed)
-
-
-def _parse_zd(num, body, g: Graph) -> tuple[int, tuple[int, ...]]:
-    mline, mval = _kv(body, "modulus", required=True, where="zdvoltage section")
-    try:
-        mod = int(mval)
-    except ValueError:
-        raise ParseError(mline, f"modulus must be an integer, got {mval!r}")
-    if mod < 1:
-        raise SemanticError(f"line {mline}: modulus must be positive")
-    entries = _per_unoriented(body, g, "edge", "cyclic voltage")
-    per_directed = [0] * g.num_edges
-    for u, (lnum, v) in enumerate(entries):
-        try:
-            b = int(v) % mod
-        except ValueError:
-            raise ParseError(lnum, "cyclic voltages must be integers")
-        e, ebar = g.unoriented[u]
-        per_directed[e] = b
-        per_directed[ebar] = (-b) % mod
-    return mod, tuple(per_directed)
+        per_directed[e] = reduced(vec)
+        per_directed[ebar] = reduced(tuple(-a for a in vec))
+    return tuple(per_directed), moduli
 
 
 def _parse_matrix(rows_text: str, line: int):
@@ -563,31 +546,15 @@ def _parse_matrix(rows_text: str, line: int):
 
 
 def _parse_representation(num, body) -> Representation:
-    mats: dict[int, tuple[int, list]] = {}
-    for lnum, rest in _directive_lines(body, "generator"):
-        if "=" not in rest:
-            raise ParseError(lnum, "generator lines look like "
-                                   "`generator k = a b; c d`")
-        k, v = rest.split("=", 1)
-        try:
-            idx = int(k)
-        except ValueError:
-            raise ParseError(lnum, "generator index must be an integer")
-        if idx in mats:
-            raise SemanticError(f"line {lnum}: generator {idx} defined twice")
-        mats[idx] = (lnum, _parse_matrix(v.strip(), lnum))
-    if not mats:
+    entries = _indexed_lines(body, "generator")
+    if not entries:
         raise ParseError(num, "representation has no generator lines")
-    missing = [str(i) for i in range(len(mats)) if i not in mats]
-    if missing:
-        raise SemanticError(f"representation generators not contiguous: "
-                            f"missing {', '.join(missing)}")
-    all_rows = [mats[i][1] for i in range(len(mats))]
+    all_rows = [_parse_matrix(v, lnum) for lnum, v in entries]
     degree = len(all_rows[0])
-    for i, rows in enumerate(all_rows):
+    for (lnum, _), rows in zip(entries, all_rows):
         if len(rows) != degree or len(rows[0]) != degree:
             raise SemanticError(
-                f"line {mats[i][0]}: generator matrices must all be "
+                f"line {lnum}: generator matrices must all be "
                 f"square of one size")
     dom = domain_of([v for rows in all_rows for row in rows for v in row])
     try:
@@ -619,20 +586,13 @@ def _parse_irreducibles(body) -> list[tuple[str, int]]:
 
 
 def _parse_subgroup(body) -> tuple[tuple[int, ...], ...]:
-    elements = []
-    degree = None
-    for lnum, rest in _directive_lines(body, "element"):
-        text = rest[1:].strip() if rest.startswith("=") else rest
-        if degree is None:
-            dline, dval = _kv(body, "degree", required=True,
-                              where="subgroup section")
-            try:
-                degree = int(dval)
-            except ValueError:
-                raise ParseError(dline, "subgroup degree must be an integer")
-        elements.append(parse_cycles(text, degree, lnum))
-    if not elements:
+    lines = list(_directive_lines(body, "element"))
+    if not lines:
         raise SemanticError("subgroup section lists no elements")
+    degree = _positive(body, "degree", "subgroup section")
+    elements = [parse_cycles(rest[1:].strip() if rest.startswith("=")
+                             else rest, degree, lnum)
+                for lnum, rest in lines]
     ident = tuple(range(degree))
     if ident not in elements:
         elements.insert(0, ident)
@@ -662,16 +622,14 @@ def serialize_input(doc: InputDocument) -> str:
         out.append(f"  degree = {doc.voltage.degree}")
         for k, p in enumerate(doc.voltage.perms):
             out.append(f"  generator {k} = {format_cycles(p)}")
-    if doc.z2_voltages is not None:
-        out.append("z2voltage:")
+    if doc.abelian_voltages is not None:
+        if doc.moduli is None:
+            out.append("z2voltage:")
+        else:
+            out += ["zdvoltage:", f"  modulus = {doc.moduli[0]}"]
         for u, (e, _) in enumerate(g.unoriented):
-            a, b = doc.z2_voltages[e]
-            out.append(f"  edge {u} = {a} {b}")
-    if doc.zd_voltages is not None:
-        out.append("zdvoltage:")
-        out.append(f"  modulus = {doc.zd_modulus}")
-        for u, (e, _) in enumerate(g.unoriented):
-            out.append(f"  edge {u} = {doc.zd_voltages[e]}")
+            out.append(f"  edge {u} = "
+                       + " ".join(str(a) for a in doc.abelian_voltages[e]))
     for name in sorted(doc.representations):
         rep = doc.representations[name]
         out.append(f"representation {name}:")

@@ -188,7 +188,7 @@ def test_criterion_4_tree_and_forest_divisibility():
 def test_criterion_5_dimer_factorization():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     rot = default_rotation(g)
-    res = dimer_certificate(g, rot, (1, 2, 0, 0, 0, 0, 0, 0), 3,
+    res = dimer_certificate(g, rot, ((1,), (2,)) + ((0,),) * 6, 3,
                             symbolic_weights(g))
     ok = (res.det_identity and res.matching_cert.integral
           and res.pf_base_squared_ok and res.pf_cover_squared_ok)

@@ -194,7 +194,7 @@ def test_forest_coefficient_checks_exhaustive_small():
 def test_dimer_square_triple_cover():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     rot = default_rotation(g)
-    zd = (1, 2, 0, 0, 0, 0, 0, 0)
+    zd = ((1,), (2,)) + ((0,),) * 6
     res = dimer_certificate(g, rot, zd, 3, symbolic_weights(g))
     assert res.ok
     assert res.det_identity
@@ -209,7 +209,7 @@ def test_dimer_rejects_even_symmetry():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     rot = default_rotation(g)
     with pytest.raises(EvenDegreeError):
-        dimer_certificate(g, rot, (0,) * 8, 2, symbolic_weights(g))
+        dimer_certificate(g, rot, ((0,),) * 8, 2, symbolic_weights(g))
 
 
 def test_dimer_rejects_torus_quotient():
@@ -217,7 +217,7 @@ def test_dimer_rejects_torus_quotient():
     from covertwist.graphs import RotationSystem
     rot = RotationSystem(((0, 2, 1, 3),))
     with pytest.raises(NotPlanarQuotientError):
-        dimer_certificate(g, rot, (0,) * 4, 3, symbolic_weights(g))
+        dimer_certificate(g, rot, ((0,),) * 4, 3, symbolic_weights(g))
 
 
 # ---------------------------------------------------------------------------

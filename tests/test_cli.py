@@ -244,6 +244,21 @@ def test_disconnected_graph_has_no_spanning_tree(tmp_path, capsys, vertices):
     assert "  spanning trees = 0\n  tree sum = 0\n" in out
 
 
+@pytest.mark.parametrize("vertices", [3, 999999999999])
+def test_a_missing_rotation_line_is_named_without_a_walk_over_the_vertices(
+        tmp_path, capsys, vertices):
+    # the check finds the least vertex with no `at` line, not the list of
+    # all of them
+    path = tmp_path / "sparse.txt"
+    path.write_text(too_many_vertices(vertices)
+                    + "rotation:\n  at 0 = 0 1 2 3\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "validate", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: no `at k = ...` line for k = 1\n"
+
+
 def test_memory_error_is_over_budget_not_falsified(tmp_path):
     # the forest oracle allocates per vertex before any check: in a child
     # limited to 1 GB of address space that is a MemoryError, which ends
@@ -387,6 +402,28 @@ def insert_after(document, anchor, line):
     return head + anchor + "\n" + line + "\n" + tail
 
 
+# the 4-cycle of sample_inputs/dimer_c4.txt with its default rotation
+DIMER_C4 = """graph:
+  vertices = 4
+  edge 0 1
+  edge 1 2
+  edge 2 3
+  edge 3 0
+weights:
+  kind = symbolic
+rotation:
+  at 0 = 0 7
+  at 1 = 1 2
+  at 2 = 3 4
+  at 3 = 5 6
+zdvoltage:
+  modulus = 3
+  edge 0 = 1
+  edge 1 = 0
+  edge 2 = 0
+  edge 3 = 0
+"""
+
 # (id, document, the stray line, its line number)
 STRAY_LINES = [
     ("misspelt edge", insert_after(TRIANGLE, "  edge 2 0", "  Edge 0 2"),
@@ -404,8 +441,8 @@ STRAY_LINES = [
 ]
 
 
-@pytest.mark.parametrize("document", [TRIANGLE, TRIANGLE_ZD],
-                         ids=["voltage", "zdvoltage"])
+@pytest.mark.parametrize("document", [TRIANGLE, TRIANGLE_ZD, DIMER_C4],
+                         ids=["voltage", "zdvoltage", "rotation"])
 def test_every_line_of_a_clean_document_is_read(tmp_path, capsys, document):
     path = tmp_path / "clean.txt"
     path.write_text(document)
@@ -441,6 +478,44 @@ def test_the_dropped_lines_document_is_rejected_at_its_first_stray_line(
     assert (code, out) == (2, "")
     assert err == ("error: line 6: unrecognized line in the graph section: "
                    "'Edge 0 2'\n")
+
+
+# (id, document, its line numbered past the section's count, that number):
+# indexed lines name a vertex or an edge, and one that names none is an
+# input error, not a line to drop
+OUT_OF_RANGE_LINES = [
+    ("rotation at 9", insert_after(DIMER_C4, "  at 3 = 5 6",
+                                   "  at 9 = 1 2 3"), 14),
+    ("rotation at -1", insert_after(DIMER_C4, "  at 3 = 5 6",
+                                    "  at -1 = 0"), 14),
+]
+
+
+@pytest.mark.parametrize("document, number",
+                         [case[1:] for case in OUT_OF_RANGE_LINES],
+                         ids=[case[0] for case in OUT_OF_RANGE_LINES])
+@pytest.mark.parametrize("command", ["validate", "dimer"])
+def test_an_index_outside_the_count_is_rejected(tmp_path, capsys, document,
+                                                number, command):
+    path = tmp_path / "out_of_range.txt"
+    path.write_text(document)
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {number}: at index ")
+
+
+@pytest.mark.parametrize("vertices", [0, -1])
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_a_vertex_count_below_one_is_rejected_at_parse(tmp_path, capsys,
+                                                      command, vertices):
+    # an edgeless graph on no vertices, or on -1, is no graph: every
+    # command stops at the count's line
+    path = tmp_path / "no_vertices.txt"
+    path.write_text(f"graph:\n  vertices = {vertices}\n"
+                    "weights:\n  kind = unit\n")
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: vertices must be positive\n"
 
 
 def test_cover_reports_a_disconnected_cover(tmp_path, capsys):

@@ -145,14 +145,14 @@ def dimer_inputs(draw, d, kind):
     g = build_graph(n, pairs)
     fc = faces(g, default_rotation(g))
     assume(fc.euler_characteristic == 2)
-    zd = [0] * g.num_edges
+    zd = [()] * g.num_edges
     for e, ebar in g.unoriented:
-        zd[e] = draw(st.integers(0, d - 1))
-        zd[ebar] = -zd[e] % d
+        b = draw(st.integers(0, d - 1))
+        zd[e], zd[ebar] = (b,), (-b % d,)
     zd = tuple(zd)
-    winding = sum(1 for walk in fc.walks if sum(zd[e] for e in walk) % d)
+    winding = sum(1 for walk in fc.walks if sum(zd[e][0] for e in walk) % d)
     assume(d == 1 or winding == 2)
-    p = edge_voltage_cover(g, tuple((b,) for b in zd), (d,))
+    p = edge_voltage_cover(g, zd, (d,))
     assume(is_connected(p.cover))
     return g, zd, p, draw_weights(draw, g, kind)
 
@@ -438,8 +438,7 @@ def test_cor2_on_dimer_c4_matches_the_direct_route():
     with open(DIMER, encoding="utf-8") as fh:
         doc = parse_input(fh.read())
     g = doc.graph
-    p = edge_voltage_cover(g, tuple((b,) for b in doc.zd_voltages),
-                           (doc.zd_modulus,))
+    p = edge_voltage_cover(g, doc.abelian_voltages, doc.moduli)
     x = symbolic_weights(g)
     res = cor2_certificate(coset_data(p), x)
     assert res.ok

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertwist.docio import (
+    WEIGHT_KINDS,
     InputDocument,
     Report,
     format_cycles,
@@ -147,11 +150,8 @@ z2voltage:
   edge 0 = 1 0
   edge 1 = 0 1
 """)
-    a = doc.z2_voltages
-    assert a[0] == (1, 0)
-    assert a[1] == (-1, 0)
-    assert a[2] == (0, 1)
-    assert a[3] == (0, -1)
+    assert doc.abelian_voltages == ((1, 0), (-1, 0), (0, 1), (0, -1))
+    assert doc.moduli is None
 
 
 def test_zd_voltage_negates_mod_d():
@@ -167,8 +167,8 @@ zdvoltage:
   modulus = 3
   edge 0 = 1
 """)
-    assert doc.zd_modulus == 3
-    assert doc.zd_voltages == (1, 2)
+    assert doc.moduli == (3,)
+    assert doc.abelian_voltages == ((1,), (2,))
 
 
 def test_representation_gaussian_entries():
@@ -202,6 +202,126 @@ subgroup:
 """)
     assert len(doc.subgroup) == 2  # the identity is implied
     assert (2, 3, 0, 1) in doc.subgroup
+
+
+RATIONAL_TEXTS = ("1", "-1", "2", "-3/2", "0.5", "1e-3", "7/3")
+COMPLEX_TEXTS = ("i", "-2+i", "1/2*zeta_5^2-zeta_5^3", "zeta_3", "1.5-0.5j")
+
+
+def shuffled(draw, lines):
+    """The lines in a drawn order: indexed lines may come in any."""
+    return [lines[k] for k in draw(st.permutations(range(len(lines))))]
+
+
+@st.composite
+def documents(draw):
+    """(text, voltage degree and permutations, abelian voltages per
+    directed edge, moduli) of a document with every section kind."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=5))
+    g = build_graph(n, pairs)
+    m = len(pairs)
+    lines = ["graph:", f"  vertices = {n}"]
+    lines += [f"  edge {a} {b}" for a, b in pairs]
+    kind = draw(st.sampled_from(WEIGHT_KINDS))
+    lines += ["weights:", f"  kind = {kind}"]
+    if kind in ("rational", "complex"):
+        pool = RATIONAL_TEXTS + (COMPLEX_TEXTS if kind == "complex" else ())
+        lines += shuffled(draw, [f"  value {k} = {draw(st.sampled_from(pool))}"
+                                 for k in range(m)])
+    lines.append("rotation:")
+    lines += shuffled(draw, [
+        f"  at {v} = " + " ".join(map(str, draw(st.permutations(
+            g.out_edges[v])))) for v in range(n)])
+
+    degree = draw(st.integers(1, 4))
+    perms = tuple(tuple(p) for p in draw(
+        st.lists(st.permutations(range(degree)), max_size=3)))
+    lines += ["voltage:", f"  degree = {degree}"]
+    lines += shuffled(draw, [f"  generator {k} = {format_cycles(p)}"
+                             for k, p in enumerate(perms)])
+
+    voltages = [()] * g.num_edges
+    if draw(st.booleans()):
+        moduli = (draw(st.integers(1, 6)),)
+        lines += ["zdvoltage:", f"  modulus = {moduli[0]}"]
+        arity = 1
+    else:
+        moduli = None
+        lines.append("z2voltage:")
+        arity = 2
+    edge_lines = []
+    for u, (e, ebar) in enumerate(g.unoriented):
+        vec = tuple(draw(st.lists(st.integers(-20, 20), min_size=arity,
+                                  max_size=arity)))
+        edge_lines.append(f"  edge {u} = " + " ".join(map(str, vec)))
+        back = tuple(-a for a in vec)
+        if moduli is not None:
+            vec = tuple(a % moduli[0] for a in vec)
+            back = tuple(a % moduli[0] for a in back)
+        voltages[e], voltages[ebar] = vec, back
+    lines += shuffled(draw, edge_lines)
+
+    names = draw(st.lists(st.sampled_from(("rho", "sigma", "tau")),
+                          min_size=1, max_size=3, unique=True))
+    for name in names:
+        size = draw(st.integers(1, 2))
+        lines.append(f"representation {name}:")
+        gens = []
+        for k in range(draw(st.integers(1, 2))):
+            # a monomial matrix: invertible, over QQ or a cyclotomic field
+            cols = draw(st.permutations(range(size)))
+            rows = [" ".join(draw(st.sampled_from(RATIONAL_TEXTS[:5]
+                                                  + COMPLEX_TEXTS))
+                             if j == cols[i] else "0" for j in range(size))
+                    for i in range(size)]
+            gens.append(f"  generator {k} = " + "; ".join(rows))
+        lines += shuffled(draw, gens)
+    lines.append("irreducibles:")
+    for name in names:
+        mult = draw(st.integers(1, 3))
+        lines.append(f"  use {name}" + (f" x {mult}" if mult > 1 else ""))
+
+    sub_degree = draw(st.integers(1, 4))
+    lines += ["subgroup:", f"  degree = {sub_degree}"]
+    lines += [f"  element {format_cycles(tuple(p))}" for p in draw(
+        st.lists(st.permutations(range(sub_degree)), min_size=1,
+                 max_size=3))]
+    return ("\n".join(lines) + "\n", (degree, perms), tuple(voltages),
+            moduli)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(documents())
+def test_serialization_round_trips(case):
+    text, voltage, voltages, moduli = case
+    doc = parse_input(text)
+    once = serialize_input(doc)
+    again = parse_input(once)
+    assert serialize_input(again) == once
+    for d in (doc, again):
+        assert (d.voltage.degree, d.voltage.perms) == voltage
+        assert (d.abelian_voltages, d.moduli) == (voltages, moduli)
+
+
+def test_one_abelian_voltage_section():
+    # a zdvoltage and a z2voltage in one document: the second is refused
+    # at its header
+    text = C3_DOC + """zdvoltage:
+  modulus = 3
+  edge 0 = 1
+  edge 1 = 0
+  edge 2 = 0
+z2voltage:
+  edge 0 = 1 0
+  edge 1 = 0 1
+  edge 2 = 0 0
+"""
+    with pytest.raises(ParseError) as exc:
+        parse_input(text)
+    assert exc.value.line == 14
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,7 @@ def test_witness_memory_is_linear_in_the_cover_degree(monkeypatch):
     x = document_weights(doc)
     tracemalloc.start()
     try:
-        p = edge_voltage_cover(doc.graph, tuple((b,) for b in doc.zd_voltages),
-                               (doc.zd_modulus,))
+        p = edge_voltage_cover(doc.graph, doc.abelian_voltages, doc.moduli)
         cd = coset_data(p)
         cert = verify_main(cd, trivial_representation(QQ, cd.cover_pres.rank),
                            x)
