@@ -704,10 +704,9 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     a_base = twisted_adjacency(g, kw, trivial_connection(QQ, g.num_edges))
     pf_b = pd.coerce(pfaffian(a_base))
     pf_c = pd.coerce(pfaffian(split.conjugacy.a_cover))
-    pf_base_ok = (pf_b * pf_b == det_base
-                  and pf_b * pf_b == z_base * z_base)
-    pf_cover_ok = (pf_c * pf_c == det_cover
-                   and pf_c * pf_c == z_cover * z_cover)
+    # a² = b² exactly when a = ±b, in an integral domain
+    pf_base_ok = pf_b * pf_b == det_base and pf_b in (z_base, -z_base)
+    pf_cover_ok = pf_c * pf_c == det_cover and pf_c in (z_cover, -z_cover)
     return DimerResult(split.ok, cert, pf_base_ok, pf_cover_ok, z_base,
                        z_cover, det_cover)
 

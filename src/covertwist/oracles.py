@@ -1,30 +1,46 @@
 """Brute-force reference counts for the certificate machinery.
 
-Everything here enumerates structures directly.  One walk grows every
-acyclic edge subset one unoriented edge at a time, in index order, and
-carries its state along: a component label per vertex (an edge merges
-the smaller component into the larger going down, and the labels are
+None of it shares logic with the linear-algebra routes it is used to
+check.  Spanning trees and perfect matchings are summed by dynamic
+programs over a breadth-first vertex order, a state holding the sum of
+the edge products that reach it.  Forests are enumerated by one walk
+that grows every acyclic edge subset one unoriented edge at a time, in
+index order, carrying a component label per vertex (an edge merges the
+smaller component into the larger going down, and the labels are
 restored coming back), the component count, the product of the
-component sizes and, when a sum asks for it, the running product of the
-edge values, one domain.mul per grown edge.  Spanning trees are the
-walk's subsets of n − 1 edges.  Matchings are grown vertex by vertex.
-Every sum collects its terms and adds them in pairwise rounds.  None of
-it shares logic with the linear-algebra routes it is used to check, and
-all of it is intentionally naive, so the budgets are small and hard.
+component sizes and the running edge product.  Rational values are
+summed as integers over the lcm of their denominators.  The budgets
+are small and hard.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
+from .domains import QQ, CyclotomicDomain, _rat_div
 from .errors import BudgetExceededError
 from .graphs import Graph, is_connected
+from .matrix import _fill_reducing_order
 
 TREE_EDGE_BUDGET = 24
 FOREST_EDGE_BUDGET = 20
 MATCHING_VERTEX_BUDGET = 20
+TREE_STATE_BUDGET = 1 << 16
 
 
 def _edge_endpoints(g: Graph) -> list[tuple[int, int]]:
     return [(g.src[e], g.tgt[e]) for e, _ in g.unoriented]
+
+
+def _check_edge_budget(ne: int, spanning: bool) -> None:
+    """BudgetExceededError when ne edges exceed the tree budget, or the
+    forest budget when not spanning."""
+    budget, kind = ((TREE_EDGE_BUDGET, "tree") if spanning
+                    else (FOREST_EDGE_BUDGET, "forest"))
+    if ne > budget:
+        raise BudgetExceededError(
+            f"{ne} edges exceeds the {budget}-edge {kind} budget")
 
 
 def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
@@ -42,11 +58,7 @@ def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
     edges + 1 at once.
     """
     ne = g.num_unoriented
-    budget, kind = ((TREE_EDGE_BUDGET, "tree") if spanning
-                    else (FOREST_EDGE_BUDGET, "forest"))
-    if ne > budget:
-        raise BudgetExceededError(
-            f"{ne} edges exceeds the {budget}-edge {kind} budget")
+    _check_edge_budget(ne, spanning)
     if spanning and not is_connected(g):
         return
     n = g.num_vertices
@@ -173,12 +185,91 @@ def enum_perfect_matchings(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def _cleared(domain, values) -> tuple:
+    """(ring, D, values): QQ, the lcm D of the denominators and the
+    values times D, all ints, when the domain is a field and every value
+    is rational; else the domain, 1 and the values themselves."""
+    if isinstance(domain, CyclotomicDomain) and all(
+            type(v) is int or type(v) is Fraction for v in values):
+        d = lcm(*(v.denominator for v in values))
+        return QQ, d, [v.numerator * (d // v.denominator) for v in values]
+    return domain, 1, values
+
+
+def _uncleared(total, d: int, edges: int):
+    """A sum of products of `edges` values, each scaled by d, unscaled."""
+    return total if d == 1 else _rat_div(total, d ** edges)
+
+
+def _frontier(g: Graph) -> tuple[list, list]:
+    """(into, leave) over the vertices in Cuthill-McKee order, named by
+    their places in it: into[i] holds (earlier place, unoriented index)
+    per edge from an earlier vertex to the i-th, loops left out, and
+    leave[i] the places whose last neighbour is the i-th.  Breadth first,
+    about two search levels are on the frontier at a time."""
+    ends = _edge_endpoints(g)
+    n = g.num_vertices
+    rows: list[list] = [[] for _ in range(n)]
+    for a, b in ends:
+        rows[a].append((b,))
+    place = {v: i for i, v in enumerate(_fill_reducing_order(rows)[::-1])}
+    into: list[list] = [[] for _ in range(n)]
+    last = list(range(n))
+    for u, (a, b) in enumerate(ends):
+        a, b = sorted((place[a], place[b]))
+        if a != b:
+            into[b].append((a, u))
+            last[a] = max(last[a], b)
+    leave: list[list] = [[] for _ in range(n)]
+    for y, v in enumerate(last):
+        leave[v].append(y)
+    return into, leave
+
+
 def tree_sum(g: Graph, domain, per_unoriented) -> object:
-    """Sum over spanning trees of the product of edge values."""
-    terms: list = []
-    _acyclic_walk(g, True, lambda _c, _k, _phi, w: terms.append(w),
-                  domain, per_unoriented)
-    return pairwise_sum(domain, terms)
+    """Sum over spanning trees of the product of edge values.
+
+    A state labels the frontier vertices by component of the chosen
+    edges, labels numbered by first appearance; a component that leaves
+    the frontier before the last vertex drops its state.  The edge budget
+    and is_connected come before anything per vertex."""
+    _check_edge_budget(g.num_unoriented, True)
+    n = g.num_vertices
+    if not n or not is_connected(g):
+        return domain.zero
+    ring, d, vals = _cleared(domain, per_unoriented)
+    into, leave = _frontier(g)
+    front: list[int] = []
+    states = {(): ring.one}
+    for v in range(n):
+        states = {s + (max(s, default=-1) + 1,): x for s, x in states.items()}
+        front.append(v)
+        for a, u in into[v]:
+            i, j, w = front.index(a), len(front) - 1, vals[u]
+            new = dict(states)
+            for s, x in states.items():
+                lo, hi = sorted((s[i], s[j]))
+                if lo != hi:   # hi merges into lo, later labels move down
+                    t = tuple([lo if c == hi else c - (c > hi) for c in s])
+                    new[t] = new[t] + x * w if t in new else x * w
+            if len(new) > TREE_STATE_BUDGET:
+                raise BudgetExceededError(
+                    f"{len(new)} frontier states exceed the "
+                    f"{TREE_STATE_BUDGET}-state tree budget")
+            states = new
+        for y in leave[v]:
+            i = front.index(y)
+            del front[i]
+            new = {}
+            for s, x in states.items():
+                t = s[:i] + s[i + 1:]
+                # the last vertex out takes the one component with it
+                if s[i] in t or v == n - 1 and not t:
+                    seen: dict = {}
+                    t = tuple([seen.setdefault(c, len(seen)) for c in t])
+                    new[t] = new[t] + x if t in new else x
+            states = new
+    return _uncleared(states.get((), ring.zero), d, n - 1)
 
 
 def rooted_forest_sum(g: Graph, domain, per_unoriented) -> object:
@@ -199,27 +290,45 @@ def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> ForestS
 
     One enum_forests walk carries the edge products; they are summed per
     (components, phi) first, so each phi multiplies once."""
-    forests = enum_forests(g, domain, per_unoriented)
+    ring, d, vals = _cleared(domain, per_unoriented)
+    forests = enum_forests(g, ring, vals)
     groups: dict[tuple[int, int], list] = {}
     for _, ncomp, phi, w in forests:
         groups.setdefault((ncomp, phi), []).append(w)
     by_k: dict[int, list] = {}
     for (ncomp, phi), terms in sorted(groups.items(), reverse=True):
         by_k.setdefault(ncomp, []).append(
-            domain.mul(domain.coerce(phi), pairwise_sum(domain, terms)))
-    out = ForestSums((k, pairwise_sum(domain, terms))
+            ring.mul(ring.coerce(phi), pairwise_sum(ring, terms)))
+    n = g.num_vertices
+    out = ForestSums((k, _uncleared(pairwise_sum(ring, terms), d, n - k))
                      for k, terms in by_k.items())
     out.forests = len(forests)
     return out
 
 
 def matching_sum(g: Graph, domain, per_unoriented) -> object:
-    """Sum over perfect matchings of the product of edge values."""
-    mul = domain.mul
-    terms = []
-    for mset in enum_perfect_matchings(g):
-        w = domain.one
-        for u in sorted(mset):
-            w = mul(w, per_unoriented[u])
-        terms.append(w)
-    return pairwise_sum(domain, terms)
+    """Sum over perfect matchings of the product of edge values.
+
+    A state is the bit set of the matched frontier vertices; a vertex
+    leaves the frontier matched, or its state is dropped.  The vertex
+    budget keeps the states under 2^20."""
+    n = g.num_vertices
+    check_matching_budget(n)
+    if n % 2:
+        return domain.zero
+    ring, d, vals = _cleared(domain, per_unoriented)
+    into, leave = _frontier(g)
+    states = {0: ring.one}
+    for v in range(n):
+        for a, u in into[v]:
+            pair, w = 1 << a | 1 << v, vals[u]
+            new = dict(states)
+            for s, x in states.items():
+                if not s & pair:
+                    t = s | pair
+                    new[t] = new[t] + x * w if t in new else x * w
+            states = new
+        for y in leave[v]:
+            bit = 1 << y
+            states = {s ^ bit: x for s, x in states.items() if s & bit}
+    return _uncleared(states.get(0, ring.zero), d, n // 2)

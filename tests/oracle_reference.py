@@ -1,9 +1,9 @@
 """The brute-force oracles as they were first written, kept as a
 reference for tests.
 
-The program's oracles grow every acyclic edge subset in one walk that
-carries component labels, sizes and edge products along, and add each
-sum in pairwise rounds.  The code here does the same enumeration with
+The program sums spanning trees and perfect matchings by frontier
+dynamic programs, and its forest walk carries component labels, sizes
+and edge products along.  The code here enumerates every structure with
 none of that state: every candidate edge rebuilds a union-find from the
 whole chosen list, every subset's edge product is multiplied afresh,
 and every sum is added one term at a time.  Tests compare the two on

@@ -61,8 +61,11 @@ def test_certbench_tracing_finds_every_span(capsys):
                                      "oracle-matchings", "dimer"])
 def test_certbench_tracing_reaches_the_oracles(capsys, command):
     # the oracle spans are looked up by name, and the objects counter
-    # takes len() of every enum_* result
+    # takes len() of every enum_* result; trees and matchings are summed
+    # without a listing, so only oracle-forests reaches an enum_*
     untraced, traced, calls = traced_run(
         capsys, [command, "--input", DIMER_SAMPLE])
     assert traced == untraced and untraced[0] == 0
-    assert calls["oracles.enum"] >= 1 and calls["oracles.sum"] >= 1
+    assert calls["oracles.sum"] >= 1
+    if command == "oracle-forests":
+        assert calls["oracles.enum"] >= 1

@@ -244,6 +244,21 @@ def test_disconnected_graph_has_no_spanning_tree(tmp_path, capsys, vertices):
     assert "  spanning trees = 0\n  tree sum = 0\n" in out
 
 
+def test_star_with_its_centre_numbered_last_keeps_a_narrow_frontier(
+        tmp_path, capsys):
+    # in index order every leaf would wait on the frontier for the centre,
+    # 2^24 states; the breadth-first order meets the centre second
+    edges = "".join(f"  edge {v} 24\n" for v in range(24))
+    path = tmp_path / "star.txt"
+    path.write_text(f"graph:\n  vertices = 25\n{edges}"
+                    "weights:\n  kind = unit\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "oracle-trees", "--input", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == ""
+    assert "  spanning trees = 1\n  tree sum = 1\n" in out
+
+
 @pytest.mark.parametrize("vertices", [3, 999999999999])
 def test_a_missing_rotation_line_is_named_without_a_walk_over_the_vertices(
         tmp_path, capsys, vertices):

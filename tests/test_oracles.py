@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from covertwist import oracles
 from covertwist.certificates import unoriented_values
 from covertwist.errors import BudgetExceededError
 from covertwist.graphs import build_graph
@@ -123,6 +125,15 @@ def test_tree_budget():
         enum_spanning_trees(g)
 
 
+def test_tree_state_budget(monkeypatch):
+    # a wide frontier stops at the state budget, not at the end of memory
+    g = build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    assert tree_sum(g, QQ, [1] * 10) == 125
+    monkeypatch.setattr(oracles, "TREE_STATE_BUDGET", 10)
+    with pytest.raises(BudgetExceededError, match="10-state tree budget"):
+        tree_sum(g, QQ, [1] * 10)
+
+
 def test_forest_budget():
     g = build_graph(2, [(0, 1)] * 21)
     with pytest.raises(BudgetExceededError):
@@ -211,3 +222,79 @@ def test_dense_multigraph_matches_reference():
     vals = unoriented_values(g, x)
     assert rooted_forest_sum_by_components(g, x.domain, vals) == \
         ref_rooted_forest_sum_by_components(g, x.domain, vals)
+
+
+# ---------------------------------------------------------------------------
+# the frontier DPs against the reference enumeration, on drawn multigraphs
+
+DP_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def multigraphs(draw):
+    """1 to 7 vertices and up to 11 edges: loops, parallel edges, odd n,
+    n = 1 and disconnected graphs all come up."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    if pairs and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))  # parallel, or a 2nd loop
+    return build_graph(n, pairs)
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """A drawn multigraph with symbolic, unit (as parsed: Fraction(1)),
+    integer or non-integer rational edge values."""
+    g = draw(multigraphs())
+    ne = g.num_unoriented
+    kind = draw(st.sampled_from(["symbolic", "unit", "integer", "rational"]))
+    if kind == "symbolic":
+        x = symbolic_weights(g)
+        return g, x.domain, unoriented_values(g, x)
+    if kind == "unit":
+        return g, QQ, [Fraction(1)] * ne
+    if kind == "integer":
+        value = st.integers(-4, 4)
+    else:
+        value = st.builds(Fraction, st.integers(-4, 4), st.integers(2, 5))
+    return g, QQ, draw(st.lists(value, min_size=ne, max_size=ne))
+
+
+DISCONNECTED = build_graph(4, [(0, 1), (2, 3), (2, 3)])
+
+
+@DP_SETTINGS
+@given(weighted_multigraphs())
+@example((build_graph(1, [(0, 0)]), QQ, [Fraction(1, 2)]))
+@example((DISCONNECTED, QQ, [Fraction(1, 2), Fraction(2, 3), 3]))
+@example((build_graph(3, [(0, 1), (1, 2), (2, 0), (1, 1)]), QQ,
+          [1, 2, 3, Fraction(-1, 2)]))
+def test_frontier_sums_match_reference(case):
+    g, dom, vals = case
+    assert tree_sum(g, dom, vals) == ref_tree_sum(g, dom, vals)
+    assert matching_sum(g, dom, vals) == ref_matching_sum(g, dom, vals)
+
+
+@DP_SETTINGS
+@given(multigraphs())
+@example(build_graph(1, []))
+@example(DISCONNECTED)
+def test_frontier_counts_match_the_enumerators(g):
+    ones = [1] * g.num_unoriented
+    assert tree_sum(g, QQ, ones) == len(enum_spanning_trees(g))
+    assert matching_sum(g, QQ, ones) == len(enum_perfect_matchings(g))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weighted_multigraphs(), st.randoms(use_true_random=False))
+def test_frontier_sums_do_not_depend_on_the_vertex_order(case, rng):
+    # the same edges, in the same index order, between relabelled
+    # vertices: the DPs meet the vertices in another order
+    g, dom, vals = case
+    perm = list(range(g.num_vertices))
+    rng.shuffle(perm)
+    h = build_graph(g.num_vertices, [(perm[g.src[e]], perm[g.tgt[e]])
+                                     for e, _ in g.unoriented])
+    assert tree_sum(h, dom, vals) == tree_sum(g, dom, vals)
+    assert matching_sum(h, dom, vals) == matching_sum(g, dom, vals)
