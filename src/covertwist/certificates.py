@@ -39,7 +39,7 @@ cover's deck group) and dimer (M = K, the Kasteleyn-weighted adjacency;
 determinant factorization under an odd cyclic symmetry, det K read off
 the charpoly's constant coefficient): each takes its cover-side
 quantity from the split, with its whole witness.  kos, the torus product
-identity, still takes the cover determinant directly, under an order
+identity, still takes the cover determinant directly, under the work
 budget, and compares it with the product of the character-twisted
 base determinants over Q(ζ_lcm(m, n)).  Exact arithmetic throughout:
 roots of unity are cyclotomic numbers.
@@ -59,7 +59,6 @@ from .covering import (
 )
 from .domains import QQ, cyclotomic_field, root_of_unity
 from .errors import (
-    BudgetExceededError,
     DivisionFailedError,
     DomainMismatchError,
     EvenDegreeError,
@@ -87,10 +86,7 @@ from .operators import (
     lift_weights,
     twisted_adjacency,
 )
-from .oracles import (
-    check_matching_budget,
-    matching_sum,
-)
+from .oracles import matching_sum
 from .poly import MultiPoly, PolyDomain, VarRegistry
 from .representation import (
     Connection,
@@ -497,18 +493,13 @@ class TreesResult:
     divisibility claim is split.ok."""
 
     def __init__(self, st: DivisibilityCertificate,
-                 rsf: DivisibilityCertificate, base_charpoly: MultiPoly,
+                 rsf: DivisibilityCertificate,
                  coefficient_checks: tuple[tuple[str, bool], ...],
                  split: CoverSplit):
         self.st = st
         self.rsf = rsf
-        self.base_charpoly = base_charpoly
         self.coefficient_checks = coefficient_checks
         self.split = split
-
-    @property
-    def cover_charpoly(self) -> MultiPoly:
-        return self.split.cover
 
     @property
     def tree_divisible(self) -> bool:
@@ -613,7 +604,7 @@ def tree_certificates(cd: CosetData, x: EdgeWeights) -> TreesResult:
               + _coefficient_checks("cover", p.cover, xl,
                                     _subleading(P_base) + _subleading(P_comp),
                                     b0 * k0))
-    return TreesResult(st, rsf, P_base, tuple(checks), split)
+    return TreesResult(st, rsf, tuple(checks), split)
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +671,8 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
     if chi != 2:
         raise NotPlanarError(
             f"cover embedding has Euler characteristic {chi}")
-    # the matching oracle and the Pfaffians refuse past their budgets;
-    # refuse here, before the split, in the order they would
-    for graph in (g, p.cover):
-        check_matching_budget(graph.num_vertices)
-    for graph in (g, p.cover):
-        check_pfaffian_order(graph.num_vertices)
+    # the Pfaffians refuse past their cap; refuse here, before the split
+    check_pfaffian_order(p.cover.num_vertices)
     orient = kasteleyn_orientation(g, rot)
     kw = kasteleyn_weights(g, orient, x)
     split = split_cover_charpoly(cd, kw, twisted_adjacency)
@@ -715,11 +702,6 @@ def dimer_certificate(g: Graph, rot: RotationSystem,
 # the torus product identity
 
 
-# The cover determinant has order m·n·|V|; past this budget kos refuses
-# before building the cover.
-KOS_ORDER_BUDGET = 400
-
-
 class KosResult:
     def __init__(self, lhs: object, rhs: object, factors: tuple, ok: bool):
         self.lhs = lhs
@@ -732,19 +714,18 @@ def kos_certificate(g: Graph, z2_volt: tuple[tuple[int, int], ...],
                     x: EdgeWeights, m: int, n: int) -> KosResult:
     """det of the m×n torus cover's adjacency against the product of the
     character-twisted base determinants over all pairs (z, w) of m-th
-    and n-th roots of unity, each exact in Q(ζ_lcm(m, n)).  The product
-    comes first, so that a field past its order budget stops the run
-    before the cover determinant."""
+    and n-th roots of unity, each exact in Q(ζ_lcm(m, n)).  The field
+    comes first, so that one past its order budget stops the run before
+    the cover is built, then the cover determinant, so that its work
+    charge refuses a large torus before the m·n factors are formed."""
     if isinstance(x.domain, PolyDomain):
         raise DomainMismatchError("the torus identity is numeric; "
                                   "use rational or unit weights")
-    order = m * n * g.num_vertices
-    if order > KOS_ORDER_BUDGET:
-        raise BudgetExceededError(
-            f"torus cover determinant of order {order} exceeds the "
-            f"budget of {KOS_ORDER_BUDGET}")
     big = lcm(m, n)
     dom = cyclotomic_field(big)
+    p = edge_voltage_cover(g, z2_volt, (m, n))
+    lhs = det(twisted_adjacency(p.cover, lift_weights(p, x),
+                                trivial_connection(QQ, p.cover.num_edges)))
     factors = []
     rhs = 1
     for j in range(m):
@@ -756,7 +737,4 @@ def kos_certificate(g: Graph, z2_volt: tuple[tuple[int, int], ...],
             f = det(twisted_adjacency(g, x, Connection(dom, 1, mats)))
             factors.append(f)
             rhs = dom.mul(rhs, f)
-    p = edge_voltage_cover(g, z2_volt, (m, n))
-    lhs = det(twisted_adjacency(p.cover, lift_weights(p, x),
-                                trivial_connection(QQ, p.cover.num_edges)))
     return KosResult(lhs, rhs, tuple(factors), lhs == rhs)

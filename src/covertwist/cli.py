@@ -1,10 +1,10 @@
 """Command line driver: one subcommand, one input document, one report.
 
 Exit codes: 0 all checks pass, 1 a verified identity failed, 2 the
-input is malformed or the construction does not apply to it, 3 an
-enumeration, series or order budget was exceeded.  The report goes to
-stdout; errors go to stderr.  Reports are byte-stable (timing lines
-only appear behind --timing).
+input is malformed or the construction does not apply to it, 3 the
+command's work budget (one for a whole suite) or a hard size cap was
+exceeded.  The report goes to stdout; errors go to stderr.  Reports are
+byte-stable (timing lines only appear behind --timing).
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from .docio import (
 )
 from .domains import QQ, cyclotomic_field
 from .errors import (
+    WORK_LIMIT,
     BudgetExceededError,
     CovertwistError,
     DivisionFailedError,
-    ParseError,
     SemanticError,
-    TooLargeForExactExpansionError,
+    work_limit,
 )
 from .graphs import default_rotation, is_connected
 from .homotopy import fundamental_presentation
@@ -291,10 +291,6 @@ def _cmd_dimer(args, doc: InputDocument) -> Report:
     if doc.moduli is None:
         raise SemanticError("dimer needs a zdvoltage section")
     (d,) = doc.moduli
-    if args.degree is not None and args.degree != d:
-        raise SemanticError(
-            f"--degree {args.degree} disagrees with the document "
-            f"modulus {d}")
     g = doc.graph
     rot = doc.rotation if doc.rotation is not None else default_rotation(g)
     if doc.rotation is None:
@@ -467,8 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "conjugation, divisibility and series certificates.")
     sub = ap.add_subparsers(dest="command", required=True, metavar="command")
 
-    def cmd(name, help_, *, seed=False, length=False, degree=False,
-            torus=False):
+    def cmd(name, help_, *, seed=False, length=False, torus=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--input", metavar="PATH",
                        help="problem document to read")
@@ -479,13 +474,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run a randomized suite instead of a file")
             p.add_argument("--count", type=_positive_int, default=10,
                            help="suite size (default 10)")
+            p.add_argument("--degree", type=_positive_int,
+                           help="cover degree bound of the suite")
         if length:
             p.add_argument("--max-length", type=_positive_int, default=6,
                            dest="max_length",
                            help="cycle length horizon (default 6)")
-        if degree:
-            p.add_argument("--degree", type=_positive_int,
-                           help="cover degree bound or cyclic degree")
         if torus:
             p.add_argument("--m", type=_positive_int, default=2,
                            help="torus rows (default 2)")
@@ -496,14 +490,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("validate", "parse a document and confirm it is well formed")
     cmd("cover", "build the cover described by a voltage and summarize it")
     cmd("verify-main", "certify the intertwining of cover and base "
-                       "operators", seed=True, degree=True)
-    cmd("cor1", "untwisted charpoly divisibility along a cover",
-        seed=True, degree=True)
+                       "operators", seed=True)
+    cmd("cor1", "untwisted charpoly divisibility along a cover", seed=True)
     cmd("cor2", "charpoly factorization over the deck group characters")
-    cmd("trees", "spanning tree and rooted forest divisibility",
-        seed=True, degree=True)
-    cmd("dimer", "dimer determinant factorization for odd cyclic covers",
-        degree=True)
+    cmd("trees", "spanning tree and rooted forest divisibility", seed=True)
+    cmd("dimer", "dimer determinant factorization for odd cyclic covers")
     cmd("kos", "torus determinant against the character product",
         torus=True)
     cmd("zeta-lseries", "reciprocal L-series determinant", length=True)
@@ -531,23 +522,14 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             doc = parse_input(text)
-        elif args.command in _SUITE_COMMANDS and getattr(args, "seed",
-                                                         None) is not None:
-            pass
-        else:
+        elif getattr(args, "seed", None) is None:   # only suites have one
             hint = (" (or --seed for a randomized suite)"
                     if args.command in _SUITE_COMMANDS else "")
             print(f"error: --input is required{hint}", file=sys.stderr)
             return 2
-        report = handler(args, doc)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, TooLargeForExactExpansionError,
-            MemoryError, RecursionError) as exc:
+        with work_limit(WORK_LIMIT):   # one budget, a whole suite included
+            report = handler(args, doc)
+    except (BudgetExceededError, MemoryError, RecursionError) as exc:
         # a backstop: no resource failure reads as falsified
         print(f"error: budget exceeded: {str(exc) or type(exc).__name__}",
               file=sys.stderr)

@@ -1,9 +1,11 @@
-"""Exception hierarchy for the package.
+"""Exception hierarchy for the package, and the work meter.
 
 Validation-style operations (graph and covering checks) return reports
 instead of raising; the exceptions below cover contract violations,
 unattainable requests, and budget limits.
 """
+
+from contextlib import contextmanager
 
 
 class CovertwistError(Exception):
@@ -89,10 +91,6 @@ class OddDimensionError(CovertwistError):
     """Pfaffian of an odd-dimensional matrix was requested."""
 
 
-class TooLargeForExactExpansionError(CovertwistError):
-    """Exact Pfaffian expansion is capped at 16x16."""
-
-
 class DomainMismatchError(CovertwistError):
     """Operands live over incompatible scalar domains."""
 
@@ -126,7 +124,32 @@ class IrreducibleCountMismatchError(CovertwistError):
 # budgets / io
 
 class BudgetExceededError(CovertwistError):
-    """Requested size exceeds a documented enumeration budget."""
+    """A run needs more work, or a larger size, than its budget allows."""
+
+
+# The work meter: kernels charge a bound on a step's coefficient operations
+# before taking it; in a work_limit block, a charge past what is left raises.
+WORK_LIMIT = 100_000_000
+_left = None   # units left in the block; None outside one
+
+
+def charge(units: int, where: str) -> None:
+    global _left
+    if _left is not None:
+        _left -= units
+        if _left < 0:
+            raise BudgetExceededError(f"work budget exceeded in {where}")
+
+
+@contextmanager
+def work_limit(units: int):
+    """Meter the block with units; blocks do not nest."""
+    global _left
+    _left = units
+    try:
+        yield
+    finally:
+        _left = None
 
 
 class ParseError(CovertwistError):

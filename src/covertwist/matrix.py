@@ -52,11 +52,12 @@ from math import isqrt, lcm
 
 from .domains import Cyclotomic, CyclotomicDomain, _make, _norm_rat
 from .errors import (
+    BudgetExceededError,
     DomainMismatchError,
     NotSkewSymmetricError,
     NotSquareError,
     OddDimensionError,
-    TooLargeForExactExpansionError,
+    charge,
 )
 from .poly import MAX_EXP, MultiPoly, PolyDomain, VarRegistry, _add_product
 
@@ -420,7 +421,8 @@ def _charpoly_multimodular(m: Matrix) -> list:
     pattern (for QQ(i), the union of both parts' patterns), once for
     every prime, which keeps the Krylov vectors sparse: a symmetric
     permutation is a similarity, so the charpoly and the row norms are
-    unchanged.  Each prime reduces the permuted columns directly."""
+    unchanged.  Each prime reduces the permuted columns directly, once
+    runs * n * (nonzeros + n) is charged to the work meter."""
     n = m.nrows
     d, rows, gaussian = _cleared(m)
     bound = 1
@@ -428,6 +430,9 @@ def _charpoly_multimodular(m: Matrix) -> list:
         sq = sum(a * a + b * b for _, a, b in row)
         root = isqrt(sq)
         bound *= 1 + root + (root * root < sq)
+    size = (2 * bound + 1).bit_length()
+    runs = -(-size // _RUN_BITS)
+    charge(runs * n * (sum(map(len, rows)) + n), "charpoly_multimodular")
     order = _fill_reducing_order(rows)
     pos = [0] * n
     for k, i in enumerate(order):
@@ -454,8 +459,6 @@ def _charpoly_multimodular(m: Matrix) -> list:
         return ([(x + y) * half % p for x, y in zip(plus, minus)],
                 [(x - y) * half_s % p for x, y in zip(plus, minus)])
 
-    size = (2 * bound + 1).bit_length()
-    runs = -(-size // _RUN_BITS)
     bits = -(-size // (runs * _DIGIT_BITS)) * _DIGIT_BITS
     p, s = _proth_prime(bits, 0)
     acc_re, acc_im = residues(p, s)
@@ -502,6 +505,8 @@ def _charpoly_berkowitz(m: Matrix) -> list:
     each convolution term is added into one dict by _add_product, which
     is called only when both factors are nonzero; a and R are negated
     once per block, and a MultiPoly is built only for the n + 1 results.
+    Each matrix-vector step and each convolution first charges the work
+    meter its term products, or a bound on them, read off dict lengths.
 
     The degree bound is checked once, before the first product.  Let D
     be the largest total degree of an entry.  For the block of order r:
@@ -530,12 +535,18 @@ def _charpoly_berkowitz(m: Matrix) -> list:
         block = [[(j, x) for j, x in rows[i] if j < r] for i in range(r)]
         neg_row = [(j, {k: -c for k, c in x.items()})
                    for j, x in rows[r] if j < r]
+        block_terms = sum(len(x) for brow in block for _, x in brow)
+        row_terms = sum(len(x) for _, x in neg_row)
         v = [at[i].get(r, empty) for i in range(r)]
         t = [one, {k: -c for k, c in at[r].get(r, empty).items()}]
-        for k in range(r):
-            if k:
-                v = [_dot(brow, v) for brow in block]
+        for k in range(r):   # -R*v, then v = A*v unless it is the last
+            charge((row_terms + block_terms) * max(map(len, v)),
+                   "charpoly_berkowitz")
             t.append(_dot(neg_row, v))
+            if k < r - 1:
+                v = [_dot(brow, v) for brow in block]
+        charge(sum(len(c) * sum(map(len, t[:r + 2 - j]))  # i + j <= r + 1
+                   for j, c in enumerate(coeffs)), "charpoly_berkowitz")
         new = []
         for k in range(r + 2):
             out: dict = {}
@@ -684,9 +695,9 @@ def pfaffian(m: Matrix):
 
 
 def check_pfaffian_order(n: int) -> None:
-    """TooLargeForExactExpansionError when an order-n Pfaffian is past
-    the cap of the exact expansion."""
+    """BudgetExceededError when an order-n Pfaffian is past the cap of
+    the exact expansion."""
     if n > PFAFFIAN_EXACT_CAP:
-        raise TooLargeForExactExpansionError(
+        raise BudgetExceededError(
             f"exact pfaffian capped at "
             f"{PFAFFIAN_EXACT_CAP}x{PFAFFIAN_EXACT_CAP}")

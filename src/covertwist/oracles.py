@@ -9,8 +9,8 @@ index order, carrying a component label per vertex (an edge merges the
 smaller component into the larger going down, and the labels are
 restored coming back), the component count, the product of the
 component sizes and the running edge product.  Rational values are
-summed as integers over the lcm of their denominators.  The budgets
-are small and hard.
+summed as integers over the lcm of their denominators.  The walks keep
+a hard edge cap; the dynamic programs charge the work meter per step.
 """
 
 from __future__ import annotations
@@ -19,28 +19,23 @@ from fractions import Fraction
 from math import lcm
 
 from .domains import QQ, CyclotomicDomain, _rat_div
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, charge
 from .graphs import Graph, is_connected
 from .matrix import _fill_reducing_order
+from .poly import MultiPoly
 
-TREE_EDGE_BUDGET = 24
-FOREST_EDGE_BUDGET = 20
-MATCHING_VERTEX_BUDGET = 20
-TREE_STATE_BUDGET = 1 << 16
+ENUM_EDGE_CAP = 20
 
 
 def _edge_endpoints(g: Graph) -> list[tuple[int, int]]:
     return [(g.src[e], g.tgt[e]) for e, _ in g.unoriented]
 
 
-def _check_edge_budget(ne: int, spanning: bool) -> None:
-    """BudgetExceededError when ne edges exceed the tree budget, or the
-    forest budget when not spanning."""
-    budget, kind = ((TREE_EDGE_BUDGET, "tree") if spanning
-                    else (FOREST_EDGE_BUDGET, "forest"))
-    if ne > budget:
+def _check_edge_cap(ne: int, kind: str) -> None:
+    """BudgetExceededError for a walk over more than ENUM_EDGE_CAP edges."""
+    if ne > ENUM_EDGE_CAP:
         raise BudgetExceededError(
-            f"{ne} edges exceeds the {budget}-edge {kind} budget")
+            f"{ne} edges exceeds the {ENUM_EDGE_CAP}-edge {kind} cap")
 
 
 def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
@@ -58,7 +53,7 @@ def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
     edges + 1 at once.
     """
     ne = g.num_unoriented
-    _check_edge_budget(ne, spanning)
+    _check_edge_cap(ne, "tree" if spanning else "forest")
     if spanning and not is_connected(g):
         return
     n = g.num_vertices
@@ -123,33 +118,20 @@ def enum_spanning_trees(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def enum_forests(g: Graph, domain=None,
-                 values=None) -> list[tuple[frozenset[int], int, int, object]]:
-    """All forests (acyclic unoriented edge subsets) with their component
-    count, rooting multiplicity and edge-value product.
-
-    Returns (edges, number of components on the full vertex set, product
-    of component sizes, product of the edges' values, or None when no
-    domain is given).  The empty forest is included."""
-    out: list[tuple[frozenset[int], int, int, object]] = []
-    _acyclic_walk(g, False, lambda chosen, ncomp, phi, w:
-                  out.append((frozenset(chosen), ncomp, phi, w)),
-                  domain, values)
+def enum_forests(g: Graph) -> list[tuple[frozenset[int], int, int]]:
+    """All forests (acyclic unoriented edge subsets), the empty one too,
+    each with its number of components on the full vertex set and the
+    product of the component sizes."""
+    out: list[tuple[frozenset[int], int, int]] = []
+    _acyclic_walk(g, False, lambda chosen, ncomp, phi, _w:
+                  out.append((frozenset(chosen), ncomp, phi)))
     return out
-
-
-def check_matching_budget(n: int) -> None:
-    """BudgetExceededError when n vertices exceed the matching budget."""
-    if n > MATCHING_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"{n} vertices exceeds the {MATCHING_VERTEX_BUDGET}-vertex "
-            "matching budget")
 
 
 def enum_perfect_matchings(g: Graph) -> list[frozenset[int]]:
     """All perfect matchings as sets of unoriented edge indices."""
+    _check_edge_cap(g.num_unoriented, "matching")
     n = g.num_vertices
-    check_matching_budget(n)
     if n % 2 != 0:
         return []
     ends = _edge_endpoints(g)
@@ -226,14 +208,23 @@ def _frontier(g: Graph) -> tuple[list, list]:
     return into, leave
 
 
+def _charge_step(states: dict, width: int, w, where: str) -> None:
+    """Charge an edge step 8 per label of a state, a word each, and 32
+    per product of a term pair, a scalar value counting as one term.
+    The step keeps what it forms, so the budget holds a few million
+    states or terms (at most about 300 MB seen), not gigabytes."""
+    pairs = (len(w.terms) * sum(len(x.terms) for x in states.values())
+             if isinstance(w, MultiPoly) else len(states))
+    charge(8 * len(states) * width + 32 * pairs, where)
+
+
 def tree_sum(g: Graph, domain, per_unoriented) -> object:
     """Sum over spanning trees of the product of edge values.
 
     A state labels the frontier vertices by component of the chosen
     edges, labels numbered by first appearance; a component that leaves
-    the frontier before the last vertex drops its state.  The edge budget
-    and is_connected come before anything per vertex."""
-    _check_edge_budget(g.num_unoriented, True)
+    the frontier before the last vertex drops its state.  Connectivity is
+    checked first, and each edge step is charged to the work meter."""
     n = g.num_vertices
     if not n or not is_connected(g):
         return domain.zero
@@ -246,16 +237,13 @@ def tree_sum(g: Graph, domain, per_unoriented) -> object:
         front.append(v)
         for a, u in into[v]:
             i, j, w = front.index(a), len(front) - 1, vals[u]
+            _charge_step(states, len(front), w, "tree_sum")
             new = dict(states)
             for s, x in states.items():
                 lo, hi = sorted((s[i], s[j]))
                 if lo != hi:   # hi merges into lo, later labels move down
                     t = tuple([lo if c == hi else c - (c > hi) for c in s])
                     new[t] = new[t] + x * w if t in new else x * w
-            if len(new) > TREE_STATE_BUDGET:
-                raise BudgetExceededError(
-                    f"{len(new)} frontier states exceed the "
-                    f"{TREE_STATE_BUDGET}-state tree budget")
             states = new
         for y in leave[v]:
             i = front.index(y)
@@ -288,13 +276,12 @@ class ForestSums(dict):
 def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> ForestSums:
     """Same sum, split by number of components, fewest components last.
 
-    One enum_forests walk carries the edge products; they are summed per
-    (components, phi) first, so each phi multiplies once."""
+    One forest walk carries the edge products and groups them by
+    (components, phi) as it visits, so each phi multiplies once."""
     ring, d, vals = _cleared(domain, per_unoriented)
-    forests = enum_forests(g, ring, vals)
     groups: dict[tuple[int, int], list] = {}
-    for _, ncomp, phi, w in forests:
-        groups.setdefault((ncomp, phi), []).append(w)
+    _acyclic_walk(g, False, lambda _chosen, ncomp, phi, w:
+                  groups.setdefault((ncomp, phi), []).append(w), ring, vals)
     by_k: dict[int, list] = {}
     for (ncomp, phi), terms in sorted(groups.items(), reverse=True):
         by_k.setdefault(ncomp, []).append(
@@ -302,7 +289,7 @@ def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> ForestS
     n = g.num_vertices
     out = ForestSums((k, _uncleared(pairwise_sum(ring, terms), d, n - k))
                      for k, terms in by_k.items())
-    out.forests = len(forests)
+    out.forests = sum(map(len, groups.values()))
     return out
 
 
@@ -310,11 +297,11 @@ def matching_sum(g: Graph, domain, per_unoriented) -> object:
     """Sum over perfect matchings of the product of edge values.
 
     A state is the bit set of the matched frontier vertices; a vertex
-    leaves the frontier matched, or its state is dropped.  The vertex
-    budget keeps the states under 2^20."""
+    leaves the frontier matched, or its state is dropped.  More vertices
+    than twice the non-loop edges admit no matching, known at once; each
+    edge step is charged to the work meter first."""
     n = g.num_vertices
-    check_matching_budget(n)
-    if n % 2:
+    if n % 2 or n > 2 * sum(a != b for a, b in _edge_endpoints(g)):
         return domain.zero
     ring, d, vals = _cleared(domain, per_unoriented)
     into, leave = _frontier(g)
@@ -322,6 +309,7 @@ def matching_sum(g: Graph, domain, per_unoriented) -> object:
     for v in range(n):
         for a, u in into[v]:
             pair, w = 1 << a | 1 << v, vals[u]
+            _charge_step(states, 1, w, "matching_sum")
             new = dict(states)
             for s, x in states.items():
                 if not s & pair:

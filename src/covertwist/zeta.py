@@ -24,6 +24,7 @@ instead of 7.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 
 from .covering import (
     CosetData,
@@ -36,6 +37,7 @@ from .errors import (
     NotAbelianError,
     NotNormalError,
     RegistryMismatchError,
+    charge,
 )
 from .graphs import Graph, Path
 from .homotopy import Pi1Presentation
@@ -47,7 +49,7 @@ from .operators import (
     pullback_connection,
     twisted_adjacency,
 )
-from .poly import MultiPoly, PolyDomain, VarRegistry
+from .poly import MAX_EXP, MultiPoly, PolyDomain, VarRegistry
 from .representation import (
     Representation,
     abelian_character_table,
@@ -61,9 +63,6 @@ from .representation import (
     trivial_connection,
     trivial_representation,
 )
-
-AMITSUR_LENGTH_BUDGET = 12
-
 
 # ---------------------------------------------------------------------------
 # prime cycles
@@ -98,11 +97,31 @@ def _is_primitive(cyc: tuple[int, ...]) -> bool:
     return True
 
 
+def _walk_counts(g: Graph, max_length: int):
+    """The numbers of non-backtracking walks of each length 1 to
+    max_length: those ending in e are those one shorter ending where e
+    starts, less those ending in its reverse."""
+    src, tgt, inv = g.src, g.tgt, g.inv
+    walks = [1] * g.num_edges
+    for _ in range(max_length):
+        yield sum(walks)
+        into = [0] * g.num_vertices
+        for e, c in enumerate(walks):
+            into[tgt[e]] += c
+        walks = [into[src[e]] - walks[inv[e]] for e in range(g.num_edges)]
+
+
 def prime_cycles(g: Graph, max_length: int) -> list[PrimeCycle]:
     """All primes of length up to max_length, each once (lex-least
-    rotation), in sorted order."""
+    rotation), in sorted order.  Before the search, the work meter is
+    charged the entries the walk count touches, 3 per edge and 1 per
+    vertex at each length, and then each length's non-backtracking walks
+    (more than the paths searched)."""
     if max_length < 1:
         return []
+    charge(max_length * (3 * g.num_edges + g.num_vertices), "prime_cycles")
+    for walks in takewhile(bool, _walk_counts(g, max_length)):
+        charge(walks, "prime_cycles")   # none of a length: none longer
     src, tgt, inv = g.src, g.tgt, g.inv
     out_edges = g.out_edges
     found: set[tuple[int, ...]] = set()
@@ -221,12 +240,13 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
     summed, so degrees up to max_length are complete without truncation
     bookkeeping.  Only the powers B, ..., B^h with h = ceil(max_length/2)
     are formed; tr(B^k) for h < k <= max_length is read off them as
-    tr(B^h * B^(k-h))."""
-    if max_length > AMITSUR_LENGTH_BUDGET:
-        raise BudgetExceededError(
-            f"series length {max_length} exceeds {AMITSUR_LENGTH_BUDGET}")
+    tr(B^h * B^(k-h)).  The primes come first, so that their charge to
+    the work meter refuses a long series before any power is formed."""
     if max_length < 1:
         raise ValueError("series length must be positive")
+    if max_length > MAX_EXP:   # no term holds u^max_length
+        raise BudgetExceededError(f"series length past {MAX_EXP}")
+    primes = prime_cycles(g, max_length)
     conn = connection_from_rep(pres, rho)
     ld = line_digraph(g, x)
     b = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
@@ -237,6 +257,7 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
         return pd.coerce(c) * u ** k
 
     half = (max_length + 1) // 2
+    charge(64 * half * (b.nrows + 1), "amitsur_check")   # bytes of rows kept
     powers = [b]   # B^1, ..., B^half
     while len(powers) < half:
         powers.append(powers[-1] * b)
@@ -248,14 +269,11 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
             tr = _trace_of_product(powers[half - 1], powers[k - half - 1])
         lhs = lhs + term(tr * Fraction(1, k), k)
 
-    primes = prime_cycles(g, max_length)
     rhs = pd.zero
     for pc in primes:
         mono = monodromy(g, conn, Path(src_of_cycle(g, pc), pc.edges))
         w = cycle_weight(x, pc)
-        acc_m = mono
-        acc_w = w
-        j = 1
+        acc_m, acc_w, j = mono, w, 1
         while j * pc.length <= max_length:
             rhs = rhs + term(acc_w * acc_m.trace() * Fraction(1, j),
                              j * pc.length)

@@ -179,6 +179,29 @@ def test_products_only_of_nonzero_factors(monkeypatch):
     assert cp == bareiss_charpoly(m)
 
 
+@SETTINGS
+@given(matrices(1, 8, sparse(entries(integers, 3))))
+def test_the_charges_bound_the_term_products(m):
+    """Each step charges the work meter, before it runs, at least the
+    term products it forms."""
+    formed, charged = [], []
+    original = matrix._add_product
+
+    def counted(out, a, b):
+        formed.append(len(a) * len(b))
+        original(out, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_add_product", counted)
+        mp.setattr(matrix, "charge", lambda units, where: charged.append(
+            (units, len(formed))))
+        matrix._charpoly_berkowitz(m)
+    marks = [k for _, k in charged] + [len(formed)]
+    assert marks == sorted(marks)
+    for (units, start), end in zip(charged, marks[1:]):
+        assert units >= sum(formed[start:end])
+
+
 @pytest.mark.parametrize("rows", [
     [["x^40000", 1], [1, "x^40000"]],     # a diagonal product
     [[0, "x^40000"], ["x^30000", 0]],     # the product R*C

@@ -6,12 +6,14 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
 import covertwist
-from covertwist import certificates, cli, covering, graphs, zeta
+from covertwist import certificates, cli, covering, errors, graphs, zeta
 from covertwist.cli import main
+from covertwist.errors import work_limit
 from covertwist.representation import representation
 
 SAMPLES = "sample_inputs"
@@ -149,6 +151,13 @@ def cycle_document(n: int) -> str:
             "weights:\n  kind = unit\n")
 
 
+def path_document(n: int) -> str:
+    """An n-vertex path with unit weights."""
+    edges = "".join(f"  edge {v} {v + 1}\n" for v in range(n - 1))
+    return (f"graph:\n  vertices = {n}\n{edges}"
+            "weights:\n  kind = unit\n")
+
+
 # the Z/n cover of the two-loop bouquet, one loop lifted to an n-cycle
 BOUQUET = """graph:
   vertices = 1
@@ -162,6 +171,16 @@ zdvoltage:
   edge 1 = 0
 """
 
+def document_path(tmp_path, document: str) -> str:
+    """The path of a sample named by document, or of a file holding the
+    document text."""
+    if document.endswith(".txt"):
+        return f"{SAMPLES}/{document}"
+    path = tmp_path / "document.txt"
+    path.write_text(document)
+    return str(path)
+
+
 # (id, argv after the input, the document or a sample, what stderr names)
 OVERSIZED = [
     ("bouquet-z101", ("cor2",), BOUQUET.format(n=101),
@@ -171,19 +190,26 @@ OVERSIZED = [
     ("bouquet-z100000", ("cor2",), BOUQUET.format(n=100000),
      "Q(zeta_100000) exceeds the cyclotomic order budget of 100"),
     ("kos-21x20", ("kos", "--m", "21", "--n", "20"), "kos_b2.txt",
-     "torus cover determinant of order 420 exceeds the budget of 400"),
-    ("trees-25-edges", ("oracle-trees",), cycle_document(25),
-     "25 edges exceeds the 24-edge tree budget"),
+     "Q(zeta_420) exceeds the cyclotomic order budget of 100"),
     ("forests-21-edges", ("oracle-forests",), cycle_document(21),
-     "21 edges exceeds the 20-edge forest budget"),
-    ("matchings-22-vertices", ("oracle-matchings",), cycle_document(22),
-     "22 vertices exceeds the 20-vertex matching budget"),
+     "21 edges exceeds the 20-edge forest cap"),
     ("dimer-theta-z9", ("dimer",), THETA_DIMER.format(d=9),
      "exact pfaffian capped at 16x16"),
     ("dimer-theta-z21", ("dimer",), THETA_DIMER.format(d=21),
-     "42 vertices exceeds the 20-vertex matching budget"),
-    ("amitsur-length-13", ("zeta-amitsur", "--max-length", "13"), "c3.txt",
-     "series length 13 exceeds 12"),
+     "exact pfaffian capped at 16x16"),
+    ("lseries-length-40", ("zeta-lseries", "--max-length", "40"),
+     "kos_b2.txt", "work budget exceeded in prime_cycles"),
+    ("amitsur-length-40", ("zeta-amitsur", "--max-length", "40"),
+     "kos_b2.txt", "work budget exceeded in prime_cycles"),
+    ("lseries-length-10^9", ("zeta-lseries", "--max-length", "1000000000"),
+     "kos_b2.txt", "work budget exceeded in prime_cycles"),
+    ("lseries-c3-length-10^9",
+     ("zeta-lseries", "--max-length", "1000000000"), "c3.txt",
+     "work budget exceeded in prime_cycles"),
+    ("amitsur-path-length-65535", ("zeta-amitsur", "--max-length", "65535"),
+     path_document(200), "work budget exceeded in amitsur_check"),
+    ("amitsur-length-65536", ("zeta-amitsur", "--max-length", "65536"),
+     "c3.txt", "series length past 65535"),
 ]
 
 
@@ -193,22 +219,94 @@ OVERSIZED = [
 def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
                                       message):
     # every oversized input stops at its budget, exit 3 with no report,
-    # before the work the budget guards: the Q(zeta_101), Q(zeta_2000)
-    # and Q(zeta_100000) characters (no deck group closed on the way,
-    # and for a connected cyclic cover not even the cover built), the
-    # order-420 torus determinant, the oracle walks, and for the odd
-    # cyclic covers of the 3-edge theta graph (18 and 42 vertices) the
-    # split, as soon as the cover is built
-    if document.endswith(".txt"):
-        path = f"{SAMPLES}/{document}"
-    else:
-        path = tmp_path / "oversized.txt"
-        path.write_text(document)
+    # before the work the budget guards: the Q(zeta_101), Q(zeta_2000),
+    # Q(zeta_100000) and Q(zeta_420) characters (no deck group closed on
+    # the way, and for a connected cyclic cover not even the cover
+    # built), the forest walk, for the odd cyclic covers of the 3-edge
+    # theta graph (18 and 42 vertices) the split, as soon as the cover is
+    # built, and the prime search of a long series, charged before it
+    # starts the entries its walk count touches at each length (all of
+    # the budget on c3), then length by length the 4*3^(k-1)
+    # non-backtracking walks of each length k, past the budget at k = 17,
+    # and the Amitsur powers of B on a tree, 64 units per row they keep
+    path = document_path(tmp_path, document)
     t0 = time.perf_counter()
     code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
+
+
+# inputs that a size cap refused before the work meter, and that finish
+# well inside the work budget: (id, argv, document, a report line)
+PAST_THE_OLD_CAPS = [
+    ("trees-25-edges", ("oracle-trees",), cycle_document(25),
+     "  spanning trees = 25\n"),
+    ("matchings-22-vertices", ("oracle-matchings",), cycle_document(22),
+     "  perfect matchings = 2\n"),
+    ("amitsur-length-13", ("zeta-amitsur", "--max-length", "13"), "c3.txt",
+     "  series length = 13\n"),
+]
+
+
+@pytest.mark.parametrize("argv, document, line",
+                         [row[1:] for row in PAST_THE_OLD_CAPS],
+                         ids=[row[0] for row in PAST_THE_OLD_CAPS])
+def test_sizes_past_the_old_caps_finish(tmp_path, capsys, argv, document,
+                                        line):
+    path = document_path(tmp_path, document)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    assert line in out
+
+
+# (kernel, argv, document): the kernel is the first the command charges
+METERED = [
+    ("charpoly_multimodular", ("cor1",), "identity_cover.txt"),
+    ("charpoly_berkowitz", ("cor1",), "c3.txt"),
+    ("tree_sum", ("oracle-trees",), cycle_document(6)),
+    ("matching_sum", ("oracle-matchings",), cycle_document(6)),
+    ("prime_cycles", ("zeta-amitsur",), "c3.txt"),
+]
+
+
+@pytest.mark.parametrize("kernel, argv, document", METERED,
+                         ids=[row[0] for row in METERED])
+def test_each_kernel_stops_at_the_work_budget(tmp_path, capsys, monkeypatch,
+                                              kernel, argv, document):
+    path = document_path(tmp_path, document)
+    assert run(capsys, argv[0], "--input", str(path), *argv[1:])[0] == 0
+    monkeypatch.setattr(cli, "WORK_LIMIT", 1)
+    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == f"error: budget exceeded: work budget exceeded in {kernel}\n"
+
+
+def test_a_suite_shares_one_work_budget(capsys, monkeypatch):
+    # one block meters the whole suite: what is left of it when the
+    # handler returns shows what every instance spent
+    spent = []
+
+    @contextmanager
+    def recorded(units):
+        with work_limit(units):
+            yield
+            spent.append(units - errors._left)
+
+    monkeypatch.setattr(cli, "work_limit", recorded)
+    for count in ("1", "3"):
+        assert run(capsys, "cor1", "--seed", "1", "--count", count)[0] == 0
+    one, three = spent
+    assert 0 < one < three
+    monkeypatch.setattr(cli, "WORK_LIMIT", three)
+    assert run(capsys, "cor1", "--seed", "1", "--count", "3")[0] == 0
+    monkeypatch.setattr(cli, "WORK_LIMIT", three - 1)
+    code, out, err = run(capsys, "cor1", "--seed", "1", "--count", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: budget exceeded: work budget exceeded in ")
+    assert errors._left is None
 
 
 # the two-loop bouquet claiming more vertices than its two edges can join
@@ -274,12 +372,9 @@ def test_a_missing_rotation_line_is_named_without_a_walk_over_the_vertices(
     assert err == "error: no `at k = ...` line for k = 1\n"
 
 
-def test_memory_error_is_over_budget_not_falsified(tmp_path):
-    # the forest oracle allocates per vertex before any check: in a child
-    # limited to 1 GB of address space that is a MemoryError, which ends
-    # in exit 3 and one line, not a traceback and exit 1
-    path = tmp_path / "sparse.txt"
-    path.write_text(too_many_vertices(999999999999))
+def run_in_1gb(*argv):
+    """The exit code, stdout and stderr of a command run in a child
+    limited to 1 GB of address space."""
     src = os.path.dirname(os.path.dirname(covertwist.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -289,11 +384,42 @@ def test_memory_error_is_over_budget_not_falsified(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "covertwist.cli", "oracle-forests", "--input",
-         str(path)], capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=limit_address_space)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "error: budget exceeded: MemoryError\n"
+        [sys.executable, "-m", "covertwist.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=120, preexec_fn=limit_address_space)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_memory_error_is_over_budget_not_falsified(tmp_path):
+    # the forest oracle allocates per vertex before any check: in a child
+    # limited to 1 GB of address space that is a MemoryError, which ends
+    # in exit 3 and one line, not a traceback and exit 1
+    path = tmp_path / "sparse.txt"
+    path.write_text(too_many_vertices(999999999999))
+    assert run_in_1gb("oracle-forests", "--input", str(path)) == (
+        3, "", "error: budget exceeded: MemoryError\n")
+
+
+def grid_document(rows: int, cols: int) -> str:
+    """A rows x cols grid with unit weights."""
+    n = rows * cols
+    edges = "".join(f"  edge {v} {v + 1}\n" for v in range(n) if (v + 1) % cols)
+    edges += "".join(f"  edge {v} {v + cols}\n" for v in range(n - cols))
+    return (f"graph:\n  vertices = {n}\n{edges}"
+            "weights:\n  kind = unit\n")
+
+
+@pytest.mark.parametrize("command, kernel", [("oracle-trees", "tree_sum"),
+                                             ("oracle-matchings",
+                                              "matching_sum")])
+def test_a_wide_unit_grid_stops_at_the_work_budget(tmp_path, command, kernel):
+    # the 20x20 grid keeps 20 to 40 vertices on the frontier, so its unit
+    # states multiply; each state is charged as a kept product is, so the
+    # work budget refuses the run within seconds, in 1 GB of address space
+    path = document_path(tmp_path, grid_document(20, 20))
+    t0 = time.perf_counter()
+    assert run_in_1gb(command, "--input", path) == (
+        3, "", f"error: budget exceeded: work budget exceeded in {kernel}\n")
+    assert time.perf_counter() - t0 < 20.0
 
 
 def test_recursion_error_is_over_budget(monkeypatch, capsys):

@@ -209,7 +209,7 @@ def check_trees(strategy, data):
     P_base = base_charpoly(p, x, laplacian)
     res = tree_certificates(coset_data(p), x)
     assert res.split.ok and res.tree_divisible and res.forest_divisible
-    assert res.cover_charpoly == P_cover
+    assert res.split.cover == P_cover
     for cert, z in ((res.st, spanning_tree_polynomial),
                     (res.rsf, rooted_forest_polynomial)):
         dividend, divisor = z(P_cover, nc), z(P_base, nb)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from covertwist import cli
+from covertwist import certificates, cli
 from covertwist.cli import main
 
 COMMANDS = sorted(cli._HANDLERS)
@@ -131,16 +131,22 @@ def test_cyclotomic_orders_past_the_budget_exit_three(tmp_path, capsys):
 KOS = "sample_inputs/kos_b2.txt"
 
 
-def test_kos_order_budget_fires_before_the_cover(capsys):
+def test_kos_order_budget_fires_before_the_cover(capsys, monkeypatch):
+    # the order-3600 cover determinant is charged before its kernel runs,
+    # and before any of the 3600 character-twisted factors over Q(ζ_60)
+    monkeypatch.setattr(certificates, "root_of_unity",
+                        lambda *a: pytest.fail("a factor was formed"))
     t0 = time.perf_counter()
     code = main(["kos", "--input", KOS, "--m", "60", "--n", "60"])
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "budget" in captured.err
-    # m·n = 380 is within the order budget, but Q(ζ_380) is past the
-    # cyclotomic one: that too stops before the cover is built
+    assert captured.err == ("error: budget exceeded: work budget exceeded "
+                            "in charpoly_multimodular\n")
+    monkeypatch.undo()
+    # Q(ζ_380) is past the cyclotomic order budget: that stops the run
+    # before any factor, and before the cover is built
     t0 = time.perf_counter()
     assert main(["kos", "--input", KOS, "--m", "19", "--n", "20"]) == 3
     assert time.perf_counter() - t0 < 1.0

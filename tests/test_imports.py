@@ -63,14 +63,12 @@ def test_no_unused_imports():
     assert found == {}
 
 
-# rooted_forest_sum, enum_spanning_trees and enum_perfect_matchings are
-# wrapped by certbench/layers.py, which reaches them from outside src/;
-# TreesResult.cover_charpoly forms the cover charpoly on demand, for
-# callers outside the package, as no report prints it
+# rooted_forest_sum and the enum_* walks are wrapped by
+# certbench/layers.py, which reaches them from outside src/
 UNREFERENCED_EXCEPTIONS = {"oracles.rooted_forest_sum",
                            "oracles.enum_spanning_trees",
-                           "oracles.enum_perfect_matchings",
-                           "certificates.TreesResult.cover_charpoly"}
+                           "oracles.enum_forests",
+                           "oracles.enum_perfect_matchings"}
 
 
 def definitions(source: str) -> list[str]:
@@ -118,3 +116,31 @@ def test_every_definition_is_referenced_in_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES
                if p.parent.name == "covertwist"}
     assert set(unreferenced(sources)) == UNREFERENCED_EXCEPTIONS
+
+
+def size_bounds(source: str) -> list[str]:
+    """The module-level names source binds that end in _BUDGET, _CAP or
+    _LIMIT."""
+    out = []
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        out += [t.id for t in targets if isinstance(t, ast.Name)
+                and t.id.endswith(("_BUDGET", "_CAP", "_LIMIT"))]
+    return out
+
+
+def test_the_scan_sees_size_bounds():
+    source = ("A_CAP = 1\nB_LIMIT: int = 2\nC_BUDGETS = 3\n"
+              "D_BUDGET = 4\ndef f():\n    E_CAP = 5\n")
+    assert size_bounds(source) == ["A_CAP", "B_LIMIT", "D_BUDGET"]
+
+
+def test_one_work_budget_and_three_hard_caps():
+    # the kernels charge one work meter; only the enumeration walks, the
+    # exact Pfaffian and the cyclotomic fields keep a size cap of their own
+    found = {name for p in MODULES if p.parent.name == "covertwist"
+             for name in size_bounds(p.read_text(encoding="utf-8"))}
+    assert found == {"WORK_LIMIT", "ENUM_EDGE_CAP", "PFAFFIAN_EXACT_CAP",
+                     "CYCLOTOMIC_ORDER_BUDGET"}

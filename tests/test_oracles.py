@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from covertwist import oracles
 from covertwist.certificates import unoriented_values
-from covertwist.errors import BudgetExceededError
+from covertwist.errors import BudgetExceededError, work_limit
 from covertwist.graphs import build_graph
 from covertwist.matrix import Matrix
 from covertwist.operators import symbolic_weights
@@ -75,7 +75,7 @@ def test_loop_never_in_tree():
 def test_forests_include_empty_set():
     g = c3()
     forests = enum_forests(g)
-    sizes = sorted(len(f) for f, _, _, _ in forests)
+    sizes = sorted(len(f) for f, _, _ in forests)
     assert sizes[0] == 0
     assert len(forests) == 7  # empty, three 1-edge, three 2-edge
 
@@ -125,13 +125,66 @@ def test_tree_budget():
         enum_spanning_trees(g)
 
 
+def charged(monkeypatch, run) -> int:
+    """The units the oracles charge while run() runs."""
+    units = []
+    monkeypatch.setattr(oracles, "charge", lambda n, where: units.append(n))
+    run()
+    monkeypatch.undo()
+    return sum(units)
+
+
+def k5():
+    return build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+
+
 def test_tree_state_budget(monkeypatch):
-    # a wide frontier stops at the state budget, not at the end of memory
-    g = build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    assert tree_sum(g, QQ, [1] * 10) == 125
-    monkeypatch.setattr(oracles, "TREE_STATE_BUDGET", 10)
-    with pytest.raises(BudgetExceededError, match="10-state tree budget"):
-        tree_sum(g, QQ, [1] * 10)
+    # a wide frontier stops at the work budget; polynomial values are
+    # charged per pair of terms as well, so they reach it sooner than the
+    # same states with scalar values
+    g = k5()
+    x = symbolic_weights(g)
+    vals = unoriented_values(g, x)
+    scalar = charged(monkeypatch, lambda: tree_sum(g, QQ, [1] * 10))
+    assert charged(monkeypatch,
+                   lambda: tree_sum(g, x.domain, vals)) > scalar
+    with work_limit(scalar):
+        assert tree_sum(g, QQ, [1] * 10) == 125
+    for run in (lambda: tree_sum(g, QQ, [1] * 10),
+                lambda: tree_sum(g, x.domain, vals)):
+        with work_limit(scalar - 1), \
+                pytest.raises(BudgetExceededError,
+                              match="work budget exceeded in tree_sum"):
+            run()
+
+
+def grid(rows: int, cols: int):
+    n = rows * cols
+    return build_graph(n, [(v, v + 1) for v in range(n) if (v + 1) % cols]
+                       + [(v, v + cols) for v in range(n - cols)])
+
+
+@pytest.mark.parametrize("kernel, shape", [(tree_sum, (4, 4)),
+                                           (matching_sum, (6, 6))],
+                         ids=["tree_sum", "matching_sum"])
+def test_kept_terms_stay_within_a_32nd_of_the_budget(monkeypatch, kernel,
+                                                      shape):
+    # the dynamic programs keep every term product they form, so each is
+    # charged 32 units: under a budget of 32 * 1000 units no step runs
+    # while its states hold more than 1000 terms
+    held = []
+    step = oracles._charge_step
+
+    def recorded(states, width, w, where):
+        step(states, width, w, where)
+        held.append(sum(len(x.terms) for x in states.values()))
+
+    monkeypatch.setattr(oracles, "_charge_step", recorded)
+    g = grid(*shape)
+    x = symbolic_weights(g)
+    with work_limit(32 * 1000), pytest.raises(BudgetExceededError):
+        kernel(g, x.domain, unoriented_values(g, x))
+    assert 0 < max(held) <= 1000
 
 
 def test_forest_budget():
@@ -144,6 +197,25 @@ def test_matching_budget():
     g = build_graph(22, [(i, i + 1) for i in range(21)])
     with pytest.raises(BudgetExceededError):
         enum_perfect_matchings(g)
+
+
+def test_matching_work_budget(monkeypatch):
+    g = k4()
+    units = charged(monkeypatch, lambda: matching_sum(g, QQ, [1] * 6))
+    with work_limit(units):
+        assert matching_sum(g, QQ, [1] * 6) == 3
+    with work_limit(units - 1), \
+            pytest.raises(BudgetExceededError,
+                          match="work budget exceeded in matching_sum"):
+        matching_sum(g, QQ, [1] * 6)
+
+
+def test_matching_sum_refutes_more_vertices_than_its_edges_cover():
+    # four vertices and one edge that is no loop: no perfect matching,
+    # known before the frontier is built
+    g = build_graph(4, [(0, 1), (2, 2), (3, 3)])
+    with work_limit(0):
+        assert matching_sum(g, QQ, [1] * 3) == 0
 
 
 def test_leibniz_budget():
@@ -193,7 +265,7 @@ def random_values(rng, g, kind):
 def test_enumerations_match_reference(seed):
     g = random_multigraph(random.Random(seed))
     assert enum_spanning_trees(g) == ref_spanning_trees(g)
-    assert [f[:3] for f in enum_forests(g)] == ref_forests(g)
+    assert enum_forests(g) == ref_forests(g)
     assert enum_perfect_matchings(g) == ref_perfect_matchings(g)
 
 
@@ -217,7 +289,7 @@ def test_dense_multigraph_matches_reference():
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     g = build_graph(5, pairs + [(1, 3), (2, 2)])
     assert enum_spanning_trees(g) == ref_spanning_trees(g)
-    assert [f[:3] for f in enum_forests(g)] == ref_forests(g)
+    assert enum_forests(g) == ref_forests(g)
     x = symbolic_weights(g)
     vals = unoriented_values(g, x)
     assert rooted_forest_sum_by_components(g, x.domain, vals) == \

@@ -1,12 +1,14 @@
 """Prime cycles, L-series determinants, log-derivative identity, axioms."""
 
 import random
+import time
 from fractions import Fraction
 from math import ceil
 from unittest import mock
 
 import pytest
 
+from covertwist import zeta
 from covertwist.covering import (
     VoltageAssignment,
     build_cover,
@@ -15,7 +17,11 @@ from covertwist.covering import (
     perm_identity,
 )
 from covertwist.domains import QQ
-from covertwist.errors import BudgetExceededError, RegistryMismatchError
+from covertwist.errors import (
+    BudgetExceededError,
+    RegistryMismatchError,
+    work_limit,
+)
 from covertwist.graphs import build_graph
 from covertwist.homotopy import fundamental_presentation
 from covertwist.matrix import Matrix
@@ -23,9 +29,10 @@ from covertwist.operators import (
     symbolic_weights,
     weights_from_unoriented,
 )
+from covertwist.poly import MAX_EXP
 from covertwist.representation import representation, trivial_representation
 from covertwist.zeta import (
-    AMITSUR_LENGTH_BUDGET,
+    _walk_counts,
     amitsur_check,
     artin_axioms,
     l_series_inverse,
@@ -138,13 +145,72 @@ def test_amitsur_rational_weights():
     assert res.ok
 
 
-def test_amitsur_budget():
-    g = c3()
+def test_amitsur_budget(monkeypatch):
+    # the prime search is charged its walk count before any power of B
+    # is formed, so a length past the work budget stops at once
+    g = rank3_graph()
     pres = fundamental_presentation(g, 0)
-    with pytest.raises(BudgetExceededError):
-        amitsur_check(g, symbolic_weights(g),
-                      trivial_representation(QQ, pres.rank), pres,
-                      max_length=13)
+    rho = trivial_representation(QQ, pres.rank)
+    assert sum(_walk_counts(g, 13)) > 1000
+    with work_limit(1000), \
+            mock.patch.object(Matrix, "__mul__", side_effect=AssertionError), \
+            pytest.raises(BudgetExceededError,
+                          match="work budget exceeded in prime_cycles"):
+        amitsur_check(g, symbolic_weights(g), rho, pres, max_length=13)
+    units = []
+    monkeypatch.setattr(zeta, "charge", lambda n, where: units.append(n))
+    assert amitsur_check(g, symbolic_weights(g), rho, pres, max_length=4).ok
+    monkeypatch.undo()
+    assert units[0] == 4 * (3 * g.num_edges + g.num_vertices)
+    assert units[1:-1] == list(_walk_counts(g, 4))
+    with work_limit(sum(units)):
+        assert amitsur_check(g, symbolic_weights(g), rho, pres,
+                             max_length=4).ok
+    # the powers of B it keeps are charged next, before any is formed
+    with work_limit(sum(units) - 1), \
+            mock.patch.object(Matrix, "__mul__", side_effect=AssertionError), \
+            pytest.raises(BudgetExceededError,
+                          match="work budget exceeded in amitsur_check"):
+        amitsur_check(g, symbolic_weights(g), rho, pres, max_length=4)
+
+
+def path_graph(n: int):
+    return build_graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def test_a_tree_counts_its_walks_only_while_there_are_any():
+    # no walk outlasts the longest path, so the count stops there, not
+    # after one step per length of a long horizon
+    t0 = time.perf_counter()
+    assert prime_cycles(path_graph(3), 10 ** 7) == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_amitsur_refuses_a_series_past_the_exponent_limit():
+    g = path_graph(2)
+    pres = fundamental_presentation(g, 0)
+    rho = trivial_representation(QQ, pres.rank)
+    x = weights_from_unoriented(g, QQ, [1])
+    with pytest.raises(BudgetExceededError,
+                       match=f"series length past {MAX_EXP}"):
+        amitsur_check(g, x, rho, pres, max_length=MAX_EXP + 1)
+
+
+def non_backtracking_walks(g, length: int) -> int:
+    """Walks of exactly `length` directed edges, none followed by its
+    reverse, counted one by one."""
+    walks = [[e] for e in range(g.num_edges)]
+    for _ in range(length - 1):
+        walks = [w + [e] for w in walks for e in g.out_edges[g.tgt[w[-1]]]
+                 if e != g.inv[w[-1]]]
+    return len(walks)
+
+
+@pytest.mark.parametrize("graph", ["c3", "b2", "rank3"])
+def test_walk_counts_are_the_non_backtracking_walks(graph):
+    g = {"c3": c3, "b2": b2, "rank3": rank3_graph}[graph]()
+    assert list(_walk_counts(g, 6)) == [non_backtracking_walks(g, k)
+                                        for k in range(1, 7)]
 
 
 def test_amitsur_series_variable_collision():
@@ -182,13 +248,13 @@ AMITSUR_CASES = [
                          ids=[c[0] for c in AMITSUR_CASES])
 def test_amitsur_traces_match_one_product_per_length(name, weights, rep):
     # the half-length powers give the same trace series as B^k = B^(k-1)*B
-    # at every length up to the budget
+    # at every length up to 12
     rng = random.Random(f"amitsur:{name}")
     g = rank3_graph()
     pres = fundamental_presentation(g, 0)
     x = weights(rng, g)
     rho = rep(rng, pres.rank)
-    for length in range(1, AMITSUR_LENGTH_BUDGET + 1):
+    for length in range(1, 13):
         res = amitsur_check(g, x, rho, pres, max_length=length)
         assert res.lhs == amitsur_lhs_reference(g, x, rho, pres, length)
         assert res.ok
