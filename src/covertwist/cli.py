@@ -2,9 +2,12 @@
 
 Exit codes: 0 all checks pass, 1 a verified identity failed, 2 the
 input is malformed or the construction does not apply to it, 3 the
-command's work budget (one for a whole suite) or a hard size cap was
-exceeded.  The report goes to stdout; errors go to stderr.  Reports are
-byte-stable (timing lines only appear behind --timing).
+command's work budget (one for a whole suite), the cyclotomic order
+budget, the series exponent limit or, as a backstop, the interpreter's
+memory or recursion limit was exceeded.  The report goes to stdout;
+errors go to stderr.  Reports are byte-stable (timing lines only appear
+behind --timing).  Every oracle a command prints is a frontier dynamic
+program of oracles.py; none enumerates.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .errors import (
 from .graphs import default_rotation, is_connected
 from .homotopy import fundamental_presentation
 from .oracles import (
+    forest_count,
     matching_sum,
-    pairwise_sum,
     rooted_forest_sum_by_components,
     tree_sum,
 )
@@ -403,9 +406,9 @@ def _cmd_oracle_trees(args, doc: InputDocument) -> Report:
 def _cmd_oracle_forests(args, doc: InputDocument) -> Report:
     r, g, dom, vals = _oracle_report("oracle-forests", doc)
     by_k = rooted_forest_sum_by_components(g, dom, vals)
-    r.datum("spanning forests", by_k.forests)
-    r.datum("rooted forest sum", pairwise_sum(dom, list(by_k.values())))
-    for k, v in sorted(by_k.items()):
+    r.datum("spanning forests", forest_count(g))
+    r.datum("rooted forest sum", sum(by_k.values(), dom.zero))
+    for k, v in by_k.items():
         r.datum(f"rooted forest sum, {k} components", v)
     return r
 
@@ -501,9 +504,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd("zeta-amitsur", "log derivative against the prime cycle sum",
         length=True)
     cmd("artin-axioms", "character formalism on a normal abelian tower")
-    cmd("oracle-trees", "brute force spanning tree enumeration")
-    cmd("oracle-forests", "brute force rooted forest enumeration")
-    cmd("oracle-matchings", "brute force perfect matching enumeration")
+    cmd("oracle-trees", "spanning tree count and sum by a frontier DP")
+    cmd("oracle-forests", "forest count and rooted forest sums by a "
+                          "frontier DP")
+    cmd("oracle-matchings", "perfect matching count and sum by a frontier "
+                            "DP")
     return ap
 
 

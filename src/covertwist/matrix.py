@@ -48,11 +48,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import isqrt, lcm
 
 from .domains import Cyclotomic, CyclotomicDomain, _make, _norm_rat
 from .errors import (
-    BudgetExceededError,
     DomainMismatchError,
     NotSkewSymmetricError,
     NotSquareError,
@@ -60,8 +60,6 @@ from .errors import (
     charge,
 )
 from .poly import MAX_EXP, MultiPoly, PolyDomain, VarRegistry, _add_product
-
-PFAFFIAN_EXACT_CAP = 16
 
 
 class Matrix:
@@ -540,20 +538,27 @@ def _charpoly_berkowitz(m: Matrix) -> list:
         v = [at[i].get(r, empty) for i in range(r)]
         t = [one, {k: -c for k, c in at[r].get(r, empty).items()}]
         for k in range(r):   # -R*v, then v = A*v unless it is the last
+            if not any(v):   # A^k*C = 0, and so is every later term
+                t += [empty] * (r - k)
+                break
             charge((row_terms + block_terms) * max(map(len, v)),
                    "charpoly_berkowitz")
             t.append(_dot(neg_row, v))
             if k < r - 1:
                 v = [_dot(brow, v) for brow in block]
-        charge(sum(len(c) * sum(map(len, t[:r + 2 - j]))  # i + j <= r + 1
-                   for j, c in enumerate(coeffs)), "charpoly_berkowitz")
+        # the convolution t * coeffs, over the nonzero t_i only, i + j <= r + 1
+        nz = [(i, a) for i, a in enumerate(t) if a]
+        below = list(accumulate(map(len, coeffs), initial=0))
+        charge(sum(len(a) * below[min(r + 2 - i, r + 1)] for i, a in nz),
+               "charpoly_berkowitz")
         new = []
         for k in range(r + 2):
             out: dict = {}
-            for j in range(max(0, k - r - 1), min(k, r) + 1):
-                a, b = t[k - j], coeffs[j]
-                if a and b:
-                    _add_product(out, a, b)
+            for i, a in nz:
+                if i > k:
+                    break
+                if k - i <= r and coeffs[k - i]:
+                    _add_product(out, a, coeffs[k - i])
             new.append(out)
         coeffs = new
     return [MultiPoly(reg, c) for c in reversed(coeffs)]
@@ -655,6 +660,9 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def _pfaffian_exact(m: Matrix):
+    """First-row expansion with memoization; each subset expanded is
+    charged a unit per entry it multiplies and 8 per word of the subset
+    its cache entry keeps."""
     dom = m.domain
     at = [dict(row) for row in m.rows]
     mul = dom.mul
@@ -663,6 +671,7 @@ def _pfaffian_exact(m: Matrix):
     def pf(active: tuple[int, ...]):
         if not active:
             return dom.one
+        charge(9 * len(active), "pfaffian")
         i0 = active[0]
         rest = active[1:]
         acc = dom.zero
@@ -682,7 +691,8 @@ def _pfaffian_exact(m: Matrix):
 def pfaffian(m: Matrix):
     """Pfaffian of a skew-symmetric matrix; sign convention Pf([[0,a],[-a,0]]) = a.
 
-    Recursive first-row expansion with memoization, capped at 16x16.
+    Recursive first-row expansion with memoization, charged to the work
+    meter per subset: exponential in the order, so no command calls it.
     """
     if not m.is_square():
         raise NotSquareError("pfaffian of a non-square matrix")
@@ -690,14 +700,4 @@ def pfaffian(m: Matrix):
         raise OddDimensionError("pfaffian needs even dimension")
     if not m.is_skew_symmetric():
         raise NotSkewSymmetricError("pfaffian needs a skew-symmetric matrix")
-    check_pfaffian_order(m.nrows)
     return _pfaffian_exact(m)
-
-
-def check_pfaffian_order(n: int) -> None:
-    """BudgetExceededError when an order-n Pfaffian is past the cap of
-    the exact expansion."""
-    if n > PFAFFIAN_EXACT_CAP:
-        raise BudgetExceededError(
-            f"exact pfaffian capped at "
-            f"{PFAFFIAN_EXACT_CAP}x{PFAFFIAN_EXACT_CAP}")

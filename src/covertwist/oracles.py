@@ -1,16 +1,21 @@
-"""Brute-force reference counts for the certificate machinery.
+"""Reference sums for the certificate machinery.
 
 None of it shares logic with the linear-algebra routes it is used to
-check.  Spanning trees and perfect matchings are summed by dynamic
-programs over a breadth-first vertex order, a state holding the sum of
-the edge products that reach it.  Forests are enumerated by one walk
-that grows every acyclic edge subset one unoriented edge at a time, in
-index order, carrying a component label per vertex (an edge merges the
-smaller component into the larger going down, and the labels are
-restored coming back), the component count, the product of the
-component sizes and the running edge product.  Rational values are
-summed as integers over the lcm of their denominators.  The walks keep
-a hard edge cap; the dynamic programs charge the work meter per step.
+check.  Spanning trees, forests and perfect matchings are summed by
+dynamic programs over a Cuthill-McKee vertex order, a state holding the
+sum of the edge products that reach it.  The rooted forests with k
+components are the spanning trees of the cone over the graph whose apex
+has degree k, each component rooted where its apex edge meets it (the
+matrix-forest theorem; Chebotarev & Shamis 1997), so one tree program,
+with an apex that never leaves the frontier, sums them by k; with a
+component free to leave the frontier instead, it counts the forests.
+Rational values are summed as integers over the lcm of their
+denominators.  Each step is charged to the work meter first, and the
+per-vertex lists of the frontier before they are built.
+
+The enum_* listings are kept for tests and for tracing, which looks
+them up by name; no command calls them.  They charge the meter per step
+too.
 """
 
 from __future__ import annotations
@@ -19,59 +24,45 @@ from fractions import Fraction
 from math import lcm
 
 from .domains import QQ, CyclotomicDomain, _rat_div
-from .errors import BudgetExceededError, charge
+from .errors import charge
 from .graphs import Graph, is_connected
 from .matrix import _fill_reducing_order
 from .poly import MultiPoly
-
-ENUM_EDGE_CAP = 20
 
 
 def _edge_endpoints(g: Graph) -> list[tuple[int, int]]:
     return [(g.src[e], g.tgt[e]) for e, _ in g.unoriented]
 
 
-def _check_edge_cap(ne: int, kind: str) -> None:
-    """BudgetExceededError for a walk over more than ENUM_EDGE_CAP edges."""
-    if ne > ENUM_EDGE_CAP:
-        raise BudgetExceededError(
-            f"{ne} edges exceeds the {ENUM_EDGE_CAP}-edge {kind} cap")
+def _charge_lists(g: Graph, where: str) -> None:
+    """Charge the per-vertex and per-edge lists of a listing or a frontier
+    before they exist, 8 units a word, 64 words a vertex and 32 an edge:
+    at their peak they were seen to take at most 0.8 of that in bytes."""
+    charge(512 * g.num_vertices + 256 * g.num_unoriented, where)
 
 
-def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
-                  values=None) -> None:
-    """Grow every acyclic set of unoriented edges in ascending index
-    order and call visit(chosen, components, phi, weight) on each, or,
-    when spanning, on each spanning tree only.
+def enum_forests(g: Graph) -> list[tuple[frozenset[int], int, int]]:
+    """All forests (acyclic unoriented edge subsets), the empty one too,
+    each with its number of components on the full vertex set and the
+    product of the component sizes.
 
-    chosen is the walk's own list of edge indices, in ascending order;
-    phi is the product of the component sizes over the full vertex set;
-    weight is the product of the chosen edges' values, or None when no
-    domain is given.  Loops never enter a subset.  A disconnected graph
-    has no spanning tree: the spanning walk visits nothing and builds
-    nothing per vertex, as is_connected refutes more vertices than
-    edges + 1 at once.
-    """
-    ne = g.num_unoriented
-    _check_edge_cap(ne, "tree" if spanning else "forest")
-    if spanning and not is_connected(g):
-        return
-    n = g.num_vertices
+    One walk grows every acyclic edge set in ascending index order,
+    carrying a component label per vertex: an edge merges the smaller
+    component into the larger going down, and the labels are restored
+    coming back.  Loops never enter a forest.  Each step is charged its
+    loop over the edges left and 8 units per chosen edge, which the
+    listing keeps."""
+    _charge_lists(g, "enum_forests")
+    n, ne = g.num_vertices, g.num_unoriented
     ends = _edge_endpoints(g)
-    mul = domain.mul if domain is not None else None
     label = list(range(n))            # vertex -> label of its component
     members = [[v] for v in range(n)]  # label -> its vertices, while in use
     chosen: list[int] = []
-    need = n - 1
+    out: list[tuple[frozenset[int], int, int]] = []
 
-    def grow(k: int, ncomp: int, phi: int, w) -> None:
-        if not spanning:
-            visit(chosen, ncomp, phi, w)
-        elif len(chosen) == need:
-            visit(chosen, ncomp, phi, w)
-            return
-        elif ne - k < need - len(chosen):
-            return
+    def grow(k: int, ncomp: int, phi: int) -> None:
+        charge(ne - k + 8 * len(chosen), "enum_forests")
+        out.append((frozenset(chosen), ncomp, phi))
         for u in range(k, ne):
             a, b = ends[u]
             keep, gone = label[a], label[b]
@@ -85,55 +76,30 @@ def _acyclic_walk(g: Graph, spanning: bool, visit, domain=None,
                 label[v] = keep
             big.extend(small)
             chosen.append(u)
-            grow(u + 1, ncomp - 1, phi // (nb * ns) * (nb + ns),
-                 None if mul is None else mul(w, values[u]))
+            grow(u + 1, ncomp - 1, phi // (nb * ns) * (nb + ns))
             chosen.pop()
             del big[nb:]
             for v in small:
                 label[v] = gone
 
-    grow(0, n, 1, None if domain is None else domain.one)
-
-
-def pairwise_sum(domain, terms: list):
-    """The total of terms, added in pairwise rounds, so that a growing
-    polynomial total is not copied once per term."""
-    if not terms:
-        return domain.zero
-    add = domain.add
-    while len(terms) > 1:
-        paired = [add(terms[i], terms[i + 1])
-                  for i in range(0, len(terms) - 1, 2)]
-        if len(terms) % 2:
-            paired.append(terms[-1])
-        terms = paired
-    return terms[0]
+    grow(0, n, 1)
+    return out
 
 
 def enum_spanning_trees(g: Graph) -> list[frozenset[int]]:
-    """All spanning trees as sets of unoriented edge indices."""
-    out: list[frozenset[int]] = []
-    _acyclic_walk(g, True, lambda chosen, _k, _phi, _w:
-                  out.append(frozenset(chosen)))
-    return out
-
-
-def enum_forests(g: Graph) -> list[tuple[frozenset[int], int, int]]:
-    """All forests (acyclic unoriented edge subsets), the empty one too,
-    each with its number of components on the full vertex set and the
-    product of the component sizes."""
-    out: list[tuple[frozenset[int], int, int]] = []
-    _acyclic_walk(g, False, lambda chosen, ncomp, phi, _w:
-                  out.append((frozenset(chosen), ncomp, phi)))
-    return out
+    """All spanning trees as sets of unoriented edge indices: the forests
+    with one component."""
+    return [f for f, ncomp, _ in enum_forests(g) if ncomp == 1]
 
 
 def enum_perfect_matchings(g: Graph) -> list[frozenset[int]]:
-    """All perfect matchings as sets of unoriented edge indices."""
-    _check_edge_cap(g.num_unoriented, "matching")
+    """All perfect matchings as sets of unoriented edge indices; each
+    step is charged its scan of the vertices and 8 units per chosen
+    edge."""
     n = g.num_vertices
     if n % 2 != 0:
         return []
+    _charge_lists(g, "enum_perfect_matchings")
     ends = _edge_endpoints(g)
     by_vertex: list[list[int]] = [[] for _ in range(n)]
     for u, (a, b) in enumerate(ends):
@@ -144,11 +110,8 @@ def enum_perfect_matchings(g: Graph) -> list[frozenset[int]]:
     covered = [False] * n
 
     def grow(chosen: list[int]):
-        v = -1
-        for w in range(n):
-            if not covered[w]:
-                v = w
-                break
+        charge(n + 8 * len(chosen), "enum_perfect_matchings")
+        v = next((w for w in range(n) if not covered[w]), -1)
         if v < 0:
             out.append(frozenset(chosen))
             return
@@ -183,12 +146,14 @@ def _uncleared(total, d: int, edges: int):
     return total if d == 1 else _rat_div(total, d ** edges)
 
 
-def _frontier(g: Graph) -> tuple[list, list]:
+def _frontier(g: Graph, where: str) -> tuple[list, list]:
     """(into, leave) over the vertices in Cuthill-McKee order, named by
     their places in it: into[i] holds (earlier place, unoriented index)
     per edge from an earlier vertex to the i-th, loops left out, and
     leave[i] the places whose last neighbour is the i-th.  Breadth first,
-    about two search levels are on the frontier at a time."""
+    about two search levels are on the frontier at a time.  The lists
+    are charged to `where` before any is built."""
+    _charge_lists(g, where)
     ends = _edge_endpoints(g)
     n = g.num_vertices
     rows: list[list] = [[] for _ in range(n)]
@@ -218,79 +183,112 @@ def _charge_step(states: dict, width: int, w, where: str) -> None:
     charge(8 * len(states) * width + 32 * pairs, where)
 
 
-def tree_sum(g: Graph, domain, per_unoriented) -> object:
-    """Sum over spanning trees of the product of edge values.
+def _merged(states: dict, i: int, j: int, w) -> dict:
+    """The states after the edge of value w between frontier places i
+    and j, taken or not: taking it merges the higher of their labels
+    into the lower, and the labels above move down."""
+    new = dict(states)
+    for s, x in states.items():
+        lo, hi = sorted((s[i], s[j]))
+        if lo != hi:
+            t = tuple([lo if c == hi else c - (c > hi) for c in s])
+            new[t] = new[t] + x * w if t in new else x * w
+    return new
+
+
+def _left(states: dict, i: int, keep_all: bool) -> dict:
+    """The states after frontier place i leaves, relabelled by first
+    appearance: a state whose component leaves with it is dropped,
+    unless keep_all."""
+    new: dict = {}
+    for s, x in states.items():
+        t = s[:i] + s[i + 1:]
+        if keep_all or s[i] in t:
+            seen: dict = {}
+            t = tuple([seen.setdefault(c, len(seen)) for c in t])
+            new[t] = new[t] + x if t in new else x
+    return new
+
+
+def _forest_dp(g: Graph, ring, vals, where: str, cone: bool = False,
+               free: bool = False) -> dict:
+    """{k: the sum of the edge products of the forests of g that the
+    program keeps, with k apex edges}.
 
     A state labels the frontier vertices by component of the chosen
-    edges, labels numbered by first appearance; a component that leaves
-    the frontier before the last vertex drops its state.  Connectivity is
-    checked first, and each edge step is charged to the work meter."""
+    edges, labels numbered by first appearance.  By default a component
+    that leaves the frontier before the last vertex drops its state, so
+    only spanning trees are kept, all at k = 0.  free keeps every forest
+    instead.  cone adds an apex, place -1 with label 0, that never
+    leaves and that each vertex joins as it enters, or not: an edge of
+    value 1 that raises k by one.  Each entry and edge step is charged
+    to `where` first."""
+    n = g.num_vertices
+    into, leave = _frontier(g, where)
+    front = [-1] if cone else []
+    layers = {0: {(0,) if cone else (): ring.one}}
+    for v in range(n):
+        formed = sum(map(len, layers.values())) * (2 if cone else 1)
+        charge(8 * (len(front) + 1) * formed, where)
+        entered: dict = {}
+        for k, states in layers.items():
+            entered.setdefault(k, {}).update(
+                (s + (max(s, default=-1) + 1,), x) for s, x in states.items())
+            if cone:
+                entered[k + 1] = {s + (0,): x for s, x in states.items()}
+        layers = entered
+        front.append(v)
+        for a, u in into[v]:
+            i, j, w = front.index(a), len(front) - 1, vals[u]
+            for states in layers.values():
+                _charge_step(states, len(front), w, where)
+            layers = {k: _merged(states, i, j, w)
+                      for k, states in layers.items()}
+        for y in leave[v]:
+            i = front.index(y)
+            del front[i]
+            # the last vertex out takes the one component with it
+            keep_all = free or not front and v == n - 1
+            layers = {k: new for k, states in layers.items()
+                      if (new := _left(states, i, keep_all))}
+    final = (0,) if cone else ()
+    return {k: states[final] for k, states in layers.items()
+            if final in states}
+
+
+def tree_sum(g: Graph, domain, per_unoriented) -> object:
+    """Sum over spanning trees of the product of edge values.
+    Connectivity is checked first."""
     n = g.num_vertices
     if not n or not is_connected(g):
         return domain.zero
     ring, d, vals = _cleared(domain, per_unoriented)
-    into, leave = _frontier(g)
-    front: list[int] = []
-    states = {(): ring.one}
-    for v in range(n):
-        states = {s + (max(s, default=-1) + 1,): x for s, x in states.items()}
-        front.append(v)
-        for a, u in into[v]:
-            i, j, w = front.index(a), len(front) - 1, vals[u]
-            _charge_step(states, len(front), w, "tree_sum")
-            new = dict(states)
-            for s, x in states.items():
-                lo, hi = sorted((s[i], s[j]))
-                if lo != hi:   # hi merges into lo, later labels move down
-                    t = tuple([lo if c == hi else c - (c > hi) for c in s])
-                    new[t] = new[t] + x * w if t in new else x * w
-            states = new
-        for y in leave[v]:
-            i = front.index(y)
-            del front[i]
-            new = {}
-            for s, x in states.items():
-                t = s[:i] + s[i + 1:]
-                # the last vertex out takes the one component with it
-                if s[i] in t or v == n - 1 and not t:
-                    seen: dict = {}
-                    t = tuple([seen.setdefault(c, len(seen)) for c in t])
-                    new[t] = new[t] + x if t in new else x
-            states = new
-    return _uncleared(states.get((), ring.zero), d, n - 1)
+    return _uncleared(_forest_dp(g, ring, vals, "tree_sum").get(0, ring.zero),
+                      d, n - 1)
+
+
+def forest_count(g: Graph) -> int:
+    """The number of forests (acyclic unoriented edge subsets), the
+    empty one too."""
+    return _forest_dp(g, QQ, [1] * g.num_unoriented, "forest_count",
+                      free=True)[0]
 
 
 def rooted_forest_sum(g: Graph, domain, per_unoriented) -> object:
     """Sum over forests of (product of component sizes) * (edge product)."""
-    by_k = rooted_forest_sum_by_components(g, domain, per_unoriented)
-    return pairwise_sum(domain, list(by_k.values()))
+    return sum(rooted_forest_sum_by_components(g, domain,
+                                               per_unoriented).values(),
+               domain.zero)
 
 
-class ForestSums(dict):
-    """Rooted forest sums keyed by component count, with the number of
-    forests they add up."""
-
-    forests = 0
-
-
-def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> ForestSums:
-    """Same sum, split by number of components, fewest components last.
-
-    One forest walk carries the edge products and groups them by
-    (components, phi) as it visits, so each phi multiplies once."""
+def rooted_forest_sum_by_components(g: Graph, domain, per_unoriented) -> dict:
+    """Same sum, split by number of components k, ascending: the sum
+    over the cone's spanning trees whose apex has degree k."""
     ring, d, vals = _cleared(domain, per_unoriented)
-    groups: dict[tuple[int, int], list] = {}
-    _acyclic_walk(g, False, lambda _chosen, ncomp, phi, w:
-                  groups.setdefault((ncomp, phi), []).append(w), ring, vals)
-    by_k: dict[int, list] = {}
-    for (ncomp, phi), terms in sorted(groups.items(), reverse=True):
-        by_k.setdefault(ncomp, []).append(
-            ring.mul(ring.coerce(phi), pairwise_sum(ring, terms)))
     n = g.num_vertices
-    out = ForestSums((k, _uncleared(pairwise_sum(ring, terms), d, n - k))
-                     for k, terms in by_k.items())
-    out.forests = sum(map(len, groups.values()))
-    return out
+    sums = _forest_dp(g, ring, vals, "rooted_forest_sum_by_components",
+                      cone=True)
+    return {k: _uncleared(x, d, n - k) for k, x in sorted(sums.items())}
 
 
 def matching_sum(g: Graph, domain, per_unoriented) -> object:
@@ -304,7 +302,7 @@ def matching_sum(g: Graph, domain, per_unoriented) -> object:
     if n % 2 or n > 2 * sum(a != b for a, b in _edge_endpoints(g)):
         return domain.zero
     ring, d, vals = _cleared(domain, per_unoriented)
-    into, leave = _frontier(g)
+    into, leave = _frontier(g, "matching_sum")
     states = {0: ring.one}
     for v in range(n):
         for a, u in into[v]:

@@ -267,7 +267,8 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
             tr = powers[k - 1].trace()
         else:
             tr = _trace_of_product(powers[half - 1], powers[k - half - 1])
-        lhs = lhs + term(tr * Fraction(1, k), k)
+        if tr:   # a zero trace adds nothing: no u^k is formed for it
+            lhs = lhs + term(tr * Fraction(1, k), k)
 
     rhs = pd.zero
     for pc in primes:
@@ -275,8 +276,9 @@ def amitsur_check(g: Graph, x: EdgeWeights, rho: Representation,
         w = cycle_weight(x, pc)
         acc_m, acc_w, j = mono, w, 1
         while j * pc.length <= max_length:
-            rhs = rhs + term(acc_w * acc_m.trace() * Fraction(1, j),
-                             j * pc.length)
+            c = acc_w * acc_m.trace()
+            if c:
+                rhs = rhs + term(c * Fraction(1, j), j * pc.length)
             j += 1
             acc_m = acc_m * mono
             acc_w = acc_w * w

@@ -62,9 +62,11 @@ def test_certbench_tracing_finds_every_span(capsys):
 def test_certbench_tracing_reaches_the_oracles(capsys, command):
     # the oracle spans are looked up by name, and the objects counter
     # takes len() of every enum_* result; trees, forests and matchings
-    # are summed without a listing, so no command reaches an enum_*
+    # are summed without a listing, and dimer checks Z^2 against det K,
+    # so no command reaches an enum_* or the subset-expansion Pfaffian
     untraced, traced, calls = traced_run(
         capsys, [command, "--input", DIMER_SAMPLE])
     assert traced == untraced and untraced[0] == 0
     assert calls["oracles.sum"] >= 1
     assert calls["oracles.enum"] == 0
+    assert calls["matrix.pfaffian"] == 0

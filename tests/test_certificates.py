@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from covertwist import certificates
 from covertwist.certificates import (
     cor1_certificate,
     cor2_certificate,
@@ -203,6 +204,28 @@ def test_dimer_square_triple_cover():
     assert res.matching_cert.quotient.to_text() == (
         "x_0^2*x_2^2 - x_0*x_1*x_2*x_3 + x_1^2*x_3^2")
     assert res.pf_base_squared_ok and res.pf_cover_squared_ok
+
+
+def test_a_flipped_kasteleyn_edge_fails_z_squared_against_det_k(
+        monkeypatch):
+    # one base edge turned round makes the square's bounded face even:
+    # then det K = Pf(K)^2 is (x_0*x_2 - x_1*x_3)^2, not Z^2, on the base
+    # and on its cover, whose lifted orientation inherits the flip
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    rot = default_rotation(g)
+    zd = ((1,), (2,)) + ((0,),) * 6
+    kasteleyn = certificates.kasteleyn_orientation
+
+    def flipped(g, rot):
+        orient = kasteleyn(g, rot)
+        e = min(orient)
+        return orient - {e} | {g.inv[e]}
+
+    monkeypatch.setattr(certificates, "kasteleyn_orientation", flipped)
+    res = dimer_certificate(g, rot, zd, 3, symbolic_weights(g))
+    assert res.det_identity and res.matching_cert.check_product()
+    assert not res.pf_base_squared_ok and not res.pf_cover_squared_ok
+    assert not res.ok
 
 
 def test_dimer_rejects_even_symmetry():

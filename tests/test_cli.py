@@ -171,6 +171,11 @@ zdvoltage:
   edge 1 = 0
 """
 
+# the two-loop bouquet claiming more vertices than its two edges can join
+def too_many_vertices(n: int) -> str:
+    return BOUQUET.format(n=7).replace("vertices = 1", f"vertices = {n}")
+
+
 def document_path(tmp_path, document: str) -> str:
     """The path of a sample named by document, or of a file holding the
     document text."""
@@ -191,12 +196,13 @@ OVERSIZED = [
      "Q(zeta_100000) exceeds the cyclotomic order budget of 100"),
     ("kos-21x20", ("kos", "--m", "21", "--n", "20"), "kos_b2.txt",
      "Q(zeta_420) exceeds the cyclotomic order budget of 100"),
-    ("forests-21-edges", ("oracle-forests",), cycle_document(21),
-     "21 edges exceeds the 20-edge forest cap"),
-    ("dimer-theta-z9", ("dimer",), THETA_DIMER.format(d=9),
-     "exact pfaffian capped at 16x16"),
-    ("dimer-theta-z21", ("dimer",), THETA_DIMER.format(d=21),
-     "exact pfaffian capped at 16x16"),
+    ("forests-10^12-vertices", ("oracle-forests",),
+     too_many_vertices(999999999999),
+     "work budget exceeded in rooted_forest_sum_by_components"),
+    ("dimer-theta-z200001", ("dimer",), THETA_DIMER.format(d=200001),
+     "work budget exceeded in sheet_cover"),
+    ("cover-bouquet-z1000000", ("cover",), BOUQUET.format(n=1000000),
+     "work budget exceeded in sheet_cover"),
     ("lseries-length-40", ("zeta-lseries", "--max-length", "40"),
      "kos_b2.txt", "work budget exceeded in prime_cycles"),
     ("amitsur-length-40", ("zeta-amitsur", "--max-length", "40"),
@@ -222,9 +228,9 @@ def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
     # before the work the budget guards: the Q(zeta_101), Q(zeta_2000),
     # Q(zeta_100000) and Q(zeta_420) characters (no deck group closed on
     # the way, and for a connected cyclic cover not even the cover
-    # built), the forest walk, for the odd cyclic covers of the 3-edge
-    # theta graph (18 and 42 vertices) the split, as soon as the cover is
-    # built, and the prime search of a long series, charged before it
+    # built), the forest program's per-vertex lists, the sheets of a
+    # cover of degree 200001 or 1000000, and the prime search of a long
+    # series, charged before it
     # starts the entries its walk count touches at each length (all of
     # the budget on c3), then length by length the 4*3^(k-1)
     # non-backtracking walks of each length k, past the budget at k = 17,
@@ -246,6 +252,12 @@ PAST_THE_OLD_CAPS = [
      "  perfect matchings = 2\n"),
     ("amitsur-length-13", ("zeta-amitsur", "--max-length", "13"), "c3.txt",
      "  series length = 13\n"),
+    ("forests-21-edges", ("oracle-forests",), cycle_document(21),
+     "  spanning forests = 2097151\n"),
+    ("dimer-theta-z9", ("dimer",), THETA_DIMER.format(d=9),
+     "check cover pfaffian squared: pass\n"),
+    ("amitsur-edge-length-65535", ("zeta-amitsur", "--max-length", "65535"),
+     path_document(2), "  series length = 65535\n"),
 ]
 
 
@@ -264,9 +276,13 @@ def test_sizes_past_the_old_caps_finish(tmp_path, capsys, argv, document,
 
 # (kernel, argv, document): the kernel is the first the command charges
 METERED = [
-    ("charpoly_multimodular", ("cor1",), "identity_cover.txt"),
-    ("charpoly_berkowitz", ("cor1",), "c3.txt"),
+    ("charpoly_multimodular", ("cor1",), cycle_document(6)),
+    ("charpoly_berkowitz", ("cor1",),
+     cycle_document(6).replace("kind = unit", "kind = symbolic")),
+    ("sheet_cover", ("cor1",), "c3.txt"),
     ("tree_sum", ("oracle-trees",), cycle_document(6)),
+    ("rooted_forest_sum_by_components", ("oracle-forests",),
+     cycle_document(6)),
     ("matching_sum", ("oracle-matchings",), cycle_document(6)),
     ("prime_cycles", ("zeta-amitsur",), "c3.txt"),
 ]
@@ -307,11 +323,6 @@ def test_a_suite_shares_one_work_budget(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("error: budget exceeded: work budget exceeded in ")
     assert errors._left is None
-
-
-# the two-loop bouquet claiming more vertices than its two edges can join
-def too_many_vertices(n: int) -> str:
-    return BOUQUET.format(n=7).replace("vertices = 1", f"vertices = {n}")
 
 
 @pytest.mark.parametrize("vertices", [3, 10000000, 999999999999])
@@ -389,13 +400,13 @@ def run_in_1gb(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_memory_error_is_over_budget_not_falsified(tmp_path):
-    # the forest oracle allocates per vertex before any check: in a child
-    # limited to 1 GB of address space that is a MemoryError, which ends
-    # in exit 3 and one line, not a traceback and exit 1
-    path = tmp_path / "sparse.txt"
-    path.write_text(too_many_vertices(999999999999))
-    assert run_in_1gb("oracle-forests", "--input", str(path)) == (
+def test_memory_error_is_over_budget_not_falsified():
+    # a suite's --degree has no bound, and a random voltage lists the
+    # points of its fiber: at degree 10^12 that allocation fails at once,
+    # and in a child limited to 1 GB of address space the MemoryError
+    # ends in exit 3 and one line, not a traceback and exit 1
+    assert run_in_1gb("verify-main", "--seed", "1", "--degree",
+                      "999999999999") == (
         3, "", "error: budget exceeded: MemoryError\n")
 
 
@@ -408,9 +419,10 @@ def grid_document(rows: int, cols: int) -> str:
             "weights:\n  kind = unit\n")
 
 
-@pytest.mark.parametrize("command, kernel", [("oracle-trees", "tree_sum"),
-                                             ("oracle-matchings",
-                                              "matching_sum")])
+@pytest.mark.parametrize("command, kernel", [
+    ("oracle-trees", "tree_sum"),
+    ("oracle-forests", "rooted_forest_sum_by_components"),
+    ("oracle-matchings", "matching_sum")])
 def test_a_wide_unit_grid_stops_at_the_work_budget(tmp_path, command, kernel):
     # the 20x20 grid keeps 20 to 40 vertices on the frontier, so its unit
     # states multiply; each state is charged as a kept product is, so the
@@ -800,6 +812,20 @@ def test_oracle_commands(capsys):
     for cmd in ("oracle-trees", "oracle-forests", "oracle-matchings"):
         code, out, _ = run(capsys, cmd, "--input", f"{SAMPLES}/dimer_c4.txt")
         assert code == 0, cmd
+
+
+def test_a_forest_sum_that_cancels_still_prints(tmp_path, capsys):
+    # two parallel edges of values 1 and -1: the one-component forests
+    # add up to 0, and that line prints all the same
+    path = tmp_path / "cancelling.txt"
+    path.write_text("graph:\n  vertices = 2\n  edge 0 1\n  edge 0 1\n"
+                    "weights:\n  kind = rational\n  value 0 = 1\n"
+                    "  value 1 = -1\n")
+    code, out, err = run(capsys, "oracle-forests", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert ("  spanning forests = 3\n  rooted forest sum = 1\n"
+            "  rooted forest sum, 1 components = 0\n"
+            "  rooted forest sum, 2 components = 1\n") in out
 
 
 def test_suite_mode_runs_without_input(capsys):

@@ -6,16 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covertwist import oracles
+from covertwist import matrix, oracles
 from covertwist.certificates import unoriented_values
 from covertwist.errors import BudgetExceededError, work_limit
 from covertwist.graphs import build_graph
-from covertwist.matrix import Matrix
+from covertwist.matrix import Matrix, pfaffian
 from covertwist.operators import symbolic_weights
 from covertwist.oracles import (
     enum_forests,
     enum_perfect_matchings,
     enum_spanning_trees,
+    forest_count,
     matching_sum,
     rooted_forest_sum,
     rooted_forest_sum_by_components,
@@ -119,19 +120,35 @@ def test_matching_ignores_loops():
     assert len(enum_perfect_matchings(g)) == 1
 
 
-def test_tree_budget():
-    g = build_graph(2, [(0, 1)] * 25)
-    with pytest.raises(BudgetExceededError):
-        enum_spanning_trees(g)
-
-
-def charged(monkeypatch, run) -> int:
-    """The units the oracles charge while run() runs."""
+def charged(monkeypatch, run, module=oracles) -> int:
+    """The units the module charges while run() runs."""
     units = []
-    monkeypatch.setattr(oracles, "charge", lambda n, where: units.append(n))
+    monkeypatch.setattr(module, "charge", lambda n, where: units.append(n))
     run()
     monkeypatch.undo()
     return sum(units)
+
+
+def stops_one_unit_short(monkeypatch, run, kernel: str, module=oracles):
+    """run() finishes under the units it charges, and one unit fewer
+    stops it with the meter's message; returns the finished result."""
+    units = charged(monkeypatch, run, module)
+    with work_limit(units):
+        out = run()
+    with work_limit(units - 1), \
+            pytest.raises(BudgetExceededError,
+                          match=f"work budget exceeded in {kernel}$"):
+        run()
+    return out
+
+
+def test_tree_budget(monkeypatch):
+    # the trees are the one-component forests of the forest walk, which
+    # charges every step, so no edge count caps it
+    g = build_graph(2, [(0, 1)] * 25)
+    trees = stops_one_unit_short(monkeypatch, lambda: enum_spanning_trees(g),
+                                 "enum_forests")
+    assert len(trees) == 25
 
 
 def k5():
@@ -179,24 +196,37 @@ def test_kept_terms_stay_within_a_32nd_of_the_budget(monkeypatch, kernel,
         step(states, width, w, where)
         held.append(sum(len(x.terms) for x in states.values()))
 
-    monkeypatch.setattr(oracles, "_charge_step", recorded)
     g = grid(*shape)
+    # the frontier's lists are charged once, up front, on top
+    lists = charged(monkeypatch, lambda: oracles._charge_lists(g, ""))
+    monkeypatch.setattr(oracles, "_charge_step", recorded)
     x = symbolic_weights(g)
-    with work_limit(32 * 1000), pytest.raises(BudgetExceededError):
+    with work_limit(32 * 1000 + lists), pytest.raises(BudgetExceededError):
         kernel(g, x.domain, unoriented_values(g, x))
     assert 0 < max(held) <= 1000
 
 
-def test_forest_budget():
+def test_forest_budget(monkeypatch):
     g = build_graph(2, [(0, 1)] * 21)
-    with pytest.raises(BudgetExceededError):
-        enum_forests(g)
+    forests = stops_one_unit_short(monkeypatch, lambda: enum_forests(g),
+                                   "enum_forests")
+    assert len(forests) == 22   # the empty forest and one per edge
 
 
-def test_matching_budget():
+def test_matching_budget(monkeypatch):
     g = build_graph(22, [(i, i + 1) for i in range(21)])
-    with pytest.raises(BudgetExceededError):
-        enum_perfect_matchings(g)
+    matchings = stops_one_unit_short(
+        monkeypatch, lambda: enum_perfect_matchings(g),
+        "enum_perfect_matchings")
+    assert len(matchings) == 1
+
+
+def test_pfaffian_budget(monkeypatch):
+    # the subset expansion charges every subset it expands: no order caps it
+    m = Matrix(QQ, [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6],
+                    [-3, -5, -6, 0]])
+    assert stops_one_unit_short(monkeypatch, lambda: pfaffian(m), "pfaffian",
+                                matrix) == 1 * 6 - 2 * 5 + 3 * 4
 
 
 def test_matching_work_budget(monkeypatch):
@@ -348,6 +378,29 @@ def test_frontier_sums_match_reference(case):
     assert matching_sum(g, dom, vals) == ref_matching_sum(g, dom, vals)
 
 
+# two parallel edges of values 1 and -1: the one-component forests
+# cancel, and their k still has its entry
+CANCELLING = (build_graph(2, [(0, 1), (0, 1)]), QQ, [1, -1])
+
+
+@DP_SETTINGS
+@given(weighted_multigraphs())
+@example((build_graph(1, []), QQ, []))
+@example((build_graph(1, [(0, 0)]), QQ, [Fraction(1, 2)]))
+@example((DISCONNECTED, QQ, [Fraction(1, 2), Fraction(2, 3), 3]))
+@example(CANCELLING)
+def test_forest_programs_match_reference(case):
+    # the rooted sums come from the tree program on the cone, the count
+    # from the tree program with a component free to leave the frontier
+    g, dom, vals = case
+    by_k = rooted_forest_sum_by_components(g, dom, vals)
+    assert by_k == ref_rooted_forest_sum_by_components(g, dom, vals)
+    assert list(by_k) == sorted(by_k)
+    assert rooted_forest_sum(g, dom, vals) == \
+        ref_rooted_forest_sum(g, dom, vals)
+    assert forest_count(g) == len(ref_forests(g))
+
+
 @DP_SETTINGS
 @given(multigraphs())
 @example(build_graph(1, []))
@@ -370,3 +423,6 @@ def test_frontier_sums_do_not_depend_on_the_vertex_order(case, rng):
                                      for e, _ in g.unoriented])
     assert tree_sum(h, dom, vals) == tree_sum(g, dom, vals)
     assert matching_sum(h, dom, vals) == matching_sum(g, dom, vals)
+    assert rooted_forest_sum_by_components(h, dom, vals) == \
+        rooted_forest_sum_by_components(g, dom, vals)
+    assert forest_count(h) == forest_count(g)
