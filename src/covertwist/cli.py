@@ -5,9 +5,9 @@ input is malformed or the construction does not apply to it, 3 the
 command's work budget (one for a whole suite), the cyclotomic order
 budget, the series exponent limit or, as a backstop, the interpreter's
 memory or recursion limit was exceeded.  The report goes to stdout;
-errors go to stderr.  Reports are byte-stable (timing lines only appear
-behind --timing).  Every oracle a command prints is a frontier dynamic
-program of oracles.py; none enumerates.
+errors go to stderr.  Reports are byte-stable and hold no timing: a
+command is timed from outside.  Every oracle a command prints is a
+frontier dynamic program of oracles.py; none enumerates.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from functools import cache
 from math import gcd
 
@@ -470,8 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--input", metavar="PATH",
                        help="problem document to read")
-        p.add_argument("--timing", action="store_true",
-                       help="append elapsed time to the report")
         if seed:
             p.add_argument("--seed", type=int,
                            help="run a randomized suite instead of a file")
@@ -514,7 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     handler = _HANDLERS[args.command]
     try:
         doc = None
@@ -551,8 +547,7 @@ def main(argv=None) -> int:
     except CovertwistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.elapsed = time.perf_counter() - t0
-    sys.stdout.write(render_report(report, show_timing=args.timing))
+    sys.stdout.write(render_report(report))
     return 0 if report.ok else 1
 
 

@@ -18,6 +18,7 @@ from .errors import (
     CoverNotConnectedError,
     InternalCosetError,
     NotASubgroupError,
+    NotConnectedError,
     QuotientConstructionFailedError,
     VoltageNotAntisymmetricError,
     charge,
@@ -26,7 +27,6 @@ from .graphs import (
     DirectedGraph,
     Graph,
     ValidationReport,
-    is_connected,
 )
 from .homotopy import (
     Pi1Presentation,
@@ -135,18 +135,6 @@ class CoveringMap:
         self.p_edge = p_edge
         self.base_vertex = base_vertex
         self.cover_base_vertex = cover_base_vertex
-
-    def _key(self):
-        return (self.base, self.cover, self.p_vertex, self.p_edge,
-                self.base_vertex, self.cover_base_vertex)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def vertex_fibers(self) -> tuple[tuple[int, ...], ...]:
@@ -342,41 +330,19 @@ class CosetData:
         return tuple(perms)
 
 
-def _spanning_tree_within(g: Graph, root: int,
-                          allowed: frozenset[int]) -> SpanningTree:
-    """BFS spanning tree using only the allowed unoriented edges; the
-    allowed set must already be a spanning tree's edge set."""
-    n = g.num_vertices
-    parent: list[int | None] = [None] * n
-    depth = [-1] * n
-    depth[root] = 0
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for e in g.out_edges[v]:
-            if g.unoriented_of[e] not in allowed:
-                continue
-            w = g.tgt[e]
-            if depth[w] == -1:
-                depth[w] = depth[v] + 1
-                parent[w] = g.inv[e]
-                q.append(w)
-    if any(d == -1 for d in depth):
-        raise CoverNotConnectedError("edge set does not span the cover")
-    return SpanningTree(g, root, tuple(parent), tuple(depth), allowed)
-
-
 def coset_data(p: CoveringMap) -> CosetData:
     """Complete the lifted base tree (breadth-first from the marked base
     vertex) to a cover spanning tree, adding the lowest-index connecting
     lifts of generator edges, and label every cover vertex with its
     sheet.  A disconnected cover is refused here, the one connectivity
-    test on a built cover.  Each lift of the base tree is a copy of it,
-    so every fiber meets each sheet once; that is checked, and failure
-    means a bug, not bad input."""
-    if not is_connected(p.cover):
-        raise CoverNotConnectedError("the cover is disconnected")
-    base_tree = spanning_tree(p.base, p.base_vertex)
+    test on a built cover: the tree's union-find leaves more than one
+    component.  Each lift of the base tree is a copy of it, so every
+    fiber meets each sheet once; that is checked, and failure means a
+    bug, not bad input."""
+    try:
+        base_tree = spanning_tree(p.base, p.base_vertex)
+    except NotConnectedError:   # so is every cover of it
+        raise CoverNotConnectedError("the cover is disconnected") from None
     base_pres = presentation_from_tree(base_tree)
     cover = p.cover
 
@@ -412,9 +378,10 @@ def coset_data(p: CoveringMap) -> CosetData:
         if ra != rb:
             parent[ra] = rb
             chosen.add(u)
+    if len(chosen) != cover.num_vertices - 1:   # more than one component
+        raise CoverNotConnectedError("the cover is disconnected")
 
-    cover_tree = _spanning_tree_within(cover, p.cover_base_vertex,
-                                       frozenset(chosen))
+    cover_tree = spanning_tree(cover, p.cover_base_vertex, frozenset(chosen))
     cover_pres = presentation_from_tree(cover_tree)
     return CosetData(p, base_pres, cover_tree, cover_pres, sheet)
 
@@ -599,15 +566,14 @@ def quotient_by_subgroup(p: CoveringMap, galois: GaloisGroup,
     return QuotientData(sub, mid_over_base, cover_over_mid, decks)
 
 
-def identity_cover(g: Graph, base_vertex: int = 0) -> CoveringMap:
-    """Degree-1 cover of a graph by itself."""
+def identity_cover(g: Graph) -> CoveringMap:
+    """Degree-1 cover of a graph by itself, marked at vertex 0."""
     return CoveringMap(g, g, tuple(range(g.num_vertices)),
-                       tuple(range(g.num_edges)), base_vertex, base_vertex)
+                       tuple(range(g.num_edges)), 0, 0)
 
 
 def edge_voltage_cover(g: Graph, voltages: tuple[tuple[int, ...], ...],
-                       moduli: tuple[int, ...],
-                       base_vertex: int = 0) -> CoveringMap:
+                       moduli: tuple[int, ...]) -> CoveringMap:
     """Abelian cover from one voltage vector per directed edge, sheet
     group ⊕ ℤ/moduli[j].
 
@@ -639,4 +605,4 @@ def edge_voltage_cover(g: Graph, voltages: tuple[tuple[int, ...], ...],
             perm = [x * m + (i + a) % m for x in perm for i in range(m)]
         return tuple(perm)
 
-    return _sheet_cover(g, prod(moduli), shift, base_vertex)
+    return _sheet_cover(g, prod(moduli), shift, 0)

@@ -656,17 +656,13 @@ def serialize_input(doc: InputDocument) -> str:
 
 class Report:
     """Rendered outcome of one command: named checks, data lines, and an
-    overall flag.  Byte-stable for exact runs; timing is opt-in."""
+    overall flag.  Byte-stable for exact runs: it holds no timing."""
 
-    def __init__(self, command: str,
-                 checks: list[tuple[str, bool]] | None = None,
-                 data: list[tuple[str, str]] | None = None,
-                 notes: list[str] | None = None, elapsed: float | None = None):
+    def __init__(self, command: str):
         self.command = command
-        self.checks = [] if checks is None else checks
-        self.data = [] if data is None else data
-        self.notes = [] if notes is None else notes
-        self.elapsed = elapsed
+        self.checks: list[tuple[str, bool]] = []
+        self.data: list[tuple[str, str]] = []
+        self.notes: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -681,7 +677,7 @@ class Report:
         self.data.append((key, str(value)))
 
 
-def render_report(r: Report, show_timing: bool = False) -> str:
+def render_report(r: Report) -> str:
     out = [f"command: {r.command}"]
     for note in r.notes:
         out.append(f"note: {note}")
@@ -691,7 +687,5 @@ def render_report(r: Report, show_timing: bool = False) -> str:
         out.append("data:")
         for k, v in r.data:
             out.append(f"  {k} = {v}")
-    if show_timing and r.elapsed is not None:
-        out.append(f"elapsed: {r.elapsed:.3f}s")
     out.append(f"result: {'pass' if r.ok else 'FAIL'}")
     return "\n".join(out) + "\n"

@@ -35,17 +35,6 @@ class DirectedGraph:
                     and 0 <= self.tgt[e] < self.num_vertices):
                 raise ValueError(f"edge {e} has endpoint out of range")
 
-    def _key(self):
-        return (self.num_vertices, self.src, self.tgt)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def num_edges(self) -> int:
         """Number of directed edges."""
@@ -78,17 +67,6 @@ class Graph:
     def __init__(self, dg: DirectedGraph, inv: tuple[int, ...]):
         self.dg = dg
         self.inv = inv
-
-    def _key(self):
-        return (self.dg, self.inv)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def num_vertices(self) -> int:
@@ -194,8 +172,8 @@ def check_loop(g: Graph | DirectedGraph, p: Path) -> None:
 class ValidationReport:
     """Outcome of a structural validation; empty problem list means valid."""
 
-    def __init__(self, problems: list[str] | None = None):
-        self.problems = [] if problems is None else problems
+    def __init__(self):
+        self.problems: list[str] = []
 
     @property
     def ok(self) -> bool:

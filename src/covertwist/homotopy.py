@@ -35,22 +35,13 @@ class SpanningTree:
         self.depth = depth
         self.tree_edges = tree_edges
 
-    def _key(self):
-        return (self.graph, self.root, self.parent_edge, self.depth,
-                self.tree_edges)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-def spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
+def spanning_tree(g: Graph, root: int = 0,
+                  allowed: frozenset[int] | None = None) -> SpanningTree:
     """Breadth-first tree; neighbors are explored in edge-index order, so
-    the result is a function of the graph alone."""
+    the result is a function of the graph alone.  With `allowed`, only
+    those unoriented edges are walked, so a spanning tree's edge set
+    gives that tree, rooted at `root`."""
     n = g.num_vertices
     parent: list[int | None] = [None] * n
     depth = [-1] * n
@@ -61,7 +52,8 @@ def spanning_tree(g: Graph, root: int = 0) -> SpanningTree:
         v = q.popleft()
         for e in g.out_edges[v]:
             w = g.tgt[e]
-            if depth[w] == -1:
+            if depth[w] == -1 and (allowed is None
+                                   or g.unoriented_of[e] in allowed):
                 depth[w] = depth[v] + 1
                 parent[w] = g.inv[e]
                 tree_unoriented.add(g.unoriented_of[e])
@@ -85,17 +77,6 @@ class Pi1Presentation:
         self.tree = tree
         self.generators = generators    # unoriented edge indices
         self.gen_edge = gen_edge        # preferred directed edge per generator
-
-    def _key(self):
-        return (self.tree, self.generators, self.gen_edge)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def graph(self) -> Graph:

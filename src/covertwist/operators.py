@@ -58,12 +58,11 @@ class EdgeWeights:
                    else coeff_is_integer(v) for v in self.values)
 
 
-def symbolic_weights(g: Graph, coeff=QQ,
-                     prefix: str = "x") -> EdgeWeights:
+def symbolic_weights(g: Graph, prefix: str = "x") -> EdgeWeights:
     """One polynomial variable per unoriented edge, both orientations
     sharing it."""
     reg = VarRegistry(tuple(f"{prefix}_{u}" for u in range(g.num_unoriented)))
-    dom = PolyDomain(reg, coeff)
+    dom = PolyDomain(reg, QQ)
     vals = tuple(MultiPoly.variable(reg, f"{prefix}_{g.unoriented_of[e]}")
                  for e in range(g.num_edges))
     return EdgeWeights(dom, vals)
@@ -231,8 +230,7 @@ def check_clockwise_odd(g: Graph, rot: RotationSystem, orient: frozenset[int],
     return FaceParityReport(outer, counts)
 
 
-def kasteleyn_orientation(g: Graph, rot: RotationSystem,
-                          outer: int | None = None) -> frozenset[int]:
+def kasteleyn_orientation(g: Graph, rot: RotationSystem) -> frozenset[int]:
     """Orientation making every bounded face odd, for spherical
     embeddings.  Tree edges are oriented arbitrarily; each remaining
     edge is the parent link of a face in the dual tree and is fixed
@@ -243,8 +241,7 @@ def kasteleyn_orientation(g: Graph, rot: RotationSystem,
     if fc.euler_characteristic != 2:
         raise NotPlanarError(
             f"embedding has Euler characteristic {fc.euler_characteristic}")
-    if outer is None:
-        outer = outer_face_index(fc)
+    outer = outer_face_index(fc)
     tree = spanning_tree(g, 0)
     chosen: set[int] = set()
     for (e, ebar) in g.unoriented:

@@ -17,6 +17,7 @@ from .covering import (
     coset_data,
 )
 from .domains import QQ
+from .errors import charge
 from .graphs import Graph, build_graph
 from .homotopy import fundamental_presentation
 from .matrix import Matrix, inverse
@@ -40,16 +41,19 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 6,
     return build_graph(nv, pairs)
 
 
-def random_voltage(rng: random.Random, rank: int, degree: int,
-                   tries: int = 200) -> VoltageAssignment:
+def random_voltage(rng: random.Random, rank: int,
+                   degree: int) -> VoltageAssignment:
     """Transitive voltage assignment; falls back to forcing the first
-    generator into a full cycle when rejection sampling runs dry."""
+    generator into a full cycle when rejection sampling runs dry.  Each
+    draw is charged to the work meter, 8 units a word of its rank
+    permutations, before it lists a sheet."""
     if degree == 1:
         return VoltageAssignment(1, ((0,),) * rank)
     if rank == 0:
         raise ValueError("a tree base only carries the trivial cover")
 
     def draw() -> tuple[tuple[int, ...], ...]:
+        charge(8 * rank * degree, "random_voltage")
         perms = []
         for _ in range(rank):
             p = list(range(degree))
@@ -57,7 +61,7 @@ def random_voltage(rng: random.Random, rank: int, degree: int,
             perms.append(tuple(p))
         return tuple(perms)
 
-    for _ in range(tries):
+    for _ in range(200):
         va = VoltageAssignment(degree, draw())
         if va.is_transitive():
             return va
@@ -67,15 +71,14 @@ def random_voltage(rng: random.Random, rank: int, degree: int,
     return va
 
 
-def random_invertible_matrix(rng: random.Random, n: int,
-                             bound: int = 2) -> Matrix:
-    """P·L·U with unit-triangular factors and small integer entries."""
+def random_invertible_matrix(rng: random.Random, n: int) -> Matrix:
+    """P·L·U with unit-triangular factors and integer entries in -2..2."""
     perm = list(range(n))
     rng.shuffle(perm)
     data: list = [None] * n
-    lo = [[rng.randint(-bound, bound) if j < i else (1 if i == j else 0)
+    lo = [[rng.randint(-2, 2) if j < i else (1 if i == j else 0)
            for j in range(n)] for i in range(n)]
-    up = [[rng.randint(-bound, bound) if j > i
+    up = [[rng.randint(-2, 2) if j > i
            else (rng.choice((-1, 1)) if i == j else 0)
            for j in range(n)] for i in range(n)]
     for i in range(n):

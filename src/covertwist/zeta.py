@@ -81,12 +81,10 @@ class PrimeCycle:
 
 
 def _canonical_rotation(cyc: tuple[int, ...]) -> tuple[int, ...]:
-    best = cyc
-    for r in range(1, len(cyc)):
-        rot = cyc[r:] + cyc[:r]
-        if rot < best:
-            best = rot
-    return best
+    """The lex-least rotation of a cycle whose first edge is its least,
+    so only the rotations that start at that edge are tried."""
+    return min(cyc[r:] + cyc[:r] for r in range(len(cyc))
+               if cyc[r] == cyc[0])
 
 
 def _is_primitive(cyc: tuple[int, ...]) -> bool:
@@ -116,7 +114,10 @@ def prime_cycles(g: Graph, max_length: int) -> list[PrimeCycle]:
     rotation), in sorted order.  Before the search, the work meter is
     charged the entries the walk count touches, 3 per edge and 1 per
     vertex at each length, and then each length's non-backtracking walks
-    (more than the paths searched)."""
+    (more than the paths searched).  The search runs on an explicit
+    stack, one edge iterator per edge of the path, from each edge through
+    edges no lower; a closed path of length k is charged k units per
+    rotation its canonical form tries before it is formed."""
     if max_length < 1:
         return []
     charge(max_length * (3 * g.num_edges + g.num_vertices), "prime_cycles")
@@ -125,22 +126,25 @@ def prime_cycles(g: Graph, max_length: int) -> list[PrimeCycle]:
     src, tgt, inv = g.src, g.tgt, g.inv
     out_edges = g.out_edges
     found: set[tuple[int, ...]] = set()
-
-    def extend(path: list[int], first: int) -> None:
-        last = path[-1]
-        if tgt[last] == src[first] and inv[first] != last:
-            found.add(_canonical_rotation(tuple(path)))
-        if len(path) == max_length:
-            return
-        for e2 in out_edges[tgt[last]]:
-            if e2 == inv[last] or e2 < first:
+    for first in range(g.num_edges):
+        path: list[int] = []
+        nexts = [iter((first,))]   # the choices for path[i] at nexts[i]
+        while nexts:
+            e = next(nexts[-1], None)
+            if e is None:
+                nexts.pop()
+                if path:
+                    path.pop()
                 continue
-            path.append(e2)
-            extend(path, first)
-            path.pop()
-
-    for e0 in range(g.num_edges):
-        extend([e0], e0)
+            path.append(e)
+            if tgt[e] == src[first] and inv[first] != e:
+                charge(len(path) * path.count(first), "prime_cycles")
+                found.add(_canonical_rotation(tuple(path)))
+            if len(path) == max_length:
+                path.pop()
+            else:
+                nexts.append(iter([e2 for e2 in out_edges[tgt[e]]
+                                   if e2 >= first and e2 != inv[e]]))
     return [PrimeCycle(c) for c in sorted(found) if _is_primitive(c)]
 
 
@@ -167,12 +171,12 @@ def _series_domain(dom, series_var: str) -> PolyDomain:
     return PolyDomain(VarRegistry((series_var,)), dom)
 
 
-def _det_one_minus(b: Matrix, series_var: str) -> MultiPoly:
+def _det_one_minus(b: Matrix) -> MultiPoly:
     """det(I - u*b) as the reversed characteristic polynomial
     u^n * det(I/u - b), so it takes charpoly's route for b's domain."""
-    reg = _series_domain(b.domain, series_var).reg
-    cp = charpoly(b, series_var)
-    at = reg.index(series_var)
+    reg = _series_domain(b.domain, "u").reg
+    cp = charpoly(b, "u")
+    at = reg.index("u")
     n = b.nrows
     terms = {}
     for key, c in cp.terms.items():
@@ -183,7 +187,7 @@ def _det_one_minus(b: Matrix, series_var: str) -> MultiPoly:
 
 
 def l_series_inverse(g: Graph, x: EdgeWeights, rho: Representation,
-                     pres: Pi1Presentation, series_var: str = "u"):
+                     pres: Pi1Presentation):
     """det(I - u*B) for the twisted non-backtracking edge operator B with
     weights x; the reciprocal of the weighted L-series, as a polynomial
     in the series variable u over the weights' ring.
@@ -197,17 +201,16 @@ def l_series_inverse(g: Graph, x: EdgeWeights, rho: Representation,
     conn = connection_from_rep(pres, rho)
     ld = line_digraph(g, x)
     b = twisted_adjacency(ld.digraph, ld.weights, pullback_connection(ld, conn))
-    return _det_one_minus(b, series_var)
+    return _det_one_minus(b)
 
 
-def untwisted_l_series_inverse(g: Graph, x: EdgeWeights,
-                               series_var: str = "u"):
+def untwisted_l_series_inverse(g: Graph, x: EdgeWeights):
     """det(I - u*B) for the plain non-backtracking edge operator B; see
     l_series_inverse."""
     ld = line_digraph(g, x)
     b = twisted_adjacency(ld.digraph, ld.weights,
                           trivial_connection(QQ_of(x), ld.digraph.num_edges))
-    return _det_one_minus(b, series_var)
+    return _det_one_minus(b)
 
 
 # ---------------------------------------------------------------------------

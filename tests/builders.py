@@ -11,8 +11,9 @@ data read off the sheets), a fiber group from bare permutations, the
 projection of a cover path, a word's image under a representation,
 random unimodular representations and cyclic characters, a matrix's
 dense rows, submatrices, zero matrices and entrywise matrix arithmetic,
-unit edge weights and the coefficient-by-coefficient check of a
-Laplacian charpoly against the forest oracle.
+unit edge weights, the coefficient-by-coefficient check of a
+Laplacian charpoly against the forest oracle, and the fields of a graph,
+tree, presentation or covering map, which compare by identity.
 The program builds none of these, so they live here rather than in
 `covertwist`.
 """
@@ -37,6 +38,27 @@ from covertwist.operators import EdgeWeights, laplacian
 from covertwist.oracles import rooted_forest_sum_by_components
 from covertwist.poly import MultiPoly, VarRegistry
 from covertwist.representation import Representation, representation
+
+
+# each record class to its constructor's fields, in order
+RECORD_FIELDS = {
+    DirectedGraph: ("num_vertices", "src", "tgt"),
+    Graph: ("dg", "inv"),
+    SpanningTree: ("graph", "root", "parent_edge", "depth", "tree_edges"),
+    Pi1Presentation: ("tree", "generators", "gen_edge"),
+    CoveringMap: ("base", "cover", "p_vertex", "p_edge", "base_vertex",
+                  "cover_base_vertex"),
+}
+
+
+def fields(value):
+    """A record's constructor fields as a tuple, the records among them
+    unfolded the same way; any other value as it is.  Two records built
+    alike have equal fields."""
+    names = RECORD_FIELDS.get(type(value))
+    if names is None:
+        return value
+    return tuple(fields(getattr(value, name)) for name in names)
 
 
 def gaussian(re, im):

@@ -216,6 +216,9 @@ OVERSIZED = [
      path_document(200), "work budget exceeded in amitsur_check"),
     ("amitsur-length-65536", ("zeta-amitsur", "--max-length", "65536"),
      "c3.txt", "series length past 65535"),
+    ("suite-degree-10^12",
+     ("verify-main", "--seed", "1", "--degree", "999999999999"), None,
+     "work budget exceeded in random_voltage"),
 ]
 
 
@@ -234,10 +237,13 @@ def test_budgets_fire_before_the_work(tmp_path, capsys, argv, document,
     # starts the entries its walk count touches at each length (all of
     # the budget on c3), then length by length the 4*3^(k-1)
     # non-backtracking walks of each length k, past the budget at k = 17,
-    # and the Amitsur powers of B on a tree, 64 units per row they keep
-    path = document_path(tmp_path, document)
+    # the Amitsur powers of B on a tree, 64 units per row they keep, and
+    # a suite's random voltage, 8 units a word of its permutations, before
+    # it lists the sheets of a degree-10^12 fiber (a suite has no document)
+    inputs = () if document is None else (
+        "--input", document_path(tmp_path, document))
     t0 = time.perf_counter()
-    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+    code, out, err = run(capsys, argv[0], *inputs, *argv[1:])
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert message in err
@@ -272,6 +278,24 @@ def test_sizes_past_the_old_caps_finish(tmp_path, capsys, argv, document,
     assert time.perf_counter() - t0 < 1.0
     assert (code, err) == (0, "")
     assert line in out
+
+
+@pytest.mark.parametrize("length, code, line, err", [
+    (900, 0, "  primes through length 900 = 2\n", ""),
+    (2000, 3, "",
+     "error: budget exceeded: work budget exceeded in prime_cycles\n"),
+], ids=["length-900", "length-2000"])
+def test_a_long_prime_search_ends_at_its_report_or_the_meter(
+        capsys, length, code, line, err):
+    # the search keeps its path on a stack of its own, so no series
+    # length reaches the recursion limit; each closed path is charged k
+    # units per rotation its canonical form tries, k/3 rotations of k
+    # edges on the triangle: 54.3 M units at length 900, past the work
+    # budget before length 2000
+    got = run(capsys, "zeta-lseries", "--input", f"{SAMPLES}/c3.txt",
+              "--max-length", str(length))
+    assert (got[0], got[2]) == (code, err)
+    assert line in got[1]
 
 
 # (kernel, argv, document): the kernel is the first the command charges
@@ -400,14 +424,16 @@ def run_in_1gb(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_memory_error_is_over_budget_not_falsified():
-    # a suite's --degree has no bound, and a random voltage lists the
-    # points of its fiber: at degree 10^12 that allocation fails at once,
-    # and in a child limited to 1 GB of address space the MemoryError
-    # ends in exit 3 and one line, not a traceback and exit 1
-    assert run_in_1gb("verify-main", "--seed", "1", "--degree",
-                      "999999999999") == (
-        3, "", "error: budget exceeded: MemoryError\n")
+def test_memory_error_is_over_budget_not_falsified(monkeypatch, capsys):
+    # a failed allocation ends in exit 3 and one line, not a traceback
+    # and exit 1
+    def too_big(args, doc):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", too_big)
+    code, out, err = run(capsys, "validate", "--input", f"{SAMPLES}/c3.txt")
+    assert (code, out) == (3, "")
+    assert err == "error: budget exceeded: MemoryError\n"
 
 
 def grid_document(rows: int, cols: int) -> str:
@@ -501,6 +527,29 @@ zdvoltage:
   edge 3 = 0
 """
 
+# a disconnected base of Euler characteristic 2 that dimer takes: an
+# edge on the sphere beside an edge and two loops on the torus
+DISCONNECTED_BASE = """graph:
+  vertices = 4
+  edge 0 1
+  edge 0 0
+  edge 0 0
+  edge 2 3
+weights:
+  kind = symbolic
+rotation:
+  at 0 = 0 2 4 3 5
+  at 1 = 1
+  at 2 = 6
+  at 3 = 7
+zdvoltage:
+  modulus = 3
+  edge 0 = 0
+  edge 1 = 1
+  edge 2 = 0
+  edge 3 = 0
+"""
+
 
 COVER_COMMANDS = ["cover", "verify-main", "cor1", "trees", "cor2"]
 
@@ -509,6 +558,7 @@ COVER_COMMANDS = ["cover", "verify-main", "cor1", "trees", "cor2"]
     pytest.param(document, command, id=f"{name}-{command}")
     for name, document, commands in [
         ("zdvoltage-z3", DISCONNECTED_COVER, [*COVER_COMMANDS, "dimer"]),
+        ("disconnected-base", DISCONNECTED_BASE, ["dimer"]),
         ("intransitive", None, COVER_COMMANDS)]
     for command in commands])
 def test_disconnected_cover_is_refused(tmp_path, capsys, document, command):
@@ -685,17 +735,18 @@ def test_cover_reports_a_disconnected_cover(tmp_path, capsys):
 @pytest.mark.parametrize("command, sample, sizes", [
     pytest.param(command, sample, sizes, id=command)
     for command, sample, sizes in [
-        ("cover", "c3.txt", [3, 6]),   # the triangle once, its hexagon once
-        ("cor1", "c3.txt", [3, 6]),
-        ("trees", "c3.txt", [3, 6]),
-        ("verify-main", "c3.txt", [3, 6]),
-        ("cor2", "c3.txt", [3, 6]),
-        ("dimer", "dimer_c4.txt", [12]),   # the square's 12-vertex cover
+        ("cover", "c3.txt", [3]),   # the triangle, not its hexagon
+        ("cor1", "c3.txt", [3]),
+        ("trees", "c3.txt", [3]),
+        ("verify-main", "c3.txt", [3]),
+        ("cor2", "c3.txt", [3]),
+        ("dimer", "dimer_c4.txt", []),
     ]])
 def test_cover_connectivity_is_tested_once(monkeypatch, capsys, command,
                                            sample, sizes):
-    # coset_data refuses a disconnected cover, and every later step of
-    # these commands takes its coset data as the proof of connectivity
+    # coset_data's union-find refuses a disconnected cover, with no pass
+    # of is_connected over it, and every later step of these commands
+    # takes its coset data as the proof of connectivity
     seen = []
 
     def recording(g):
@@ -855,13 +906,6 @@ def test_falsification_exits_one(tmp_path, capsys):
     code, out, _ = run(capsys, "cor2", "--input", str(path))
     assert code == 1
     assert "FAIL" in out
-
-
-def test_timing_flag_adds_elapsed(capsys):
-    code, out, _ = run(capsys, "validate", "--input", f"{SAMPLES}/c3.txt",
-                       "--timing")
-    assert code == 0
-    assert "elapsed" in out
 
 
 CHORD_TRIANGLE = """graph:

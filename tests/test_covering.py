@@ -34,6 +34,7 @@ from builders import (
     concat_words,
     fiber_action,
     fiber_generator_permutations,
+    fields,
     realize_word,
     reduce_word,
 )
@@ -281,8 +282,8 @@ def test_edge_voltage_cover_matches_build_cover(data):
         voltages[e] = (shifts[k],)
         voltages[g.inv[e]] = (-shifts[k] % d,)
     perms = tuple(tuple((i + k) % d for i in range(d)) for k in shifts)
-    assert (edge_voltage_cover(g, tuple(voltages), (d,))
-            == build_cover(pres, VoltageAssignment(d, perms)))
+    assert (fields(edge_voltage_cover(g, tuple(voltages), (d,)))
+            == fields(build_cover(pres, VoltageAssignment(d, perms))))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,8 @@ def small_graph(data, max_vertices=4, max_extra=3):
 
 def assert_monodromy_matches_loop_lifts(p):
     cd = coset_data(p)
-    assert cd.base_pres == fundamental_presentation(p.base, p.base_vertex)
+    assert fields(cd.base_pres) == fields(
+        fundamental_presentation(p.base, p.base_vertex))
     assert cd.monodromy == tuple(fiber_generator_permutations(p, cd.base_pres))
 
 

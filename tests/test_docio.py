@@ -457,11 +457,3 @@ def test_report_rendering():
     assert "count = 3" in out
     assert out.strip().endswith("result: FAIL")
     assert not r.ok
-
-
-def test_report_timing_line_optional():
-    r = Report("demo")
-    r.check("law", True)
-    assert "elapsed" not in render_report(r)
-    r.elapsed = 0.25
-    assert "elapsed" in render_report(r, show_timing=True)

@@ -143,3 +143,40 @@ def test_one_work_budget_and_one_hard_cap():
     found = {name for p in MODULES if p.parent.name == "covertwist"
              for name in size_bounds(p.read_text(encoding="utf-8"))}
     assert found == {"WORK_LIMIT", "CYCLOTOMIC_ORDER_BUDGET"}
+
+
+def value_equality(source: str) -> list[str]:
+    """The classes in source that define __eq__ or __hash__, by a method
+    or by an assignment in the class body."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = set()
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign):
+                names.update(t.id for t in item.targets
+                             if isinstance(t, ast.Name))
+        if names & {"__eq__", "__hash__"}:
+            out.append(node.name)
+    return out
+
+
+def test_the_scan_sees_value_equality():
+    source = ("class A:\n    def __eq__(self, other):\n        return True\n"
+              "class B:\n    __hash__ = None\n"
+              "class C:\n    def __lt__(self, other):\n        return True\n"
+              "def f():\n    class D:\n        def __hash__(self):\n"
+              "            return 0\n")
+    assert value_equality(source) == ["A", "B", "D"]
+
+
+def test_records_compare_by_identity():
+    # graphs, trees, presentations, covers and the rest are plain records;
+    # only the polynomial ring's values and the cyclotomic numbers, which
+    # arithmetic and reports compare, define value equality
+    found = {name for p in MODULES if p.parent.name == "covertwist"
+             for name in value_equality(p.read_text(encoding="utf-8"))}
+    assert found == {"VarRegistry", "MultiPoly", "Cyclotomic"}

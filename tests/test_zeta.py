@@ -145,6 +145,22 @@ def test_amitsur_rational_weights():
     assert res.ok
 
 
+def closed_path_charges(g, max_length: int) -> list[int]:
+    """The prime search's charges for its closed paths, sorted: k units
+    per rotation tried, one per occurrence of the first edge, for each
+    closed cyclically non-backtracking walk of length k <= max_length
+    that starts at its least edge, walks listed one by one."""
+    out = []
+    walks = [[e] for e in range(g.num_edges)]
+    for _ in range(max_length):
+        out += [len(w) * w.count(w[0]) for w in walks
+                if w[0] == min(w) and g.tgt[w[-1]] == g.src[w[0]]
+                and g.inv[w[0]] != w[-1]]
+        walks = [w + [e] for w in walks for e in g.out_edges[g.tgt[w[-1]]]
+                 if e != g.inv[w[-1]]]
+    return sorted(out)
+
+
 def test_amitsur_budget(monkeypatch):
     # the prime search is charged its walk count before any power of B
     # is formed, so a length past the work budget stops at once
@@ -162,7 +178,9 @@ def test_amitsur_budget(monkeypatch):
     assert amitsur_check(g, symbolic_weights(g), rho, pres, max_length=4).ok
     monkeypatch.undo()
     assert units[0] == 4 * (3 * g.num_edges + g.num_vertices)
-    assert units[1:-1] == list(_walk_counts(g, 4))
+    assert units[1:5] == list(_walk_counts(g, 4))
+    # then, as the search meets them, its closed paths
+    assert sorted(units[5:-1]) == closed_path_charges(g, 4)
     with work_limit(sum(units)):
         assert amitsur_check(g, symbolic_weights(g), rho, pres,
                              max_length=4).ok
